@@ -19,6 +19,10 @@ is provably the true one whenever |h.x| < 1.543 (guaranteed for
 ||h|| below that, e.g. whenever lam >= 0.65 on unit-norm rows).  Noisy
 releases can make the equation unsolvable; that surfaces as
 `NoRootError` and averaging simply drops the draw.
+
+Inversion works on a stack of releases at once: the known-sample
+gradient sums come from two matrix products and the scalar equation is
+solved for every release in one vectorized bisection.
 """
 
 from __future__ import annotations
@@ -31,7 +35,14 @@ import numpy as np
 
 from .mechanisms import MechanismOutput, logistic_grad_sum, sigmoid
 
-_ROOT_SCAN_POINTS = 4001
+# w*sigmoid(w) has a single minimum, -W(1/e) = -0.27846 at
+# w = -1 - W(1/e), with W the Lambert function: no target below it has a
+# root, and the root of smaller magnitude of a negative target lies
+# between that point and 0
+_W_MIN = -1.2784645427610738
+
+# reason codes of glm_reconstruct
+DEGENERATE, NO_ROOT = 1, 2
 
 
 class NoRootError(RuntimeError):
@@ -109,89 +120,127 @@ def _r(w):
     return w * sigmoid(w)
 
 
-def _solve_scalar(target: float, bracket: float, tol: float) -> float:
-    """All roots of w*sigmoid(w) = target on [-bracket, bracket], returned
-    as the one of smallest magnitude.  Scan for sign changes, then bisect."""
-    grid = np.linspace(-bracket, bracket, _ROOT_SCAN_POINTS)
-    vals = _r(grid) - target
-    roots = []
-    exact = np.flatnonzero(vals == 0.0)
-    roots.extend(float(grid[i]) for i in exact)
-    sign_change = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    for i in sign_change:
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        flo = _r(lo) - target
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            fmid = _r(mid) - target
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if (flo < 0) != (fmid < 0):
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        roots.append(0.5 * (lo + hi))
-    if not roots:
-        raise NoRootError(f"no sign change for target {target:.6g} on [-{bracket}, {bracket}]")
-    return min(roots, key=abs)
+def _solve_scalar(target: np.ndarray, bracket: float, tol: float) -> tuple:
+    """Root of smallest magnitude of w*sigmoid(w) = target on
+    [-bracket, bracket], for each target at once.
+
+    A negative target's root lies in [_W_MIN, 0], where the function
+    increases, and exists when the target is not below the minimum; a
+    positive target's lies in (0, bracket] and exists when the target
+    does not exceed the function's value at ``bracket``.  Bisection
+    narrows each bracket to tol / 4.  Returns (roots, found); roots are
+    meaningless where found is False.
+    """
+    target = np.asarray(target, dtype=float)
+    neg = target < 0
+    lo = np.where(neg, _W_MIN, 0.0)
+    hi = np.where(neg, 0.0, bracket)
+    found = np.where(neg, target >= _r(lo), target <= _r(hi))
+    for _ in range(math.ceil(math.log2(4.0 * max(bracket, -_W_MIN) / tol))):
+        mid = 0.5 * (lo + hi)
+        below = _r(mid) <= target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi), found
+
+
+def glm_reconstruct(releases: np.ndarray, features_minus: np.ndarray,
+                    labels_minus: np.ndarray, y_star: float, lam: float, n_total: int,
+                    bracket: float = 50.0, tol: float = 1e-12) -> tuple:
+    """Invert a (M, d) stack of released parameter vectors at once.
+
+    Returns (estimates, reasons): the (M, d) challenge estimates, and per
+    release 0 on success or the code (`DEGENERATE`, `NO_ROOT`) of the
+    reason it could not be inverted, in which case its row is NaN.
+    ``n_total`` is the training-set size including the challenge.
+    """
+    h = np.asarray(releases, dtype=float)
+    g = -n_total * lam * h - logistic_grad_sum(h.T, features_minus, labels_minus).T
+    degenerate = np.sqrt(np.einsum("md,md->m", g, g)) < 1e-12
+    # u = h.x solves u * (-y * sigmoid(-y*u)) = h.g;  substituting w = -y*u
+    # turns the left side into w * sigmoid(w) for either label.
+    w, found = _solve_scalar(np.einsum("md,md->m", h, g), bracket, tol)
+    estimates = g / (-y_star * sigmoid(w))[:, None]
+    reasons = np.where(degenerate, DEGENERATE, np.where(found, 0, NO_ROOT))
+    estimates[reasons != 0] = np.nan
+    return estimates, reasons
+
+
+def _vector(h) -> np.ndarray:
+    return np.asarray(h.value if isinstance(h, MechanismOutput) else h, dtype=float)
 
 
 def glm_reconstruct_single(h, features_minus: np.ndarray, labels_minus: np.ndarray,
                            y_star: float, lam: float, n_total: int,
                            bracket: float = 50.0, tol: float = 1e-12) -> np.ndarray:
-    """Invert one released parameter vector into challenge features.
+    """Invert one released parameter vector into challenge features: the
+    batch-of-one case of `glm_reconstruct`, raising its failure reason.
 
-    ``h`` may be a raw vector or a `MechanismOutput`.  ``n_total`` is the
-    training-set size including the challenge.
+    ``h`` may be a raw vector or a `MechanismOutput`.
     """
-    if isinstance(h, MechanismOutput):
-        h = h.value
-    h = np.asarray(h, dtype=float)
-    g = -n_total * lam * h - logistic_grad_sum(h, features_minus, labels_minus)
-    gnorm = math.sqrt(float(g @ g))
-    if gnorm < 1e-12:
+    estimates, reasons = glm_reconstruct(_vector(h)[None, :], features_minus,
+                                         labels_minus, y_star, lam, n_total, bracket, tol)
+    if reasons[0] == DEGENERATE:
         raise DegenerateGradientError("challenge gradient contribution is numerically zero")
-    # u = h.x solves u * (-y * sigmoid(-y*u)) = h.g;  substituting w = -y*u
-    # turns the left side into w * sigmoid(w) for either label.
-    target = float(h @ g)
-    w = _solve_scalar(target, bracket, tol)
-    c = float(-y_star * sigmoid(np.array(w)))
-    return g / c
+    if reasons[0] == NO_ROOT:
+        raise NoRootError(f"no root of the scalar equation on [-{bracket}, {bracket}]")
+    return estimates[0]
+
+
+def _average(model: ThreatModel, estimates: np.ndarray, ok: np.ndarray,
+             metric: Callable | None) -> tuple:
+    """Mean of each trial's surviving estimates and its squared distance
+    to the challenge; (T, n, d) estimates with a (T, n) survival mask.
+    Trials with no survivor get NaN."""
+    counts = ok.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z_hat = np.where(ok[:, :, None], estimates, 0.0).sum(axis=1) / counts[:, None]
+    if metric is None:
+        diff = model.challenge_x - z_hat
+        dist = np.sqrt(np.einsum("td,td->t", diff, diff))
+    else:
+        dist = np.array([metric(model.challenge_x, z) for z in z_hat], dtype=float)
+    return z_hat, dist * dist
+
+
+def attack_trials(model: ThreatModel, releases: np.ndarray, lam: float) -> tuple:
+    """Run the attack for T independent trials in one batch.
+
+    ``releases`` is (T, n, d): trial t's n draws.  All T*n are inverted
+    at once and each trial averages its survivors.  Returns (mse,
+    failures): per trial the squared Euclidean error of the average, NaN
+    when every draw failed, and the count of draws that failed.
+    """
+    trials, n, d = releases.shape
+    estimates, reasons = glm_reconstruct(releases.reshape(trials * n, d),
+                                         model.features_minus, model.labels_minus,
+                                         model.challenge_y, lam, model.n_total)
+    ok = (reasons == 0).reshape(trials, n)
+    _, mse = _average(model, estimates.reshape(trials, n, d), ok, None)
+    return mse, n - ok.sum(axis=1)
 
 
 def attack_average(model: ThreatModel, mechanism: Callable[[np.random.Generator], object],
                    lam: float, rng: np.random.Generator,
                    metric: Callable[[np.ndarray, np.ndarray], float] | None = None) -> AttackResult:
-    """Draw n releases, invert each, and average the survivors.
+    """Draw n releases, invert them, and average the survivors: one trial.
 
     ``mechanism(rng)`` must return one release (vector or
     `MechanismOutput`) per call.  Draws whose scalar equation has no
     solution are dropped and counted; the error is the squared metric
     distance between the challenge and the averaged estimate.
     """
-    estimates = []
-    failures = 0
-    for _ in range(model.sample_count_n):
-        release = mechanism(rng)
-        try:
-            x_hat = glm_reconstruct_single(release, model.features_minus,
-                                           model.labels_minus, model.challenge_y,
-                                           lam, model.n_total)
-        except (NoRootError, DegenerateGradientError):
-            failures += 1
-            continue
-        estimates.append(x_hat)
-    if not estimates:
+    releases = np.stack([_vector(mechanism(rng)) for _ in range(model.sample_count_n)])
+    estimates, reasons = glm_reconstruct(releases, model.features_minus,
+                                         model.labels_minus, model.challenge_y,
+                                         lam, model.n_total)
+    ok = reasons == 0
+    if not ok.any():
         raise AllFailedError(f"all {model.sample_count_n} draws failed to invert")
-    z_hat = np.mean(np.stack(estimates), axis=0)
-    if metric is None:
-        diff = model.challenge_x - z_hat
-        dist = math.sqrt(float(diff @ diff))
-    else:
-        dist = metric(model.challenge_x, z_hat)
-    return AttackResult(z_hat=z_hat, mse=dist * dist,
-                        per_sample_estimates=tuple(estimates), failures=failures)
+    z_hat, mse = _average(model, estimates[None], ok[None], metric)
+    return AttackResult(z_hat=z_hat[0], mse=float(mse[0]),
+                        per_sample_estimates=tuple(estimates[ok]),
+                        failures=int((~ok).sum()))
 
 
 def shadow_pairs(model: ThreatModel, shadow_targets: Sequence,

@@ -7,7 +7,8 @@ Subcommands:
   covering  covering/packing numbers of a distance-matrix file
 
 Exit codes: 0 success, 2 configuration error, 3 dominance violation
-(audit failure), 4 I/O error.
+(audit failure), 4 I/O error (including a malformed IDX file), 5
+certificate violation (an exact oracle fell below a bound it certifies).
 """
 
 from __future__ import annotations
@@ -172,15 +173,18 @@ def main(argv=None) -> int:
                 "oracle": _cmd_oracle, "covering": _cmd_covering}
     try:
         return handlers[args.command](args)
+    except (OSError, harness.IdxFormatError) as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:  # ConfigError and bad flag values alike
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except harness.DominanceError as exc:
         print(f"dominance violation: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
+    except oracle.CertificateError as exc:
+        print(f"certificate violation: {exc}", file=sys.stderr)
+        return 5
 
 
 def entry() -> None:

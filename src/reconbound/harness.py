@@ -6,7 +6,11 @@ grid, runs the reconstruction attack per trial, and compares the mean
 attack error against every applicable theoretical lower bound on the
 same grid.  Everything is deterministic given (config, seed): per-trial
 generators are derived from the master seed by counter-based spawn keys,
-so neither trial order nor worker count can perturb results.
+so neither trial order nor batch size can perturb results.
+
+Trials run in batches: each grid cell stacks its trials' releases and
+inverts them in one call, and PNSGD runs the chains of every cell and
+trial in one lockstep pass.
 
 Draws whose inversion has no solution are dropped and counted; a grid
 cell where every trial failed reports an infinite mean error, meaning
@@ -15,7 +19,6 @@ the attack produced no evidence against any bound at that privacy level.
 
 from __future__ import annotations
 
-import concurrent.futures
 import io
 import math
 import struct
@@ -26,7 +29,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import pnsgd as pnsgd_mod
-from .attack import AllFailedError, ThreatModel, attack_average
+# sweeps no longer call attack_average, but perfbench/spans.py traces it
+# under this module's name, so it stays importable from here
+from .attack import ThreatModel, attack_average, attack_trials  # noqa: F401
 from .bounds import BoundQuery
 from .mechanisms import (LogRegProblem, PrivacyParams, output_perturb_dp,
                          output_perturb_mdp_euclidean, sigmoid,
@@ -78,7 +83,6 @@ class SweepConfig:
     idx_labels: str = ""
     digit_pair: tuple = (0, 1)
     constraint_radius: float = 10.0
-    workers: int = 1
 
     def __post_init__(self):
         grid = tuple(float(e) for e in self.eps_grid)
@@ -97,8 +101,6 @@ class SweepConfig:
             raise ConfigError(f"unknown dataset_source {self.dataset_source!r}")
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         object.__setattr__(self, "digit_pair", tuple(int(d) for d in self.digit_pair))
 
 
@@ -159,7 +161,6 @@ _CONFIG_PARSERS = {
     "idx_labels": str,
     "digit_pair": lambda s: tuple(int(x) for x in s.split(",")),
     "constraint_radius": float,
-    "workers": int,
 }
 
 
@@ -265,58 +266,65 @@ def _load_problem(config: SweepConfig) -> LogRegProblem:
                     digits=config.digit_pair, lam=config.lam)
 
 
-def _logreg_sample_grad(lam: float) -> Callable:
-    def grad(w, sample):
-        x, y = sample
-        return -y * float(sigmoid(np.array(-y * float(w @ x)))) * x + lam * w
+def _trial_rngs(config: SweepConfig, eps_idx: int) -> list:
+    return [np.random.default_rng(
+        np.random.SeedSequence(config.seed, spawn_key=(0, eps_idx, trial)))
+        for trial in range(config.trials)]
+
+
+def _logreg_chain_grad(lam: float) -> Callable:
+    """Per-sample logistic gradient plus the ridge term at every chain's
+    state; a sample is a signed row y*x, so the label needs no lookup."""
+    def grad(w, z):
+        return -sigmoid(-np.einsum("bd,d->b", w, z))[:, None] * z + lam * w
     return grad
 
 
-def _pnsgd_release(config: SweepConfig, problem: LogRegProblem, eps: float,
-                   metric: bool) -> Callable:
-    radius = config.constraint_radius
-    beta = 0.25 + config.lam
+def _pnsgd_sigma(config: SweepConfig, problem: LogRegProblem, eps: float) -> float:
     if config.noiseless:
-        sigma = 0.0
-    elif metric:
-        l_input = 1.0 + radius / 4.0
-        sigma_sq = pnsgd_mod.noise_for_renyi_mdp(config.alpha, eps, l_input,
-                                                 domain_diam=2.0,
-                                                 n=problem.n, t=problem.n)
-        sigma = math.sqrt(sigma_sq)
-    else:
-        g_bound = 1.0 + config.lam * radius
-        sigma_sq, _ = pnsgd_mod.noise_for_target_dp(eps, config.delta, g_bound,
-                                                    n=problem.n, t=problem.n)
-        sigma = math.sqrt(sigma_sq)
-    run_cfg = pnsgd_mod.PNSGDConfig(eta=1.0 / beta, sigma=sigma,
+        return 0.0
+    if config.mechanism_kind == "PNSGD_MDP":
+        l_input = 1.0 + config.constraint_radius / 4.0
+        return math.sqrt(pnsgd_mod.noise_for_renyi_mdp(config.alpha, eps, l_input,
+                                                       domain_diam=2.0,
+                                                       n=problem.n, t=problem.n))
+    g_bound = 1.0 + config.lam * config.constraint_radius
+    sigma_sq, _ = pnsgd_mod.noise_for_target_dp(eps, config.delta, g_bound,
+                                                n=problem.n, t=problem.n)
+    return math.sqrt(sigma_sq)
+
+
+def _pnsgd_releases(config: SweepConfig, problem: LogRegProblem) -> np.ndarray:
+    """Every cell's releases, (cells, trials, n_samples, d).  One chain per
+    (cell, trial) at the cell's noise level; all chains run in one
+    lockstep pass per sample, each continuing its trial's generator."""
+    sigmas = [_pnsgd_sigma(config, problem, eps) for eps in config.eps_grid]
+    beta = 0.25 + config.lam
+    run_cfg = pnsgd_mod.PNSGDConfig(eta=1.0 / beta, sigma=np.repeat(sigmas, config.trials),
                                     w0=np.zeros(problem.dim),
-                                    constraint_radius=radius, beta=beta)
-    samples = [(problem.features[i], problem.labels[i]) for i in range(problem.n)]
-    grad = _logreg_sample_grad(config.lam)
+                                    constraint_radius=config.constraint_radius, beta=beta)
+    rngs = [rng for eps_idx in range(len(config.eps_grid))
+            for rng in _trial_rngs(config, eps_idx)]
+    signed = problem.labels[:, None] * problem.features
+    grad = _logreg_chain_grad(config.lam)
+    passes = [pnsgd_mod.pnsgd_run(run_cfg, signed, grad, rngs)
+              for _ in range(config.n_samples)]
+    return np.stack(passes, axis=1).reshape(len(config.eps_grid), config.trials,
+                                            config.n_samples, problem.dim)
 
-    def release(rng):
-        return pnsgd_mod.pnsgd_run(run_cfg, samples, grad, rng)
 
-    return release
-
-
-def _make_release_fn(config: SweepConfig, problem: LogRegProblem, eps: float,
-                     theta_hat: np.ndarray | None) -> Callable:
-    kind = config.mechanism_kind
-    if kind == "OUTPUT_PERTURB_DP":
-        params = PrivacyParams(eps=eps)
-        return lambda rng: output_perturb_dp(theta_hat, params, problem.n,
-                                             config.lam, rng,
-                                             noiseless=config.noiseless)
-    if kind == "OUTPUT_PERTURB_MDP":
-        params = PrivacyParams(eps_metric=eps)
-        return lambda rng: output_perturb_mdp_euclidean(theta_hat, params, problem.n,
-                                                        config.lam, rng,
-                                                        noiseless=config.noiseless)
-    if kind == "PNSGD_DP":
-        return _pnsgd_release(config, problem, eps, metric=False)
-    return _pnsgd_release(config, problem, eps, metric=True)
+def _output_perturb_releases(config: SweepConfig, problem: LogRegProblem,
+                             theta_hat: np.ndarray, eps_idx: int, eps: float) -> np.ndarray:
+    """One cell's releases, (trials, n_samples, d), each trial's drawn in
+    order from its own generator."""
+    if config.mechanism_kind == "OUTPUT_PERTURB_DP":
+        draw, params = output_perturb_dp, PrivacyParams(eps=eps)
+    else:
+        draw, params = output_perturb_mdp_euclidean, PrivacyParams(eps_metric=eps)
+    return np.array([[draw(theta_hat, params, problem.n, config.lam, rng,
+                           noiseless=config.noiseless).value
+                      for _ in range(config.n_samples)]
+                     for rng in _trial_rngs(config, eps_idx)])
 
 
 def _bound_names(kind: str) -> tuple:
@@ -354,23 +362,6 @@ def evaluate_bounds(config: SweepConfig, problem: LogRegProblem, eps: float) -> 
     return out
 
 
-def _single_trial(config: SweepConfig, problem: LogRegProblem, release_fn: Callable,
-                  eps_idx: int, trial_idx: int) -> tuple:
-    """Returns (mse or None, failed draw count)."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence(config.seed, spawn_key=(0, eps_idx, trial_idx)))
-    model = ThreatModel(features_minus=problem.features[:-1],
-                        labels_minus=problem.labels[:-1],
-                        challenge_x=problem.features[-1],
-                        challenge_y=float(problem.labels[-1]),
-                        query_budget_m=config.n_samples)
-    try:
-        result = attack_average(model, release_fn, config.lam, rng)
-    except AllFailedError:
-        return None, config.n_samples
-    return result.mse, result.failures
-
-
 def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator,
                   resamples: int = 10_000) -> tuple:
     if values.size == 0:
@@ -389,28 +380,27 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     Per epsilon and trial: privatize, attack, score.  The trained
     optimum is shared across trials for output perturbation (the
-    mechanism only adds fresh noise); PNSGD retrains inside every draw
-    because the pass itself is the mechanism.
+    mechanism only adds fresh noise); for PNSGD the pass itself is the
+    mechanism, so every draw is a chain of its own.
     """
     problem = _load_problem(config)
-    needs_optimum = config.mechanism_kind.startswith("OUTPUT_PERTURB")
-    theta_hat = train_logreg_exact(problem) if needs_optimum else None
+    model = ThreatModel(features_minus=problem.features[:-1],
+                        labels_minus=problem.labels[:-1],
+                        challenge_x=problem.features[-1],
+                        challenge_y=float(problem.labels[-1]),
+                        query_budget_m=config.n_samples)
+    if config.mechanism_kind.startswith("PNSGD"):
+        cells = _pnsgd_releases(config, problem)
+    else:
+        theta_hat = train_logreg_exact(problem)
+        cells = (_output_perturb_releases(config, problem, theta_hat, eps_idx, eps)
+                 for eps_idx, eps in enumerate(config.eps_grid))
 
     rows = []
     bound_names = _bound_names(config.mechanism_kind)
-    for eps_idx, eps in enumerate(config.eps_grid):
-        release_fn = _make_release_fn(config, problem, eps, theta_hat)
-        tasks = range(config.trials)
-        if config.workers > 1:
-            with concurrent.futures.ThreadPoolExecutor(config.workers) as pool:
-                outcomes = list(pool.map(
-                    lambda t: _single_trial(config, problem, release_fn, eps_idx, t),
-                    tasks))
-        else:
-            outcomes = [_single_trial(config, problem, release_fn, eps_idx, t)
-                        for t in tasks]
-        mses = np.array([m for m, _ in outcomes if m is not None], dtype=float)
-        failures = int(sum(f for _, f in outcomes))
+    for eps_idx, (eps, releases) in enumerate(zip(config.eps_grid, cells)):
+        mse, failures = attack_trials(model, releases, config.lam)
+        mses = mse[~np.isnan(mse)]
         mean_mse = float(mses.mean()) if mses.size else math.inf
         ci_rng = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(1, eps_idx)))
@@ -418,7 +408,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         rows.append(SweepRow(epsilon=eps, mechanism=config.mechanism_kind,
                              mean_mse=mean_mse, ci_low=ci_low, ci_high=ci_high,
                              bound_values=evaluate_bounds(config, problem, eps),
-                             failures=failures))
+                             failures=int(failures.sum())))
     return SweepResult(config=config, bound_names=bound_names, rows=tuple(rows))
 
 

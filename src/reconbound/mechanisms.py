@@ -159,13 +159,11 @@ def post_process(output: MechanismOutput, fn: Callable) -> MechanismOutput:
 
 
 def sigmoid(t):
+    """Logistic function: 1 / (1 + e) for t >= 0 and e / (1 + e) below,
+    with e = exp(-|t|), so exp never overflows."""
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def logistic_loss(theta: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
@@ -175,9 +173,11 @@ def logistic_loss(theta: np.ndarray, features: np.ndarray, labels: np.ndarray) -
 
 def logistic_grad_sum(theta: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Sum over samples of the per-sample loss gradient
-    -y * sigmoid(-y * theta.x) * x."""
-    margins = labels * (features @ theta)
-    weights = -labels * sigmoid(-margins)
+    -y * sigmoid(-y * theta.x) * x; for a (d, M) theta, one sum per
+    column, from two matrix products."""
+    y = labels if theta.ndim == 1 else labels[:, None]
+    margins = y * (features @ theta)
+    weights = -y * sigmoid(-margins)
     return features.T @ weights
 
 

@@ -30,10 +30,18 @@ class StepSizeError(ValueError):
     """Learning rate violates the contractivity requirement eta <= 2/beta."""
 
 
+# noise is drawn per chain in blocks of steps, holding at most this many
+# floats at once across all chains
+NOISE_BLOCK_FLOATS = 1 << 17
+
+
 @dataclass(frozen=True)
 class PNSGDConfig:
+    """Pass settings.  ``sigma`` is one noise scale, or one per chain when
+    several chains run in lockstep."""
+
     eta: float
-    sigma: float
+    sigma: float | np.ndarray
     w0: np.ndarray
     constraint_radius: float
     beta: float
@@ -48,41 +56,62 @@ class PNSGDConfig:
             raise ValueError("beta must be positive")
         if self.eta > 2.0 / self.beta + 1e-15:
             raise StepSizeError(f"eta={self.eta} exceeds 2/beta={2.0 / self.beta}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        sigma = np.array(self.sigma, dtype=float)
+        if sigma.ndim > 1 or np.any(sigma < 0):
+            raise ValueError("sigma must be nonnegative, a scalar or one per chain")
         if self.constraint_radius <= 0:
             raise ValueError("constraint_radius must be positive")
         w = np.array(self.w0, dtype=float)
         if math.sqrt(float(w @ w)) > self.constraint_radius + 1e-12:
             raise ValueError("w0 must lie in the constraint ball")
-        w.setflags(write=False)
-        object.__setattr__(self, "w0", w)
+        for arr, name in ((sigma, "sigma"), (w, "w0")):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def project_l2(v: np.ndarray, radius: float) -> np.ndarray:
-    """L2 projection onto the centered ball of the given radius."""
+    """L2 projection onto the centered ball of the given radius, of one
+    vector or of each row of a stack."""
     v = np.asarray(v, dtype=float)
-    norm = math.sqrt(float(v @ v))
-    if norm <= radius:
-        return v
-    return v * (radius / norm)
+    norms = np.sqrt(np.einsum("...i,...i->...", v, v))
+    return v * (radius / np.maximum(norms, radius))[..., None]
 
 
 def pnsgd_run(config: PNSGDConfig, dataset: Sequence, loss_grad: Callable,
-              rng: np.random.Generator) -> np.ndarray:
+              rng: np.random.Generator | Sequence[np.random.Generator]) -> np.ndarray:
     """Run one pass and return the final iterate.
 
-    ``loss_grad(w, sample)`` must return the gradient of the per-sample
-    loss at w.  Intermediate iterates are never exposed.
+    ``rng`` is one generator, for a single chain with final iterate of
+    shape (d,), or a sequence of B generators for B chains run in
+    lockstep from ``w0``, returning a (B, d) array.  Chain b draws its
+    noise from its own generator at its own ``config.sigma``, in the same
+    order as a pass run alone, so its result does not depend on which
+    chains share the pass; a chain with sigma 0 draws nothing.
+    ``loss_grad(w, sample)`` must return the per-sample loss gradient at
+    every row of the (B, d) state.  Intermediate iterates are never
+    exposed.
     """
-    if len(dataset) == 0:
+    n = len(dataset)
+    if n == 0:
         raise ValueError("dataset must be nonempty")
-    w = np.array(config.w0, dtype=float)
-    for sample in dataset:
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    chains, d = len(rngs), config.w0.size
+    sigmas = np.zeros(chains) + config.sigma
+    w = np.zeros((chains, d)) + config.w0
+    block = max(1, min(n, NOISE_BLOCK_FLOATS // (chains * d)))
+    noise = np.zeros((block, chains, d))
+    noisy = [(b, rngs[b], float(sigmas[b])) for b in np.flatnonzero(sigmas > 0)]
+    eta, radius = config.eta, config.constraint_radius
+    for i, sample in enumerate(dataset):
+        k = i % block
+        if k == 0:
+            steps = min(block, n - i)
+            for b, gen, s in noisy:
+                noise[:steps, b] = gen.normal(0.0, s, size=(steps, d))
         grad = np.asarray(loss_grad(w, sample), dtype=float)
-        noise = rng.normal(0.0, config.sigma, size=w.shape) if config.sigma > 0 else 0.0
-        w = project_l2(w - config.eta * (grad + noise), config.constraint_radius)
-    return w
+        w = project_l2(w - eta * (grad + noise[k]), radius)
+    return w[0] if single else w
 
 
 def noise_for_renyi_dp(alpha: float, eps: float, G: float, n: int, t: int) -> float:

@@ -189,3 +189,17 @@ def test_c9_sweep_determinism(dp_sweep, tmp_path):
         emit_csv(first, p1)
         emit_csv(again, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_c10_desk_scale_pnsgd_sweep(tmp_path):
+    with criterion(10, "desk-scale PNSGD_MDP sweep within budget, CSV byte for byte"):
+        start = time.perf_counter()
+        first = run_sweep(_sweep_config("PNSGD_MDP"))
+        elapsed = time.perf_counter() - start
+        again = run_sweep(_sweep_config("PNSGD_MDP"))
+        p1, p2 = tmp_path / "run1.csv", tmp_path / "run2.csv"
+        emit_csv(first, p1)
+        emit_csv(again, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert len(first.rows) == len(SWEEP_GRID)
+        assert elapsed < 10.0, elapsed

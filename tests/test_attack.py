@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from reconbound.attack import (AllFailedError, BudgetError,
+from reconbound.attack import (NO_ROOT, AllFailedError, BudgetError,
                                DegenerateGradientError, NoRootError, ThreatModel,
-                               attack_average, glm_reconstruct_single, shadow_pairs)
+                               _solve_scalar, attack_average, attack_trials,
+                               glm_reconstruct, glm_reconstruct_single, shadow_pairs)
 from reconbound.harness import generate_synthetic
 from reconbound.mechanisms import (PrivacyParams, output_perturb_dp, sigmoid,
                                    train_logreg_exact)
@@ -23,6 +24,62 @@ def threat_model(prob, m=1, k=0):
                        challenge_x=prob.features[-1],
                        challenge_y=float(prob.labels[-1]),
                        query_budget_m=m, shadow_count_k=k)
+
+
+def scan_and_bisect(target, bracket=50.0, tol=1e-12, points=4001):
+    """Reference root finder: the scan over 4001 grid points for sign
+    changes, then a bisection of each, that the vectorized solver
+    replaced.  Returns the root of smallest magnitude, or None."""
+    r = lambda w: w * sigmoid(w)
+    grid = np.linspace(-bracket, bracket, points)
+    vals = r(grid) - target
+    roots = [float(grid[i]) for i in np.flatnonzero(vals == 0.0)]
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        flo = r(lo) - target
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            fmid = r(mid) - target
+            if fmid == 0.0:
+                lo = hi = mid
+                break
+            if (flo < 0) != (fmid < 0):
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        roots.append(0.5 * (lo + hi))
+    return min(roots, key=abs) if roots else None
+
+
+class TestScalarSolver:
+    def test_matches_scan_and_bisect_on_dense_grid(self):
+        # dense over [-0.30, 60], finer near the minimum, near zero and
+        # around the bracket end, where targets above r(50) have no root
+        r50 = float(50.0 * sigmoid(50.0))
+        targets = np.concatenate([np.linspace(-0.30, 60.0, 2401),
+                                  np.linspace(-0.2790, -0.2780, 201),
+                                  np.linspace(-1e-3, 1e-3, 201),
+                                  np.linspace(49.9, 50.1, 201),
+                                  [0.0, r50, np.nextafter(r50, np.inf)]])
+        roots, found = _solve_scalar(targets, 50.0, 1e-12)
+        for target, root, ok in zip(targets, roots, found):
+            expected = scan_and_bisect(target)
+            assert ok == (expected is not None), target
+            if ok:
+                assert root == pytest.approx(expected, rel=0, abs=1e-12), target
+        assert not found[targets > r50].any()
+        assert found[(targets < 0) & (targets > -0.2784)].all()
+
+    def test_double_root_inside_one_scan_cell(self):
+        # just above the minimum both roots fall between two scan points
+        # of the retired solver, which saw no sign change; the closed-form
+        # bracket still finds the smaller-magnitude root
+        target = -0.2784645427610738 + 1e-7
+        assert scan_and_bisect(target) is None
+        (root,), (ok,) = _solve_scalar(np.array([target]), 50.0, 1e-12)
+        assert ok
+        assert float(root * sigmoid(root)) == pytest.approx(target, abs=1e-15)
+        assert -1.2784645427610738 < root < 0
 
 
 class TestSingleReconstruction:
@@ -184,6 +241,49 @@ class TestAveraging:
         res = attack_average(model, mech, prob.lam, np.random.default_rng(2), metric=l1)
         expected = float(np.abs(model.challenge_x - res.z_hat).sum()) ** 2
         assert res.mse == pytest.approx(expected, rel=1e-12)
+
+
+class TestBatchInversion:
+    def test_batch_size_does_not_change_results(self):
+        # a cell's trials inverted as one batch and as batches of one give
+        # the same failure set and estimates; both levels mix failed draws
+        # and survivors, and eps=1 has trials in which every draw fails
+        prob, theta = trained_instance(12, n=300, d=6, lam=1e-2)
+        model = threat_model(prob, m=3)
+        for eps in (1.0, 3.0):
+            rngs = [np.random.default_rng(np.random.SeedSequence(5, spawn_key=(t,)))
+                    for t in range(8)]
+            releases = np.array([[output_perturb_dp(theta, PrivacyParams(eps=eps), prob.n,
+                                                    prob.lam, rng).value
+                                  for _ in range(3)] for rng in rngs])
+            args = (prob.features[:-1], prob.labels[:-1], float(prob.labels[-1]),
+                    prob.lam, prob.n)
+            est, reasons = glm_reconstruct(releases.reshape(24, -1), *args)
+            alone = [glm_reconstruct(h[None], *args) for h in releases.reshape(24, -1)]
+            assert list(reasons) == [int(r[0]) for _, r in alone]
+            for row, (one, _) in zip(est, alone):
+                np.testing.assert_allclose(row, one[0], rtol=1e-12, atol=0)
+            mse, failures = attack_trials(model, releases, prob.lam)
+            for t in range(8):
+                mse_t, failures_t = attack_trials(model, releases[t:t + 1], prob.lam)
+                assert failures[t] == failures_t[0]
+                np.testing.assert_allclose(mse[t], mse_t[0], rtol=1e-12, atol=0)
+            assert failures.sum() == np.count_nonzero(reasons == NO_ROOT)
+            assert 0 < failures.sum() < 24
+
+    def test_single_is_batch_of_one(self):
+        # the matrix products of a batch may sum in another order than
+        # those of a single release, so agreement is to rounding
+        prob, theta = trained_instance(13)
+        wild = theta + 50.0 * np.ones_like(theta)
+        est, reasons = glm_reconstruct(np.stack([theta, wild]), prob.features[:-1],
+                                       prob.labels[:-1], float(prob.labels[-1]),
+                                       prob.lam, prob.n)
+        single = glm_reconstruct_single(theta, prob.features[:-1], prob.labels[:-1],
+                                        float(prob.labels[-1]), prob.lam, prob.n)
+        np.testing.assert_allclose(est[0], single, rtol=1e-12, atol=0)
+        assert list(reasons) == [0, NO_ROOT]
+        assert np.isnan(est[1]).all()
 
 
 class TestThreatModelAndShadows:

@@ -1,4 +1,4 @@
-from reconbound import cli, harness
+from reconbound import cli, harness, oracle
 from reconbound.harness import SweepConfig, SweepResult, SweepRow
 from reconbound.metric_space import FiniteMetricSpace
 
@@ -51,6 +51,12 @@ class TestOracleCommand:
         assert run_cli(["oracle", "--eps-grid", "1", "--inputs", "4"]) == 0
         assert "info_bound" in capsys.readouterr().out
 
+    def test_certificate_violation_exit_5(self, monkeypatch, capsys):
+        # a broken exact risk trips the certificate chain
+        monkeypatch.setattr(oracle, "exact_bayes_risk", lambda *a, **k: 0.0)
+        assert run_cli(["oracle", "--eps-grid", "1"]) == 5
+        assert "certificate violation" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_config_file_run(self, tmp_path, capsys):
@@ -80,6 +86,17 @@ class TestSweepCommand:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("eps_grid = 1\nbogus = 1\n")
         assert run_cli(["sweep", "--config", str(cfg)]) == 2
+
+    def test_malformed_idx_is_io_error(self, tmp_path, capsys):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(b"\x00\x00\x99\x99" + b"\x00" * 12)
+        labels.write_bytes(b"\x00\x00\x08\x01\x00\x00\x00\x00")
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("eps_grid = 1\nmechanism_kind = OUTPUT_PERTURB_DP\nseed = 1\n"
+                       f"dataset_source = IDX_FILES\nidx_images = {images}\n"
+                       f"idx_labels = {labels}\n")
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        assert "i/o error" in capsys.readouterr().err
 
     def test_flags_required_without_config(self):
         assert run_cli(["sweep", "--trials", "2"]) == 2

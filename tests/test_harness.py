@@ -117,9 +117,11 @@ class TestConfigParsing:
         assert cfg.noiseless is True
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("eps_grid = 1\ntrials = 1\nmechanism_kind = PNSGD_DP\n"
-                              "seed = 1\nbogus = 2\n")
+        # workers was a key until trials ran batched; it is unknown now
+        for key in ("bogus", "workers"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config_text("eps_grid = 1\ntrials = 1\nmechanism_kind = PNSGD_DP\n"
+                                  f"seed = 1\n{key} = 2\n")
 
     def test_missing_required(self):
         with pytest.raises(ConfigError):
@@ -221,14 +223,6 @@ class TestRunSweep:
                            eps_grid=(2.0,))
         resm = run_sweep(cfgm)
         assert resm.bound_names == ("mdp_lecam", "mdp_fano")
-
-    def test_workers_do_not_change_results(self, tmp_path):
-        r1 = run_sweep(tiny_config(trials=6, workers=1))
-        r2 = run_sweep(tiny_config(trials=6, workers=3))
-        p1, p2 = tmp_path / "w1.csv", tmp_path / "w3.csv"
-        emit_csv(r1, p1)
-        emit_csv(r2, p2)
-        assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestEmission:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import reconbound.pnsgd as pnsgd_mod
+from reconbound.mechanisms import sigmoid
 from reconbound.pnsgd import (DEFAULT_ALPHAS, PNSGDConfig, StepSizeError,
                               min_dp_epsilon, noise_for_renyi_dp,
                               noise_for_renyi_mdp, noise_for_target_dp,
@@ -89,6 +91,66 @@ class TestRun:
             u1 = project_l2(w1 - eta * (hess @ (w1 - x)), radius)
             u2 = project_l2(w2 - eta * (hess @ (w2 - x)), radius)
             assert np.linalg.norm(u1 - u2) <= np.linalg.norm(w1 - w2) * (1 + 1e-12)
+
+
+def per_sample_pass(config, sigma, dataset, loss_grad, rng):
+    """Reference: one chain, one sample at a time, one noise draw per
+    step, as the pass ran before chains were batched."""
+    w = np.array(config.w0, dtype=float)
+    for sample in dataset:
+        grad = np.asarray(loss_grad(w, sample), dtype=float)
+        noise = rng.normal(0.0, sigma, size=w.shape) if sigma > 0 else 0.0
+        v = w - config.eta * (grad + noise)
+        norm = math.sqrt(float(v @ v))
+        w = v if norm <= config.constraint_radius else v * (config.constraint_radius / norm)
+    return w
+
+
+class TestLockstep:
+    SIGMAS = (0.5, 0.0, 1.3, 0.2)
+
+    def _logistic(self, seed, n=9, d=3):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d)) * 0.4
+        y = rng.choice([-1.0, 1.0], size=n)
+        lam = 0.1
+        def one(w, sample):
+            x_i, y_i = sample
+            return -y_i * float(sigmoid(np.array(-y_i * float(w @ x_i)))) * x_i + lam * w
+        many = lambda w, z: -sigmoid(-np.einsum("bd,d->b", w, z))[:, None] * z + lam * w
+        return list(zip(x, y)), y[:, None] * x, one, many
+
+    def test_matches_per_sample_loop(self, monkeypatch):
+        # noise blocks of two steps, so the pass crosses block edges and
+        # ends on a partial block; sigma 0 draws nothing
+        monkeypatch.setattr(pnsgd_mod, "NOISE_BLOCK_FLOATS", 2 * len(self.SIGMAS) * 3)
+        cfg = PNSGDConfig(eta=0.8, sigma=np.array(self.SIGMAS),
+                          w0=np.array([0.1, 0.0, -0.2]), constraint_radius=1.5, beta=1.0)
+        samples, signed, one, many = self._logistic(3)
+        rngs = [np.random.default_rng(100 + b) for b in range(len(self.SIGMAS))]
+        batched = pnsgd_run(cfg, signed, many, rngs)
+        for b, sigma in enumerate(self.SIGMAS):
+            ref = per_sample_pass(cfg, sigma, samples, one, np.random.default_rng(100 + b))
+            np.testing.assert_allclose(batched[b], ref, rtol=1e-12, atol=1e-15)
+        untouched = np.random.default_rng(101).bit_generator.state
+        assert rngs[1].bit_generator.state == untouched
+
+    def test_chain_does_not_depend_on_its_company(self):
+        cfg = PNSGDConfig(eta=0.8, sigma=np.array(self.SIGMAS), w0=np.zeros(3),
+                          constraint_radius=1.5, beta=1.0)
+        _, signed, _, many = self._logistic(4, n=40)
+        together = pnsgd_run(cfg, signed, many,
+                             [np.random.default_rng(b) for b in range(len(self.SIGMAS))])
+        for b, sigma in enumerate(self.SIGMAS):
+            alone = PNSGDConfig(eta=0.8, sigma=sigma, w0=np.zeros(3),
+                                constraint_radius=1.5, beta=1.0)
+            assert np.array_equal(together[b],
+                                  pnsgd_run(alone, signed, many, np.random.default_rng(b)))
+
+    def test_sigma_per_chain_validated(self):
+        with pytest.raises(ValueError):
+            PNSGDConfig(eta=0.5, sigma=np.array([0.1, -0.1]), w0=np.zeros(1),
+                        constraint_radius=1.0, beta=1.0)
 
 
 class TestNoiseRules:

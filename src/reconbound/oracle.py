@@ -1,19 +1,34 @@
-"""Exact minimax/Bayes computations on finite channels by exhaustive
-enumeration.  This is the ground truth the closed-form lower bounds are
-certified against on tiny instances.
+"""Exact Bayes computations on finite channels, by enumerating the
+outcome type classes of n draws.  This is the ground truth the
+closed-form lower bounds are certified against on tiny instances.
 
-The Bayes estimator is restricted to the metric space's own points.  An
-unrestricted estimator could do better (e.g. output midpoints), so the
-risk computed here is a conservative, exactly computable upper envelope
-of what restricted adversaries achieve, and a certified dominator of the
-lower bounds.  Enumeration refuses instances beyond the tuple cap rather
-than falling back to sampling.
+The product likelihood of n ordered outcomes depends only on how many
+times each outcome occurs, so every sum over the n_outcomes^n ordered
+tuples is computed over the C(n + n_outcomes - 1, n) type classes
+(multisets of n outcomes), each weighted by its number of orderings
+n!/prod(c_o!).  A class's likelihood is the product of its n channel
+entries, as for any one of its orderings, so zero entries stay exact
+zeros and only the order of the floating-point operations changes.
+Instances whose ordered tuple count n_outcomes^n exceeds the cap are
+refused rather than sampled.
+
+Why the certificates are sound: the closed-form bounds are proved by
+reducing estimation to testing under the uniform prior on the channel
+inputs (Le Cam's two-point method, Fano's inequality), so each bounds
+that prior's Bayes risk from below, over all estimators.  The Bayes
+estimator here is restricted to the metric space's own points, which
+can only raise that risk.  The restricted risk must therefore dominate
+every certified bound, and a value below one is a defect.  Because it is
+an upper envelope of the unrestricted Bayes risk (an estimator could,
+e.g., output midpoints), a certificate against it is weaker than one
+against the unrestricted risk.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -106,18 +121,30 @@ def dp_epsilon_of(mech: FiniteMechanism) -> float:
     return float(np.max(logs.max(axis=0) - logs.min(axis=0)))
 
 
-def _tuple_likelihoods(mech: FiniteMechanism, n: int, cap: int) -> np.ndarray:
-    """(n_inputs, n_outcomes^n) matrix of product likelihoods over all
-    ordered outcome tuples."""
+def _type_likelihoods(mech: FiniteMechanism, n: int,
+                      cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Product likelihoods of the outcome type classes of n draws: the
+    (n_inputs, n_types) matrix and the number of ordered tuples in each
+    class.  The cap applies to the ordered tuple count."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = mech.n_outcomes ** n
+    k = mech.n_outcomes
+    total = k ** n
     if total > cap:
-        raise EnumerationCapError(f"{mech.n_outcomes}^{n} = {total} tuples exceed cap {cap}")
-    like = mech.channel
-    for _ in range(n - 1):
-        like = (like[:, :, None] * mech.channel[:, None, :]).reshape(mech.n_inputs, -1)
-    return like
+        raise EnumerationCapError(f"{k}^{n} = {total} tuples exceed cap {cap}")
+    # one sorted row of outcomes per class.  A class's size is the
+    # multinomial n!/prod(c_o!), built over prefixes: growing a prefix to
+    # length j + 1 with an outcome it then holds r times multiplies the
+    # prefix's multinomial by (j + 1)/r.  Every step is an integer at most
+    # n * n_outcomes^n, so the float arithmetic is exact below 2^53.
+    draws = np.array(list(combinations_with_replacement(range(k), n)), dtype=np.intp)
+    mult = np.ones(len(draws))
+    run = np.ones(len(draws))
+    for j in range(1, n):
+        run = np.where(draws[:, j] == draws[:, j - 1], run + 1.0, 1.0)
+        mult = mult * (j + 1) / run
+    like = np.prod(mech.channel[:, draws], axis=2)
+    return like, mult
 
 
 def exact_bayes_risk(mech: FiniteMechanism, space: FiniteMetricSpace, n: int = 1,
@@ -125,31 +152,32 @@ def exact_bayes_risk(mech: FiniteMechanism, space: FiniteMetricSpace, n: int = 1
     """Exact Bayes risk under a uniform prior over the mechanism inputs,
     squared-distance loss, and estimates restricted to the space's points.
 
-    Since minimax risk is at least Bayes risk under any prior, this value
-    certifiably dominates every valid minimax lower bound.
+    The closed-form bounds lower-bound this prior's Bayes risk over all
+    estimators, and the restriction can only raise it, so this value
+    must dominate each of them (see the module docstring).
     """
-    like = _tuple_likelihoods(mech, n, cap)
+    like, mult = _type_likelihoods(mech, n, cap)
     idx = np.array(mech.inputs, dtype=int)
     sq = space.dist[np.ix_(idx, np.arange(len(space)))] ** 2
-    cost = sq.T @ like          # candidate x tuple: posterior-weighted loss
-    return float(cost.min(axis=0).sum() / mech.n_inputs)
+    cost = sq.T @ like          # candidate x type class: posterior-weighted loss
+    return float(cost.min(axis=0) @ mult / mech.n_inputs)
 
 
 def exact_identification_error(mech: FiniteMechanism, n: int = 1,
                                cap: int = ENUMERATION_CAP) -> float:
     """Bayes error of identifying the input from n draws (uniform prior)."""
-    like = _tuple_likelihoods(mech, n, cap)
-    return float(1.0 - like.max(axis=0).sum() / mech.n_inputs)
+    like, mult = _type_likelihoods(mech, n, cap)
+    return float(1.0 - like.max(axis=0) @ mult / mech.n_inputs)
 
 
 def mutual_information(mech: FiniteMechanism, n: int = 1,
                        cap: int = ENUMERATION_CAP) -> float:
     """Mutual information in nats between a uniform input and n draws."""
-    like = _tuple_likelihoods(mech, n, cap)
+    like, mult = _type_likelihoods(mech, n, cap)
     marginal = like.mean(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(like > 0, like * (np.log(like) - np.log(marginal)), 0.0)
-    return float(terms.sum() / mech.n_inputs)
+    return float(terms.sum(axis=0) @ mult / mech.n_inputs)
 
 
 def channel_kl(mech: FiniteMechanism, i: int, j: int) -> float:
@@ -180,20 +208,8 @@ def product_tv(mech: FiniteMechanism, n: int, cap: int = ENUMERATION_CAP) -> flo
     channel's rows."""
     if mech.n_inputs != 2:
         raise ValueError("product TV requires exactly two inputs")
-    like = _tuple_likelihoods(mech, n, cap)
-    return float(0.5 * np.sum(np.abs(like[0] - like[1])))
-
-
-def merge_outcomes(mech: FiniteMechanism, o1: int, o2: int) -> FiniteMechanism:
-    """Coarsen the channel by merging two outcome columns (a data
-    processing step; it can only discard information)."""
-    if o1 == o2:
-        raise ValueError("outcomes to merge must differ")
-    a, b = sorted((o1, o2))
-    c = mech.channel.copy()
-    c[:, a] += c[:, b]
-    c = np.delete(c, b, axis=1)
-    return FiniteMechanism(channel=c, inputs=mech.inputs)
+    like, mult = _type_likelihoods(mech, n, cap)
+    return float(0.5 * (np.abs(like[0] - like[1]) @ mult))
 
 
 @dataclass(frozen=True)

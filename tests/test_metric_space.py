@@ -11,7 +11,7 @@ from reconbound.metric_space import (DatasetDistanceSpec, FiniteMetricSpace,
                                      discretize_unit_ball, effective_dimension,
                                      norm_ball_covering_bounds,
                                      norm_ball_covering_bounds_log, packing_number,
-                                     pairwise_distances, scale, two_point_space)
+                                     pairwise_distances, two_point_space)
 
 TOL = 1e-12
 
@@ -38,6 +38,23 @@ def brute_covering(space, eta):
         if best == k:
             break
     return best
+
+
+def retired_covering(space, eta):
+    # the subset enumeration that covering_number used before its
+    # branch-and-bound, kept as the reference
+    n = len(space)
+    within = space.dist <= eta + 1e-9 * max(1.0, eta)
+    masks = [int(sum(1 << j for j in range(n) if within[i, j])) for i in range(n)]
+    full = (1 << n) - 1
+    for k in range(1, n + 1):
+        for combo in itertools.combinations(range(n), k):
+            m = 0
+            for i in combo:
+                m |= masks[i]
+            if m == full:
+                return k
+    return n
 
 
 def brute_packing(space, eta):
@@ -71,7 +88,8 @@ class TestDiameter:
         rng = np.random.default_rng(0)
         sp = FiniteMetricSpace.from_points(rng.normal(size=(6, 3)))
         for c in (0.5, 2.0, 7.25):
-            assert diameter(scale(sp, c)) == pytest.approx(c * diameter(sp), rel=1e-12)
+            scaled = FiniteMetricSpace(points=sp.points, dist=sp.dist * c)
+            assert diameter(scaled) == pytest.approx(c * diameter(sp), rel=1e-12)
 
 
 class TestCoordinateDiameters:
@@ -115,6 +133,28 @@ class TestCovering:
     def test_bad_eta(self):
         with pytest.raises(ValueError):
             covering_number(two_point_space(1.0), 0.0)
+
+
+class TestCoveringMatchesSubsetEnumeration:
+    def test_random_clouds(self):
+        rng = np.random.default_rng(11)
+        for _ in range(12):
+            n = int(rng.integers(10, 17))
+            sp = FiniteMetricSpace.from_points(rng.uniform(size=(n, 2)))
+            for eta in (0.15, 0.3, 0.5, 0.8):
+                cov = covering_number(sp, eta)
+                assert cov == retired_covering(sp, eta), (n, eta)
+                assert cov <= packing_number(sp, eta)
+
+    def test_benchmark_style_clouds(self):
+        # 20 points drawn uniformly on a 5 x 5 square, covered at eta=0.5
+        rng = np.random.default_rng(np.random.SeedSequence(20240817))
+        for _ in range(3):
+            sp = FiniteMetricSpace(points=tuple(range(20)), dist=pairwise_distances(
+                rng.uniform(0.0, 5.0, size=(20, 2))))
+            cov = covering_number(sp, 0.5)
+            assert cov == retired_covering(sp, 0.5)
+            assert cov <= packing_number(sp, 0.5)
 
 
 class TestPacking:

@@ -7,17 +7,27 @@ from reconbound.bounds import BoundQuery, dp_lecam_bound
 from reconbound.divergence import bh_tv_bound, kl_bound, renyi_bound
 from reconbound.mechanisms import PrivacyParams
 from reconbound.metric_space import FiniteMetricSpace, two_point_space
-from reconbound.oracle import (CertificateError, EnumerationCapError,
-                               FiniteMechanism, channel_kl, channel_renyi,
-                               channel_tv, dp_epsilon_of, exact_bayes_risk,
-                               exact_identification_error, fano_certificate,
-                               lecam_certificate, merge_outcomes,
-                               mutual_information, randomized_response)
+from reconbound.oracle import (ENUMERATION_CAP, CertificateError,
+                               EnumerationCapError, FiniteMechanism, channel_kl,
+                               channel_renyi, channel_tv, dp_epsilon_of,
+                               exact_bayes_risk, exact_identification_error,
+                               fano_certificate, lecam_certificate,
+                               mutual_information, product_tv,
+                               randomized_response)
 
 
 def random_channel(rng, m, k):
     c = rng.uniform(0.05, 1.0, size=(m, k))
     return FiniteMechanism(channel=c / c.sum(axis=1, keepdims=True))
+
+
+def tuple_likelihoods(mech, n):
+    # the retired enumeration over all n_outcomes^n ordered outcome
+    # tuples, kept as the reference for the type-class oracle
+    like = mech.channel
+    for _ in range(n - 1):
+        like = (like[:, :, None] * mech.channel[:, None, :]).reshape(mech.n_inputs, -1)
+    return like
 
 
 def uniform_space(k):
@@ -124,8 +134,11 @@ class TestExactBayesRisk:
         for _ in range(20):
             mech = random_channel(rng, 3, 4)
             base = exact_bayes_risk(mech, sp, 1)
-            o1, o2 = rng.choice(4, size=2, replace=False)
-            merged = exact_bayes_risk(merge_outcomes(mech, int(o1), int(o2)), sp, 1)
+            o1, o2 = sorted(rng.choice(4, size=2, replace=False))
+            c = mech.channel.copy()
+            c[:, o1] += c[:, o2]
+            coarse = FiniteMechanism(channel=np.delete(c, o2, axis=1))
+            merged = exact_bayes_risk(coarse, sp, 1)
             assert merged >= base - 1e-12
 
 
@@ -227,3 +240,53 @@ class TestFiniteChannelDivergences:
         mech = randomized_response(0.8, k=3)
         errs = [exact_identification_error(mech, n) for n in (1, 2, 3, 4)]
         assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
+
+
+class TestTypeClassesMatchTupleEnumeration:
+    def check(self, mech, n, rng):
+        # all four enumerations against their sums over ordered tuples
+        m = mech.n_inputs
+        space = FiniteMetricSpace.from_points(rng.normal(size=(m, 2)))
+        like = tuple_likelihoods(mech, n)
+        sq = space.dist ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(like > 0, like * (np.log(like) - np.log(like.mean(axis=0))), 0.0)
+        pairs = [(exact_bayes_risk(mech, space, n), (sq.T @ like).min(axis=0).sum() / m),
+                 (exact_identification_error(mech, n), 1.0 - like.max(axis=0).sum() / m),
+                 (mutual_information(mech, n), terms.sum() / m)]
+        if m == 2:
+            pairs.append((product_tv(mech, n), 0.5 * np.sum(np.abs(like[0] - like[1]))))
+        for got, want in pairs:
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (n, mech.channel, got, want)
+
+    def test_random_channels(self):
+        rng = np.random.default_rng(31)
+        for m in (2, 3, 4):
+            for k in (2, 3, 4, 5):
+                for n in (1, 2, 3, 4, 5):
+                    self.check(random_channel(rng, m, k), n, rng)
+
+    def test_channels_with_zero_entries(self):
+        rng = np.random.default_rng(37)
+        zero_column = np.array([[0.5, 0.0, 0.5], [0.2, 0.0, 0.8], [0.3, 0.0, 0.7]])
+        sparse = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0],
+                           [0.25, 0.0, 0.25, 0.5]])
+        for c in (np.eye(2), np.eye(3), np.eye(4), zero_column, sparse,
+                  np.array([[1.0, 0.0], [0.5, 0.5]])):
+            for n in (1, 2, 3, 4, 5):
+                self.check(FiniteMechanism(channel=c), n, rng)
+
+    def test_cap_counts_ordered_tuples(self):
+        # the cap still applies to n_outcomes^n, not to the type classes
+        sp = uniform_space(3)
+        mech = randomized_response(1.0, k=3)
+        for call in (lambda cap: exact_bayes_risk(mech, sp, 4, cap),
+                     lambda cap: exact_identification_error(mech, 4, cap),
+                     lambda cap: mutual_information(mech, 4, cap)):
+            call(3 ** 4)
+            with pytest.raises(EnumerationCapError):
+                call(3 ** 4 - 1)
+        product_tv(randomized_response(1.0), 19)
+        assert 2 ** 19 <= ENUMERATION_CAP < 2 ** 20
+        with pytest.raises(EnumerationCapError):
+            product_tv(randomized_response(1.0), 20)

@@ -12,19 +12,16 @@ from .divergence import (AnalyticPair, analytic_kl, analytic_renyi, bh_tv_bound,
                          kl_bound, numeric_kl, renyi_bound, tensorized_kl)
 from .harness import (SweepConfig, SweepResult, audit_dominance, emit_csv,
                       emit_svg, generate_synthetic, load_idx, run_sweep)
-from .mechanisms import (LipschitzSpec, LogRegProblem, MechanismOutput,
-                         PrivacyParams, SensitivitySpec, gaussian_mechanism_dp,
-                         gaussian_mechanism_mdp, output_perturb_dp,
-                         output_perturb_mdp_euclidean, post_process,
+from .mechanisms import (LogRegProblem, MechanismOutput, PrivacyParams,
+                         output_perturb_dp, output_perturb_mdp_euclidean,
                          train_logreg_exact)
-from .metric_space import (DatasetDistanceSpec, FiniteMetricSpace, NormedSpaceSpec,
-                           coordinate_diameters, covering_number, dataset_distance,
-                           diameter, discretize_unit_ball, effective_dimension,
+from .metric_space import (FiniteMetricSpace, NormedSpaceSpec, covering_number,
+                           discretize_unit_ball, effective_dimension,
                            norm_ball_covering_bounds, norm_ball_covering_bounds_log,
                            packing_number)
 from .oracle import (FiniteMechanism, dp_epsilon_of, exact_bayes_risk,
                      fano_certificate, lecam_certificate, randomized_response)
-from .pnsgd import (PNSGDConfig, min_dp_epsilon, noise_for_renyi_dp,
-                    noise_for_renyi_mdp, noise_for_target_dp, pnsgd_run, rdp_to_dp)
+from .pnsgd import (PNSGDConfig, noise_for_renyi_dp, noise_for_renyi_mdp,
+                    noise_for_target_dp, pnsgd_run, rdp_to_dp)
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -38,8 +38,15 @@ from .mechanisms import MechanismOutput, logistic_grad_sum, sigmoid
 # w*sigmoid(w) has a single minimum, -W(1/e) = -0.27846 at
 # w = -1 - W(1/e), with W the Lambert function: no target below it has a
 # root, and the root of smaller magnitude of a negative target lies
-# between that point and 0
+# between that point and 0.  For w > 0, w - W(1/e) <= w*sigmoid(w) < w,
+# so every positive target has a root, between the target and the target
+# plus W(1/e).
 _W_MIN = -1.2784645427610738
+
+# bisection narrows each bracket to _TOL / 4; the widest bracket is the
+# negative targets' [_W_MIN, 0]
+_TOL = 1e-12
+_BISECTIONS = math.ceil(math.log2(4.0 * -_W_MIN / _TOL))
 
 # reason codes of glm_reconstruct
 DEGENERATE, NO_ROOT = 1, 2
@@ -57,22 +64,17 @@ class AllFailedError(RuntimeError):
     """Every drawn release failed to invert."""
 
 
-class BudgetError(ValueError):
-    """Shadow targets would exhaust the query budget."""
-
-
 @dataclass(frozen=True)
 class ThreatModel:
     """Adversary knowledge: the fixed dataset, the challenge label and
     ground-truth features (held for scoring only), and the query budget
-    m split into k shadow trainings and n = m - k output samples."""
+    m, the number of releases drawn per trial."""
 
     features_minus: np.ndarray
     labels_minus: np.ndarray
     challenge_x: np.ndarray
     challenge_y: float
     query_budget_m: int
-    shadow_count_k: int = 0
 
     def __post_init__(self):
         x = np.array(self.features_minus, dtype=float)
@@ -84,11 +86,8 @@ class ThreatModel:
             raise ValueError("challenge_x must match the feature dimension")
         if self.challenge_y not in (-1.0, 1.0):
             raise ValueError("challenge_y must be -1 or +1")
-        if self.shadow_count_k < 0:
-            raise ValueError("shadow_count_k must be nonnegative")
-        if self.shadow_count_k >= self.query_budget_m:
-            raise BudgetError(f"k={self.shadow_count_k} leaves no sampling budget "
-                              f"out of m={self.query_budget_m}")
+        if self.query_budget_m < 1:
+            raise ValueError("query_budget_m must be >= 1")
         if x.size and bool(np.any(np.all(x == cx[None, :], axis=1))):
             raise ValueError("challenge must not appear in the fixed dataset")
         for arr, name in ((x, "features_minus"), (y, "labels_minus"), (cx, "challenge_x")):
@@ -96,10 +95,6 @@ class ThreatModel:
         object.__setattr__(self, "features_minus", x)
         object.__setattr__(self, "labels_minus", y)
         object.__setattr__(self, "challenge_x", cx)
-
-    @property
-    def sample_count_n(self) -> int:
-        return self.query_budget_m - self.shadow_count_k
 
     @property
     def n_total(self) -> int:
@@ -120,23 +115,22 @@ def _r(w):
     return w * sigmoid(w)
 
 
-def _solve_scalar(target: np.ndarray, bracket: float, tol: float) -> tuple:
-    """Root of smallest magnitude of w*sigmoid(w) = target on
-    [-bracket, bracket], for each target at once.
+def _solve_scalar(target: np.ndarray) -> tuple:
+    """Root of smallest magnitude of w*sigmoid(w) = target, for each
+    target at once.
 
     A negative target's root lies in [_W_MIN, 0], where the function
     increases, and exists when the target is not below the minimum; a
-    positive target's lies in (0, bracket] and exists when the target
-    does not exceed the function's value at ``bracket``.  Bisection
-    narrows each bracket to tol / 4.  Returns (roots, found); roots are
-    meaningless where found is False.
+    nonnegative target's lies in [target, target + W(1/e)] and always
+    exists.  Returns (roots, found); roots are meaningless where found is
+    False.
     """
     target = np.asarray(target, dtype=float)
     neg = target < 0
-    lo = np.where(neg, _W_MIN, 0.0)
-    hi = np.where(neg, 0.0, bracket)
-    found = np.where(neg, target >= _r(lo), target <= _r(hi))
-    for _ in range(math.ceil(math.log2(4.0 * max(bracket, -_W_MIN) / tol))):
+    lo = np.where(neg, _W_MIN, target)
+    hi = np.where(neg, 0.0, target - 1.0 - _W_MIN)
+    found = target >= _r(_W_MIN)
+    for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
         below = _r(mid) <= target
         lo = np.where(below, mid, lo)
@@ -145,8 +139,8 @@ def _solve_scalar(target: np.ndarray, bracket: float, tol: float) -> tuple:
 
 
 def glm_reconstruct(releases: np.ndarray, features_minus: np.ndarray,
-                    labels_minus: np.ndarray, y_star: float, lam: float, n_total: int,
-                    bracket: float = 50.0, tol: float = 1e-12) -> tuple:
+                    labels_minus: np.ndarray, y_star: float, lam: float,
+                    n_total: int) -> tuple:
     """Invert a (M, d) stack of released parameter vectors at once.
 
     Returns (estimates, reasons): the (M, d) challenge estimates, and per
@@ -159,7 +153,7 @@ def glm_reconstruct(releases: np.ndarray, features_minus: np.ndarray,
     degenerate = np.sqrt(np.einsum("md,md->m", g, g)) < 1e-12
     # u = h.x solves u * (-y * sigmoid(-y*u)) = h.g;  substituting w = -y*u
     # turns the left side into w * sigmoid(w) for either label.
-    w, found = _solve_scalar(np.einsum("md,md->m", h, g), bracket, tol)
+    w, found = _solve_scalar(np.einsum("md,md->m", h, g))
     estimates = g / (-y_star * sigmoid(w))[:, None]
     reasons = np.where(degenerate, DEGENERATE, np.where(found, 0, NO_ROOT))
     estimates[reasons != 0] = np.nan
@@ -171,35 +165,33 @@ def _vector(h) -> np.ndarray:
 
 
 def glm_reconstruct_single(h, features_minus: np.ndarray, labels_minus: np.ndarray,
-                           y_star: float, lam: float, n_total: int,
-                           bracket: float = 50.0, tol: float = 1e-12) -> np.ndarray:
+                           y_star: float, lam: float, n_total: int) -> np.ndarray:
     """Invert one released parameter vector into challenge features: the
     batch-of-one case of `glm_reconstruct`, raising its failure reason.
 
     ``h`` may be a raw vector or a `MechanismOutput`.
     """
     estimates, reasons = glm_reconstruct(_vector(h)[None, :], features_minus,
-                                         labels_minus, y_star, lam, n_total, bracket, tol)
+                                         labels_minus, y_star, lam, n_total)
     if reasons[0] == DEGENERATE:
         raise DegenerateGradientError("challenge gradient contribution is numerically zero")
     if reasons[0] == NO_ROOT:
-        raise NoRootError(f"no root of the scalar equation on [-{bracket}, {bracket}]")
+        raise NoRootError("the scalar equation's target lies below the minimum "
+                          "of w*sigmoid(w)")
     return estimates[0]
 
 
-def _average(model: ThreatModel, estimates: np.ndarray, ok: np.ndarray,
-             metric: Callable | None) -> tuple:
+def _average(model: ThreatModel, estimates: np.ndarray, ok: np.ndarray) -> tuple:
     """Mean of each trial's surviving estimates and its squared distance
     to the challenge; (T, n, d) estimates with a (T, n) survival mask.
     Trials with no survivor get NaN."""
     counts = ok.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         z_hat = np.where(ok[:, :, None], estimates, 0.0).sum(axis=1) / counts[:, None]
-    if metric is None:
-        diff = model.challenge_x - z_hat
-        dist = np.sqrt(np.einsum("td,td->t", diff, diff))
-    else:
-        dist = np.array([metric(model.challenge_x, z) for z in z_hat], dtype=float)
+    diff = model.challenge_x - z_hat
+    # squaring the norm, rather than summing squares, fixes the rounding
+    # of the emitted errors: sweep CSVs are compared byte for byte
+    dist = np.sqrt(np.einsum("td,td->t", diff, diff))
     return z_hat, dist * dist
 
 
@@ -216,48 +208,28 @@ def attack_trials(model: ThreatModel, releases: np.ndarray, lam: float) -> tuple
                                          model.features_minus, model.labels_minus,
                                          model.challenge_y, lam, model.n_total)
     ok = (reasons == 0).reshape(trials, n)
-    _, mse = _average(model, estimates.reshape(trials, n, d), ok, None)
+    _, mse = _average(model, estimates.reshape(trials, n, d), ok)
     return mse, n - ok.sum(axis=1)
 
 
 def attack_average(model: ThreatModel, mechanism: Callable[[np.random.Generator], object],
-                   lam: float, rng: np.random.Generator,
-                   metric: Callable[[np.ndarray, np.ndarray], float] | None = None) -> AttackResult:
+                   lam: float, rng: np.random.Generator) -> AttackResult:
     """Draw n releases, invert them, and average the survivors: one trial.
 
     ``mechanism(rng)`` must return one release (vector or
     `MechanismOutput`) per call.  Draws whose scalar equation has no
-    solution are dropped and counted; the error is the squared metric
+    solution are dropped and counted; the error is the squared Euclidean
     distance between the challenge and the averaged estimate.
     """
-    releases = np.stack([_vector(mechanism(rng)) for _ in range(model.sample_count_n)])
+    releases = np.stack([_vector(mechanism(rng)) for _ in range(model.query_budget_m)])
     estimates, reasons = glm_reconstruct(releases, model.features_minus,
                                          model.labels_minus, model.challenge_y,
                                          lam, model.n_total)
     ok = reasons == 0
     if not ok.any():
-        raise AllFailedError(f"all {model.sample_count_n} draws failed to invert")
-    z_hat, mse = _average(model, estimates[None], ok[None], metric)
+        raise AllFailedError(f"all {model.query_budget_m} draws failed to invert")
+    z_hat, mse = _average(model, estimates[None], ok[None])
     return AttackResult(z_hat=z_hat[0], mse=float(mse[0]),
                         per_sample_estimates=tuple(estimates[ok]),
                         failures=int((~ok).sum()))
 
-
-def shadow_pairs(model: ThreatModel, shadow_targets: Sequence,
-                 trainer: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> list:
-    """Train one model per shadow target on the fixed dataset plus that
-    target, yielding (released model, target) pairs for learned attacks.
-
-    The closed-form inversion above never consumes these; the interface
-    exists so trainable attack models can plug into the same budget
-    accounting (k trainings leave n = m - k sampling draws).
-    """
-    if len(shadow_targets) != model.shadow_count_k:
-        raise BudgetError(f"got {len(shadow_targets)} shadow targets, "
-                          f"budgeted for {model.shadow_count_k}")
-    pairs = []
-    for x_tilde, y_tilde in shadow_targets:
-        feats = np.vstack([model.features_minus, np.asarray(x_tilde, dtype=float)])
-        labels = np.append(model.labels_minus, float(y_tilde))
-        pairs.append((trainer(feats, labels), (np.asarray(x_tilde, dtype=float), float(y_tilde))))
-    return pairs

@@ -2,10 +2,8 @@
 that draws n samples from a private learner's output distribution.
 
 All bounds are exact closed forms with their proof constants pinned
-(two-point reduction constant 1/16; the Fano bound keeps the maximized
-form of its quadratic rather than a loose Omega).  The constants are
-overridable through `BoundQuery` so audits can tighten or loosen them
-deliberately, never silently.
+(two-point reduction constant `LECAM_CONSTANT` = 1/16; the Fano bound
+keeps the maximized form of its quadratic rather than a loose Omega).
 
 Division-by-zero privacy levels yield +inf, meaning perfect privacy
 forbids consistent reconstruction; CSV emitters translate that into an
@@ -48,13 +46,10 @@ class BoundQuery:
     diam: float = math.nan
     coord_diam_sq_sum: float = math.nan
     d_eff: float = math.nan
-    c_lecam: float = LECAM_CONSTANT
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.c_lecam <= 0:
-            raise ValueError("c_lecam must be positive")
 
 
 def dp_lecam_bound(q: BoundQuery) -> float:
@@ -63,7 +58,7 @@ def dp_lecam_bound(q: BoundQuery) -> float:
     if not math.isfinite(q.diam) or q.diam < 0:
         raise ValueError("diam must be finite and nonnegative")
     eps = q.params.eps
-    return (q.c_lecam * q.diam ** 2
+    return (LECAM_CONSTANT * q.diam ** 2
             * math.exp(-q.n * eps * math.tanh(eps / 2.0))
             * (1.0 - q.params.delta))
 
@@ -77,7 +72,7 @@ def renyi_dp_lecam_bound(q: BoundQuery) -> float:
         raise ValueError("diam must be finite and nonnegative")
     eps = q.params.eps
     exponent = min(eps, 1.5 * q.params.alpha * eps * eps)
-    return q.c_lecam * q.diam ** 2 * math.exp(-q.n * exponent)
+    return LECAM_CONSTANT * q.diam ** 2 * math.exp(-q.n * exponent)
 
 
 def mdp_lecam_bound(q: BoundQuery) -> float:

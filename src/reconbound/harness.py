@@ -458,26 +458,6 @@ def emit_csv(result: SweepResult, path) -> None:
         fh.write(buf.getvalue())
 
 
-def parse_sweep_csv(path) -> list:
-    """Read back an emitted sweep CSV as a list of dicts (floats parsed)."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].split(",")
-    out = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        row = {}
-        for key, cell in zip(header, cells):
-            if key == "mechanism":
-                row[key] = cell
-            elif key == "failures":
-                row[key] = int(cell)
-            else:
-                row[key] = float(cell)
-        out.append(row)
-    return out
-
-
 def emit_bounds_csv(rows: Sequence, path) -> None:
     """Bound curves: epsilon, bound_name, value, validity_flag."""
     if not rows:

@@ -1,29 +1,20 @@
 """Private release mechanisms.
 
-Laplace output perturbation for L2-regularized logistic regression, its
-Euclidean metric-privacy variant (radial-Laplace noise), and Gaussian
-mechanisms calibrated by global sensitivity (standard privacy) or by
-input Lipschitzness (metric privacy).
+Laplace output perturbation for L2-regularized logistic regression and
+its Euclidean metric-privacy variant (radial-Laplace noise), with the
+exact trainer whose optimum they release.
 
 Every sampler takes an explicit numpy Generator, so runs are
 deterministic per stream and safe to execute concurrently.  Released
 values travel inside `MechanismOutput` together with the privacy
-parameters they were produced under; post-processing never alters that
-record.
+parameters and noise scale they were produced under.
 """
 
 from __future__ import annotations
 
-import math
-import types
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
-
-from .divergence import gaussian_logpdf, laplace_logpdf
-
-_EXACT_GUARD = 1e-12  # nudges c strictly above the calibration threshold
 
 
 class ConvergenceError(RuntimeError):
@@ -53,28 +44,6 @@ class PrivacyParams:
             raise ValueError("eps_metric must be nonnegative")
         if self.alpha is not None and self.alpha <= 1:
             raise ValueError("alpha must exceed 1")
-
-
-@dataclass(frozen=True)
-class SensitivitySpec:
-    """Worst-case output change over adjacent datasets, in output-norm units."""
-
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("sensitivity must be nonnegative")
-
-
-@dataclass(frozen=True)
-class LipschitzSpec:
-    """Output change per unit of input-metric distance."""
-
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("Lipschitz constant must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -127,35 +96,20 @@ class LogRegProblem:
 class MechanismOutput:
     """A released vector plus the privacy record it was produced under.
 
-    ``log_density`` evaluates the release density at an arbitrary point
-    when a closed form exists; post-processing drops it but leaves the
-    privacy record untouched.
+    ``noise_scale`` is the Laplace scale of each coordinate (standard
+    privacy) or the inverse rate of the radial-Laplace density (metric
+    privacy); it is 0 for a noiseless release.
     """
 
     value: np.ndarray
     mechanism: str
     params: PrivacyParams
     noise_scale: float
-    log_density: Callable[[np.ndarray], float] | None = None
-    meta: types.MappingProxyType = field(default_factory=lambda: types.MappingProxyType({}))
 
     def __post_init__(self):
         v = np.array(self.value, dtype=float)
         v.setflags(write=False)
         object.__setattr__(self, "value", v)
-        if not isinstance(self.meta, types.MappingProxyType):
-            object.__setattr__(self, "meta", types.MappingProxyType(dict(self.meta)))
-
-
-def post_process(output: MechanismOutput, fn: Callable) -> MechanismOutput:
-    """Apply a deterministic map to the released value.  The privacy
-    record is carried over unchanged; the analytic density is dropped."""
-    return MechanismOutput(value=np.asarray(fn(output.value), dtype=float),
-                           mechanism=output.mechanism,
-                           params=output.params,
-                           noise_scale=output.noise_scale,
-                           log_density=None,
-                           meta=output.meta)
 
 
 def sigmoid(t):
@@ -239,21 +193,14 @@ def output_perturb_dp(theta: np.ndarray, params: PrivacyParams, n_train: int,
     """
     theta = np.asarray(theta, dtype=float)
     if noiseless:
-        return MechanismOutput(theta, "output_perturb_dp", params, 0.0,
-                               meta={"noiseless": True})
+        return MechanismOutput(theta, "output_perturb_dp", params, 0.0)
     if params.eps <= 0:
         raise ValueError("eps must be positive (infinite noise otherwise)")
     if n_train < 1 or lam <= 0:
         raise ValueError("need n_train >= 1 and lam > 0")
     b = 2.0 / (n_train * params.eps * lam)
     value = theta + rng.laplace(0.0, b, size=theta.shape)
-    center = theta.copy()
-
-    def log_density(h):
-        return float(np.sum(laplace_logpdf(np.asarray(h, dtype=float), center, b)))
-
-    return MechanismOutput(value, "output_perturb_dp", params, b,
-                           log_density=log_density)
+    return MechanismOutput(value, "output_perturb_dp", params, b)
 
 
 def output_perturb_mdp_euclidean(theta: np.ndarray, params: PrivacyParams,
@@ -268,8 +215,7 @@ def output_perturb_mdp_euclidean(theta: np.ndarray, params: PrivacyParams,
     """
     theta = np.asarray(theta, dtype=float)
     if noiseless:
-        return MechanismOutput(theta, "output_perturb_mdp", params, 0.0,
-                               meta={"noiseless": True})
+        return MechanismOutput(theta, "output_perturb_mdp", params, 0.0)
     if params.eps_metric <= 0:
         raise ValueError("eps_metric must be positive")
     if n_train < 1 or lam <= 0:
@@ -280,71 +226,5 @@ def output_perturb_mdp_euclidean(theta: np.ndarray, params: PrivacyParams,
     direction = rng.normal(size=d)
     direction /= np.sqrt(direction @ direction)
     value = theta + radius * direction
-    center = theta.copy()
-    log_norm = (d * math.log(rate) + math.lgamma(d / 2.0)
-                - math.log(2.0) - (d / 2.0) * math.log(math.pi) - math.lgamma(d))
+    return MechanismOutput(value, "output_perturb_mdp", params, 1.0 / rate)
 
-    def log_density(h):
-        diff = np.asarray(h, dtype=float) - center
-        return float(log_norm - rate * math.sqrt(diff @ diff))
-
-    return MechanismOutput(value, "output_perturb_mdp", params, 1.0 / rate,
-                           log_density=log_density)
-
-
-def gaussian_mechanism_dp(f_value: np.ndarray, sens: SensitivitySpec,
-                          params: PrivacyParams, rng: np.random.Generator) -> MechanismOutput:
-    """Gaussian mechanism with sigma = c * sensitivity / eps and
-    c^2 > 2 ln(1.25/delta); valid for 0 < eps < 1 only."""
-    if not 0 < params.eps < 1:
-        raise ValueError("the Gaussian mechanism calibration requires 0 < eps < 1")
-    if params.delta <= 0:
-        raise ValueError("delta must be positive")
-    f_value = np.asarray(f_value, dtype=float)
-    c = math.sqrt(2.0 * math.log(1.25 / params.delta)) + _EXACT_GUARD
-    sigma = c * sens.value / params.eps
-    value = f_value if sigma == 0 else f_value + rng.normal(0.0, sigma, size=f_value.shape)
-    center = f_value.copy()
-
-    def log_density(h):
-        if sigma == 0:
-            raise ValueError("degenerate (noiseless) release has no density")
-        return float(np.sum(gaussian_logpdf(np.asarray(h, dtype=float) - center, 0.0, sigma)))
-
-    return MechanismOutput(value, "gaussian_dp", params, sigma,
-                           log_density=None if sigma == 0 else log_density)
-
-
-def gaussian_mechanism_mdp(f_value: np.ndarray, lip: LipschitzSpec,
-                           params: PrivacyParams, rng: np.random.Generator,
-                           rho_inputs: float = 0.0,
-                           classic_constant: bool = False) -> MechanismOutput:
-    """Gaussian mechanism calibrated by input Lipschitzness:
-    sigma = c * L_input / eps_metric with c^2 > ln(1.25/delta).
-
-    The threshold on c is half the classic Gaussian-mechanism constant;
-    set ``classic_constant`` to use 2 ln(1.25/delta) instead.  The input
-    distance ``rho_inputs`` is recorded in the audit metadata since the
-    guarantee scales with it.
-    """
-    if params.eps_metric <= 0:
-        raise ValueError("eps_metric must be positive")
-    if params.delta <= 0:
-        raise ValueError("delta must be positive")
-    if rho_inputs < 0:
-        raise ValueError("rho_inputs must be nonnegative")
-    f_value = np.asarray(f_value, dtype=float)
-    factor = 2.0 if classic_constant else 1.0
-    c = math.sqrt(factor * math.log(1.25 / params.delta)) + _EXACT_GUARD
-    sigma = c * lip.value / params.eps_metric
-    value = f_value if sigma == 0 else f_value + rng.normal(0.0, sigma, size=f_value.shape)
-    center = f_value.copy()
-
-    def log_density(h):
-        if sigma == 0:
-            raise ValueError("degenerate (noiseless) release has no density")
-        return float(np.sum(gaussian_logpdf(np.asarray(h, dtype=float) - center, 0.0, sigma)))
-
-    return MechanismOutput(value, "gaussian_mdp", params, sigma,
-                           log_density=None if sigma == 0 else log_density,
-                           meta={"rho_inputs": rho_inputs})

@@ -1,5 +1,5 @@
-"""Data domains for the audit: finite metric spaces, normed box domains,
-dataset-level distances, and exact covering/packing search.
+"""Data domains for the audit: finite metric spaces, normed domains, and
+exact covering/packing search.
 
 Covering and packing numbers are computed over the space's own points
 (internal covers), exactly, by branch-and-bound over bitmasks of points.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -29,10 +28,6 @@ DEFAULT_SEARCH_CAP = 20
 # rounding of order 1e-16, so points at distance exactly eta must not
 # fall out of a cover by one ulp.
 _ETA_SLACK = 1e-9
-
-
-class UnboundedDomainError(ValueError):
-    """An operation needed box bounds but the domain has none."""
 
 
 class SizeCapError(ValueError):
@@ -109,9 +104,6 @@ class FiniteMetricSpace:
     def __len__(self) -> int:
         return len(self.points)
 
-    def index(self, point) -> int:
-        return self.points.index(point)
-
     @classmethod
     def from_points(cls, vectors, norm: str = "l2", **kwargs) -> "FiniteMetricSpace":
         """Build a space from row vectors under an l1/l2/linf norm."""
@@ -143,69 +135,15 @@ class FiniteMetricSpace:
 
 @dataclass(frozen=True)
 class NormedSpaceSpec:
-    """A d-dimensional normed domain, optionally restricted to a box.
-
-    ``box`` is a (dim, 2) array of per-coordinate [lo, hi] bounds; it is
-    required by any operation that needs compactness (diameters).
-    """
+    """A d-dimensional normed domain."""
 
     dim: int
     norm: str = "l2"
-    box: np.ndarray | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         object.__setattr__(self, "norm", _check_norm(self.norm))
-        if self.box is not None:
-            b = np.array(self.box, dtype=float)
-            if b.shape != (self.dim, 2):
-                raise ValueError(f"box shape {b.shape} != ({self.dim}, 2)")
-            if not np.all(np.isfinite(b)):
-                raise ValueError("box bounds must be finite")
-            if np.any(b[:, 1] < b[:, 0]):
-                raise ValueError("box intervals must be nonempty")
-            b.setflags(write=False)
-            object.__setattr__(self, "box", b)
-
-
-@dataclass(frozen=True)
-class DatasetDistanceSpec:
-    """Distance between equal-length datasets: per-sample distances summed."""
-
-    sample_space: FiniteMetricSpace | NormedSpaceSpec
-
-
-def sample_distance(space: FiniteMetricSpace | NormedSpaceSpec, a, b) -> float:
-    if isinstance(space, FiniteMetricSpace):
-        return float(space.dist[space.index(a), space.index(b)])
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return vector_norm(a - b, space.norm)
-
-
-def dataset_distance(spec: DatasetDistanceSpec, dataset_a: Sequence, dataset_b: Sequence) -> float:
-    if len(dataset_a) != len(dataset_b):
-        raise ValueError("datasets must have equal length")
-    return float(sum(sample_distance(spec.sample_space, a, b)
-                     for a, b in zip(dataset_a, dataset_b)))
-
-
-def diameter(space: FiniteMetricSpace | NormedSpaceSpec) -> float:
-    """sup of pairwise distances; analytic corner-to-corner for boxes."""
-    if isinstance(space, FiniteMetricSpace):
-        return float(space.dist.max())
-    if space.box is None:
-        raise UnboundedDomainError("diameter needs box bounds on a normed domain")
-    widths = space.box[:, 1] - space.box[:, 0]
-    return vector_norm(widths, space.norm)
-
-
-def coordinate_diameters(space: NormedSpaceSpec) -> np.ndarray:
-    """Per-coordinate interval widths of the box."""
-    if space.box is None:
-        raise UnboundedDomainError("coordinate diameters need box bounds")
-    return np.array(space.box[:, 1] - space.box[:, 0])
 
 
 def two_point_space(separation: float) -> FiniteMetricSpace:

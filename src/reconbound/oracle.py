@@ -32,6 +32,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+from .bounds import LECAM_CONSTANT
 from .metric_space import FiniteMetricSpace
 
 ENUMERATION_CAP = 1_000_000
@@ -55,7 +56,6 @@ class FiniteMechanism:
 
     channel: np.ndarray
     inputs: tuple | None = None
-    outcomes: tuple | None = None
 
     def __post_init__(self):
         c = np.array(self.channel, dtype=float)
@@ -69,10 +69,8 @@ class FiniteMechanism:
         object.__setattr__(self, "channel", c)
         if self.inputs is None:
             object.__setattr__(self, "inputs", tuple(range(c.shape[0])))
-        if self.outcomes is None:
-            object.__setattr__(self, "outcomes", tuple(range(c.shape[1])))
-        if len(self.inputs) != c.shape[0] or len(self.outcomes) != c.shape[1]:
-            raise ValueError("inputs/outcomes must match the channel shape")
+        if len(self.inputs) != c.shape[0]:
+            raise ValueError("inputs must match the channel shape")
 
     @property
     def n_inputs(self) -> int:
@@ -81,20 +79,6 @@ class FiniteMechanism:
     @property
     def n_outcomes(self) -> int:
         return self.channel.shape[1]
-
-    @classmethod
-    def from_file(cls, path) -> "FiniteMechanism":
-        """Plain text, mirroring the distance-matrix format: first line
-        the number of rows, then one whitespace-separated row per line."""
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [ln for ln in (line.strip() for line in fh) if ln]
-        if not lines:
-            raise ValueError(f"{path}: empty channel file")
-        m = int(lines[0])
-        rows = [np.array(ln.split(), dtype=float) for ln in lines[1:]]
-        if len(rows) != m:
-            raise ValueError(f"{path}: expected {m} rows, found {len(rows)}")
-        return cls(channel=np.vstack(rows))
 
 
 def randomized_response(eps: float, k: int = 2) -> FiniteMechanism:
@@ -226,7 +210,6 @@ class LeCamReport:
 
 
 def lecam_certificate(mech: FiniteMechanism, space: FiniteMetricSpace, n: int = 1,
-                      c_lecam: float = 1.0 / 16.0,
                       cap: int = ENUMERATION_CAP) -> LeCamReport:
     """Exact two-point certificate chain.
 
@@ -247,7 +230,7 @@ def lecam_certificate(mech: FiniteMechanism, space: FiniteMetricSpace, n: int = 
     lecam = (t * t / 2.0) * (1.0 - tv_n)
     bh = (t * t / 4.0) * math.exp(-n * kl) if math.isfinite(kl) else 0.0
     if math.isfinite(eps):
-        dp_bound = c_lecam * sep * sep * math.exp(-n * eps * math.tanh(eps / 2.0))
+        dp_bound = LECAM_CONSTANT * sep * sep * math.exp(-n * eps * math.tanh(eps / 2.0))
     else:
         dp_bound = 0.0
     exact = exact_bayes_risk(mech, space, n, cap)

@@ -45,9 +45,6 @@ class PNSGDConfig:
     w0: np.ndarray
     constraint_radius: float
     beta: float
-    G: float | None = None
-    L_input: float | None = None
-    domain_diam: float | None = None
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -155,23 +152,6 @@ def rdp_to_dp(alpha: float, eps_renyi: float, delta: float) -> float:
     if eps_renyi < 0:
         raise ValueError("eps_renyi must be nonnegative")
     return eps_renyi + math.log(1.0 / delta) / (alpha - 1.0)
-
-
-def min_dp_epsilon(eps_renyi_fn: Callable[[float], float], delta: float,
-                   alphas: Iterable[float] = DEFAULT_ALPHAS) -> tuple[float, float]:
-    """Minimize the converted (eps, delta) guarantee over an alpha grid.
-
-    ``eps_renyi_fn(alpha)`` gives the Renyi level at each order.  Returns
-    (eps, best_alpha).
-    """
-    best = (math.inf, math.nan)
-    for alpha in alphas:
-        eps = rdp_to_dp(alpha, eps_renyi_fn(alpha), delta)
-        if eps < best[0]:
-            best = (eps, alpha)
-    if not math.isfinite(best[0]):
-        raise ValueError("no alpha in the grid produced a finite epsilon")
-    return best
 
 
 def noise_for_target_dp(eps: float, delta: float, G: float, n: int, t: int,

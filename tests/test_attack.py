@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from reconbound.attack import (NO_ROOT, AllFailedError, BudgetError,
-                               DegenerateGradientError, NoRootError, ThreatModel,
-                               _solve_scalar, attack_average, attack_trials,
-                               glm_reconstruct, glm_reconstruct_single, shadow_pairs)
+from reconbound.attack import (NO_ROOT, AllFailedError, DegenerateGradientError,
+                               NoRootError, ThreatModel, _solve_scalar, attack_average,
+                               attack_trials, glm_reconstruct, glm_reconstruct_single)
 from reconbound.harness import generate_synthetic
 from reconbound.mechanisms import (PrivacyParams, output_perturb_dp, sigmoid,
                                    train_logreg_exact)
@@ -18,17 +17,17 @@ def trained_instance(seed, n=60, d=4, lam=1.0):
     return prob, theta
 
 
-def threat_model(prob, m=1, k=0):
+def threat_model(prob, m=1):
     return ThreatModel(features_minus=prob.features[:-1],
                        labels_minus=prob.labels[:-1],
                        challenge_x=prob.features[-1],
                        challenge_y=float(prob.labels[-1]),
-                       query_budget_m=m, shadow_count_k=k)
+                       query_budget_m=m)
 
 
-def scan_and_bisect(target, bracket=50.0, tol=1e-12, points=4001):
-    """Reference root finder: the scan over 4001 grid points for sign
-    changes, then a bisection of each, that the vectorized solver
+def scan_and_bisect(target, bracket=100.0, tol=1e-12, points=8001):
+    """Reference root finder: the scan for sign changes over grid points
+    0.025 apart, then a bisection of each, that the vectorized solver
     replaced.  Returns the root of smallest magnitude, or None."""
     r = lambda w: w * sigmoid(w)
     grid = np.linspace(-bracket, bracket, points)
@@ -54,21 +53,31 @@ def scan_and_bisect(target, bracket=50.0, tol=1e-12, points=4001):
 class TestScalarSolver:
     def test_matches_scan_and_bisect_on_dense_grid(self):
         # dense over [-0.30, 60], finer near the minimum, near zero and
-        # around the bracket end, where targets above r(50) have no root
+        # around 50, where an earlier solver's bracket ended; the reference
+        # scans to 100, past every target here
         r50 = float(50.0 * sigmoid(50.0))
         targets = np.concatenate([np.linspace(-0.30, 60.0, 2401),
                                   np.linspace(-0.2790, -0.2780, 201),
                                   np.linspace(-1e-3, 1e-3, 201),
                                   np.linspace(49.9, 50.1, 201),
                                   [0.0, r50, np.nextafter(r50, np.inf)]])
-        roots, found = _solve_scalar(targets, 50.0, 1e-12)
+        roots, found = _solve_scalar(targets)
         for target, root, ok in zip(targets, roots, found):
             expected = scan_and_bisect(target)
             assert ok == (expected is not None), target
             if ok:
                 assert root == pytest.approx(expected, rel=0, abs=1e-12), target
-        assert not found[targets > r50].any()
+        assert found[targets >= 0].all()
         assert found[(targets < 0) & (targets > -0.2784)].all()
+
+    def test_targets_beyond_any_scan_are_solved(self):
+        # w - W(1/e) <= w*sigmoid(w) < w bounds the root of a positive
+        # target, so no target is too large to invert
+        targets = np.array([72.35, 1e3, 1e6, 1e12])
+        roots, found = _solve_scalar(targets)
+        assert found.all()
+        assert ((roots >= targets) & (roots <= targets + 0.27847)).all()
+        np.testing.assert_allclose(roots * sigmoid(roots), targets, rtol=1e-14, atol=0)
 
     def test_double_root_inside_one_scan_cell(self):
         # just above the minimum both roots fall between two scan points
@@ -76,7 +85,7 @@ class TestScalarSolver:
         # bracket still finds the smaller-magnitude root
         target = -0.2784645427610738 + 1e-7
         assert scan_and_bisect(target) is None
-        (root,), (ok,) = _solve_scalar(np.array([target]), 50.0, 1e-12)
+        (root,), (ok,) = _solve_scalar(np.array([target]))
         assert ok
         assert float(root * sigmoid(root)) == pytest.approx(target, abs=1e-15)
         assert -1.2784645427610738 < root < 0
@@ -228,20 +237,6 @@ class TestAveraging:
         with pytest.raises(AllFailedError):
             attack_average(model, wild, prob.lam, np.random.default_rng(0))
 
-    def test_error_respects_configured_metric(self):
-        # the reported error is the squared distance under whatever metric
-        # the caller configures, not hard-coded euclidean
-        from reconbound.metric_space import NormedSpaceSpec, sample_distance
-        prob, theta = trained_instance(9)
-        model = threat_model(prob, m=1)
-        mech = lambda rng: output_perturb_dp(theta, PrivacyParams(eps=3.0), prob.n,
-                                             prob.lam, rng)
-        l1_space = NormedSpaceSpec(prob.dim, "l1")
-        l1 = lambda a, b: sample_distance(l1_space, a, b)
-        res = attack_average(model, mech, prob.lam, np.random.default_rng(2), metric=l1)
-        expected = float(np.abs(model.challenge_x - res.z_hat).sum()) ** 2
-        assert res.mse == pytest.approx(expected, rel=1e-12)
-
 
 class TestBatchInversion:
     def test_batch_size_does_not_change_results(self):
@@ -286,16 +281,11 @@ class TestBatchInversion:
         assert np.isnan(est[1]).all()
 
 
-class TestThreatModelAndShadows:
-    def test_budget_split(self):
-        prob, _ = trained_instance(0)
-        model = threat_model(prob, m=10, k=3)
-        assert model.sample_count_n == 7
-
+class TestThreatModel:
     def test_budget_exhausted(self):
         prob, _ = trained_instance(0)
-        with pytest.raises(BudgetError):
-            threat_model(prob, m=3, k=3)
+        with pytest.raises(ValueError, match="query_budget_m"):
+            threat_model(prob, m=0)
 
     def test_challenge_not_in_fixed_dataset(self):
         prob, _ = trained_instance(0)
@@ -305,36 +295,6 @@ class TestThreatModelAndShadows:
             ThreatModel(features_minus=feats, labels_minus=labels,
                         challenge_x=prob.features[-1],
                         challenge_y=float(prob.labels[-1]), query_budget_m=1)
-
-    def test_zero_shadows_empty_set(self):
-        prob, _ = trained_instance(0)
-        model = threat_model(prob, m=4, k=0)
-        assert shadow_pairs(model, [], trainer=lambda f, l: None) == []
-        assert model.sample_count_n == 4
-
-    def test_shadow_training_reproducible(self):
-        prob, _ = trained_instance(0, n=30, d=2)
-        model = threat_model(prob, m=5, k=2)
-        rng = np.random.default_rng(21)
-        targets = [(rng.normal(size=2) * 0.1, 1.0), (rng.normal(size=2) * 0.1, -1.0)]
-        calls = []
-
-        def trainer(feats, labels):
-            calls.append(feats.shape)
-            return feats.sum(axis=0) + labels.sum()
-
-        pairs_a = shadow_pairs(model, targets, trainer)
-        pairs_b = shadow_pairs(model, targets, trainer)
-        assert len(pairs_a) == 2
-        assert all(f == (prob.n, 2) for f in calls)
-        for (ha, _), (hb, _) in zip(pairs_a, pairs_b):
-            assert np.array_equal(ha, hb)
-
-    def test_shadow_count_mismatch(self):
-        prob, _ = trained_instance(0)
-        model = threat_model(prob, m=5, k=2)
-        with pytest.raises(BudgetError):
-            shadow_pairs(model, [(np.zeros(4), 1.0)], trainer=lambda f, l: None)
 
 
 class TestExactnessSweep:

@@ -207,5 +207,3 @@ class TestComparisons:
     def test_query_validation(self):
         with pytest.raises(ValueError):
             BoundQuery(params=PrivacyParams(), n=0)
-        with pytest.raises(ValueError):
-            BoundQuery(params=PrivacyParams(), c_lecam=0.0)

@@ -8,7 +8,7 @@ from reconbound.harness import (ConfigError, DigitAbsentError, DominanceError,
                                 IdxFormatError, SweepConfig, SweepResult, SweepRow,
                                 audit_dominance, emit_bounds_csv, emit_csv, emit_svg,
                                 generate_synthetic, load_idx, parse_config_text,
-                                parse_eps_grid, parse_sweep_csv, run_sweep)
+                                parse_eps_grid, run_sweep)
 from reconbound.bounds import Validity
 
 
@@ -178,16 +178,22 @@ class TestRunSweep:
         res = run_sweep(tiny_config())
         path = tmp_path / "sweep.csv"
         emit_csv(res, path)
-        back = parse_sweep_csv(path)
-        assert len(back) == len(res.rows)
-        for row, parsed in zip(res.rows, back):
-            assert parsed["epsilon"] == pytest.approx(row.epsilon, abs=1e-12)
-            assert parsed["mean_mse"] == pytest.approx(row.mean_mse, abs=1e-12)
-            assert parsed["ci_low"] == pytest.approx(row.ci_low, abs=1e-12)
-            assert parsed["ci_high"] == pytest.approx(row.ci_high, abs=1e-12)
+        header, *lines = path.read_text(encoding="ascii").splitlines()
+        cols = header.split(",")
+        assert cols == ["epsilon", "mechanism", "mean_mse", "ci_low", "ci_high",
+                        *res.bound_names, "failures"]
+        assert len(lines) == len(res.rows)
+        for row, line in zip(res.rows, lines):
+            parsed = dict(zip(cols, line.split(",")))
+            assert parsed["mechanism"] == row.mechanism
+            assert float(parsed["epsilon"]) == pytest.approx(row.epsilon, abs=1e-12)
+            assert float(parsed["mean_mse"]) == pytest.approx(row.mean_mse, abs=1e-12)
+            assert float(parsed["ci_low"]) == pytest.approx(row.ci_low, abs=1e-12)
+            assert float(parsed["ci_high"]) == pytest.approx(row.ci_high, abs=1e-12)
             for name in res.bound_names:
-                assert parsed[name] == pytest.approx(row.bound_values[name], abs=1e-12)
-            assert parsed["failures"] == row.failures
+                assert float(parsed[name]) == pytest.approx(row.bound_values[name],
+                                                            abs=1e-12)
+            assert int(parsed["failures"]) == row.failures
 
     def test_all_failed_cell_reports_infinite_mean(self):
         # heavy noise at tiny epsilon makes the inversion unsolvable for

@@ -4,16 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from reconbound.metric_space import (DatasetDistanceSpec, FiniteMetricSpace,
-                                     NormedSpaceSpec, SizeCapError,
-                                     UnboundedDomainError, coordinate_diameters,
-                                     covering_number, dataset_distance, diameter,
-                                     discretize_unit_ball, effective_dimension,
+from reconbound.metric_space import (FiniteMetricSpace, NormedSpaceSpec, SizeCapError,
+                                     covering_number, discretize_unit_ball,
+                                     effective_dimension,
                                      norm_ball_covering_bounds,
                                      norm_ball_covering_bounds_log, packing_number,
                                      pairwise_distances, two_point_space)
-
-TOL = 1e-12
 
 
 def unit_square_corners():
@@ -68,48 +64,6 @@ def brute_packing(space, eta):
     return best
 
 
-class TestDiameter:
-    def test_box_784_l2(self):
-        box = np.tile([0.0, 1.0], (784, 1))
-        assert diameter(NormedSpaceSpec(784, "l2", box)) == pytest.approx(28.0, abs=TOL)
-
-    def test_two_point(self):
-        assert diameter(two_point_space(3.0)) == 3.0
-
-    def test_box_linf(self):
-        box = np.tile([0.0, 1.0], (2, 1))
-        assert diameter(NormedSpaceSpec(2, "linf", box)) == 1.0
-
-    def test_unbounded_rejected(self):
-        with pytest.raises(UnboundedDomainError):
-            diameter(NormedSpaceSpec(3, "l2"))
-
-    def test_scaling(self):
-        rng = np.random.default_rng(0)
-        sp = FiniteMetricSpace.from_points(rng.normal(size=(6, 3)))
-        for c in (0.5, 2.0, 7.25):
-            scaled = FiniteMetricSpace(points=sp.points, dist=sp.dist * c)
-            assert diameter(scaled) == pytest.approx(c * diameter(sp), rel=1e-12)
-
-
-class TestCoordinateDiameters:
-    def test_unit_cube(self):
-        box = np.tile([0.0, 1.0], (3, 1))
-        assert np.allclose(coordinate_diameters(NormedSpaceSpec(3, "l2", box)), 1.0)
-
-    def test_enclosing_box(self):
-        box = np.tile([-1.0, 1.0], (5, 1))
-        assert np.allclose(coordinate_diameters(NormedSpaceSpec(5, "l2", box)), 2.0)
-
-    def test_rectangle(self):
-        spec = NormedSpaceSpec(2, "l2", [[0, 2], [0, 5]])
-        assert np.allclose(coordinate_diameters(spec), [2.0, 5.0])
-
-    def test_requires_box(self):
-        with pytest.raises(UnboundedDomainError):
-            coordinate_diameters(NormedSpaceSpec(2, "l2"))
-
-
 class TestCovering:
     def test_collinear_center(self):
         assert covering_number(collinear([0, 1, 2]), 1.0) == 1
@@ -121,7 +75,7 @@ class TestCovering:
 
     def test_eta_above_diameter(self):
         sp = unit_square_corners()
-        assert covering_number(sp, diameter(sp) + 0.1) == 1
+        assert covering_number(sp, sp.dist.max() + 0.1) == 1
 
     def test_cap(self):
         rng = np.random.default_rng(1)
@@ -273,14 +227,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             FiniteMetricSpace(points=(0, 1), dist=np.array([[0.5, 1.0], [1.0, 0]]))
 
-    def test_box_validation(self):
-        with pytest.raises(ValueError):
-            NormedSpaceSpec(2, "l2", [[0, 1]])
-        with pytest.raises(ValueError):
-            NormedSpaceSpec(1, "l2", [[1, 0]])
-        with pytest.raises(ValueError):
-            NormedSpaceSpec(1, "l2", [[0, math.inf]])
-
 
 class TestFileFormat:
     def test_round_trip(self, tmp_path):
@@ -296,24 +242,6 @@ class TestFileFormat:
         path.write_text("2\n0 1\n")
         with pytest.raises(ValueError):
             FiniteMetricSpace.from_file(path)
-
-
-class TestDatasetDistance:
-    def test_summed_over_samples(self):
-        spec = DatasetDistanceSpec(NormedSpaceSpec(2, "l2"))
-        a = [np.array([0.0, 0.0]), np.array([1.0, 0.0])]
-        b = [np.array([0.0, 1.0]), np.array([1.0, 0.0])]
-        assert dataset_distance(spec, a, b) == pytest.approx(1.0)
-
-    def test_self_distance_zero(self):
-        spec = DatasetDistanceSpec(two_point_space(2.0))
-        ds = [0, 1, 1, 0]
-        assert dataset_distance(spec, ds, ds) == 0.0
-
-    def test_length_mismatch(self):
-        spec = DatasetDistanceSpec(NormedSpaceSpec(1, "l2"))
-        with pytest.raises(ValueError):
-            dataset_distance(spec, [np.zeros(1)], [])
 
 
 def test_pairwise_norms_agree_with_manual():

@@ -57,13 +57,6 @@ class TestChannelBasics:
         mech = FiniteMechanism(channel=np.array([[1.0, 0.0], [0.5, 0.5]]))
         assert math.isinf(dp_epsilon_of(mech))
 
-    def test_file_loader(self, tmp_path):
-        path = tmp_path / "chan.txt"
-        path.write_text("2\n0.75 0.25\n0.25 0.75\n")
-        mech = FiniteMechanism.from_file(path)
-        assert mech.channel.shape == (2, 2)
-        assert dp_epsilon_of(mech) == pytest.approx(math.log(3.0))
-
 
 class TestExactBayesRisk:
     def test_rr_closed_form_n1(self):

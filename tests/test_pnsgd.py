@@ -5,10 +5,9 @@ import pytest
 
 import reconbound.pnsgd as pnsgd_mod
 from reconbound.mechanisms import sigmoid
-from reconbound.pnsgd import (DEFAULT_ALPHAS, PNSGDConfig, StepSizeError,
-                              min_dp_epsilon, noise_for_renyi_dp,
-                              noise_for_renyi_mdp, noise_for_target_dp,
-                              pnsgd_run, project_l2, rdp_to_dp)
+from reconbound.pnsgd import (PNSGDConfig, StepSizeError, noise_for_renyi_dp,
+                              noise_for_renyi_mdp, noise_for_target_dp, pnsgd_run,
+                              project_l2, rdp_to_dp)
 
 
 def quad_grad(w, x):
@@ -208,18 +207,6 @@ class TestConversion:
 
     def test_large_alpha_limit(self):
         assert rdp_to_dp(1e12, 0.37, 1e-5) == pytest.approx(0.37, abs=1e-9)
-
-    def test_grid_minimization_matches_dense_oracle(self):
-        delta = 1e-5
-        fn = lambda alpha: alpha / 2.0
-        dense = np.arange(1.5, 64.0, 1e-3)
-        eps_grid, _ = min_dp_epsilon(fn, delta, alphas=dense)
-        # independent dense scan
-        oracle = min(a / 2.0 + math.log(1.0 / delta) / (a - 1.0) for a in dense)
-        assert eps_grid == pytest.approx(oracle, abs=1e-6)
-        # the default coarse grid can only do worse
-        eps_coarse, _ = min_dp_epsilon(fn, delta, alphas=DEFAULT_ALPHAS)
-        assert eps_coarse >= eps_grid - 1e-12
 
     def test_target_inversion_meets_budget(self):
         delta, g, n, t = 1e-5, 2.0, 100, 100

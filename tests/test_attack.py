@@ -281,7 +281,7 @@ class TestBatchInversion:
         assert np.isnan(est[1]).all()
 
 
-class TestThreatModel:
+class TestThreatModelAndShadows:
     def test_budget_exhausted(self):
         prob, _ = trained_instance(0)
         with pytest.raises(ValueError, match="query_budget_m"):

@@ -24,6 +24,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             PrivacyParams(alpha=1.0)
 
+    def test_specs(self):
+        # the metric budget and delta specs the sweep mechanisms read
+        with pytest.raises(ValueError):
+            PrivacyParams(eps_metric=-0.1)
+        with pytest.raises(ValueError):
+            PrivacyParams(delta=-1e-5)
+        assert PrivacyParams(eps_metric=0.0).eps_metric == 0.0
+
     def test_logreg_row_norms(self):
         x = np.array([[2.0, 0.0]])
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from reconbound.metric_space import (FiniteMetricSpace, NormedSpaceSpec, SizeCap
                                      effective_dimension,
                                      norm_ball_covering_bounds,
                                      norm_ball_covering_bounds_log, packing_number,
-                                     pairwise_distances, two_point_space)
+                                     pairwise_distances, two_point_space, vector_norm)
 
 
 def unit_square_corners():
@@ -62,6 +62,42 @@ def brute_packing(space, eta):
             if all(apart[i, j] for i, j in itertools.combinations(combo, 2)):
                 return k
     return best
+
+
+class TestDiameter:
+    # the diameter of a domain, read off the distances: dist.max() for a
+    # finite space, the norm of the main diagonal for a box
+
+    def test_box_784_l2(self):
+        corners = np.array([np.zeros(784), np.ones(784)])
+        assert pairwise_distances(corners, "l2").max() == pytest.approx(28.0, abs=1e-12)
+        assert vector_norm(np.ones(784), "l2") == pytest.approx(28.0, abs=1e-12)
+
+    def test_two_point(self):
+        # one center covers the space exactly from the diameter on
+        sp = two_point_space(3.0)
+        assert sp.dist.max() == 3.0
+        assert covering_number(sp, 3.0) == 1
+        assert covering_number(sp, 2.99) == 2
+        assert packing_number(sp, 3.0) == 2
+
+    def test_box_linf(self):
+        corners = np.array(list(itertools.product([0.0, 1.0], repeat=2)))
+        assert pairwise_distances(corners, "linf").max() == 1.0
+        assert vector_norm(np.ones(2), "linf") == 1.0
+
+    def test_scaling(self):
+        # scaling every distance by c scales the diameter and every
+        # covering and packing radius by c
+        rng = np.random.default_rng(0)
+        sp = FiniteMetricSpace.from_points(rng.normal(size=(6, 3)))
+        etas = np.quantile(sp.dist[sp.dist > 0], [0.1, 0.4, 0.7]) * 1.01
+        for c in (0.5, 2.0, 7.25):
+            scaled = FiniteMetricSpace(points=sp.points, dist=sp.dist * c)
+            assert scaled.dist.max() == pytest.approx(c * sp.dist.max(), rel=1e-12)
+            for eta in etas:
+                assert covering_number(scaled, c * eta) == covering_number(sp, eta)
+                assert packing_number(scaled, c * eta) == packing_number(sp, eta)
 
 
 class TestCovering:
@@ -226,6 +262,15 @@ class TestValidation:
     def test_nonzero_diagonal(self):
         with pytest.raises(ValueError):
             FiniteMetricSpace(points=(0, 1), dist=np.array([[0.5, 1.0], [1.0, 0]]))
+
+
+    def test_box_validation(self):
+        # a normed domain needs a positive dimension and a known norm
+        with pytest.raises(ValueError):
+            NormedSpaceSpec(0, "l2")
+        with pytest.raises(ValueError):
+            NormedSpaceSpec(2, "l3")
+        assert NormedSpaceSpec(2, "LINF").norm == "linf"
 
 
 class TestFileFormat:

@@ -5,9 +5,9 @@ import pytest
 
 import reconbound.pnsgd as pnsgd_mod
 from reconbound.mechanisms import sigmoid
-from reconbound.pnsgd import (PNSGDConfig, StepSizeError, noise_for_renyi_dp,
-                              noise_for_renyi_mdp, noise_for_target_dp, pnsgd_run,
-                              project_l2, rdp_to_dp)
+from reconbound.pnsgd import (DEFAULT_ALPHAS, PNSGDConfig, StepSizeError,
+                              noise_for_renyi_dp, noise_for_renyi_mdp,
+                              noise_for_target_dp, pnsgd_run, project_l2, rdp_to_dp)
 
 
 def quad_grad(w, x):
@@ -207,6 +207,19 @@ class TestConversion:
 
     def test_large_alpha_limit(self):
         assert rdp_to_dp(1e12, 0.37, 1e-5) == pytest.approx(0.37, abs=1e-9)
+
+    def test_grid_minimization_matches_dense_oracle(self):
+        delta, g, n, t, eps = 1e-5, 2.0, 100, 50, 3.0
+        dense = np.arange(4.9, 64.0, 1e-3)
+        sigma_sq, alpha = noise_for_target_dp(eps, delta, g, n, t, alphas=dense)
+        # independent dense scan of the variance 2*alpha*G^2 / (budget*(n-t+1))
+        oracle = min(2.0 * a * g * g / ((eps - math.log(1.0 / delta) / (a - 1.0)) * (n - t + 1))
+                     for a in dense if eps - math.log(1.0 / delta) / (a - 1.0) > 0)
+        assert sigma_sq == pytest.approx(oracle, rel=1e-12)
+        assert alpha in dense
+        # the default coarse grid can only do worse
+        coarse, _ = noise_for_target_dp(eps, delta, g, n, t, alphas=DEFAULT_ALPHAS)
+        assert coarse >= sigma_sq * (1 - 1e-12)
 
     def test_target_inversion_meets_budget(self):
         delta, g, n, t = 1e-5, 2.0, 100, 100

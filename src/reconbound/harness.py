@@ -12,6 +12,9 @@ Trials run in batches: each grid cell stacks its trials' releases and
 inverts them in one call, and PNSGD runs the chains of every cell and
 trial in one lockstep pass.
 
+`MECHANISM_KINDS` is the one place that decides a kind's release, noise
+calibration and bounds: it maps each kind to flags, read once per sweep.
+
 Draws whose inversion has no solution are dropped and counted; a grid
 cell where every trial failed reports an infinite mean error, meaning
 the attack produced no evidence against any bound at that privacy level.
@@ -23,7 +26,7 @@ import io
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,7 +41,6 @@ from .mechanisms import (LogRegProblem, PrivacyParams, output_perturb_dp,
                          train_logreg_exact)
 from .metric_space import NormedSpaceSpec, effective_dimension
 
-MECHANISM_KINDS = ("OUTPUT_PERTURB_DP", "OUTPUT_PERTURB_MDP", "PNSGD_DP", "PNSGD_MDP")
 DATASET_SOURCES = ("SYNTHETIC", "IDX_FILES")
 
 _IMAGES_MAGIC = 0x00000803
@@ -47,6 +49,24 @@ _LABELS_MAGIC = 0x00000801
 # bounds the audit enforces; the unbiased prior bound is emitted for
 # plotting but assumes an unbiased attack, which this one is not
 AUDITED_BOUNDS = ("dp_lecam", "mdp_lecam", "mdp_fano")
+
+# rows are normalised into the unit L2 ball, so the domain has diameter 2
+UNIT_BALL_DIAM = 2.0
+
+
+@dataclass(frozen=True)
+class MechanismKind:
+    metric: bool  # epsilon is per unit of distance (metric privacy)
+    pnsgd: bool  # the release is a PNSGD pass: not pure, so bounds take delta
+
+
+# flags, not functions: the benchmark's tracer swaps the functions by name
+MECHANISM_KINDS = {
+    "OUTPUT_PERTURB_DP": MechanismKind(metric=False, pnsgd=False),
+    "OUTPUT_PERTURB_MDP": MechanismKind(metric=True, pnsgd=False),
+    "PNSGD_DP": MechanismKind(metric=False, pnsgd=True),
+    "PNSGD_MDP": MechanismKind(metric=True, pnsgd=True),
+}
 
 
 class ConfigError(ValueError):
@@ -280,13 +300,14 @@ def _logreg_chain_grad(lam: float) -> Callable:
     return grad
 
 
-def _pnsgd_sigma(config: SweepConfig, problem: LogRegProblem, eps: float) -> float:
+def _pnsgd_sigma(kind: MechanismKind, config: SweepConfig, problem: LogRegProblem,
+                 eps: float) -> float:
     if config.noiseless:
         return 0.0
-    if config.mechanism_kind == "PNSGD_MDP":
+    if kind.metric:
         l_input = 1.0 + config.constraint_radius / 4.0
         return math.sqrt(pnsgd_mod.noise_for_renyi_mdp(config.alpha, eps, l_input,
-                                                       domain_diam=2.0,
+                                                       domain_diam=UNIT_BALL_DIAM,
                                                        n=problem.n, t=problem.n))
     g_bound = 1.0 + config.lam * config.constraint_radius
     sigma_sq, _ = pnsgd_mod.noise_for_target_dp(eps, config.delta, g_bound,
@@ -294,11 +315,12 @@ def _pnsgd_sigma(config: SweepConfig, problem: LogRegProblem, eps: float) -> flo
     return math.sqrt(sigma_sq)
 
 
-def _pnsgd_releases(config: SweepConfig, problem: LogRegProblem) -> np.ndarray:
+def _pnsgd_releases(kind: MechanismKind, config: SweepConfig,
+                    problem: LogRegProblem) -> np.ndarray:
     """Every cell's releases, (cells, trials, n_samples, d).  One chain per
     (cell, trial) at the cell's noise level; all chains run in one
     lockstep pass per sample, each continuing its trial's generator."""
-    sigmas = [_pnsgd_sigma(config, problem, eps) for eps in config.eps_grid]
+    sigmas = [_pnsgd_sigma(kind, config, problem, eps) for eps in config.eps_grid]
     beta = 0.25 + config.lam
     run_cfg = pnsgd_mod.PNSGDConfig(eta=1.0 / beta, sigma=np.repeat(sigmas, config.trials),
                                     w0=np.zeros(problem.dim),
@@ -313,53 +335,37 @@ def _pnsgd_releases(config: SweepConfig, problem: LogRegProblem) -> np.ndarray:
                                             config.n_samples, problem.dim)
 
 
-def _output_perturb_releases(config: SweepConfig, problem: LogRegProblem,
-                             theta_hat: np.ndarray, eps_idx: int, eps: float) -> np.ndarray:
-    """One cell's releases, (trials, n_samples, d), each trial's drawn in
-    order from its own generator."""
-    if config.mechanism_kind == "OUTPUT_PERTURB_DP":
-        draw, params = output_perturb_dp, PrivacyParams(eps=eps)
-    else:
-        draw, params = output_perturb_mdp_euclidean, PrivacyParams(eps_metric=eps)
-    return np.array([[draw(theta_hat, params, problem.n, config.lam, rng,
-                           noiseless=config.noiseless).value
-                      for _ in range(config.n_samples)]
-                     for rng in _trial_rngs(config, eps_idx)])
+def _output_perturb_releases(kind: MechanismKind, config: SweepConfig,
+                             problem: LogRegProblem) -> Iterator[np.ndarray]:
+    """Each cell's releases in turn, (trials, n_samples, d), each trial's
+    drawn in order from its own generator."""
+    theta_hat = train_logreg_exact(problem)
+    draw = output_perturb_mdp_euclidean if kind.metric else output_perturb_dp
+    for eps_idx, eps in enumerate(config.eps_grid):
+        params = PrivacyParams(eps_metric=eps) if kind.metric else PrivacyParams(eps=eps)
+        yield np.array([[draw(theta_hat, params, problem.n, config.lam, rng,
+                              noiseless=config.noiseless).value
+                         for _ in range(config.n_samples)]
+                        for rng in _trial_rngs(config, eps_idx)])
 
 
-def _bound_names(kind: str) -> tuple:
-    if kind.endswith("_DP"):
-        return ("dp_lecam", "rdp_unbiased")
-    return ("mdp_lecam", "mdp_fano")
-
-
-def evaluate_bounds(config: SweepConfig, problem: LogRegProblem, eps: float) -> dict:
-    """All bounds applicable to this mechanism kind at one grid point.
-
-    The data domain is the unit L2 ball after row normalization, so
-    diam = 2, effective dimension d*ln2, and the prior unbiased bound
-    uses its unit-ball convention (coordinate sum d, trivial upper 1).
-    """
-    kind = config.mechanism_kind
-    pure = kind == "OUTPUT_PERTURB_DP" or kind == "OUTPUT_PERTURB_MDP"
-    delta = 0.0 if pure else config.delta
-    out = {}
-    if kind.endswith("_DP"):
-        q = BoundQuery(params=PrivacyParams(eps=eps, delta=delta),
-                       n=config.n_samples, diam=2.0)
-        out["dp_lecam"] = bounds_mod.dp_lecam_bound(q)
-        qa = BoundQuery(params=PrivacyParams(eps=eps, delta=delta, alpha=2.0),
-                        n=config.n_samples, diam=2.0,
-                        coord_diam_sq_sum=float(problem.dim))
-        out["rdp_unbiased"] = bounds_mod.unbiased_rdp_bound(qa)
-    else:
+def evaluate_bounds(kind: MechanismKind, config: SweepConfig, problem: LogRegProblem,
+                    eps: float) -> dict:
+    """All bounds applicable to this mechanism kind at one grid point, on
+    the unit-ball domain: diameter 2, effective dimension d*ln2, and the
+    prior unbiased bound's unit-ball convention (coordinate sum d)."""
+    delta = config.delta if kind.pnsgd else 0.0
+    if kind.metric:
         domain = NormedSpaceSpec(dim=problem.dim, norm="l2")
         q = BoundQuery(params=PrivacyParams(eps_metric=eps, delta=delta),
-                       n=config.n_samples,
-                       d_eff=effective_dimension(domain))
-        out["mdp_lecam"] = bounds_mod.mdp_lecam_bound(q)
-        out["mdp_fano"] = bounds_mod.mdp_fano_bound(q)
-    return out
+                       n=config.n_samples, d_eff=effective_dimension(domain))
+        return {"mdp_lecam": bounds_mod.mdp_lecam_bound(q),
+                "mdp_fano": bounds_mod.mdp_fano_bound(q)}
+    q = BoundQuery(params=PrivacyParams(eps=eps, delta=delta, alpha=2.0),
+                   n=config.n_samples, diam=UNIT_BALL_DIAM,
+                   coord_diam_sq_sum=float(problem.dim))
+    return {"dp_lecam": bounds_mod.dp_lecam_bound(q),
+            "rdp_unbiased": bounds_mod.unbiased_rdp_bound(q)}
 
 
 def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator,
@@ -389,15 +395,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                         challenge_x=problem.features[-1],
                         challenge_y=float(problem.labels[-1]),
                         query_budget_m=config.n_samples)
-    if config.mechanism_kind.startswith("PNSGD"):
-        cells = _pnsgd_releases(config, problem)
-    else:
-        theta_hat = train_logreg_exact(problem)
-        cells = (_output_perturb_releases(config, problem, theta_hat, eps_idx, eps)
-                 for eps_idx, eps in enumerate(config.eps_grid))
-
+    kind = MECHANISM_KINDS[config.mechanism_kind]
+    release = _pnsgd_releases if kind.pnsgd else _output_perturb_releases
+    cells = release(kind, config, problem)
     rows = []
-    bound_names = _bound_names(config.mechanism_kind)
     for eps_idx, (eps, releases) in enumerate(zip(config.eps_grid, cells)):
         mse, failures = attack_trials(model, releases, config.lam)
         mses = mse[~np.isnan(mse)]
@@ -407,9 +408,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         ci_low, ci_high = _bootstrap_ci(mses, ci_rng)
         rows.append(SweepRow(epsilon=eps, mechanism=config.mechanism_kind,
                              mean_mse=mean_mse, ci_low=ci_low, ci_high=ci_high,
-                             bound_values=evaluate_bounds(config, problem, eps),
+                             bound_values=evaluate_bounds(kind, config, problem, eps),
                              failures=int(failures.sum())))
-    return SweepResult(config=config, bound_names=bound_names, rows=tuple(rows))
+    return SweepResult(config=config, bound_names=tuple(rows[0].bound_values), rows=tuple(rows))
 
 
 def audit_dominance(result: SweepResult) -> bool:

@@ -6,8 +6,8 @@ exact trainer whose optimum they release.
 
 Every sampler takes an explicit numpy Generator, so runs are
 deterministic per stream and safe to execute concurrently.  Released
-values travel inside `MechanismOutput` together with the privacy
-parameters and noise scale they were produced under.
+values travel inside `MechanismOutput` together with the scale of the
+noise added to them.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class LogRegProblem:
 
 @dataclass(frozen=True)
 class MechanismOutput:
-    """A released vector plus the privacy record it was produced under.
+    """A released vector and the scale of its noise.
 
     ``noise_scale`` is the Laplace scale of each coordinate (standard
     privacy) or the inverse rate of the radial-Laplace density (metric
@@ -102,8 +102,6 @@ class MechanismOutput:
     """
 
     value: np.ndarray
-    mechanism: str
-    params: PrivacyParams
     noise_scale: float
 
     def __post_init__(self):
@@ -193,14 +191,14 @@ def output_perturb_dp(theta: np.ndarray, params: PrivacyParams, n_train: int,
     """
     theta = np.asarray(theta, dtype=float)
     if noiseless:
-        return MechanismOutput(theta, "output_perturb_dp", params, 0.0)
+        return MechanismOutput(theta, 0.0)
     if params.eps <= 0:
         raise ValueError("eps must be positive (infinite noise otherwise)")
     if n_train < 1 or lam <= 0:
         raise ValueError("need n_train >= 1 and lam > 0")
     b = 2.0 / (n_train * params.eps * lam)
     value = theta + rng.laplace(0.0, b, size=theta.shape)
-    return MechanismOutput(value, "output_perturb_dp", params, b)
+    return MechanismOutput(value, b)
 
 
 def output_perturb_mdp_euclidean(theta: np.ndarray, params: PrivacyParams,
@@ -215,7 +213,7 @@ def output_perturb_mdp_euclidean(theta: np.ndarray, params: PrivacyParams,
     """
     theta = np.asarray(theta, dtype=float)
     if noiseless:
-        return MechanismOutput(theta, "output_perturb_mdp", params, 0.0)
+        return MechanismOutput(theta, 0.0)
     if params.eps_metric <= 0:
         raise ValueError("eps_metric must be positive")
     if n_train < 1 or lam <= 0:
@@ -226,5 +224,5 @@ def output_perturb_mdp_euclidean(theta: np.ndarray, params: PrivacyParams,
     direction = rng.normal(size=d)
     direction /= np.sqrt(direction @ direction)
     value = theta + radius * direction
-    return MechanismOutput(value, "output_perturb_mdp", params, 1.0 / rate)
+    return MechanismOutput(value, 1.0 / rate)
 

@@ -4,12 +4,14 @@ import struct
 import numpy as np
 import pytest
 
-from reconbound.harness import (ConfigError, DigitAbsentError, DominanceError,
-                                IdxFormatError, SweepConfig, SweepResult, SweepRow,
-                                audit_dominance, emit_bounds_csv, emit_csv, emit_svg,
-                                generate_synthetic, load_idx, parse_config_text,
-                                parse_eps_grid, run_sweep)
-from reconbound.bounds import Validity
+from reconbound import bounds
+from reconbound.harness import (MECHANISM_KINDS, ConfigError, DigitAbsentError,
+                                DominanceError, IdxFormatError, SweepConfig, SweepResult,
+                                SweepRow, audit_dominance, emit_bounds_csv, emit_csv,
+                                emit_svg, evaluate_bounds, generate_synthetic, load_idx,
+                                parse_config_text, parse_eps_grid, run_sweep)
+from reconbound.bounds import BoundQuery, Validity
+from reconbound.mechanisms import PrivacyParams
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -229,6 +231,39 @@ class TestRunSweep:
                            eps_grid=(2.0,))
         resm = run_sweep(cfgm)
         assert resm.bound_names == ("mdp_lecam", "mdp_fano")
+
+
+class TestKindDispatch:
+    # per kind: metric privacy, and whether its bounds take config.delta
+    # (PNSGD guarantees are not pure; output perturbation's are)
+    KINDS = {"OUTPUT_PERTURB_DP": (False, False), "OUTPUT_PERTURB_MDP": (True, False),
+             "PNSGD_DP": (False, True), "PNSGD_MDP": (True, True)}
+
+    def test_table_keys(self):
+        assert set(MECHANISM_KINDS) == set(self.KINDS)
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_bounds_follow_the_kind(self, name):
+        metric, takes_delta = self.KINDS[name]
+        cfg = tiny_config(mechanism_kind=name, eps_grid=(2.0,), trials=1, train_size=40,
+                          delta=1e-3, n_samples=2)
+        problem = generate_synthetic(cfg.train_size, cfg.dim, cfg.seed, lam=cfg.lam)
+        delta = cfg.delta if takes_delta else 0.0
+        eps = 1.5
+        if metric:
+            q = BoundQuery(params=PrivacyParams(eps_metric=eps, delta=delta), n=2,
+                           d_eff=cfg.dim * math.log(2.0))
+            want = {"mdp_lecam": bounds.mdp_lecam_bound(q),
+                    "mdp_fano": bounds.mdp_fano_bound(q)}
+        else:
+            q = BoundQuery(params=PrivacyParams(eps=eps, delta=delta, alpha=2.0), n=2,
+                           diam=2.0, coord_diam_sq_sum=float(cfg.dim))
+            want = {"dp_lecam": bounds.dp_lecam_bound(q),
+                    "rdp_unbiased": bounds.unbiased_rdp_bound(q)}
+        got = evaluate_bounds(MECHANISM_KINDS[name], cfg, problem, eps)
+        assert list(got) == list(want)
+        assert got == want
+        assert run_sweep(cfg).bound_names == tuple(want)
 
 
 class TestEmission:

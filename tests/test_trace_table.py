@@ -20,3 +20,30 @@ def test_every_traced_attribute_exists():
     assert table
     for owner, attr, name, _ in table:
         assert attr in owner.__dict__, (owner.__name__, attr, name)
+
+
+def test_sweep_layers_are_traced():
+    # the sweep must call the release, training and bound functions
+    # through the attributes the tracer swaps; a kind table holding the
+    # function objects themselves would bypass it and count nothing
+    spans = load_spans()
+    cells, trials, n_samples = 2, 3, 2
+    expected = {
+        "OUTPUT_PERTURB_DP": {"mechanisms.release": cells * trials * n_samples,
+                              "mechanisms.train": 1, "bounds.evaluate": cells,
+                              "pnsgd.pass": 0},
+        "PNSGD_MDP": {"mechanisms.release": 0, "mechanisms.train": 0,
+                      "bounds.evaluate": cells, "pnsgd.pass": n_samples},
+    }
+    for kind, counts in expected.items():
+        config = reconbound.harness.SweepConfig(
+            eps_grid=(1.0, 3.0), mechanism_kind=kind, seed=3, trials=trials,
+            n_samples=n_samples, lam=1.0, train_size=40, dim=3)
+        tracer = spans.Tracer(spans.layer_table(reconbound))
+        tracer.install()
+        try:
+            reconbound.harness.run_sweep(config)
+        finally:
+            tracer.uninstall()
+        totals = spans.layer_totals(tracer.spans, {None})
+        assert {layer: totals[layer]["calls"] for layer in counts} == counts, kind

@@ -224,9 +224,13 @@ def generate_synthetic(n: int, d: int, seed: int, lam: float = 1e-2,
     mu = rng.normal(size=d)
     mu /= math.sqrt(float(mu @ mu))
     labels = rng.choice(np.array([-1.0, 1.0]), size=n)
-    x = labels[:, None] * (0.5 * mu)[None, :] + 0.3 * rng.normal(size=(n, d))
-    norms = np.sqrt(np.sum(x * x, axis=1))
-    x /= np.maximum(norms, 1.0)[:, None]
+    # 0.3 * draw, shifted in place: labels are +-1, so +-centre rounds as labels * centre
+    x = rng.normal(0.0, 0.3, size=(n, d))
+    np.add(x, 0.5 * mu, out=x, where=labels[:, None] > 0)
+    np.subtract(x, 0.5 * mu, out=x, where=labels[:, None] < 0)
+    # row blocks: each row sums as in a whole-array sum, with no full-size temporary
+    norms = np.concatenate([np.sum(b * b, axis=1) for b in np.split(x, range(256, n, 256))])
+    x /= np.maximum(np.sqrt(norms), 1.0)[:, None]
     return LogRegProblem(features=x, labels=labels, lam=lam, tolerance=tolerance)
 
 
@@ -497,9 +501,7 @@ def emit_svg(result: SweepResult, path) -> None:
     band_lo = [row.ci_low for row in result.rows]
     band_hi = [row.ci_high for row in result.rows]
 
-    logvals = [math.log10(v) for vals in series.values() for v in vals
-               if math.isfinite(v) and v > 0]
-    logvals += [math.log10(v) for v in band_lo + band_hi if math.isfinite(v) and v > 0]
+    logvals = [y for vals in (*series.values(), band_lo, band_hi) for _, y in _log_points(xs, vals)]
     if not logvals:
         raise ValueError("nothing finite to plot")
     ymin, ymax = min(logvals) - 0.2, max(logvals) + 0.2

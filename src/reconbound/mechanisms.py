@@ -2,7 +2,8 @@
 
 Laplace output perturbation for L2-regularized logistic regression and
 its Euclidean metric-privacy variant (radial-Laplace noise), with the
-exact trainer whose optimum they release.
+exact trainer whose optimum they release.  The trainer takes one margin
+product y * (X @ theta) per candidate, for its objective and gradient.
 
 Every sampler takes an explicit numpy Generator, so runs are
 deterministic per stream and safe to execute concurrently.  Released
@@ -75,8 +76,7 @@ class LogRegProblem:
             raise ValueError("lam must be positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        norms = np.sqrt(np.sum(x * x, axis=1))
-        if np.any(norms > 1.0 + 1e-12):
+        if np.any(np.sqrt(np.einsum("ij,ij->i", x, x)) > 1.0 + 1e-12):
             raise ValueError("feature rows must have L2 norm <= 1")
         x.setflags(write=False)
         y.setflags(write=False)
@@ -118,24 +118,16 @@ def sigmoid(t):
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
-def logistic_loss(theta: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
-    margins = labels * (features @ theta)
-    return float(np.sum(np.logaddexp(0.0, -margins)))
+def _margin_grad_sum(margins: np.ndarray, features: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sum of the per-sample loss gradients -y * sigmoid(-margin) * x."""
+    return features.T @ (-y * sigmoid(-margins))
 
 
 def logistic_grad_sum(theta: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Sum over samples of the per-sample loss gradient
-    -y * sigmoid(-y * theta.x) * x; for a (d, M) theta, one sum per
-    column, from two matrix products."""
+    """`_margin_grad_sum` at the margins y * theta.x; for a (d, M) theta,
+    one sum per column, from two matrix products."""
     y = labels if theta.ndim == 1 else labels[:, None]
-    margins = y * (features @ theta)
-    weights = -y * sigmoid(-margins)
-    return features.T @ weights
-
-
-def _objective(theta, problem: LogRegProblem) -> float:
-    return (logistic_loss(theta, problem.features, problem.labels) / problem.n
-            + 0.5 * problem.lam * float(theta @ theta))
+    return _margin_grad_sum(y * (features @ theta), features, y)
 
 
 def _gradient(theta, problem: LogRegProblem) -> np.ndarray:
@@ -151,13 +143,19 @@ def train_logreg_exact(problem: LogRegProblem, max_iter: int = 200_000) -> np.nd
     (1e-10 by default), tight enough that stationarity-based inversion
     holds to numeric precision.
     """
+    x, y, n, lam = problem.features, problem.labels, problem.n, problem.lam
+
+    def margins_and_objective(t):
+        m = y * (x @ t)
+        return m, float(np.sum(np.logaddexp(0.0, -m))) / n + 0.5 * lam * float(t @ t)
+
     theta = np.zeros(problem.dim)
-    fval = _objective(theta, problem)
+    margins, fval = margins_and_objective(theta)
     # smoothness of the mean logistic loss is at most 1/4 for unit rows
-    safe_step = 1.0 / (0.25 + problem.lam)
+    safe_step = 1.0 / (0.25 + lam)
     step = safe_step
     for _ in range(max_iter):
-        grad = _gradient(theta, problem)
+        grad = _margin_grad_sum(margins, x, y) / n + lam * theta
         gnorm = float(np.sqrt(grad @ grad))
         if gnorm <= problem.tolerance:
             return theta
@@ -166,18 +164,18 @@ def train_logreg_exact(problem: LogRegProblem, max_iter: int = 200_000) -> np.nd
         # contracts the gradient, so skip the search there
         if 1e-4 * safe_step * gnorm * gnorm < 1e-14 * max(1.0, abs(fval)):
             theta = theta - safe_step * grad
-            fval = _objective(theta, problem)
+            margins, fval = margins_and_objective(theta)
             continue
         step = min(step * 2.0, 1e8)
         while True:
             cand = theta - step * grad
-            cval = _objective(cand, problem)
+            cmargins, cval = margins_and_objective(cand)
             if cval <= fval - 1e-4 * step * gnorm * gnorm:
                 break
             step *= 0.5
             if step < 1e-18:
                 raise ConvergenceError("line search collapsed before reaching tolerance")
-        theta, fval = cand, cval
+        theta, margins, fval = cand, cmargins, cval
     raise ConvergenceError(f"gradient norm {gnorm:.3e} above tolerance after {max_iter} iterations")
 
 

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,34 @@ class TestSynthetic:
         fracs = [np.mean(generate_synthetic(2000, 16, seed=s).labels == 1.0)
                  for s in range(100)]
         assert abs(np.mean(fracs) - 0.5) <= 0.02
+
+    @pytest.mark.parametrize("n,d", [(2000, 784), (2000, 16), (257, 3), (1, 1)])
+    def test_equals_whole_array_expression(self, n, d):
+        # the dataset as it was built before it was built in place, with
+        # full-size temporaries; sizes include ones that are not a
+        # multiple of the row block
+        rng = np.random.default_rng(np.random.SeedSequence(20240817))
+        mu = rng.normal(size=d)
+        mu /= math.sqrt(float(mu @ mu))
+        labels = rng.choice(np.array([-1.0, 1.0]), size=n)
+        x = labels[:, None] * (0.5 * mu)[None, :] + 0.3 * rng.normal(size=(n, d))
+        norms = np.sqrt(np.sum(x * x, axis=1))
+        x /= np.maximum(norms, 1.0)[:, None]
+        prob = generate_synthetic(n, d, seed=20240817)
+        assert np.array_equal(prob.features, x)
+        assert np.array_equal(prob.labels, labels)
+
+    def test_peak_allocation(self):
+        # built in place, the features and the problem's validated copy
+        # are the only full-size arrays alive at once
+        generate_synthetic(20, 784, seed=1)
+        tracemalloc.start()
+        try:
+            prob = generate_synthetic(2000, 784, seed=20240817)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * prob.features.nbytes
 
 
 class TestIdxLoader:

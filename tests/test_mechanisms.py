@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from reconbound.divergence import laplace_logpdf
+from reconbound.harness import generate_synthetic
 from reconbound.mechanisms import (LogRegProblem, PrivacyParams, _gradient,
                                    output_perturb_dp, output_perturb_mdp_euclidean,
-                                   train_logreg_exact)
+                                   sigmoid, train_logreg_exact)
 
 
 def small_problem(lam=1.0, seed=0, n=40, d=3):
@@ -74,6 +75,61 @@ class TestTrainer:
         obj = np.logaddexp(0.0, -margins) + 0.5 * 1.0 * grid ** 2
         best = grid[np.argmin(obj)]
         assert theta[0] == pytest.approx(best, abs=1e-4)
+
+
+def two_product_trainer(problem, branches):
+    """The trainer before its iterates shared margins: the objective and
+    the gradient each compute X @ theta.  ``branches`` counts the
+    line-search and near-optimum safe-step iterates."""
+    x, y = problem.features, problem.labels
+
+    def objective(theta):
+        margins = y * (x @ theta)
+        return (float(np.sum(np.logaddexp(0.0, -margins))) / problem.n
+                + 0.5 * problem.lam * float(theta @ theta))
+
+    def gradient(theta):
+        margins = y * (x @ theta)
+        weights = -y * sigmoid(-margins)
+        return x.T @ weights / problem.n + problem.lam * theta
+
+    theta = np.zeros(problem.dim)
+    fval = objective(theta)
+    safe_step = 1.0 / (0.25 + problem.lam)
+    step = safe_step
+    for _ in range(200_000):
+        grad = gradient(theta)
+        gnorm = float(np.sqrt(grad @ grad))
+        if gnorm <= problem.tolerance:
+            return theta
+        if 1e-4 * safe_step * gnorm * gnorm < 1e-14 * max(1.0, abs(fval)):
+            branches["safe_step"] += 1
+            theta = theta - safe_step * grad
+            fval = objective(theta)
+            continue
+        branches["line_search"] += 1
+        step = min(step * 2.0, 1e8)
+        while True:
+            cand = theta - step * grad
+            cval = objective(cand)
+            if cval <= fval - 1e-4 * step * gnorm * gnorm:
+                break
+            step *= 0.5
+            assert step >= 1e-18
+        theta, fval = cand, cval
+    raise AssertionError("reference trainer did not converge")
+
+
+class TestSharedMargins:
+    @pytest.mark.parametrize("n,d,seed,lam", [(2000, 784, 20240817, 1e-2),
+                                              (2000, 16, 20240817, 1e-2),
+                                              (200, 8, 3, 1e-2),
+                                              (40, 3, 1, 0.5)])
+    def test_iterates_equal_two_product_reference(self, n, d, seed, lam):
+        prob = generate_synthetic(n, d, seed=seed, lam=lam)
+        branches = {"line_search": 0, "safe_step": 0}
+        assert np.array_equal(train_logreg_exact(prob), two_product_trainer(prob, branches))
+        assert branches["line_search"] > 0 and branches["safe_step"] > 0
 
 
 class TestOutputPerturbDP:

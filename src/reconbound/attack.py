@@ -2,9 +2,11 @@
 released generalized-linear-model parameter vector.
 
 The adversary knows every training sample except the challenge, plus the
-challenge label.  When the learner trains to an exact L2-regularized
-optimum, the per-sample gradients and N*lam*theta sum to zero, so the
-challenge's gradient contribution can be read off the release:
+challenge label: the whole training problem but the features of its last
+row, so `ThreatModel` holds the problem itself.  When the learner trains
+to an exact L2-regularized optimum, the per-sample gradients and
+N*lam*theta sum to zero, so the challenge's gradient contribution can be
+read off the release:
 
     g = -N * lam * h - sum of known-sample gradients at h.
 
@@ -33,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mechanisms import MechanismOutput, logistic_grad_sum, sigmoid
+from .mechanisms import LogRegProblem, MechanismOutput, logistic_grad_sum, sigmoid
 
 # w*sigmoid(w) has a single minimum, -W(1/e) = -0.27846 at
 # w = -1 - W(1/e), with W the Lambert function: no target below it has a
@@ -66,40 +68,21 @@ class AllFailedError(RuntimeError):
 
 @dataclass(frozen=True)
 class ThreatModel:
-    """Adversary knowledge: the fixed dataset, the challenge label and
-    ground-truth features (held for scoring only), and the query budget
-    m, the number of releases drawn per trial."""
+    """The informed adversary: the training problem, whose last row is the
+    challenge, and the query budget m, the number of releases drawn per
+    trial.  The attack reads every other row, the challenge label, lam
+    and N from the problem; the challenge features are read for scoring
+    only.  The problem is held, not copied."""
 
-    features_minus: np.ndarray
-    labels_minus: np.ndarray
-    challenge_x: np.ndarray
-    challenge_y: float
+    problem: LogRegProblem
     query_budget_m: int
 
     def __post_init__(self):
-        x = np.array(self.features_minus, dtype=float)
-        y = np.array(self.labels_minus, dtype=float)
-        cx = np.array(self.challenge_x, dtype=float)
-        if x.ndim != 2 or y.shape != (x.shape[0],):
-            raise ValueError("features_minus must be (N-1, d) with matching labels")
-        if cx.shape != (x.shape[1],):
-            raise ValueError("challenge_x must match the feature dimension")
-        if self.challenge_y not in (-1.0, 1.0):
-            raise ValueError("challenge_y must be -1 or +1")
         if self.query_budget_m < 1:
             raise ValueError("query_budget_m must be >= 1")
-        if x.size and bool(np.any(np.all(x == cx[None, :], axis=1))):
+        x = self.problem.features
+        if np.any(np.all(x[:-1] == x[-1], axis=1)):
             raise ValueError("challenge must not appear in the fixed dataset")
-        for arr, name in ((x, "features_minus"), (y, "labels_minus"), (cx, "challenge_x")):
-            arr.setflags(write=False)
-        object.__setattr__(self, "features_minus", x)
-        object.__setattr__(self, "labels_minus", y)
-        object.__setattr__(self, "challenge_x", cx)
-
-    @property
-    def n_total(self) -> int:
-        """Training-set size including the challenge."""
-        return self.features_minus.shape[0] + 1
 
 
 @dataclass(frozen=True)
@@ -181,6 +164,13 @@ def glm_reconstruct_single(h, features_minus: np.ndarray, labels_minus: np.ndarr
     return estimates[0]
 
 
+def _invert(model: ThreatModel, releases: np.ndarray) -> tuple:
+    """`glm_reconstruct` of a (M, d) stack against the adversary's view."""
+    p = model.problem
+    return glm_reconstruct(releases, p.features[:-1], p.labels[:-1],
+                           float(p.labels[-1]), p.lam, p.n)
+
+
 def _average(model: ThreatModel, estimates: np.ndarray, ok: np.ndarray) -> tuple:
     """Mean of each trial's surviving estimates and its squared distance
     to the challenge; (T, n, d) estimates with a (T, n) survival mask.
@@ -188,14 +178,14 @@ def _average(model: ThreatModel, estimates: np.ndarray, ok: np.ndarray) -> tuple
     counts = ok.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         z_hat = np.where(ok[:, :, None], estimates, 0.0).sum(axis=1) / counts[:, None]
-    diff = model.challenge_x - z_hat
+    diff = model.problem.features[-1] - z_hat
     # squaring the norm, rather than summing squares, fixes the rounding
     # of the emitted errors: sweep CSVs are compared byte for byte
     dist = np.sqrt(np.einsum("td,td->t", diff, diff))
     return z_hat, dist * dist
 
 
-def attack_trials(model: ThreatModel, releases: np.ndarray, lam: float) -> tuple:
+def attack_trials(model: ThreatModel, releases: np.ndarray) -> tuple:
     """Run the attack for T independent trials in one batch.
 
     ``releases`` is (T, n, d): trial t's n draws.  All T*n are inverted
@@ -204,16 +194,14 @@ def attack_trials(model: ThreatModel, releases: np.ndarray, lam: float) -> tuple
     when every draw failed, and the count of draws that failed.
     """
     trials, n, d = releases.shape
-    estimates, reasons = glm_reconstruct(releases.reshape(trials * n, d),
-                                         model.features_minus, model.labels_minus,
-                                         model.challenge_y, lam, model.n_total)
+    estimates, reasons = _invert(model, releases.reshape(trials * n, d))
     ok = (reasons == 0).reshape(trials, n)
     _, mse = _average(model, estimates.reshape(trials, n, d), ok)
     return mse, n - ok.sum(axis=1)
 
 
 def attack_average(model: ThreatModel, mechanism: Callable[[np.random.Generator], object],
-                   lam: float, rng: np.random.Generator) -> AttackResult:
+                   rng: np.random.Generator) -> AttackResult:
     """Draw n releases, invert them, and average the survivors: one trial.
 
     ``mechanism(rng)`` must return one release (vector or
@@ -222,9 +210,7 @@ def attack_average(model: ThreatModel, mechanism: Callable[[np.random.Generator]
     distance between the challenge and the averaged estimate.
     """
     releases = np.stack([_vector(mechanism(rng)) for _ in range(model.query_budget_m)])
-    estimates, reasons = glm_reconstruct(releases, model.features_minus,
-                                         model.labels_minus, model.challenge_y,
-                                         lam, model.n_total)
+    estimates, reasons = _invert(model, releases)
     ok = reasons == 0
     if not ok.any():
         raise AllFailedError(f"all {model.query_budget_m} draws failed to invert")
@@ -232,4 +218,3 @@ def attack_average(model: ThreatModel, mechanism: Callable[[np.random.Generator]
     return AttackResult(z_hat=z_hat[0], mse=float(mse[0]),
                         per_sample_estimates=tuple(estimates[ok]),
                         failures=int((~ok).sum()))
-

@@ -108,8 +108,8 @@ class SweepConfig:
         grid = tuple(float(e) for e in self.eps_grid)
         if not grid:
             raise ConfigError("eps_grid must be nonempty")
-        if any(e <= 0 for e in grid):
-            raise ConfigError("eps grid values must be positive")
+        if not all(0 < e < math.inf for e in grid):
+            raise ConfigError("eps grid values must be positive and finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("eps_grid must be strictly increasing")
         object.__setattr__(self, "eps_grid", grid)
@@ -121,6 +121,8 @@ class SweepConfig:
             raise ConfigError(f"unknown dataset_source {self.dataset_source!r}")
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
+        if not 0 <= self.delta < 1:
+            raise ConfigError("delta must lie in [0, 1)")
         object.__setattr__(self, "digit_pair", tuple(int(d) for d in self.digit_pair))
 
 
@@ -145,23 +147,22 @@ class SweepResult:
 def parse_eps_grid(text: str) -> tuple:
     """Grid from 'a:b:step' (half-open at b) or a comma-separated list."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"bad grid spec {text!r}, expected a:b:step")
-        a, b, step = (float(p) for p in parts)
-        if step <= 0 or b <= a:
-            raise ConfigError(f"bad grid spec {text!r}")
-        out = []
-        k = 0
-        while True:
-            v = a + k * step
-            if v >= b - 1e-12:
-                break
-            out.append(v)
-            k += 1
-        return tuple(out)
-    return tuple(float(p) for p in text.split(","))
+    values = tuple(float(p) for p in text.split(":" if ":" in text else ","))
+    # a non-finite value is no privacy level, and a non-finite end or
+    # step would never end the loop below
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"eps grid values must be finite, got {text!r}")
+    if ":" not in text:
+        return values
+    if len(values) != 3:
+        raise ConfigError(f"bad grid spec {text!r}, expected a:b:step")
+    a, b, step = values
+    if step <= 0 or b <= a:
+        raise ConfigError(f"bad grid spec {text!r}")
+    out = []
+    while (v := a + len(out) * step) < b - 1e-12:
+        out.append(v)
+    return tuple(out)
 
 
 _CONFIG_PARSERS = {
@@ -231,6 +232,7 @@ def generate_synthetic(n: int, d: int, seed: int, lam: float = 1e-2,
     # row blocks: each row sums as in a whole-array sum, with no full-size temporary
     norms = np.concatenate([np.sum(b * b, axis=1) for b in np.split(x, range(256, n, 256))])
     x /= np.maximum(np.sqrt(norms), 1.0)[:, None]
+    x.setflags(write=False)
     return LogRegProblem(features=x, labels=labels, lam=lam, tolerance=tolerance)
 
 
@@ -279,6 +281,7 @@ def load_idx(images_path, labels_path, digits: tuple = (0, 1), lam: float = 1e-2
     y = np.where(labels[keep] == hi, 1.0, -1.0)
     norms = np.sqrt(np.sum(x * x, axis=1))
     x /= np.maximum(norms, 1.0)[:, None]
+    x.setflags(write=False)
     return LogRegProblem(features=x, labels=y, lam=lam, tolerance=tolerance)
 
 
@@ -394,17 +397,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     mechanism, so every draw is a chain of its own.
     """
     problem = _load_problem(config)
-    model = ThreatModel(features_minus=problem.features[:-1],
-                        labels_minus=problem.labels[:-1],
-                        challenge_x=problem.features[-1],
-                        challenge_y=float(problem.labels[-1]),
-                        query_budget_m=config.n_samples)
+    model = ThreatModel(problem, config.n_samples)
     kind = MECHANISM_KINDS[config.mechanism_kind]
     release = _pnsgd_releases if kind.pnsgd else _output_perturb_releases
     cells = release(kind, config, problem)
     rows = []
     for eps_idx, (eps, releases) in enumerate(zip(config.eps_grid, cells)):
-        mse, failures = attack_trials(model, releases, config.lam)
+        mse, failures = attack_trials(model, releases)
         mses = mse[~np.isnan(mse)]
         mean_mse = float(mses.mean()) if mses.size else math.inf
         ci_rng = np.random.default_rng(

@@ -22,6 +22,17 @@ class ConvergenceError(RuntimeError):
     """The trainer did not reach the gradient tolerance within its cap."""
 
 
+def _frozen(a) -> np.ndarray:
+    """``a`` itself when it is a read-only float64 array that owns its
+    data, as a builder freezes what it hands over; otherwise a read-only
+    copy, which later writes to the caller's array cannot reach."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.flags.owndata and not a.flags.writeable):
+        a = np.array(a, dtype=float)
+        a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class PrivacyParams:
     """Privacy knobs shared by mechanisms and bounds.
@@ -53,7 +64,9 @@ class LogRegProblem:
 
     Feature rows must be pre-normalized to L2 norm at most 1; labels are
     -1/+1.  ``tolerance`` is the gradient-norm threshold the trainer must
-    reach, which downstream attack code relies on.
+    reach, which downstream attack code relies on.  Features and labels
+    are held as given when read-only float64 arrays that own their data,
+    and copied otherwise.
     """
 
     features: np.ndarray
@@ -62,8 +75,7 @@ class LogRegProblem:
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        x = np.array(self.features, dtype=float)
-        y = np.array(self.labels, dtype=float)
+        x, y = _frozen(self.features), _frozen(self.labels)
         if x.ndim != 2:
             raise ValueError("features must be a 2-D array")
         if y.shape != (x.shape[0],):
@@ -78,8 +90,6 @@ class LogRegProblem:
             raise ValueError("tolerance must be positive")
         if np.any(np.sqrt(np.einsum("ij,ij->i", x, x)) > 1.0 + 1e-12):
             raise ValueError("feature rows must have L2 norm <= 1")
-        x.setflags(write=False)
-        y.setflags(write=False)
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "labels", y)
 
@@ -105,9 +115,7 @@ class MechanismOutput:
     noise_scale: float
 
     def __post_init__(self):
-        v = np.array(self.value, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", _frozen(self.value))
 
 
 def sigmoid(t):

@@ -161,6 +161,8 @@ def noise_for_target_dp(eps: float, delta: float, G: float, n: int, t: int,
     _check_position(n, t)
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
     best = (math.inf, math.nan)
     for alpha in alphas:
         budget = eps - math.log(1.0 / delta) / (alpha - 1.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from reconbound.attack import (NO_ROOT, AllFailedError, DegenerateGradientError,
                                NoRootError, ThreatModel, _solve_scalar, attack_average,
                                attack_trials, glm_reconstruct, glm_reconstruct_single)
 from reconbound.harness import generate_synthetic
-from reconbound.mechanisms import (PrivacyParams, output_perturb_dp, sigmoid,
-                                   train_logreg_exact)
+from reconbound.mechanisms import (LogRegProblem, PrivacyParams, output_perturb_dp,
+                                   sigmoid, train_logreg_exact)
 
 
 def trained_instance(seed, n=60, d=4, lam=1.0):
@@ -18,11 +19,7 @@ def trained_instance(seed, n=60, d=4, lam=1.0):
 
 
 def threat_model(prob, m=1):
-    return ThreatModel(features_minus=prob.features[:-1],
-                       labels_minus=prob.labels[:-1],
-                       challenge_x=prob.features[-1],
-                       challenge_y=float(prob.labels[-1]),
-                       query_budget_m=m)
+    return ThreatModel(prob, m)
 
 
 def scan_and_bisect(target, bracket=100.0, tol=1e-12, points=8001):
@@ -168,10 +165,10 @@ class TestAveraging:
         mech = lambda rng: output_perturb_dp(theta, PrivacyParams(eps=3.0), prob.n,
                                              prob.lam, rng)
         rng = np.random.default_rng(11)
-        res = attack_average(model, mech, prob.lam, rng)
+        res = attack_average(model, mech, rng)
         rng2 = np.random.default_rng(11)
         single = glm_reconstruct_single(mech(rng2), prob.features[:-1], prob.labels[:-1],
-                                        model.challenge_y, prob.lam, prob.n)
+                                        float(prob.labels[-1]), prob.lam, prob.n)
         assert np.allclose(res.z_hat, single, rtol=0, atol=0)
         assert len(res.per_sample_estimates) == 1
 
@@ -180,7 +177,7 @@ class TestAveraging:
         model = threat_model(prob, m=5)
         mech = lambda rng: output_perturb_dp(theta, PrivacyParams(eps=1.0), prob.n,
                                              prob.lam, rng, noiseless=True)
-        res = attack_average(model, mech, prob.lam, np.random.default_rng(0))
+        res = attack_average(model, mech, np.random.default_rng(0))
         assert res.mse < 1e-12
         assert res.failures == 0
 
@@ -189,7 +186,7 @@ class TestAveraging:
         model = threat_model(prob, m=4)
         mech = lambda rng: output_perturb_dp(theta, PrivacyParams(eps=5.0), prob.n,
                                              prob.lam, rng)
-        res = attack_average(model, mech, prob.lam, np.random.default_rng(1))
+        res = attack_average(model, mech, np.random.default_rng(1))
         assert np.allclose(res.z_hat, np.mean(np.stack(res.per_sample_estimates), axis=0))
 
     def test_mse_nonincreasing_in_sample_count(self):
@@ -203,7 +200,7 @@ class TestAveraging:
                 mech = lambda r: output_perturb_dp(theta, PrivacyParams(eps=4.0),
                                                    prob.n, prob.lam, r)
                 try:
-                    mses.append(attack_average(model, mech, prob.lam, rng).mse)
+                    mses.append(attack_average(model, mech, rng).mse)
                 except AllFailedError:
                     pass
             means.append(float(np.mean(mses)))
@@ -223,7 +220,7 @@ class TestAveraging:
                 mech = lambda r: output_perturb_dp(theta, PrivacyParams(eps=eps),
                                                    prob.n, prob.lam, r)
                 try:
-                    mses.append(attack_average(model, mech, prob.lam, rng).mse)
+                    mses.append(attack_average(model, mech, rng).mse)
                 except AllFailedError:
                     pass
             medians.append(float(np.median(mses)) if mses else math.inf)
@@ -235,7 +232,7 @@ class TestAveraging:
         model = threat_model(prob, m=3)
         wild = lambda rng: theta + 50.0 * np.ones_like(theta)
         with pytest.raises(AllFailedError):
-            attack_average(model, wild, prob.lam, np.random.default_rng(0))
+            attack_average(model, wild, np.random.default_rng(0))
 
 
 class TestBatchInversion:
@@ -258,9 +255,9 @@ class TestBatchInversion:
             assert list(reasons) == [int(r[0]) for _, r in alone]
             for row, (one, _) in zip(est, alone):
                 np.testing.assert_allclose(row, one[0], rtol=1e-12, atol=0)
-            mse, failures = attack_trials(model, releases, prob.lam)
+            mse, failures = attack_trials(model, releases)
             for t in range(8):
-                mse_t, failures_t = attack_trials(model, releases[t:t + 1], prob.lam)
+                mse_t, failures_t = attack_trials(model, releases[t:t + 1])
                 assert failures[t] == failures_t[0]
                 np.testing.assert_allclose(mse[t], mse_t[0], rtol=1e-12, atol=0)
             assert failures.sum() == np.count_nonzero(reasons == NO_ROOT)
@@ -282,6 +279,20 @@ class TestBatchInversion:
 
 
 class TestThreatModelAndShadows:
+    def test_holds_the_problem_without_copying(self):
+        # at image width the features are 12.5 MB; the threat model adds a
+        # view of them and the transient row comparison, nothing full size
+        prob = generate_synthetic(2000, 784, seed=20240817)
+        ThreatModel(generate_synthetic(20, 784, seed=1), 1)
+        tracemalloc.start()
+        try:
+            model = ThreatModel(prob, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(model.problem.features, prob.features)
+        assert peak <= 0.25 * prob.features.nbytes
+
     def test_budget_exhausted(self):
         prob, _ = trained_instance(0)
         with pytest.raises(ValueError, match="query_budget_m"):
@@ -289,12 +300,11 @@ class TestThreatModelAndShadows:
 
     def test_challenge_not_in_fixed_dataset(self):
         prob, _ = trained_instance(0)
-        feats = np.vstack([prob.features[:-1], prob.features[-1]])
-        labels = np.append(prob.labels[:-1], prob.labels[-1])
-        with pytest.raises(ValueError):
-            ThreatModel(features_minus=feats, labels_minus=labels,
-                        challenge_x=prob.features[-1],
-                        challenge_y=float(prob.labels[-1]), query_budget_m=1)
+        feats = np.vstack([prob.features, prob.features[3]])
+        labels = np.append(prob.labels, prob.labels[3])
+        repeated = LogRegProblem(features=feats, labels=labels, lam=prob.lam)
+        with pytest.raises(ValueError, match="challenge must not appear"):
+            ThreatModel(repeated, 1)
 
 
 class TestExactnessSweep:

@@ -118,3 +118,26 @@ class TestSweepCommand:
                        "train_size = 40\ndim = 2\nlam = 1.0\n")
         code = run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 3
+
+
+class TestBadInput:
+    def test_non_finite_grid_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("eps_grid = 1,nan\nmechanism_kind = OUTPUT_PERTURB_DP\nseed = 1\n")
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert run_cli(["sweep", "--eps-grid", "0:inf:1", "--mechanism", "OUTPUT_PERTURB_DP",
+                        "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+        assert run_cli(["bounds", "--eps-grid", "1,nan", "--diam", "1.0",
+                        "--out", str(tmp_path / "b.csv")]) == 2
+        assert run_cli(["oracle", "--eps-grid", "0:inf:1"]) == 2
+        assert capsys.readouterr().err.count("config error") == 4
+        assert not (tmp_path / "o").exists() and not (tmp_path / "b.csv").exists()
+
+    def test_pnsgd_dp_zero_delta_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("eps_grid = 2\nmechanism_kind = PNSGD_DP\nseed = 1\ndelta = 0\n"
+                       "trials = 1\ntrain_size = 40\ndim = 2\n")
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "delta" in err
+        assert "Traceback" not in err

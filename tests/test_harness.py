@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reconbound import bounds
+from reconbound import bounds, harness
 from reconbound.harness import (MECHANISM_KINDS, ConfigError, DigitAbsentError,
                                 DominanceError, IdxFormatError, SweepConfig, SweepResult,
                                 SweepRow, audit_dominance, emit_bounds_csv, emit_csv,
@@ -169,6 +169,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_eps_grid("5:1:0.5")
 
+    def test_non_finite_grid_rejected(self):
+        for grid in ((1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ConfigError, match="finite"):
+                tiny_config(eps_grid=grid)
+        # a non-finite end or step would otherwise never end the grid
+        for text in ("1,nan", "1,inf", "0:inf:1", "0:nan:1", "nan:1:0.5", "0:1:inf"):
+            with pytest.raises(ConfigError):
+                parse_eps_grid(text)
+
+    def test_delta_range(self):
+        for delta in (-1e-5, 1.0, math.nan):
+            with pytest.raises(ConfigError, match="delta"):
+                tiny_config(delta=delta)
+        assert tiny_config(delta=0.0).delta == 0.0
+
     def test_grid_validation(self):
         with pytest.raises(ConfigError):
             tiny_config(eps_grid=(2.0, 1.0))
@@ -194,6 +209,19 @@ class TestRunSweep:
         emit_csv(run_sweep(cfg), p1)
         emit_csv(run_sweep(cfg), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_sweep_holds_one_copy_of_the_features(self, monkeypatch):
+        # the array the dataset build freezes is the one the problem and
+        # the threat model hold
+        built, models = [], []
+        real_problem, real_trials = harness.LogRegProblem, harness.attack_trials
+        monkeypatch.setattr(harness, "LogRegProblem",
+                            lambda **kw: built.append(kw["features"]) or real_problem(**kw))
+        monkeypatch.setattr(harness, "attack_trials",
+                            lambda model, releases: (models.append(model)
+                                                     or real_trials(model, releases)))
+        run_sweep(tiny_config(trials=2, lam=1e-2, train_size=2000, dim=16))
+        assert np.shares_memory(models[0].problem.features, built[0])
 
     def test_ci_brackets_mean(self):
         res = run_sweep(tiny_config(trials=8))

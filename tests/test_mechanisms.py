@@ -48,6 +48,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             LogRegProblem(features=x, labels=np.array([1.0]), lam=0.0)
 
+    def test_caller_writes_do_not_reach_the_problem(self):
+        # a writable array, or a read-only view of a writable base, is
+        # copied; a frozen array that owns its data is held as given
+        base = np.array([[0.5, 0.0], [0.0, -0.5]])
+        labels = np.array([1.0, -1.0])
+        view = base.view()
+        view.setflags(write=False)
+        problems = [LogRegProblem(features=a, labels=labels, lam=1.0) for a in (base, view)]
+        base[0, 0] = 0.25
+        labels[1] = 1.0
+        for prob in problems:
+            assert np.array_equal(prob.features, [[0.5, 0.0], [0.0, -0.5]])
+            assert np.array_equal(prob.labels, [1.0, -1.0])
+            assert not prob.features.flags.writeable
+        frozen = base.copy()
+        frozen.setflags(write=False)
+        assert LogRegProblem(features=frozen, labels=labels, lam=1.0).features is frozen
+
 
 class TestTrainer:
     def test_symmetric_instance_stationary(self):

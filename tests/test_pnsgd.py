@@ -60,9 +60,9 @@ class TestRun:
             s2 = (1 - eta) ** 2 * s2 + eta ** 2 * sigma ** 2
         cfg = PNSGDConfig(eta=eta, sigma=sigma, w0=np.zeros(1),
                           constraint_radius=100.0, beta=1.0)
-        rng = np.random.default_rng(12345)
-        finals = np.array([pnsgd_run(cfg, xs, quad_grad, rng)[0]
-                           for _ in range(100_000)])
+        # the chains run in lockstep, each from a generator of its own
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(12345).spawn(100_000)]
+        finals = pnsgd_run(cfg, xs, quad_grad, rngs)[:, 0]
         assert finals.mean() == pytest.approx(m, rel=0.02)
         assert finals.var() == pytest.approx(s2, rel=0.02)
 
@@ -227,6 +227,11 @@ class TestConversion:
             sigma_sq, alpha = noise_for_target_dp(eps, delta, g, n, t)
             achieved = rdp_to_dp(alpha, 2 * alpha * g * g / (sigma_sq * (n - t + 1)), delta)
             assert achieved <= eps + 1e-9
+
+    def test_target_delta_out_of_range(self):
+        for delta in (0.0, 1.0, -1e-5):
+            with pytest.raises(ValueError, match="delta"):
+                noise_for_target_dp(1.0, delta, 1.0, 10, 1)
 
     def test_unreachable_target(self):
         with pytest.raises(ValueError):

@@ -53,6 +53,10 @@ AUDITED_BOUNDS = ("dp_lecam", "mdp_lecam", "mdp_fano")
 # rows are normalised into the unit L2 ball, so the domain has diameter 2
 UNIT_BALL_DIAM = 2.0
 
+# far beyond any plotted sweep; a finer a:b:step grid is refused before it
+# is built, as its points would fill memory first
+GRID_POINTS_CAP = 10_000
+
 
 @dataclass(frozen=True)
 class MechanismKind:
@@ -159,6 +163,8 @@ def parse_eps_grid(text: str) -> tuple:
     a, b, step = values
     if step <= 0 or b <= a:
         raise ConfigError(f"bad grid spec {text!r}")
+    if math.ceil((b - a) / step) > GRID_POINTS_CAP:
+        raise ConfigError(f"grid spec {text!r} has more than {GRID_POINTS_CAP} points")
     out = []
     while (v := a + len(out) * step) < b - 1e-12:
         out.append(v)

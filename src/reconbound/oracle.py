@@ -187,13 +187,17 @@ def channel_renyi(mech: FiniteMechanism, i: int, j: int, alpha: float) -> float:
     return math.log(s) / (alpha - 1.0)
 
 
-def product_tv(mech: FiniteMechanism, n: int, cap: int = ENUMERATION_CAP) -> float:
+def product_tv(mech: FiniteMechanism, n: int,
+               cap: int = ENUMERATION_CAP) -> tuple[float, float]:
     """Exact total variation between the n-fold products of a two-input
-    channel's rows."""
+    channel's rows, and their overlap sum(min(p, q)) = 1 - TV, summed
+    from the same enumeration so it keeps its precision where TV is
+    near 1."""
     if mech.n_inputs != 2:
         raise ValueError("product TV requires exactly two inputs")
     like, mult = _type_likelihoods(mech, n, cap)
-    return float(0.5 * (np.abs(like[0] - like[1]) @ mult))
+    return (float(0.5 * (np.abs(like[0] - like[1]) @ mult)),
+            float(np.minimum(like[0], like[1]) @ mult))
 
 
 @dataclass(frozen=True)
@@ -214,7 +218,8 @@ def lecam_certificate(mech: FiniteMechanism, space: FiniteMetricSpace, n: int = 
     """Exact two-point certificate chain.
 
     Computes the exact Bayes risk, the two-point testing bound
-    (t^2/2)(1 - TV_n) at t = separation/2, its exponential relaxation
+    (t^2/2)(1 - TV_n) at t = separation/2 (with 1 - TV_n the products'
+    overlap, free of cancellation), its exponential relaxation
     (t^2/4) e^(-n KL), and the closed-form privacy bound with matching
     constants, then asserts the chain exact >= testing >= relaxation >=
     closed form.
@@ -224,10 +229,10 @@ def lecam_certificate(mech: FiniteMechanism, space: FiniteMetricSpace, n: int = 
     i, j = mech.inputs
     sep = float(space.dist[i, j])
     t = sep / 2.0
-    tv_n = product_tv(mech, n, cap)
+    tv_n, overlap = product_tv(mech, n, cap)
     kl = channel_kl(mech, 0, 1)
     eps = dp_epsilon_of(mech)
-    lecam = (t * t / 2.0) * (1.0 - tv_n)
+    lecam = (t * t / 2.0) * overlap
     bh = (t * t / 4.0) * math.exp(-n * kl) if math.isfinite(kl) else 0.0
     if math.isfinite(eps):
         dp_bound = LECAM_CONSTANT * sep * sep * math.exp(-n * eps * math.tanh(eps / 2.0))

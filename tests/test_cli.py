@@ -133,6 +133,10 @@ class TestBadInput:
         assert capsys.readouterr().err.count("config error") == 4
         assert not (tmp_path / "o").exists() and not (tmp_path / "b.csv").exists()
 
+    def test_oversized_grid_exit_2(self, capsys):
+        assert run_cli(["oracle", "--eps-grid", "0:1:1e-9"]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_pnsgd_dp_zero_delta_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("eps_grid = 2\nmechanism_kind = PNSGD_DP\nseed = 1\ndelta = 0\n"

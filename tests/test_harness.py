@@ -70,8 +70,8 @@ class TestSynthetic:
         assert np.array_equal(prob.labels, labels)
 
     def test_peak_allocation(self):
-        # built in place, the features and the problem's validated copy
-        # are the only full-size arrays alive at once
+        # built in place and held by the problem as given, the features
+        # are the only full-size array alive (the peak is about 1.13 of them)
         generate_synthetic(20, 784, seed=1)
         tracemalloc.start()
         try:
@@ -168,6 +168,12 @@ class TestConfigParsing:
         assert parse_eps_grid("1,2,4") == (1.0, 2.0, 4.0)
         with pytest.raises(ConfigError):
             parse_eps_grid("5:1:0.5")
+
+    def test_grid_size_capped(self):
+        # refused from its spec alone: building its 1e9 points would fill memory
+        with pytest.raises(ConfigError, match="points"):
+            parse_eps_grid("0:1:1e-9")
+        assert parse_eps_grid("0.1:5:0.35") == tuple(0.1 + i * 0.35 for i in range(14))
 
     def test_non_finite_grid_rejected(self):
         for grid in ((1.0, math.nan), (1.0, math.inf)):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -171,6 +172,21 @@ class TestLeCamCertificate:
         with pytest.raises(ValueError):
             lecam_certificate(randomized_response(1.0, k=3), uniform_space(3), 1)
 
+    def test_bound_exact_where_tv_near_one(self):
+        # at n=18, eps=4.75 TV_n is within 1.1e-14 of 1, so 1 - TV_n
+        # keeps about two digits; the bound is (1/8) sum_k C(n,k)
+        # min(p^k q^(n-k), q^k p^(n-k)) over the channel's float entries,
+        # evaluated exactly
+        mech = randomized_response(4.75)
+        n = 18
+        rep = lecam_certificate(mech, two_point_space(1.0), n)
+        p, q = (Fraction(float(v)) for v in mech.channel[0])
+        exact = Fraction(1, 8) * sum(math.comb(n, k) * min(p ** k * q ** (n - k),
+                                                           q ** k * p ** (n - k))
+                                     for k in range(n + 1))
+        assert 1.0 - rep.tv_product < 1e-13
+        assert abs(rep.lecam_bound - float(exact)) <= 1e-12 * float(exact)
+
 
 class TestFanoCertificate:
     def test_uniform_channel(self):
@@ -248,7 +264,9 @@ class TestTypeClassesMatchTupleEnumeration:
                  (exact_identification_error(mech, n), 1.0 - like.max(axis=0).sum() / m),
                  (mutual_information(mech, n), terms.sum() / m)]
         if m == 2:
-            pairs.append((product_tv(mech, n), 0.5 * np.sum(np.abs(like[0] - like[1]))))
+            tv, overlap = product_tv(mech, n)
+            pairs += [(tv, 0.5 * np.sum(np.abs(like[0] - like[1]))),
+                      (overlap, np.sum(np.minimum(like[0], like[1])))]
         for got, want in pairs:
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (n, mech.channel, got, want)
 

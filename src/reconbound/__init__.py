@@ -12,13 +12,11 @@ from .divergence import (AnalyticPair, analytic_kl, analytic_renyi, bh_tv_bound,
                          kl_bound, numeric_kl, renyi_bound, tensorized_kl)
 from .harness import (SweepConfig, SweepResult, audit_dominance, emit_csv,
                       emit_svg, generate_synthetic, load_idx, run_sweep)
-from .mechanisms import (LogRegProblem, MechanismOutput, PrivacyParams,
-                         output_perturb_dp, output_perturb_mdp_euclidean,
-                         train_logreg_exact)
-from .metric_space import (FiniteMetricSpace, NormedSpaceSpec, covering_number,
-                           discretize_unit_ball, effective_dimension,
-                           norm_ball_covering_bounds, norm_ball_covering_bounds_log,
-                           packing_number)
+from .mechanisms import (LogRegProblem, PrivacyParams, output_perturb_dp,
+                         output_perturb_mdp_euclidean, train_logreg_exact)
+from .metric_space import (FiniteMetricSpace, covering_number, discretize_unit_ball,
+                           effective_dimension, norm_ball_covering_bounds,
+                           norm_ball_covering_bounds_log, packing_number)
 from .oracle import (FiniteMechanism, dp_epsilon_of, exact_bayes_risk,
                      fano_certificate, lecam_certificate, randomized_response)
 from .pnsgd import (PNSGDConfig, noise_for_renyi_dp, noise_for_renyi_mdp,

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mechanisms import LogRegProblem, MechanismOutput, logistic_grad_sum, sigmoid
+from .mechanisms import LogRegProblem, logistic_grad_sum, sigmoid
 
 # w*sigmoid(w) has a single minimum, -W(1/e) = -0.27846 at
 # w = -1 - W(1/e), with W the Lambert function: no target below it has a
@@ -143,18 +143,11 @@ def glm_reconstruct(releases: np.ndarray, features_minus: np.ndarray,
     return estimates, reasons
 
 
-def _vector(h) -> np.ndarray:
-    return np.asarray(h.value if isinstance(h, MechanismOutput) else h, dtype=float)
-
-
 def glm_reconstruct_single(h, features_minus: np.ndarray, labels_minus: np.ndarray,
                            y_star: float, lam: float, n_total: int) -> np.ndarray:
     """Invert one released parameter vector into challenge features: the
-    batch-of-one case of `glm_reconstruct`, raising its failure reason.
-
-    ``h`` may be a raw vector or a `MechanismOutput`.
-    """
-    estimates, reasons = glm_reconstruct(_vector(h)[None, :], features_minus,
+    batch-of-one case of `glm_reconstruct`, raising its failure reason."""
+    estimates, reasons = glm_reconstruct(np.atleast_2d(h), features_minus,
                                          labels_minus, y_star, lam, n_total)
     if reasons[0] == DEGENERATE:
         raise DegenerateGradientError("challenge gradient contribution is numerically zero")
@@ -200,16 +193,16 @@ def attack_trials(model: ThreatModel, releases: np.ndarray) -> tuple:
     return mse, n - ok.sum(axis=1)
 
 
-def attack_average(model: ThreatModel, mechanism: Callable[[np.random.Generator], object],
+def attack_average(model: ThreatModel, mechanism: Callable[[np.random.Generator], np.ndarray],
                    rng: np.random.Generator) -> AttackResult:
     """Draw n releases, invert them, and average the survivors: one trial.
 
-    ``mechanism(rng)`` must return one release (vector or
-    `MechanismOutput`) per call.  Draws whose scalar equation has no
-    solution are dropped and counted; the error is the squared Euclidean
-    distance between the challenge and the averaged estimate.
+    ``mechanism(rng)`` must return one released vector per call.  Draws
+    whose scalar equation has no solution are dropped and counted; the
+    error is the squared Euclidean distance between the challenge and the
+    averaged estimate.
     """
-    releases = np.stack([_vector(mechanism(rng)) for _ in range(model.query_budget_m)])
+    releases = np.stack([mechanism(rng) for _ in range(model.query_budget_m)])
     estimates, reasons = _invert(model, releases)
     ok = reasons == 0
     if not ok.any():

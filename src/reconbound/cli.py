@@ -66,27 +66,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep(args) -> int:
-    if args.config:
-        config = harness.parse_config(args.config)
-    else:
-        if args.eps_grid is None or args.mechanism is None or args.seed is None:
-            raise harness.ConfigError(
-                "without --config, all of --eps-grid/--mechanism/--seed are required")
-        config = harness.SweepConfig(eps_grid=harness.parse_eps_grid(args.eps_grid),
-                                     mechanism_kind=args.mechanism, seed=args.seed)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.mechanism is not None:
-        overrides["mechanism_kind"] = args.mechanism
-    if args.eps_grid is not None:
-        overrides["eps_grid"] = harness.parse_eps_grid(args.eps_grid)
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.noiseless is not None:
-        overrides["noiseless"] = True
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    flags = {"seed": args.seed, "mechanism_kind": args.mechanism,
+             "eps_grid": args.eps_grid, "trials": args.trials, "noiseless": args.noiseless}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    config = harness.parse_config(args.config) if args.config else None
+    if config is None and not {"eps_grid", "mechanism_kind", "seed"} <= flags.keys():
+        raise harness.ConfigError(
+            "without --config, all of --eps-grid/--mechanism/--seed are required")
+    if "eps_grid" in flags:
+        flags["eps_grid"] = harness.parse_eps_grid(flags["eps_grid"])
+    config = (harness.SweepConfig(**flags) if config is None
+              else dataclasses.replace(config, **flags))
 
     result = harness.run_sweep(config)
     os.makedirs(args.out, exist_ok=True)

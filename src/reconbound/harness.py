@@ -39,7 +39,7 @@ from .bounds import BoundQuery
 from .mechanisms import (LogRegProblem, PrivacyParams, output_perturb_dp,
                          output_perturb_mdp_euclidean, sigmoid,
                          train_logreg_exact)
-from .metric_space import NormedSpaceSpec, effective_dimension
+from .metric_space import norm_ball_covering_bounds_log
 
 DATASET_SOURCES = ("SYNTHETIC", "IDX_FILES")
 
@@ -56,6 +56,9 @@ UNIT_BALL_DIAM = 2.0
 # far beyond any plotted sweep; a finer a:b:step grid is refused before it
 # is built, as its points would fill memory first
 GRID_POINTS_CAP = 10_000
+
+# resamples per bootstrap confidence interval; the CSV bytes depend on it
+BOOTSTRAP_RESAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -221,8 +224,7 @@ def parse_config(path) -> SweepConfig:
         return parse_config_text(fh.read())
 
 
-def generate_synthetic(n: int, d: int, seed: int, lam: float = 1e-2,
-                       tolerance: float = 1e-10) -> LogRegProblem:
+def generate_synthetic(n: int, d: int, seed: int, lam: float = 1e-2) -> LogRegProblem:
     """Two Gaussian blobs at +-0.5 * unit direction with isotropic spread
     0.3, labels -1/+1, rows rescaled into the unit L2 ball."""
     if d < 1 or n < 1:
@@ -239,7 +241,7 @@ def generate_synthetic(n: int, d: int, seed: int, lam: float = 1e-2,
     norms = np.concatenate([np.sum(b * b, axis=1) for b in np.split(x, range(256, n, 256))])
     x /= np.maximum(np.sqrt(norms), 1.0)[:, None]
     x.setflags(write=False)
-    return LogRegProblem(features=x, labels=labels, lam=lam, tolerance=tolerance)
+    return LogRegProblem(features=x, labels=labels, lam=lam)
 
 
 def _read_idx(raw: bytes, magic_expected: int, path: str) -> tuple:
@@ -251,8 +253,8 @@ def _read_idx(raw: bytes, magic_expected: int, path: str) -> tuple:
     return magic, count
 
 
-def load_idx(images_path, labels_path, digits: tuple = (0, 1), lam: float = 1e-2,
-             tolerance: float = 1e-10) -> LogRegProblem:
+def load_idx(images_path, labels_path, digits: tuple = (0, 1),
+             lam: float = 1e-2) -> LogRegProblem:
     """Load a big-endian IDX image/label pair, filter to two digits, map
     labels to -1/+1, scale pixels to [0,1], and normalize rows to the
     unit L2 ball."""
@@ -288,7 +290,7 @@ def load_idx(images_path, labels_path, digits: tuple = (0, 1), lam: float = 1e-2
     norms = np.sqrt(np.sum(x * x, axis=1))
     x /= np.maximum(norms, 1.0)[:, None]
     x.setflags(write=False)
-    return LogRegProblem(features=x, labels=y, lam=lam, tolerance=tolerance)
+    return LogRegProblem(features=x, labels=y, lam=lam)
 
 
 def _load_problem(config: SweepConfig) -> LogRegProblem:
@@ -351,13 +353,18 @@ def _pnsgd_releases(kind: MechanismKind, config: SweepConfig,
 def _output_perturb_releases(kind: MechanismKind, config: SweepConfig,
                              problem: LogRegProblem) -> Iterator[np.ndarray]:
     """Each cell's releases in turn, (trials, n_samples, d), each trial's
-    drawn in order from its own generator."""
+    drawn in order from its own generator.  A noiseless sweep stands for
+    the eps -> infinity limit: every release is the optimum itself, and
+    nothing is drawn."""
     theta_hat = train_logreg_exact(problem)
+    if config.noiseless:
+        for _ in config.eps_grid:
+            yield np.tile(theta_hat, (config.trials, config.n_samples, 1))
+        return
     draw = output_perturb_mdp_euclidean if kind.metric else output_perturb_dp
     for eps_idx, eps in enumerate(config.eps_grid):
         params = PrivacyParams(eps_metric=eps) if kind.metric else PrivacyParams(eps=eps)
-        yield np.array([[draw(theta_hat, params, problem.n, config.lam, rng,
-                              noiseless=config.noiseless).value
+        yield np.array([[draw(theta_hat, params, problem.n, config.lam, rng)
                          for _ in range(config.n_samples)]
                         for rng in _trial_rngs(config, eps_idx)])
 
@@ -365,30 +372,30 @@ def _output_perturb_releases(kind: MechanismKind, config: SweepConfig,
 def evaluate_bounds(kind: MechanismKind, config: SweepConfig, problem: LogRegProblem,
                     eps: float) -> dict:
     """All bounds applicable to this mechanism kind at one grid point, on
-    the unit-ball domain: diameter 2, effective dimension d*ln2, and the
-    prior unbiased bound's unit-ball convention (coordinate sum d)."""
+    the unit-ball domain: diameter 2, effective dimension the log of the
+    ball's lower covering bound at radius 1/2 (d*ln2), and the prior
+    unbiased bound's unit-ball convention (coordinate sum d)."""
     delta = config.delta if kind.pnsgd else 0.0
     if kind.metric:
-        domain = NormedSpaceSpec(dim=problem.dim, norm="l2")
         q = BoundQuery(params=PrivacyParams(eps_metric=eps, delta=delta),
-                       n=config.n_samples, d_eff=effective_dimension(domain))
+                       n=config.n_samples,
+                       d_eff=norm_ball_covering_bounds_log(problem.dim, 0.5)[0])
         return {"mdp_lecam": bounds_mod.mdp_lecam_bound(q),
                 "mdp_fano": bounds_mod.mdp_fano_bound(q)}
-    q = BoundQuery(params=PrivacyParams(eps=eps, delta=delta, alpha=2.0),
+    q = BoundQuery(params=PrivacyParams(eps=eps, delta=delta),
                    n=config.n_samples, diam=UNIT_BALL_DIAM,
                    coord_diam_sq_sum=float(problem.dim))
     return {"dp_lecam": bounds_mod.dp_lecam_bound(q),
             "rdp_unbiased": bounds_mod.unbiased_rdp_bound(q)}
 
 
-def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator,
-                  resamples: int = 10_000) -> tuple:
+def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator) -> tuple:
     if values.size == 0:
         return math.inf, math.inf
     if values.size == 1:
         v = float(values[0])
         return v, v
-    idx = rng.integers(0, values.size, size=(resamples, values.size))
+    idx = rng.integers(0, values.size, size=(BOOTSTRAP_RESAMPLES, values.size))
     means = values[idx].mean(axis=1)
     lo, hi = np.percentile(means, [2.5, 97.5])
     return float(lo), float(hi)

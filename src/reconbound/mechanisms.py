@@ -9,9 +9,8 @@ Hessian; one margin product y * (X @ theta) per candidate gives its
 objective and gradient.
 
 Every sampler takes an explicit numpy Generator, so runs are
-deterministic per stream and safe to execute concurrently.  Released
-values travel inside `MechanismOutput` together with the scale of the
-noise added to them.
+deterministic per stream and safe to execute concurrently, and returns
+the released vector: all the adversary sees of a release.
 """
 
 from __future__ import annotations
@@ -103,22 +102,6 @@ class LogRegProblem:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-
-@dataclass(frozen=True)
-class MechanismOutput:
-    """A released vector and the scale of its noise.
-
-    ``noise_scale`` is the Laplace scale of each coordinate (standard
-    privacy) or the inverse rate of the radial-Laplace density (metric
-    privacy); it is 0 for a noiseless release.
-    """
-
-    value: np.ndarray
-    noise_scale: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _frozen(self.value))
 
 
 def sigmoid(t):
@@ -229,28 +212,20 @@ def train_logreg_exact(problem: LogRegProblem) -> np.ndarray:
 
 
 def output_perturb_dp(theta: np.ndarray, params: PrivacyParams, n_train: int,
-                      lam: float, rng: np.random.Generator,
-                      noiseless: bool = False) -> MechanismOutput:
-    """Release theta + iid Laplace noise with scale 2 / (N * eps * lam).
-
-    ``noiseless`` stands in for the eps -> infinity limit and releases
-    theta exactly.
-    """
+                      lam: float, rng: np.random.Generator) -> np.ndarray:
+    """Release theta + iid Laplace noise with scale 2 / (N * eps * lam)."""
     theta = np.asarray(theta, dtype=float)
-    if noiseless:
-        return MechanismOutput(theta, 0.0)
     if params.eps <= 0:
         raise ValueError("eps must be positive (infinite noise otherwise)")
     if n_train < 1 or lam <= 0:
         raise ValueError("need n_train >= 1 and lam > 0")
     b = 2.0 / (n_train * params.eps * lam)
-    value = theta + rng.laplace(0.0, b, size=theta.shape)
-    return MechanismOutput(value, b)
+    return theta + rng.laplace(0.0, b, size=theta.shape)
 
 
 def output_perturb_mdp_euclidean(theta: np.ndarray, params: PrivacyParams,
-                                 n_train: int, lam: float, rng: np.random.Generator,
-                                 noiseless: bool = False) -> MechanismOutput:
+                                 n_train: int, lam: float,
+                                 rng: np.random.Generator) -> np.ndarray:
     """Euclidean metric-privacy output perturbation.
 
     Noise is radial-Laplace: direction uniform on the sphere, radius
@@ -259,8 +234,6 @@ def output_perturb_mdp_euclidean(theta: np.ndarray, params: PrivacyParams,
     exactly rate-Lipschitz in the L2 distance between centers.
     """
     theta = np.asarray(theta, dtype=float)
-    if noiseless:
-        return MechanismOutput(theta, 0.0)
     if params.eps_metric <= 0:
         raise ValueError("eps_metric must be positive")
     if n_train < 1 or lam <= 0:
@@ -270,6 +243,5 @@ def output_perturb_mdp_euclidean(theta: np.ndarray, params: PrivacyParams,
     radius = rng.gamma(shape=d, scale=1.0 / rate)
     direction = rng.normal(size=d)
     direction /= np.sqrt(direction @ direction)
-    value = theta + radius * direction
-    return MechanismOutput(value, 1.0 / rate)
+    return theta + radius * direction
 

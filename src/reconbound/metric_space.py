@@ -1,5 +1,5 @@
-"""Data domains for the audit: finite metric spaces, normed domains, and
-exact covering/packing search.
+"""Data domains for the audit: finite metric spaces, covering bounds for
+unit norm balls, and exact covering/packing search.
 
 Covering and packing numbers are computed over the space's own points
 (internal covers), exactly, by branch-and-bound over bitmasks of points.
@@ -133,19 +133,6 @@ class FiniteMetricSpace:
                 fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
-@dataclass(frozen=True)
-class NormedSpaceSpec:
-    """A d-dimensional normed domain."""
-
-    dim: int
-    norm: str = "l2"
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        object.__setattr__(self, "norm", _check_norm(self.norm))
-
-
 def two_point_space(separation: float) -> FiniteMetricSpace:
     d = np.array([[0.0, separation], [separation, 0.0]])
     return FiniteMetricSpace(points=(0, 1), dist=d)
@@ -262,17 +249,13 @@ def discretize_unit_ball(dim: int, spacing: float, norm: str = "l2") -> FiniteMe
                              meta={"spacing": spacing, "norm": norm})
 
 
-def effective_dimension(space: FiniteMetricSpace | NormedSpaceSpec,
-                        cap: int = DEFAULT_SEARCH_CAP) -> float:
-    """Log covering number of the unit ball at radius 1/2.
-
-    Finite spaces must be tagged as unit-ball discretizations (see
-    `discretize_unit_ball`); the value then comes from the exact covering
-    search.  For a d-dimensional normed domain the analytic d*ln(2)
-    shortcut is used instead.
+def effective_dimension(space: FiniteMetricSpace, cap: int = DEFAULT_SEARCH_CAP) -> float:
+    """Log covering number of the unit ball at radius 1/2, by the exact
+    covering search over a space tagged as a unit-ball discretization (see
+    `discretize_unit_ball`).  For the continuous d-dimensional ball, the
+    log of its lower covering bound, d*ln(2), is
+    `norm_ball_covering_bounds_log(d, 0.5)[0]`.
     """
-    if isinstance(space, NormedSpaceSpec):
-        return space.dim * math.log(2.0)
     if not space.unit_ball:
         raise ValueError("finite space is not tagged as a unit-ball discretization")
     return math.log(covering_number(space, 0.5, cap=cap))

@@ -97,14 +97,6 @@ class TestSingleReconstruction:
             rel = np.linalg.norm(x_hat - prob.features[-1]) / np.linalg.norm(prob.features[-1])
             assert rel < 1e-6, (seed, rel)
 
-    def test_accepts_mechanism_output(self):
-        prob, theta = trained_instance(1)
-        release = output_perturb_dp(theta, PrivacyParams(eps=1.0), prob.n, prob.lam,
-                                    np.random.default_rng(0), noiseless=True)
-        x_hat = glm_reconstruct_single(release, prob.features[:-1], prob.labels[:-1],
-                                       float(prob.labels[-1]), prob.lam, prob.n)
-        assert np.linalg.norm(x_hat - prob.features[-1]) < 1e-6
-
     def test_scalar_root_matches_dense_grid(self):
         # 1-D instance; two-stage dense grid over the consistency function
         # pins the projection u = h.x to 1e-4.  The equation can have a
@@ -175,8 +167,7 @@ class TestAveraging:
     def test_noiseless_zero_error(self):
         prob, theta = trained_instance(6)
         model = threat_model(prob, m=5)
-        mech = lambda rng: output_perturb_dp(theta, PrivacyParams(eps=1.0), prob.n,
-                                             prob.lam, rng, noiseless=True)
+        mech = lambda rng: theta
         res = attack_average(model, mech, np.random.default_rng(0))
         assert res.mse < 1e-12
         assert res.failures == 0
@@ -246,7 +237,7 @@ class TestBatchInversion:
             rngs = [np.random.default_rng(np.random.SeedSequence(5, spawn_key=(t,)))
                     for t in range(8)]
             releases = np.array([[output_perturb_dp(theta, PrivacyParams(eps=eps), prob.n,
-                                                    prob.lam, rng).value
+                                                    prob.lam, rng)
                                   for _ in range(3)] for rng in rngs])
             args = (prob.features[:-1], prob.labels[:-1], float(prob.labels[-1]),
                     prob.lam, prob.n)

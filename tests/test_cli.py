@@ -101,6 +101,14 @@ class TestSweepCommand:
     def test_flags_required_without_config(self):
         assert run_cli(["sweep", "--trials", "2"]) == 2
 
+    def test_flags_only_run(self, tmp_path):
+        out_dir = tmp_path / "out"
+        code = run_cli(["sweep", "--eps-grid", "1,2", "--mechanism", "OUTPUT_PERTURB_MDP",
+                        "--seed", "3", "--trials", "1", "--out", str(out_dir)])
+        assert code == 0
+        lines = (out_dir / "sweep_output_perturb_mdp.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["1.0", "2.0"]
+
     def test_dominance_violation_exit_3(self, tmp_path, monkeypatch):
         cfg_obj = SweepConfig(eps_grid=(1.0,), trials=1,
                               mechanism_kind="OUTPUT_PERTURB_DP", seed=1,

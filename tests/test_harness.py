@@ -202,12 +202,18 @@ class TestConfigParsing:
 
 
 class TestRunSweep:
-    def test_noiseless_zero_error(self):
-        cfg = tiny_config(trials=1, noiseless=True)
-        res = run_sweep(cfg)
-        for row in res.rows:
-            assert row.mean_mse < 1e-12
-            assert row.failures == 0
+    def test_noiseless_zero_error(self, monkeypatch):
+        # a noiseless sweep releases the optimum itself: no sampler is called
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a noiseless sweep drew a release")
+        monkeypatch.setattr(harness, "output_perturb_dp", no_draw)
+        monkeypatch.setattr(harness, "output_perturb_mdp_euclidean", no_draw)
+        for kind in ("OUTPUT_PERTURB_DP", "OUTPUT_PERTURB_MDP"):
+            res = run_sweep(tiny_config(mechanism_kind=kind, trials=2, n_samples=2,
+                                        noiseless=True))
+            for row in res.rows:
+                assert row.mean_mse < 1e-12, kind
+                assert row.failures == 0, kind
 
     def test_deterministic_csv_bytes(self, tmp_path):
         cfg = tiny_config()
@@ -319,7 +325,7 @@ class TestKindDispatch:
             want = {"mdp_lecam": bounds.mdp_lecam_bound(q),
                     "mdp_fano": bounds.mdp_fano_bound(q)}
         else:
-            q = BoundQuery(params=PrivacyParams(eps=eps, delta=delta, alpha=2.0), n=2,
+            q = BoundQuery(params=PrivacyParams(eps=eps, delta=delta), n=2,
                            diam=2.0, coord_diam_sq_sum=float(cfg.dim))
             want = {"dp_lecam": bounds.dp_lecam_bound(q),
                     "rdp_unbiased": bounds.unbiased_rdp_bound(q)}

@@ -169,16 +169,14 @@ class TestReferenceTrainer:
 
 class TestOutputPerturbDP:
     def test_noise_scale_formula(self):
-        out = output_perturb_dp(np.zeros(2), PrivacyParams(eps=1.0), 60000, 1.0,
-                                np.random.default_rng(0))
-        assert out.noise_scale == pytest.approx(2.0 / 60000, rel=1e-12)
-
-    def test_noiseless_flag(self):
+        # the release is theta plus the generator's own Laplace draw at
+        # scale b = 2 / (N * eps * lam), bit for bit
         theta = np.array([0.3, -0.2])
-        out = output_perturb_dp(theta, PrivacyParams(eps=1.0), 100, 1.0,
-                                np.random.default_rng(0), noiseless=True)
-        assert np.array_equal(out.value, theta)
-        assert out.noise_scale == 0.0
+        n_train, eps, lam = 60000, 1.0, 1.0
+        out = output_perturb_dp(theta, PrivacyParams(eps=eps), n_train, lam,
+                                np.random.default_rng(0))
+        b = 2.0 / (n_train * eps * lam)
+        assert np.array_equal(out, theta + np.random.default_rng(0).laplace(0.0, b, size=2))
 
     def test_eps_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -190,21 +188,21 @@ class TestOutputPerturbDP:
         params = PrivacyParams(eps=1.0)
         n_train, lam = 100, 0.5
         b = 2.0 / (n_train * 1.0 * lam)
-        draws = np.stack([output_perturb_dp(np.zeros(4), params, n_train, lam, rng).value
+        draws = np.stack([output_perturb_dp(np.zeros(4), params, n_train, lam, rng)
                           for _ in range(25_000)])
         assert draws.var() == pytest.approx(2 * b * b, rel=0.03)
 
     def test_seeded_determinism(self):
         a = output_perturb_dp(np.ones(3), PrivacyParams(eps=0.7), 50, 0.1,
-                              np.random.default_rng(99)).value
+                              np.random.default_rng(99))
         b = output_perturb_dp(np.ones(3), PrivacyParams(eps=0.7), 50, 0.1,
-                              np.random.default_rng(99)).value
+                              np.random.default_rng(99))
         assert np.array_equal(a, b)
 
     def test_pointwise_ratio_at_dp_calibration(self):
         # with scale b = ||theta - theta'||_1 / eps the log-density ratio
         # obeys the eps budget pointwise; the densities are the Laplace
-        # laws at the scale each release reports
+        # laws at the sampler's documented scale b = 2 / (N * eps * lam)
         rng = np.random.default_rng(3)
         eps = 1.3
         theta = np.array([0.5, -0.1, 0.2])
@@ -212,12 +210,10 @@ class TestOutputPerturbDP:
         n_train, lam = 10, 1.0
         b = 2.0 / (n_train * eps * lam)
         eps_budget = float(np.abs(delta_vec).sum()) / b
-        out1 = output_perturb_dp(theta, PrivacyParams(eps=eps), n_train, lam, rng)
-        out2 = output_perturb_dp(theta + delta_vec, PrivacyParams(eps=eps), n_train, lam, rng)
         for _ in range(200):
             h = theta + rng.normal(scale=2.0, size=3)
-            gap = abs(np.sum(laplace_logpdf(h, theta, out1.noise_scale))
-                      - np.sum(laplace_logpdf(h, theta + delta_vec, out2.noise_scale)))
+            gap = abs(np.sum(laplace_logpdf(h, theta, b))
+                      - np.sum(laplace_logpdf(h, theta + delta_vec, b)))
             assert gap <= eps_budget * (1 + 1e-9)
 
 
@@ -228,16 +224,9 @@ class TestOutputPerturbMDP:
         n_train, lam = 100, 0.5
         b = 2.0 / (n_train * 1.0 * lam)
         vals = np.array([output_perturb_mdp_euclidean(np.zeros(1), params, n_train,
-                                                      lam, rng).value[0]
+                                                      lam, rng)[0]
                          for _ in range(100_000)])
         assert vals.var() == pytest.approx(2 * b * b, rel=0.03)
-
-    def test_noiseless(self):
-        theta = np.array([1.0, 2.0])
-        out = output_perturb_mdp_euclidean(theta, PrivacyParams(eps_metric=2.0),
-                                           10, 1.0, np.random.default_rng(0),
-                                           noiseless=True)
-        assert np.array_equal(out.value, theta)
 
     def test_eps_metric_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -245,20 +234,20 @@ class TestOutputPerturbMDP:
                                          10, 1.0, np.random.default_rng(0))
 
     def test_log_density_ratio_lipschitz(self):
-        # the radial-Laplace log-density is -||h - theta|| / noise_scale up
-        # to a constant shared by both releases
+        # the radial-Laplace log-density is -rate * ||h - theta|| up to a
+        # constant shared by both releases, at the sampler's documented
+        # rate N * eps_metric * lam / 2, i.e. its inverse as the scale
         rng = np.random.default_rng(17)
-        params = PrivacyParams(eps_metric=0.8)
+        eps_metric = 0.8
         n_train, lam, d = 50, 0.2, 4
-        rate = n_train * params.eps_metric * lam / 2.0
+        rate = n_train * eps_metric * lam / 2.0
+        scale = 1.0 / rate
         for _ in range(1000):
             theta1 = rng.normal(size=d)
             theta2 = rng.normal(size=d)
-            o1 = output_perturb_mdp_euclidean(theta1, params, n_train, lam, rng)
-            o2 = output_perturb_mdp_euclidean(theta2, params, n_train, lam, rng)
             h = rng.normal(size=d)
-            gap = abs(np.linalg.norm(h - theta1) / o1.noise_scale
-                      - np.linalg.norm(h - theta2) / o2.noise_scale)
+            gap = abs(np.linalg.norm(h - theta1) / scale
+                      - np.linalg.norm(h - theta2) / scale)
             assert gap <= rate * np.linalg.norm(theta1 - theta2) * (1 + 1e-12)
 
     def test_mean_radius_gamma_identity(self):
@@ -269,13 +258,5 @@ class TestOutputPerturbMDP:
         radii = np.empty(100_000)
         for i in range(radii.size):
             out = output_perturb_mdp_euclidean(np.zeros(d), params, n_train, lam, rng)
-            radii[i] = np.linalg.norm(out.value)
+            radii[i] = np.linalg.norm(out)
         assert radii.mean() == pytest.approx(d / rate, rel=0.02)
-
-
-class TestPostProcessing:
-    def test_released_value_read_only(self):
-        out = output_perturb_dp(np.zeros(2), PrivacyParams(eps=1.0), 10, 1.0,
-                                np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            out.value[0] = 1.0

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from reconbound.metric_space import (FiniteMetricSpace, NormedSpaceSpec, SizeCapError,
+from reconbound.metric_space import (FiniteMetricSpace, SizeCapError,
                                      covering_number, discretize_unit_ball,
                                      effective_dimension,
                                      norm_ball_covering_bounds,
@@ -230,10 +230,6 @@ class TestEffectiveDimension:
         assert sp.meta["spacing"] == 0.1
         assert effective_dimension(sp, cap=21) == pytest.approx(math.log(2.0), rel=1e-12)
 
-    def test_normed_shortcut(self):
-        assert effective_dimension(NormedSpaceSpec(16, "l2")) == pytest.approx(
-            16 * math.log(2.0), rel=1e-12)
-
     def test_untagged_rejected(self):
         with pytest.raises(ValueError):
             effective_dimension(two_point_space(1.0))
@@ -265,12 +261,12 @@ class TestValidation:
 
 
     def test_box_validation(self):
-        # a normed domain needs a positive dimension and a known norm
+        # a norm ball needs a positive dimension, and a norm must be known
         with pytest.raises(ValueError):
-            NormedSpaceSpec(0, "l2")
+            norm_ball_covering_bounds_log(0, 0.5)
         with pytest.raises(ValueError):
-            NormedSpaceSpec(2, "l3")
-        assert NormedSpaceSpec(2, "LINF").norm == "linf"
+            pairwise_distances(np.zeros((2, 2)), "l3")
+        assert vector_norm(np.array([0.5, -2.0, 1.0]), "LINF") == 2.0
 
 
 class TestFileFormat:

@@ -9,7 +9,7 @@ from .bounds import (BoundQuery, Validity, dp_lecam_bound, mdp_fano_bound,
                      mdp_lecam_bound, renyi_dp_lecam_bound, unbiased_rdp_bound,
                      unbiased_rdp_validity_threshold, validity_check)
 from .divergence import (AnalyticPair, analytic_kl, analytic_renyi, bh_tv_bound,
-                         kl_bound, numeric_kl, renyi_bound, tensorized_kl)
+                         kl_bound, numeric_kl, renyi_bound)
 from .harness import (SweepConfig, SweepResult, audit_dominance, emit_csv,
                       emit_svg, generate_synthetic, load_idx, run_sweep)
 from .mechanisms import (LogRegProblem, PrivacyParams, output_perturb_dp,

@@ -4,6 +4,8 @@ that draws n samples from a private learner's output distribution.
 All bounds are exact closed forms with their proof constants pinned
 (two-point reduction constant `LECAM_CONSTANT` = 1/16; the Fano bound
 keeps the maximized form of its quadratic rather than a loose Omega).
+`two_point_bound` alone evaluates the two-point form; the DP and Renyi
+bounds are it at sep = diam, with KL budgets from `divergence`.
 
 Division-by-zero privacy levels yield +inf, meaning perfect privacy
 forbids consistent reconstruction; CSV emitters translate that into an
@@ -17,6 +19,7 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .divergence import kl_bound, renyi_bound
 from .mechanisms import PrivacyParams
 
 LECAM_CONSTANT = 1.0 / 16.0
@@ -52,27 +55,27 @@ class BoundQuery:
             raise ValueError("n must be >= 1")
 
 
+def two_point_bound(sep: float, kl: float, n: int, delta: float = 0.0) -> float:
+    """Le Cam's two-point bound C * sep^2 * exp(-n * kl) * (1 - delta) for
+    a pair at distance sep whose output laws are within KL kl per draw."""
+    # sep * sep, not sep ** 2: float ** raises OverflowError past 1.3e154
+    return LECAM_CONSTANT * sep * sep * math.exp(-n * kl) * (1.0 - delta)
+
+
 def dp_lecam_bound(q: BoundQuery) -> float:
-    """Two-point bound for (eps, delta)-DP learners:
-    C * diam^2 * exp(-n * eps * tanh(eps/2)) * (1 - delta)."""
+    """Two-point bound for (eps, delta)-DP learners at sep = diam, with
+    the KL budget eps * tanh(eps/2)."""
     if not math.isfinite(q.diam) or q.diam < 0:
         raise ValueError("diam must be finite and nonnegative")
-    eps = q.params.eps
-    return (LECAM_CONSTANT * q.diam ** 2
-            * math.exp(-q.n * eps * math.tanh(eps / 2.0))
-            * (1.0 - q.params.delta))
+    return two_point_bound(q.diam, kl_bound(q.params.eps), q.n, q.params.delta)
 
 
 def renyi_dp_lecam_bound(q: BoundQuery) -> float:
-    """Two-point bound for order-alpha Renyi DP:
-    C * diam^2 * exp(-n * min(eps, 3*alpha*eps^2/2))."""
-    if q.params.alpha is None:
-        raise ValueError("alpha is required for the Renyi variant")
+    """Two-point bound for order-alpha Renyi DP at sep = diam, with the
+    KL budget min(eps, 3*alpha*eps^2/2)."""
     if not math.isfinite(q.diam) or q.diam < 0:
         raise ValueError("diam must be finite and nonnegative")
-    eps = q.params.eps
-    exponent = min(eps, 1.5 * q.params.alpha * eps * eps)
-    return LECAM_CONSTANT * q.diam ** 2 * math.exp(-q.n * exponent)
+    return two_point_bound(q.diam, renyi_bound(q.params.eps, q.params.alpha), q.n)
 
 
 def mdp_lecam_bound(q: BoundQuery) -> float:
@@ -109,7 +112,10 @@ def unbiased_rdp_bound(q: BoundQuery) -> float:
     eps = q.params.eps
     if eps == 0:
         return math.inf
-    return q.coord_diam_sq_sum / (4.0 * (math.exp(eps) - 1.0))
+    try:
+        return q.coord_diam_sq_sum / (4.0 * (math.exp(eps) - 1.0))
+    except OverflowError:  # e^eps beyond the float range: 0 is still a lower bound
+        return 0.0
 
 
 def unbiased_rdp_validity_threshold(d: int) -> float:

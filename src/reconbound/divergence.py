@@ -2,17 +2,17 @@
 likelihood-ratio privacy budget, closed forms for Laplace/Gaussian pairs,
 and a deterministic quadrature oracle used to verify the closed forms.
 
-The KL budget function is kept in its exact hyperbolic form
-``t * tanh(t/2)``; the familiar ``min(t, t^2/2)`` simplification is
-exposed alongside it but never substituted for it, since downstream
-bounds are sensitive to the slack.
+The KL budget ``t * tanh(t/2)`` and the Renyi budget
+``min(t, 3*alpha*t^2/2)`` are computed here and nowhere else; they feed
+`bounds.two_point_bound` as its KL argument, so the bounds the sweep
+audits use the very functions the quadrature oracles verify.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -28,18 +28,14 @@ class QuadratureError(RuntimeError):
     """Adaptive refinement exceeded the depth cap without converging."""
 
 
-class KLBound(NamedTuple):
-    exact: float      # t * tanh(t/2)
-    min_form: float   # min(t, t^2 / 2)
-
-
-def kl_bound(eps: float, rho: float = 1.0) -> KLBound:
-    """KL budget between output laws of an eps-per-unit-distance private
-    learner at dataset distance rho (rho = 1 recovers plain DP)."""
+def kl_bound(eps: float, rho: float = 1.0) -> float:
+    """KL budget t * tanh(t/2), t = eps * rho, between output laws of an
+    eps-per-unit-distance private learner at dataset distance rho
+    (rho = 1 recovers plain DP)."""
     if eps < 0 or rho < 0:
         raise ValueError("eps and rho must be nonnegative")
     t = eps * rho
-    return KLBound(exact=t * math.tanh(t / 2.0), min_form=min(t, t * t / 2.0))
+    return t * math.tanh(t / 2.0)
 
 
 def renyi_bound(eps: float, alpha: float, rho: float = 1.0) -> float:
@@ -196,12 +192,3 @@ def bh_tv_bound(kl: float) -> float:
     if kl < 0:
         raise ValueError("kl must be nonnegative")
     return 1.0 - 0.5 * math.exp(-kl)
-
-
-def tensorized_kl(kl_single: float, n: int) -> float:
-    """KL of an n-fold product of an identical pair: n times the base KL."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if kl_single < 0:
-        raise ValueError("kl must be nonnegative")
-    return n * kl_single

@@ -174,6 +174,16 @@ def parse_eps_grid(text: str) -> tuple:
     return tuple(out)
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOLEANS[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, got {text!r}") from None
+
+
 _CONFIG_PARSERS = {
     "eps_grid": parse_eps_grid,
     "trials": int,
@@ -186,7 +196,7 @@ _CONFIG_PARSERS = {
     "alpha": float,
     "train_size": int,
     "dim": int,
-    "noiseless": lambda s: s.strip().lower() in ("1", "true", "yes"),
+    "noiseless": _parse_bool,
     "idx_images": str,
     "idx_labels": str,
     "digit_pair": lambda s: tuple(int(x) for x in s.split(",")),

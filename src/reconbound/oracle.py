@@ -32,7 +32,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .bounds import LECAM_CONSTANT
+from .bounds import BoundQuery, dp_lecam_bound, two_point_bound
+from .mechanisms import PrivacyParams
 from .metric_space import FiniteMetricSpace
 
 ENUMERATION_CAP = 1_000_000
@@ -88,8 +89,9 @@ def randomized_response(eps: float, k: int = 2) -> FiniteMechanism:
         raise ValueError("eps must be nonnegative")
     if k < 2:
         raise ValueError("k must be >= 2")
-    stay = math.exp(eps) / (math.exp(eps) + k - 1)
-    flip = 1.0 / (math.exp(eps) + k - 1)
+    # built from e^-eps, which cannot overflow at any eps
+    stay = 1.0 / (1.0 + (k - 1) * math.exp(-eps))
+    flip = math.exp(-eps) * stay
     c = np.full((k, k), flip)
     np.fill_diagonal(c, stay)
     return FiniteMechanism(channel=c)
@@ -219,10 +221,10 @@ def lecam_certificate(mech: FiniteMechanism, space: FiniteMetricSpace, n: int = 
 
     Computes the exact Bayes risk, the two-point testing bound
     (t^2/2)(1 - TV_n) at t = separation/2 (with 1 - TV_n the products'
-    overlap, free of cancellation), its exponential relaxation
-    (t^2/4) e^(-n KL), and the closed-form privacy bound with matching
-    constants, then asserts the chain exact >= testing >= relaxation >=
-    closed form.
+    overlap, free of cancellation), its relaxation `two_point_bound` at
+    the channel's KL, and the closed form the sweep audits,
+    `dp_lecam_bound` (the same routine at the eps budget, diam = sep),
+    then asserts the chain exact >= testing >= relaxation >= closed form.
     """
     if mech.n_inputs != 2:
         raise ValueError("the two-point certificate requires exactly two inputs")
@@ -233,11 +235,8 @@ def lecam_certificate(mech: FiniteMechanism, space: FiniteMetricSpace, n: int = 
     kl = channel_kl(mech, 0, 1)
     eps = dp_epsilon_of(mech)
     lecam = (t * t / 2.0) * overlap
-    bh = (t * t / 4.0) * math.exp(-n * kl) if math.isfinite(kl) else 0.0
-    if math.isfinite(eps):
-        dp_bound = LECAM_CONSTANT * sep * sep * math.exp(-n * eps * math.tanh(eps / 2.0))
-    else:
-        dp_bound = 0.0
+    bh = two_point_bound(sep, kl, n)
+    dp_bound = dp_lecam_bound(BoundQuery(params=PrivacyParams(eps=eps), n=n, diam=sep))
     exact = exact_bayes_risk(mech, space, n, cap)
     slack = 1e-12 * max(1.0, exact)
     if not (exact + slack >= lecam and lecam + slack >= bh and bh + slack >= dp_bound):

@@ -5,8 +5,10 @@ import pytest
 
 from reconbound.bounds import (BoundQuery, DegenerateDimensionError, Validity,
                                dp_lecam_bound, mdp_fano_bound, mdp_lecam_bound,
-                               renyi_dp_lecam_bound, unbiased_rdp_bound,
-                               unbiased_rdp_validity_threshold, validity_check)
+                               renyi_dp_lecam_bound, two_point_bound,
+                               unbiased_rdp_bound, unbiased_rdp_validity_threshold,
+                               validity_check)
+from reconbound.divergence import kl_bound, renyi_bound
 from reconbound.mechanisms import PrivacyParams
 
 
@@ -32,6 +34,26 @@ def golden_max(f, lo, hi, tol=1e-10):
 def q(eps=0.0, delta=0.0, eps_metric=0.0, alpha=None, **kw):
     return BoundQuery(params=PrivacyParams(eps=eps, delta=delta,
                                            eps_metric=eps_metric, alpha=alpha), **kw)
+
+
+class TestTwoPoint:
+    def test_direct(self):
+        assert two_point_bound(2.0, 0.5, 3, 0.1) == pytest.approx(
+            4.0 / 16.0 * math.exp(-1.5) * 0.9, rel=1e-15)
+        # a separation whose square overflows gives inf, not OverflowError
+        assert two_point_bound(1e200, 0.5, 1) == math.inf
+
+    def test_dp_and_renyi_bounds_are_the_routine(self):
+        # bit for bit: both closed forms are the two-point routine at
+        # sep = diam with their divergence budgets
+        for eps in (0.1, 0.45, 1.0, 2.9, 7.5):
+            for n in (1, 2, 5, 18):
+                for diam in (0.5, 1.0, 2.0):
+                    assert dp_lecam_bound(q(eps=eps, delta=1e-5, diam=diam, n=n)) == \
+                        two_point_bound(diam, kl_bound(eps), n, 1e-5)
+                    for alpha in (1.5, 2.0, 8.0):
+                        assert renyi_dp_lecam_bound(q(eps=eps, alpha=alpha, diam=diam, n=n)) == \
+                            two_point_bound(diam, renyi_bound(eps, alpha), n)
 
 
 class TestDpLecam:
@@ -158,6 +180,13 @@ class TestUnbiasedRdp:
 
     def test_infinite_at_zero(self):
         assert math.isinf(unbiased_rdp_bound(q(coord_diam_sq_sum=4.0)))
+
+    def test_zero_beyond_exp_overflow(self):
+        # e^eps overflows a float above eps = ln(max float) = 709.78
+        below = unbiased_rdp_bound(q(eps=700.0, coord_diam_sq_sum=784.0))
+        assert below == 784.0 / (4.0 * (math.exp(700.0) - 1.0)) > 0.0
+        for eps in (710.0, 800.0, 1e6):
+            assert unbiased_rdp_bound(q(eps=eps, coord_diam_sq_sum=784.0)) == 0.0
 
     def test_threshold_values(self):
         assert unbiased_rdp_validity_threshold(784) == pytest.approx(5.2832037, abs=1e-6)

@@ -128,6 +128,28 @@ class TestSweepCommand:
         assert code == 3
 
 
+class TestLargeEpsilon:
+    # e^eps overflows a float above eps = 709.78
+    def test_oracle(self, capsys):
+        assert run_cli(["oracle", "--eps-grid", "710"]) == 0
+        assert run_cli(["oracle", "--eps-grid", "800", "--inputs", "3"]) == 0
+        assert capsys.readouterr().out.count("OK") == 2
+
+    def test_bounds(self, tmp_path):
+        out_path = tmp_path / "bounds.csv"
+        assert run_cli(["bounds", "--eps-grid", "710", "--diam", "1",
+                        "--coord-diam-sq-sum", "1", "--out", str(out_path)]) == 0
+        assert "710.0,rdp_unbiased,0.0,VALID" in out_path.read_text()
+
+    def test_sweep(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("eps_grid = 710\nmechanism_kind = OUTPUT_PERTURB_DP\nseed = 1\n"
+                       "trials = 1\nlam = 1.0\ntrain_size = 40\ndim = 2\n")
+        out_dir = tmp_path / "out"
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        assert (out_dir / "sweep_output_perturb_dp.csv").exists()
+
+
 class TestBadInput:
     def test_non_finite_grid_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

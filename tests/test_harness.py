@@ -158,6 +158,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("trials = 3\n")
 
+    def test_noiseless_values(self):
+        base = "eps_grid = 1\nmechanism_kind = PNSGD_DP\nseed = 1\nnoiseless = "
+        for text, value in (("TRUE", True), ("Yes", True), ("1", True),
+                            ("false", False), ("NO", False), ("0", False)):
+            assert parse_config_text(base + text + "\n").noiseless is value
+        for text in ("on", "ture", ""):
+            with pytest.raises(ConfigError, match="line 4: bad value for noiseless"):
+                parse_config_text(base + text + "\n")
+
     def test_bad_value(self):
         with pytest.raises(ConfigError):
             parse_config_text("eps_grid = 1,2\ntrials = many\n"

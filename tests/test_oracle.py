@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reconbound.bounds import BoundQuery, dp_lecam_bound
+from reconbound.bounds import BoundQuery, dp_lecam_bound, two_point_bound
 from reconbound.divergence import bh_tv_bound, kl_bound, renyi_bound
 from reconbound.mechanisms import PrivacyParams
 from reconbound.metric_space import FiniteMetricSpace, two_point_space
@@ -45,6 +45,14 @@ class TestChannelBasics:
     def test_entries_nonnegative(self):
         with pytest.raises(ValueError):
             FiniteMechanism(channel=np.array([[1.5, -0.5], [0.5, 0.5]]))
+
+    def test_rr_beyond_exp_overflow(self):
+        # e^eps overflows above eps = 709.78; the channel is built from e^-eps
+        for k in (2, 3):
+            c = randomized_response(800.0, k=k).channel
+            assert np.array_equal(c, np.eye(k))
+        c = randomized_response(710.0).channel
+        assert c[0, 0] == 1.0 and c[0, 1] == math.exp(-710.0) > 0.0
 
     def test_rr_recovers_epsilon(self):
         for eps in (0.0, 0.3, 1.0, 4.2):
@@ -168,6 +176,25 @@ class TestLeCamCertificate:
                 assert rep.lecam_bound + slack >= rep.bh_bound
                 assert rep.bh_bound + slack >= rep.dp_bound
 
+    def test_closed_form_is_the_audited_bound(self):
+        # the certificate checks the very function the sweep audits, at
+        # diam = separation, bit for bit
+        for sep in (1.0, 2.0):
+            for eps in (0.25, 1.0, 4.75):
+                for n in (1, 2, 18):
+                    rep = lecam_certificate(randomized_response(eps), two_point_space(sep), n)
+                    assert rep.dp_bound == dp_lecam_bound(
+                        BoundQuery(params=PrivacyParams(eps=rep.epsilon), n=n, diam=sep))
+                    assert rep.bh_bound == two_point_bound(sep, rep.kl_single, n)
+
+    def test_zero_entry_channel(self):
+        # infinite KL and eps give exp(-inf) = 0 in both relaxed terms
+        mech = FiniteMechanism(channel=np.array([[0.5, 0.5], [1.0, 0.0]]))
+        rep = lecam_certificate(mech, two_point_space(1.0), 2)
+        assert math.isinf(rep.kl_single) and math.isinf(rep.epsilon)
+        assert rep.bh_bound == rep.dp_bound == 0.0
+        assert rep.exact_risk >= rep.lecam_bound > 0.0
+
     def test_wrong_arity(self):
         with pytest.raises(ValueError):
             lecam_certificate(randomized_response(1.0, k=3), uniform_space(3), 1)
@@ -225,7 +252,7 @@ class TestFiniteChannelDivergences:
             i, j = rng.choice(m, size=2, replace=False)
             i, j = int(i), int(j)
             kl = channel_kl(mech, i, j)
-            assert kl <= kl_bound(eps, 1.0).exact + 1e-12
+            assert kl <= kl_bound(eps, 1.0) + 1e-12
             assert channel_tv(mech, i, j) <= bh_tv_bound(kl) + 1e-12
             for alpha in (1.5, 2.0, 8.0):
                 assert channel_renyi(mech, i, j, alpha) <= \

@@ -60,9 +60,12 @@ class TestRun:
             s2 = (1 - eta) ** 2 * s2 + eta ** 2 * sigma ** 2
         cfg = PNSGDConfig(eta=eta, sigma=sigma, w0=np.zeros(1),
                           constraint_radius=100.0, beta=1.0)
-        # the chains run in lockstep, each from a generator of its own
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(12345).spawn(100_000)]
-        finals = pnsgd_run(cfg, xs, quad_grad, rngs)[:, 0]
+        # 1 000 chains run in lockstep, each from a generator of its own,
+        # for 100 passes; each pass continues its chains' generators, so the
+        # 100 000 final iterates are independent draws of the law
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(12345).spawn(1_000)]
+        finals = np.concatenate([pnsgd_run(cfg, xs, quad_grad, rngs)[:, 0]
+                                 for _ in range(100)])
         assert finals.mean() == pytest.approx(m, rel=0.02)
         assert finals.var() == pytest.approx(s2, rel=0.02)
 

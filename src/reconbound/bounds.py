@@ -79,41 +79,46 @@ def renyi_dp_lecam_bound(q: BoundQuery) -> float:
 
 
 def mdp_lecam_bound(q: BoundQuery) -> float:
-    """Two-point bound for (eps_metric, delta) metric-private learners:
-    (1 - delta) / (2 * n * e * eps_metric^2).  Infinite at eps_metric=0."""
-    e_l = q.params.eps_metric
-    if e_l == 0:
+    """Two-point bound for (eps, delta) metric-private learners, eps per
+    unit of distance: (1 - delta) / (2 * n * e * eps^2).  Infinite where
+    eps^2 underflows to 0, the correctly rounded value of a bound beyond
+    the float range."""
+    e = q.params.eps
+    if e * e == 0:
         return math.inf
-    return (1.0 - q.params.delta) / (2.0 * q.n * math.e * e_l * e_l)
+    return (1.0 - q.params.delta) / (2.0 * q.n * math.e * e * e)
 
 
 def mdp_fano_bound(q: BoundQuery) -> float:
     """Multi-hypothesis bound for metric privacy in the high-dimensional
-    regime, in its maximized closed form
-    (d_eff - ln2)^2 / (8 * n * eps_metric^2 * d_eff) * (1 - delta).
+    regime, eps per unit of distance, in its maximized closed form
+    (d_eff - ln2)^2 / (8 * n * eps^2 * d_eff) * (1 - delta).  Infinite
+    where eps^2 underflows to 0.
 
     Requires d_eff > ln 2 (at least two distinguishable hypotheses).
     """
     d_eff = q.d_eff
     if not d_eff > math.log(2.0):
         raise DegenerateDimensionError(f"d_eff={d_eff} must exceed ln 2")
-    e_l = q.params.eps_metric
-    if e_l == 0:
+    e = q.params.eps
+    if e * e == 0:
         return math.inf
     num = (d_eff - math.log(2.0)) ** 2
-    return num / (8.0 * q.n * e_l * e_l * d_eff) * (1.0 - q.params.delta)
+    return num / (8.0 * q.n * e * e * d_eff) * (1.0 - q.params.delta)
 
 
 def unbiased_rdp_bound(q: BoundQuery) -> float:
     """Restated prior bound for unbiased attacks on order-2 Renyi-DP
-    learners: sum_i diam_i^2 / (4 * (e^eps - 1)).  Infinite at eps=0."""
+    learners: sum_i diam_i^2 / (4 * (e^eps - 1)), with e^eps - 1 from
+    `math.expm1`, which keeps its relative precision at small eps.
+    Infinite at eps=0."""
     if not q.coord_diam_sq_sum >= 0:
         raise ValueError("coord_diam_sq_sum must be nonnegative")
     eps = q.params.eps
     if eps == 0:
         return math.inf
     try:
-        return q.coord_diam_sq_sum / (4.0 * (math.exp(eps) - 1.0))
+        return q.coord_diam_sq_sum / (4.0 * math.expm1(eps))
     except OverflowError:  # e^eps beyond the float range: 0 is still a lower bound
         return 0.0
 

@@ -96,11 +96,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_bounds(args) -> int:
     grid = harness.parse_eps_grid(args.eps_grid)
-    trivial = args.diam ** 2
+    trivial = args.diam * args.diam
+    if not math.isfinite(trivial):
+        raise harness.ConfigError(f"--diam {args.diam:g} squared is not finite")
     rows = []
     for eps in grid:
-        q = BoundQuery(params=PrivacyParams(eps=eps, eps_metric=eps,
-                                            delta=args.delta, alpha=args.alpha),
+        q = BoundQuery(params=PrivacyParams(eps=eps, delta=args.delta, alpha=args.alpha),
                        n=args.n, diam=args.diam,
                        coord_diam_sq_sum=(args.coord_diam_sq_sum
                                           if args.coord_diam_sq_sum is not None

@@ -20,6 +20,7 @@ LAPLACE = "laplace"
 GAUSSIAN = "gaussian"
 
 _QUAD_DEPTH_CAP = 40
+_INITIAL_PANELS = 32
 # tail mass of laplace/gaussian beyond 40 scale units is < 1e-15
 _SUPPORT_SCALES = 40.0
 
@@ -123,26 +124,24 @@ def _adaptive(f, a: float, b: float, tol: float, depth: int, whole: float) -> fl
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], support: tuple[float, float],
-              tol: float = 1e-8, initial_panels: int = 32) -> float:
+              tol: float = 1e-8) -> float:
     """Adaptive bisection with a 15-point Gauss-Legendre rule per panel.
 
-    The support is pre-split into ``initial_panels`` uniform panels before
+    The support is pre-split into ``_INITIAL_PANELS`` uniform panels before
     refinement so narrow concentrated mass cannot slip between the nodes
     of one huge panel and fake early agreement.
     """
     a, b = float(support[0]), float(support[1])
     if not b > a:
         raise ValueError("support must be a nondegenerate interval")
-    if initial_panels < 1:
-        raise ValueError("initial_panels must be >= 1")
-    edges = np.linspace(a, b, initial_panels + 1)
-    sub_tol = tol / initial_panels
+    edges = np.linspace(a, b, _INITIAL_PANELS + 1)
+    sub_tol = tol / _INITIAL_PANELS
     return sum(_adaptive(f, lo, hi, sub_tol, 0, _panel(f, lo, hi))
                for lo, hi in zip(edges[:-1], edges[1:]))
 
 
 def numeric_kl(p_logpdf: Callable, q_logpdf: Callable,
-               support: tuple[float, float], tol: float = 1e-8) -> float:
+               support: tuple[float, float]) -> float:
     """KL divergence by quadrature of p * log(p/q) over the support.
 
     This is the independent oracle the closed forms are checked against;
@@ -155,17 +154,17 @@ def numeric_kl(p_logpdf: Callable, q_logpdf: Callable,
         out = np.where(np.isneginf(lp), 0.0, np.exp(lp) * (lp - lq))
         return out
 
-    return integrate(integrand, support, tol)
+    return integrate(integrand, support)
 
 
 def numeric_tv(p_logpdf: Callable, q_logpdf: Callable,
-               support: tuple[float, float], tol: float = 1e-8) -> float:
+               support: tuple[float, float]) -> float:
     """Total variation distance 0.5 * integral |p - q|."""
 
     def integrand(x):
         return 0.5 * np.abs(np.exp(p_logpdf(x)) - np.exp(q_logpdf(x)))
 
-    return integrate(integrand, support, tol)
+    return integrate(integrand, support)
 
 
 def pair_support(pair: AnalyticPair) -> tuple[float, float]:
@@ -182,9 +181,9 @@ def pair_logpdfs(pair: AnalyticPair) -> tuple[Callable, Callable]:
             lambda x: logpdf(x, pair.loc2, pair.scale))
 
 
-def numeric_kl_pair(pair: AnalyticPair, tol: float = 1e-8) -> float:
+def numeric_kl_pair(pair: AnalyticPair) -> float:
     p, q = pair_logpdfs(pair)
-    return numeric_kl(p, q, pair_support(pair), tol)
+    return numeric_kl(p, q, pair_support(pair))
 
 
 def bh_tv_bound(kl: float) -> float:

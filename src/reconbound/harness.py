@@ -373,7 +373,7 @@ def _output_perturb_releases(kind: MechanismKind, config: SweepConfig,
         return
     draw = output_perturb_mdp_euclidean if kind.metric else output_perturb_dp
     for eps_idx, eps in enumerate(config.eps_grid):
-        params = PrivacyParams(eps_metric=eps) if kind.metric else PrivacyParams(eps=eps)
+        params = PrivacyParams(eps=eps)
         yield np.array([[draw(theta_hat, params, problem.n, config.lam, rng)
                          for _ in range(config.n_samples)]
                         for rng in _trial_rngs(config, eps_idx)])
@@ -386,15 +386,13 @@ def evaluate_bounds(kind: MechanismKind, config: SweepConfig, problem: LogRegPro
     ball's lower covering bound at radius 1/2 (d*ln2), and the prior
     unbiased bound's unit-ball convention (coordinate sum d)."""
     delta = config.delta if kind.pnsgd else 0.0
-    if kind.metric:
-        q = BoundQuery(params=PrivacyParams(eps_metric=eps, delta=delta),
-                       n=config.n_samples,
-                       d_eff=norm_ball_covering_bounds_log(problem.dim, 0.5)[0])
-        return {"mdp_lecam": bounds_mod.mdp_lecam_bound(q),
-                "mdp_fano": bounds_mod.mdp_fano_bound(q)}
     q = BoundQuery(params=PrivacyParams(eps=eps, delta=delta),
                    n=config.n_samples, diam=UNIT_BALL_DIAM,
-                   coord_diam_sq_sum=float(problem.dim))
+                   coord_diam_sq_sum=float(problem.dim),
+                   d_eff=norm_ball_covering_bounds_log(problem.dim, 0.5)[0])
+    if kind.metric:
+        return {"mdp_lecam": bounds_mod.mdp_lecam_bound(q),
+                "mdp_fano": bounds_mod.mdp_fano_bound(q)}
     return {"dp_lecam": bounds_mod.dp_lecam_bound(q),
             "rdp_unbiased": bounds_mod.unbiased_rdp_bound(q)}
 

@@ -20,6 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# gradient norm the exact trainer must reach; the attack's inversion relies on it
+GRAD_TOL = 1e-10
+
+
 class ConvergenceError(RuntimeError):
     """The trainer did not reach the gradient tolerance within its cap."""
 
@@ -39,14 +43,14 @@ def _frozen(a) -> np.ndarray:
 class PrivacyParams:
     """Privacy knobs shared by mechanisms and bounds.
 
-    ``eps``/``delta`` parameterize standard differential privacy,
-    ``eps_metric`` is the per-unit-distance budget of metric privacy,
-    and ``alpha`` the optional Renyi order.
+    ``eps`` is a budget per unit of distance between inputs, as metric
+    privacy states it; standard differential privacy is the case of
+    neighbouring datasets at distance 1.  ``delta`` is the additive
+    slack and ``alpha`` the optional Renyi order.
     """
 
     eps: float = 0.0
     delta: float = 0.0
-    eps_metric: float = 0.0
     alpha: float | None = None
 
     def __post_init__(self):
@@ -54,8 +58,6 @@ class PrivacyParams:
             raise ValueError("eps must be nonnegative")
         if not 0 <= self.delta < 1:
             raise ValueError("delta must lie in [0, 1)")
-        if self.eps_metric < 0:
-            raise ValueError("eps_metric must be nonnegative")
         if self.alpha is not None and self.alpha <= 1:
             raise ValueError("alpha must exceed 1")
 
@@ -65,16 +67,13 @@ class LogRegProblem:
     """An L2-regularized logistic regression instance.
 
     Feature rows must be pre-normalized to L2 norm at most 1; labels are
-    -1/+1.  ``tolerance`` is the gradient-norm threshold the trainer must
-    reach, which downstream attack code relies on.  Features and labels
-    are held as given when read-only float64 arrays that own their data,
-    and copied otherwise.
+    -1/+1.  Features and labels are held as given when read-only float64
+    arrays that own their data, and copied otherwise.
     """
 
     features: np.ndarray
     labels: np.ndarray
     lam: float
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         x, y = _frozen(self.features), _frozen(self.labels)
@@ -88,8 +87,6 @@ class LogRegProblem:
             raise ValueError("labels must be -1 or +1")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
         if np.any(np.sqrt(np.einsum("ij,ij->i", x, x)) > 1.0 + 1e-12):
             raise ValueError("feature rows must have L2 norm <= 1")
         object.__setattr__(self, "features", x)
@@ -118,15 +115,12 @@ def _margin_grad_sum(margins: np.ndarray, features: np.ndarray, y: np.ndarray) -
 
 
 def logistic_grad_sum(theta: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """`_margin_grad_sum` at the margins y * theta.x; for a (d, M) theta,
-    one sum per column, from two matrix products."""
-    y = labels if theta.ndim == 1 else labels[:, None]
+    """`_margin_grad_sum` at the margins y * theta.x for each column of a
+    (d, M) theta: a (d, M) array of M sums, from two matrix products."""
+    if theta.ndim != 2:
+        raise ValueError("theta must be a (d, M) array")
+    y = labels[:, None]
     return _margin_grad_sum(y * (features @ theta), features, y)
-
-
-def _gradient(theta, problem: LogRegProblem) -> np.ndarray:
-    return (logistic_grad_sum(theta, problem.features, problem.labels) / problem.n
-            + problem.lam * theta)
 
 
 # damped Newton ends in a handful of steps on every problem the sweeps
@@ -166,9 +160,9 @@ def train_logreg_exact(problem: LogRegProblem) -> np.ndarray:
     Armijo decrease is above the float resolution of the objective, a
     step must pass it; below that resolution the objective can no longer
     rank candidates, and a step must shrink the gradient norm instead.
-    Returns theta with full-gradient norm at most ``problem.tolerance``
-    (1e-10 by default), tight enough that stationarity-based inversion
-    holds to numeric precision.
+    Returns theta with full-gradient norm at most `GRAD_TOL` (1e-10),
+    tight enough that stationarity-based inversion holds to numeric
+    precision.
     """
     x, y, n, lam = problem.features, problem.labels, problem.n, problem.lam
 
@@ -184,7 +178,7 @@ def train_logreg_exact(problem: LogRegProblem) -> np.ndarray:
     grad = gradient(margins, theta)
     for _ in range(NEWTON_CAP):
         gnorm = float(np.sqrt(grad @ grad))
-        if gnorm <= problem.tolerance:
+        if gnorm <= GRAD_TOL:
             return theta
         # the loss's second derivative at each margin, over n
         curvature = sigmoid(margins) * sigmoid(-margins) / n
@@ -229,17 +223,18 @@ def output_perturb_mdp_euclidean(theta: np.ndarray, params: PrivacyParams,
     """Euclidean metric-privacy output perturbation.
 
     Noise is radial-Laplace: direction uniform on the sphere, radius
-    Gamma(d, rate) with rate N * eps_metric * lam / 2, so the density is
+    Gamma(d, rate) with rate N * eps * lam / 2, so the density is
     proportional to exp(-rate * ||noise||_2) and the log-density ratio is
-    exactly rate-Lipschitz in the L2 distance between centers.
+    exactly rate-Lipschitz in the L2 distance between centers: eps is a
+    budget per unit of that distance.
     """
     theta = np.asarray(theta, dtype=float)
-    if params.eps_metric <= 0:
-        raise ValueError("eps_metric must be positive")
+    if params.eps <= 0:
+        raise ValueError("eps must be positive")
     if n_train < 1 or lam <= 0:
         raise ValueError("need n_train >= 1 and lam > 0")
     d = theta.size
-    rate = n_train * params.eps_metric * lam / 2.0
+    rate = n_train * params.eps * lam / 2.0
     radius = rng.gamma(shape=d, scale=1.0 / rate)
     direction = rng.normal(size=d)
     direction /= np.sqrt(direction @ direction)

@@ -1,5 +1,9 @@
 """Data domains for the audit: finite metric spaces, covering bounds for
-unit norm balls, and exact covering/packing search.
+unit balls, and exact covering/packing search.
+
+Spaces built from vectors are Euclidean, as are the sweeps' unit-ball
+domain and the metric-privacy guarantees; a distance-matrix file may
+carry any metric.
 
 Covering and packing numbers are computed over the space's own points
 (internal covers), exactly, by branch-and-bound over bitmasks of points.
@@ -13,11 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-NORMS = ("l1", "l2", "linf")
 
 # Largest space the exact searches accept.  Both branch-and-bounds are
 # exponential in the number of points in the worst case; on planar
@@ -34,33 +36,11 @@ class SizeCapError(ValueError):
     """The space exceeds the exhaustive-search cap."""
 
 
-def _check_norm(norm: str) -> str:
-    norm = norm.lower()
-    if norm not in NORMS:
-        raise ValueError(f"unknown norm {norm!r}, expected one of {NORMS}")
-    return norm
-
-
-def vector_norm(v: np.ndarray, norm: str) -> float:
-    norm = _check_norm(norm)
-    v = np.asarray(v, dtype=float)
-    if norm == "l1":
-        return float(np.sum(np.abs(v)))
-    if norm == "l2":
-        return float(np.sqrt(np.sum(v * v)))
-    return float(np.max(np.abs(v))) if v.size else 0.0
-
-
-def pairwise_distances(vectors: np.ndarray, norm: str = "l2") -> np.ndarray:
-    """All-pairs distance matrix for row vectors under the given norm."""
+def pairwise_distances(vectors: np.ndarray) -> np.ndarray:
+    """All-pairs Euclidean distance matrix for row vectors."""
     x = np.atleast_2d(np.asarray(vectors, dtype=float))
     diff = x[:, None, :] - x[None, :, :]
-    norm = _check_norm(norm)
-    if norm == "l1":
-        return np.sum(np.abs(diff), axis=-1)
-    if norm == "l2":
-        return np.sqrt(np.sum(diff * diff, axis=-1))
-    return np.max(np.abs(diff), axis=-1)
+    return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -75,7 +55,6 @@ class FiniteMetricSpace:
     points: tuple
     dist: np.ndarray
     unit_ball: bool = False
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         d = np.array(self.dist, dtype=float)
@@ -105,11 +84,11 @@ class FiniteMetricSpace:
         return len(self.points)
 
     @classmethod
-    def from_points(cls, vectors, norm: str = "l2", **kwargs) -> "FiniteMetricSpace":
-        """Build a space from row vectors under an l1/l2/linf norm."""
+    def from_points(cls, vectors) -> "FiniteMetricSpace":
+        """Build a space from row vectors under the Euclidean distance."""
         x = np.atleast_2d(np.asarray(vectors, dtype=float))
         points = tuple(tuple(row) for row in x)
-        return cls(points=points, dist=pairwise_distances(x, norm), **kwargs)
+        return cls(points=points, dist=pairwise_distances(x))
 
     @classmethod
     def from_file(cls, path) -> "FiniteMetricSpace":
@@ -209,21 +188,10 @@ def packing_number(space: FiniteMetricSpace, eta: float,
     return best
 
 
-def norm_ball_covering_bounds(dim: int, eta: float) -> tuple[float, float]:
-    """Lower and upper bounds (1/eta)^d and (1+2/eta)^d on the covering
-    number of a unit norm ball.  Overflows to inf for large dim; see
-    `norm_ball_covering_bounds_log`."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    lo, hi = norm_ball_covering_bounds_log(dim, eta)
-    return (math.exp(lo) if lo < 709 else math.inf,
-            math.exp(hi) if hi < 709 else math.inf)
-
-
 def norm_ball_covering_bounds_log(dim: int, eta: float) -> tuple[float, float]:
-    """The same bounds in log space: (d ln(1/eta), d ln(1 + 2/eta))."""
+    """Logs of the lower and upper bounds (1/eta)^d and (1+2/eta)^d on the
+    covering number of a unit norm ball: (d ln(1/eta), d ln(1 + 2/eta)).
+    The bounds themselves overflow a float for large dim."""
     if eta <= 0:
         raise ValueError("eta must be positive")
     if dim < 1:
@@ -231,22 +199,18 @@ def norm_ball_covering_bounds_log(dim: int, eta: float) -> tuple[float, float]:
     return dim * math.log(1.0 / eta), dim * math.log(1.0 + 2.0 / eta)
 
 
-def discretize_unit_ball(dim: int, spacing: float, norm: str = "l2") -> FiniteMetricSpace:
-    """Axis-aligned grid restricted to the unit ball, tagged for use by
-    `effective_dimension`.  The spacing is recorded in the space metadata
-    because the resulting dimension estimate depends on it."""
+def discretize_unit_ball(dim: int, spacing: float) -> FiniteMetricSpace:
+    """Axis-aligned grid restricted to the unit L2 ball, tagged for use by
+    `effective_dimension`, whose estimate depends on the spacing."""
     if spacing <= 0:
         raise ValueError("spacing must be positive")
-    norm = _check_norm(norm)
     k = int(math.floor(1.0 / spacing + 1e-9))
     axis = spacing * np.arange(-k, k + 1)
     pts = [p for p in itertools.product(axis, repeat=dim)
-           if vector_norm(np.array(p), norm) <= 1.0 + 1e-9]
+           if np.sqrt(np.sum(np.square(p))) <= 1.0 + 1e-9]
     arr = np.array(pts, dtype=float)
     return FiniteMetricSpace(points=tuple(map(tuple, pts)),
-                             dist=pairwise_distances(arr, norm),
-                             unit_ball=True,
-                             meta={"spacing": spacing, "norm": norm})
+                             dist=pairwise_distances(arr), unit_ball=True)
 
 
 def effective_dimension(space: FiniteMetricSpace, cap: int = DEFAULT_SEARCH_CAP) -> float:

@@ -107,17 +107,16 @@ def dp_epsilon_of(mech: FiniteMechanism) -> float:
     return float(np.max(logs.max(axis=0) - logs.min(axis=0)))
 
 
-def _type_likelihoods(mech: FiniteMechanism, n: int,
-                      cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _type_likelihoods(mech: FiniteMechanism, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Product likelihoods of the outcome type classes of n draws: the
     (n_inputs, n_types) matrix and the number of ordered tuples in each
-    class.  The cap applies to the ordered tuple count."""
+    class.  `ENUMERATION_CAP` applies to the ordered tuple count."""
     if n < 1:
         raise ValueError("n must be >= 1")
     k = mech.n_outcomes
     total = k ** n
-    if total > cap:
-        raise EnumerationCapError(f"{k}^{n} = {total} tuples exceed cap {cap}")
+    if total > ENUMERATION_CAP:
+        raise EnumerationCapError(f"{k}^{n} = {total} tuples exceed cap {ENUMERATION_CAP}")
     # one sorted row of outcomes per class.  A class's size is the
     # multinomial n!/prod(c_o!), built over prefixes: growing a prefix to
     # length j + 1 with an outcome it then holds r times multiplies the
@@ -133,33 +132,35 @@ def _type_likelihoods(mech: FiniteMechanism, n: int,
     return like, mult
 
 
-def exact_bayes_risk(mech: FiniteMechanism, space: FiniteMetricSpace, n: int = 1,
-                     cap: int = ENUMERATION_CAP) -> float:
+def exact_bayes_risk(mech: FiniteMechanism, space: FiniteMetricSpace, n: int = 1) -> float:
     """Exact Bayes risk under a uniform prior over the mechanism inputs,
     squared-distance loss, and estimates restricted to the space's points.
 
     The closed-form bounds lower-bound this prior's Bayes risk over all
     estimators, and the restriction can only raise it, so this value
-    must dominate each of them (see the module docstring).
+    must dominate each of them (see the module docstring).  A squared
+    distance beyond the float range is refused: an infinite risk would
+    dominate every bound and certify nothing.
     """
-    like, mult = _type_likelihoods(mech, n, cap)
+    like, mult = _type_likelihoods(mech, n)
     idx = np.array(mech.inputs, dtype=int)
-    sq = space.dist[np.ix_(idx, np.arange(len(space)))] ** 2
+    with np.errstate(over="ignore"):
+        sq = space.dist[np.ix_(idx, np.arange(len(space)))] ** 2
+    if not np.all(np.isfinite(sq)):
+        raise ValueError("squared distances overflow the float range")
     cost = sq.T @ like          # candidate x type class: posterior-weighted loss
     return float(cost.min(axis=0) @ mult / mech.n_inputs)
 
 
-def exact_identification_error(mech: FiniteMechanism, n: int = 1,
-                               cap: int = ENUMERATION_CAP) -> float:
+def exact_identification_error(mech: FiniteMechanism, n: int = 1) -> float:
     """Bayes error of identifying the input from n draws (uniform prior)."""
-    like, mult = _type_likelihoods(mech, n, cap)
+    like, mult = _type_likelihoods(mech, n)
     return float(1.0 - like.max(axis=0) @ mult / mech.n_inputs)
 
 
-def mutual_information(mech: FiniteMechanism, n: int = 1,
-                       cap: int = ENUMERATION_CAP) -> float:
+def mutual_information(mech: FiniteMechanism, n: int = 1) -> float:
     """Mutual information in nats between a uniform input and n draws."""
-    like, mult = _type_likelihoods(mech, n, cap)
+    like, mult = _type_likelihoods(mech, n)
     marginal = like.mean(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(like > 0, like * (np.log(like) - np.log(marginal)), 0.0)
@@ -189,15 +190,14 @@ def channel_renyi(mech: FiniteMechanism, i: int, j: int, alpha: float) -> float:
     return math.log(s) / (alpha - 1.0)
 
 
-def product_tv(mech: FiniteMechanism, n: int,
-               cap: int = ENUMERATION_CAP) -> tuple[float, float]:
+def product_tv(mech: FiniteMechanism, n: int) -> tuple[float, float]:
     """Exact total variation between the n-fold products of a two-input
     channel's rows, and their overlap sum(min(p, q)) = 1 - TV, summed
     from the same enumeration so it keeps its precision where TV is
     near 1."""
     if mech.n_inputs != 2:
         raise ValueError("product TV requires exactly two inputs")
-    like, mult = _type_likelihoods(mech, n, cap)
+    like, mult = _type_likelihoods(mech, n)
     return (float(0.5 * (np.abs(like[0] - like[1]) @ mult)),
             float(np.minimum(like[0], like[1]) @ mult))
 
@@ -215,8 +215,8 @@ class LeCamReport:
     exact_risk: float
 
 
-def lecam_certificate(mech: FiniteMechanism, space: FiniteMetricSpace, n: int = 1,
-                      cap: int = ENUMERATION_CAP) -> LeCamReport:
+def lecam_certificate(mech: FiniteMechanism, space: FiniteMetricSpace,
+                      n: int = 1) -> LeCamReport:
     """Exact two-point certificate chain.
 
     Computes the exact Bayes risk, the two-point testing bound
@@ -231,13 +231,13 @@ def lecam_certificate(mech: FiniteMechanism, space: FiniteMetricSpace, n: int = 
     i, j = mech.inputs
     sep = float(space.dist[i, j])
     t = sep / 2.0
-    tv_n, overlap = product_tv(mech, n, cap)
+    tv_n, overlap = product_tv(mech, n)
     kl = channel_kl(mech, 0, 1)
     eps = dp_epsilon_of(mech)
     lecam = (t * t / 2.0) * overlap
     bh = two_point_bound(sep, kl, n)
     dp_bound = dp_lecam_bound(BoundQuery(params=PrivacyParams(eps=eps), n=n, diam=sep))
-    exact = exact_bayes_risk(mech, space, n, cap)
+    exact = exact_bayes_risk(mech, space, n)
     slack = 1e-12 * max(1.0, exact)
     if not (exact + slack >= lecam and lecam + slack >= bh and bh + slack >= dp_bound):
         raise CertificateError(
@@ -257,16 +257,16 @@ class FanoReport:
     exact_error: float
 
 
-def fano_certificate(mech: FiniteMechanism, space: FiniteMetricSpace, n: int = 1,
-                     cap: int = ENUMERATION_CAP) -> FanoReport:
+def fano_certificate(mech: FiniteMechanism, space: FiniteMetricSpace,
+                     n: int = 1) -> FanoReport:
     """Multi-hypothesis certificate: exact identification error versus
     the mutual-information bound 1 - (I + ln 2)/ln M."""
     m = mech.n_inputs
     if m < 3:
         raise ValueError("the multi-hypothesis certificate needs at least 3 inputs")
-    info = mutual_information(mech, n, cap)
+    info = mutual_information(mech, n)
     fano = 1.0 - (info + math.log(2.0)) / math.log(m)
-    exact = exact_identification_error(mech, n, cap)
+    exact = exact_identification_error(mech, n)
     if exact + 1e-12 < fano:
         raise CertificateError(f"exact error {exact} below information bound {fano}")
     return FanoReport(n_inputs=m, n=n, mutual_info=info,

@@ -75,15 +75,14 @@ def project_l2(v: np.ndarray, radius: float) -> np.ndarray:
 
 
 def pnsgd_run(config: PNSGDConfig, dataset: Sequence, loss_grad: Callable,
-              rng: np.random.Generator | Sequence[np.random.Generator]) -> np.ndarray:
-    """Run one pass and return the final iterate.
+              rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Run one pass of B chains in lockstep from ``w0``, one per generator
+    in ``rngs``, and return their final iterates as a (B, d) array.
 
-    ``rng`` is one generator, for a single chain with final iterate of
-    shape (d,), or a sequence of B generators for B chains run in
-    lockstep from ``w0``, returning a (B, d) array.  Chain b draws its
-    noise from its own generator at its own ``config.sigma``, in the same
-    order as a pass run alone, so its result does not depend on which
-    chains share the pass; a chain with sigma 0 draws nothing.
+    Chain b draws its noise from its own generator at its own
+    ``config.sigma``, in the same order as a pass run alone, so its
+    result does not depend on which chains share the pass; a chain with
+    sigma 0 draws nothing.
     ``loss_grad(w, sample)`` must return the per-sample loss gradient at
     every row of the (B, d) state.  Intermediate iterates are never
     exposed.
@@ -91,8 +90,6 @@ def pnsgd_run(config: PNSGDConfig, dataset: Sequence, loss_grad: Callable,
     n = len(dataset)
     if n == 0:
         raise ValueError("dataset must be nonempty")
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
     chains, d = len(rngs), config.w0.size
     sigmas = np.zeros(chains) + config.sigma
     w = np.zeros((chains, d)) + config.w0
@@ -108,7 +105,7 @@ def pnsgd_run(config: PNSGDConfig, dataset: Sequence, loss_grad: Callable,
                 noise[:steps, b] = gen.normal(0.0, s, size=(steps, d))
         grad = np.asarray(loss_grad(w, sample), dtype=float)
         w = project_l2(w - eta * (grad + noise[k]), radius)
-    return w[0] if single else w
+    return w
 
 
 def noise_for_renyi_dp(alpha: float, eps: float, G: float, n: int, t: int) -> float:

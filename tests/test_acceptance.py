@@ -19,7 +19,7 @@ from reconbound.divergence import (GAUSSIAN, LAPLACE, AnalyticPair, analytic_kl,
 from reconbound.harness import SweepConfig, emit_csv, generate_synthetic, run_sweep
 from reconbound.mechanisms import PrivacyParams, train_logreg_exact
 from reconbound.metric_space import (covering_number, discretize_unit_ball,
-                                     norm_ball_covering_bounds, two_point_space)
+                                     norm_ball_covering_bounds_log, two_point_space)
 from reconbound.oracle import exact_bayes_risk, randomized_response
 from reconbound.pnsgd import noise_for_renyi_dp, noise_for_renyi_mdp
 
@@ -175,7 +175,7 @@ def test_c8_covering_sandwich_on_grid_balls():
         for d in (1, 2):
             ball = discretize_unit_ball(d, 0.5)
             for eta in (0.5, 1.0):
-                lo, hi = norm_ball_covering_bounds(d, eta)
+                lo, hi = map(math.exp, norm_ball_covering_bounds_log(d, eta))
                 cov = covering_number(ball, eta, cap=25)
                 assert lo <= cov <= hi, (d, eta, cov, lo, hi)
         assert time.perf_counter() - start < 20.0

@@ -104,8 +104,8 @@ class TestSingleReconstruction:
         # smallest-|u| selection the attack documents.
         prob, theta = trained_instance(3, n=30, d=1)
         from reconbound.mechanisms import logistic_grad_sum
-        g = -prob.n * prob.lam * theta - logistic_grad_sum(theta, prob.features[:-1],
-                                                           prob.labels[:-1])
+        g = -prob.n * prob.lam * theta - logistic_grad_sum(theta[:, None], prob.features[:-1],
+                                                           prob.labels[:-1])[:, 0]
         y = float(prob.labels[-1])
         target = float(theta @ g)
         coarse = np.arange(-50.0, 50.0, 1e-3)
@@ -126,8 +126,8 @@ class TestSingleReconstruction:
     def test_reconstruction_parallel_to_gradient(self):
         prob, theta = trained_instance(5)
         from reconbound.mechanisms import logistic_grad_sum
-        g = -prob.n * prob.lam * theta - logistic_grad_sum(theta, prob.features[:-1],
-                                                           prob.labels[:-1])
+        g = -prob.n * prob.lam * theta - logistic_grad_sum(theta[:, None], prob.features[:-1],
+                                                           prob.labels[:-1])[:, 0]
         x_hat = glm_reconstruct_single(theta, prob.features[:-1], prob.labels[:-1],
                                        float(prob.labels[-1]), prob.lam, prob.n)
         cos = float(g @ x_hat) / (np.linalg.norm(g) * np.linalg.norm(x_hat))

@@ -31,9 +31,8 @@ def golden_max(f, lo, hi, tol=1e-10):
     return x, f(x)
 
 
-def q(eps=0.0, delta=0.0, eps_metric=0.0, alpha=None, **kw):
-    return BoundQuery(params=PrivacyParams(eps=eps, delta=delta,
-                                           eps_metric=eps_metric, alpha=alpha), **kw)
+def q(eps=0.0, delta=0.0, alpha=None, **kw):
+    return BoundQuery(params=PrivacyParams(eps=eps, delta=delta, alpha=alpha), **kw)
 
 
 class TestTwoPoint:
@@ -105,17 +104,25 @@ class TestRenyiLecam:
 
 class TestMdpLecam:
     def test_direct(self):
-        assert mdp_lecam_bound(q(eps_metric=1.0)) == pytest.approx(
+        assert mdp_lecam_bound(q(eps=1.0)) == pytest.approx(
             1.0 / (2.0 * math.e), rel=1e-12)
-        assert mdp_lecam_bound(q(eps_metric=1.0)) == pytest.approx(0.183940, abs=1e-6)
+        assert mdp_lecam_bound(q(eps=1.0)) == pytest.approx(0.183940, abs=1e-6)
 
     def test_halves_with_n(self):
-        a = mdp_lecam_bound(q(eps_metric=1.0, n=1))
-        b = mdp_lecam_bound(q(eps_metric=1.0, n=2))
+        a = mdp_lecam_bound(q(eps=1.0, n=1))
+        b = mdp_lecam_bound(q(eps=1.0, n=2))
         assert b == pytest.approx(a / 2.0, rel=1e-12)
 
     def test_infinite_at_zero(self):
-        assert math.isinf(mdp_lecam_bound(q(eps_metric=0.0)))
+        assert math.isinf(mdp_lecam_bound(q(eps=0.0)))
+
+    def test_infinite_where_eps_squared_underflows(self):
+        # eps^2 is 0.0 below about 1.5e-162; the bound there is beyond
+        # the float range, and inf is its correctly rounded value
+        for eps in (1e-170, 1e-200, 5e-324):
+            assert mdp_lecam_bound(q(eps=eps)) == math.inf
+        assert mdp_lecam_bound(q(eps=1e-150)) == pytest.approx(
+            1.0 / (2.0 * math.e * 1e-300), rel=1e-12)
 
     def test_optimizer_matches_golden_section(self):
         # the closed form comes from maximizing (t^2/4)exp(-n eps^2 t^2 / 2)
@@ -123,19 +130,19 @@ class TestMdpLecam:
             f = lambda t: (t * t / 4.0) * math.exp(-n * eps * eps * t * t / 2.0)
             t_star, val = golden_max(f, 1e-6, 50.0)
             assert t_star == pytest.approx((1.0 / eps) * math.sqrt(2.0 / n), abs=1e-6)
-            assert val == pytest.approx(mdp_lecam_bound(q(eps_metric=eps, n=n)),
+            assert val == pytest.approx(mdp_lecam_bound(q(eps=eps, n=n)),
                                         rel=1e-9)
 
 
 class TestMdpFano:
     def test_closed_form_small_dim(self):
         d_eff = 2 * math.log(2.0)
-        val = mdp_fano_bound(q(eps_metric=1.0, d_eff=d_eff))
+        val = mdp_fano_bound(q(eps=1.0, d_eff=d_eff))
         assert val == pytest.approx(math.log(2.0) / 16.0, rel=1e-12)
 
     def test_asymptotically_linear_in_dim(self):
-        r = (mdp_fano_bound(q(eps_metric=1.0, d_eff=2e6))
-             / mdp_fano_bound(q(eps_metric=1.0, d_eff=1e6)))
+        r = (mdp_fano_bound(q(eps=1.0, d_eff=2e6))
+             / mdp_fano_bound(q(eps=1.0, d_eff=1e6)))
         assert r == pytest.approx(2.0, rel=1e-3)
 
     def test_matches_numeric_maximization(self):
@@ -147,11 +154,15 @@ class TestMdpFano:
             f = lambda t: t * t * (1.0 - (2 * n * eps * eps * t * t + math.log(2.0)) / d_eff)
             _, val = golden_max(f, 0.0, math.sqrt(d_eff / (2 * n * eps * eps)))
             assert val == pytest.approx(
-                mdp_fano_bound(q(eps_metric=eps, d_eff=d_eff, n=n)), rel=1e-8)
+                mdp_fano_bound(q(eps=eps, d_eff=d_eff, n=n)), rel=1e-8)
 
     def test_degenerate_dim_rejected(self):
         with pytest.raises(DegenerateDimensionError):
-            mdp_fano_bound(q(eps_metric=1.0, d_eff=math.log(2.0)))
+            mdp_fano_bound(q(eps=1.0, d_eff=math.log(2.0)))
+
+    def test_infinite_where_eps_squared_underflows(self):
+        for eps in (0.0, 1e-170, 1e-200):
+            assert mdp_fano_bound(q(eps=eps, d_eff=11.0)) == math.inf
 
     def test_constant_factor_from_two_point_form(self):
         # at d_eff = 2 ln 2 the multi-hypothesis form recovers the
@@ -159,8 +170,8 @@ class TestMdpFano:
         d_eff = 2 * math.log(2.0)
         for n in (1, 2, 5, 10):
             for eps in (0.2, 1.0, 3.0):
-                ratio = (mdp_lecam_bound(q(eps_metric=eps, n=n))
-                         / mdp_fano_bound(q(eps_metric=eps, d_eff=d_eff, n=n)))
+                ratio = (mdp_lecam_bound(q(eps=eps, n=n))
+                         / mdp_fano_bound(q(eps=eps, d_eff=d_eff, n=n)))
                 assert 1.0 <= ratio <= 8.0 * math.e
 
 
@@ -180,6 +191,13 @@ class TestUnbiasedRdp:
 
     def test_infinite_at_zero(self):
         assert math.isinf(unbiased_rdp_bound(q(coord_diam_sq_sum=4.0)))
+
+    def test_small_eps_keeps_precision(self):
+        # e^eps - 1 is eps to first order; exp(eps) - 1.0 rounds to 0 below
+        # 1.1e-16 and to 2.2e-16 at eps = 3e-16, 35 % off
+        for eps in (1e-200, 1e-17, 3e-16, 1e-10):
+            val = unbiased_rdp_bound(q(eps=eps, coord_diam_sq_sum=1.0))
+            assert val == pytest.approx(1.0 / (4.0 * eps), rel=1e-9)
 
     def test_zero_beyond_exp_overflow(self):
         # e^eps overflows a float above eps = ln(max float) = 709.78
@@ -219,12 +237,12 @@ class TestComparisons:
     def test_metric_bounds_strictly_decreasing(self):
         d_eff = 16 * math.log(2.0)
         eps_grid = [0.1, 0.5, 1.0, 2.0, 4.0]
-        lecam = [mdp_lecam_bound(q(eps_metric=e)) for e in eps_grid]
-        fano = [mdp_fano_bound(q(eps_metric=e, d_eff=d_eff)) for e in eps_grid]
+        lecam = [mdp_lecam_bound(q(eps=e)) for e in eps_grid]
+        fano = [mdp_fano_bound(q(eps=e, d_eff=d_eff)) for e in eps_grid]
         assert all(b < a for a, b in zip(lecam, lecam[1:]))
         assert all(b < a for a, b in zip(fano, fano[1:]))
-        lecam_n = [mdp_lecam_bound(q(eps_metric=1.0, n=n)) for n in (1, 2, 3, 4)]
-        fano_n = [mdp_fano_bound(q(eps_metric=1.0, d_eff=d_eff, n=n)) for n in (1, 2, 3, 4)]
+        lecam_n = [mdp_lecam_bound(q(eps=1.0, n=n)) for n in (1, 2, 3, 4)]
+        fano_n = [mdp_fano_bound(q(eps=1.0, d_eff=d_eff, n=n)) for n in (1, 2, 3, 4)]
         assert all(b < a for a, b in zip(lecam_n, lecam_n[1:]))
         assert all(b < a for a, b in zip(fano_n, fano_n[1:]))
 

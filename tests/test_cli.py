@@ -1,3 +1,5 @@
+import warnings
+
 from reconbound import cli, harness, oracle
 from reconbound.harness import SweepConfig, SweepResult, SweepRow
 from reconbound.metric_space import FiniteMetricSpace
@@ -150,7 +152,45 @@ class TestLargeEpsilon:
         assert (out_dir / "sweep_output_perturb_dp.csv").exists()
 
 
+class TestTinyEpsilon:
+    # eps^2 underflows to 0 below about 1.5e-162, and exp(eps) - 1.0 is 0
+    # below 1.1e-16: the bounds there are inf or finite, never a traceback
+    def test_bounds(self, tmp_path):
+        metric, dp = tmp_path / "metric.csv", tmp_path / "dp.csv"
+        assert run_cli(["bounds", "--eps-grid", "1e-200", "--diam", "1",
+                        "--d-eff", "11", "--out", str(metric)]) == 0
+        assert run_cli(["bounds", "--eps-grid", "1e-17", "--diam", "1",
+                        "--coord-diam-sq-sum", "1", "--out", str(dp)]) == 0
+        assert "1e-200,mdp_lecam,inf,INFINITE" in metric.read_text()
+        assert "1e-200,mdp_fano,inf,INFINITE" in metric.read_text()
+        assert "1e-17,rdp_unbiased,2.5e+16,VACUOUS" in dp.read_text()
+
+    def test_sweeps(self, tmp_path):
+        for kind, grid in (("OUTPUT_PERTURB_MDP", "1e-170,1"),
+                           ("OUTPUT_PERTURB_DP", "1e-17,1")):
+            out_dir = tmp_path / kind
+            assert run_cli(["sweep", "--mechanism", kind, "--eps-grid", grid,
+                            "--seed", "1", "--trials", "1", "--out", str(out_dir)]) == 0
+            assert (out_dir / f"sweep_{kind.lower()}.csv").exists()
+
+
 class TestBadInput:
+    def test_diam_square_overflow_exit_2(self, tmp_path, capsys):
+        out_path = tmp_path / "b.csv"
+        assert run_cli(["bounds", "--eps-grid", "1", "--diam", "1e200",
+                        "--out", str(out_path)]) == 2
+        assert "--diam" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_separation_square_overflow_exit_2(self, capsys):
+        # an infinite exact risk "dominates" every bound; the numpy
+        # overflow warning must not be what reports it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["oracle", "--eps-grid", "1", "--separation", "1e200"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "config error" in captured.err
+
     def test_non_finite_grid_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("eps_grid = 1,nan\nmechanism_kind = OUTPUT_PERTURB_DP\nseed = 1\n")

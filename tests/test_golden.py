@@ -1,0 +1,41 @@
+"""Pinned output bytes: small sweeps of every mechanism kind, and the
+noiseless output-perturbation limit, each checked against the full
+sha256 of its CSV.  Any change in the numbers a sweep writes, down to
+the last digit of one cell, fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from reconbound.harness import SweepConfig, emit_csv, run_sweep
+
+# (mechanism kind, noiseless) -> sha256 of the CSV
+GOLDEN = {
+    ("OUTPUT_PERTURB_DP", False):
+        "6ea86fc4f64cd1f1ceaa8107950f5c6a8315eb8264bf50d35aa270e6dae53584",
+    ("OUTPUT_PERTURB_MDP", False):
+        "f69973bcc74efb714f0c5829b464d2f5486db658a32d16fc4b8cfbe9ccba6185",
+    ("PNSGD_DP", False):
+        "a1ee3a987e1d914a07a815f8476013cca04b6b0b572b576a2ff5d680d4c92bd7",
+    ("PNSGD_MDP", False):
+        "9fd94e501ac60360c89734c4acc52b84e6906ae11495cb12f24a7f673d08ebe2",
+    ("OUTPUT_PERTURB_DP", True):
+        "b1e1d352aebc1e8e8400caf97a5d6458f652d278471d3366c983c40da63c6826",
+    ("OUTPUT_PERTURB_MDP", True):
+        "65c5308b8f05fc2eacce0c3e3a1faee217ec3a73b2f31b876301e22597ee82c4",
+}
+
+
+@pytest.mark.parametrize("kind,noiseless", sorted(GOLDEN),
+                         ids=lambda v: v if isinstance(v, str) else ("noiseless" if v else "noisy"))
+def test_csv_digest(kind, noiseless, tmp_path):
+    cfg = SweepConfig(eps_grid=(0.5, 2.0), mechanism_kind=kind, seed=20240817,
+                      trials=3, n_samples=2, train_size=200, dim=4, noiseless=noiseless)
+    path = tmp_path / "sweep.csv"
+    emit_csv(run_sweep(cfg), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN[kind, noiseless], (
+        f"{kind} (noiseless={noiseless}) CSV bytes changed: sha256 {digest}.  "
+        "If the change is intended, record the new digests and the reason in "
+        "CHANGES.md and update GOLDEN here.\n" + path.read_text())

@@ -329,7 +329,7 @@ class TestKindDispatch:
         delta = cfg.delta if takes_delta else 0.0
         eps = 1.5
         if metric:
-            q = BoundQuery(params=PrivacyParams(eps_metric=eps, delta=delta), n=2,
+            q = BoundQuery(params=PrivacyParams(eps=eps, delta=delta), n=2,
                            d_eff=cfg.dim * math.log(2.0))
             want = {"mdp_lecam": bounds.mdp_lecam_bound(q),
                     "mdp_fano": bounds.mdp_fano_bound(q)}

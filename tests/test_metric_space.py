@@ -7,18 +7,17 @@ import pytest
 from reconbound.metric_space import (FiniteMetricSpace, SizeCapError,
                                      covering_number, discretize_unit_ball,
                                      effective_dimension,
-                                     norm_ball_covering_bounds,
                                      norm_ball_covering_bounds_log, packing_number,
-                                     pairwise_distances, two_point_space, vector_norm)
+                                     pairwise_distances, two_point_space)
 
 
 def unit_square_corners():
     return FiniteMetricSpace.from_points(
-        [[0, 0], [0, 1], [1, 0], [1, 1]], norm="l2")
+        [[0, 0], [0, 1], [1, 0], [1, 1]])
 
 
 def collinear(vals):
-    return FiniteMetricSpace.from_points([[v] for v in vals], norm="l2")
+    return FiniteMetricSpace.from_points([[v] for v in vals])
 
 
 def brute_covering(space, eta):
@@ -70,8 +69,7 @@ class TestDiameter:
 
     def test_box_784_l2(self):
         corners = np.array([np.zeros(784), np.ones(784)])
-        assert pairwise_distances(corners, "l2").max() == pytest.approx(28.0, abs=1e-12)
-        assert vector_norm(np.ones(784), "l2") == pytest.approx(28.0, abs=1e-12)
+        assert pairwise_distances(corners).max() == pytest.approx(28.0, abs=1e-12)
 
     def test_two_point(self):
         # one center covers the space exactly from the diameter on
@@ -80,11 +78,6 @@ class TestDiameter:
         assert covering_number(sp, 3.0) == 1
         assert covering_number(sp, 2.99) == 2
         assert packing_number(sp, 3.0) == 2
-
-    def test_box_linf(self):
-        corners = np.array(list(itertools.product([0.0, 1.0], repeat=2)))
-        assert pairwise_distances(corners, "linf").max() == 1.0
-        assert vector_norm(np.ones(2), "linf") == 1.0
 
     def test_scaling(self):
         # scaling every distance by c scales the diameter and every
@@ -190,23 +183,23 @@ class TestSandwich:
         assert packs == sorted(packs, reverse=True)
 
 
+def exp_covering_bounds(dim, eta):
+    return tuple(map(math.exp, norm_ball_covering_bounds_log(dim, eta)))
+
+
 class TestNormBallBounds:
     def test_dim1_half(self):
-        lo, hi = norm_ball_covering_bounds(1, 0.5)
+        lo, hi = exp_covering_bounds(1, 0.5)
         assert lo == pytest.approx(2.0) and hi == pytest.approx(5.0)
 
     def test_dim2_one(self):
-        lo, hi = norm_ball_covering_bounds(2, 1.0)
+        lo, hi = exp_covering_bounds(2, 1.0)
         assert lo == pytest.approx(1.0) and hi == pytest.approx(9.0)
 
     def test_log_space_784(self):
         lo, hi = norm_ball_covering_bounds_log(784, 0.5)
         assert lo == pytest.approx(784 * math.log(2.0), rel=1e-12)
         assert hi == pytest.approx(784 * math.log(5.0), rel=1e-12)
-        # the linear form stays finite only where float64 can represent it
-        lo_lin, hi_lin = norm_ball_covering_bounds(784, 0.5)
-        assert lo_lin == pytest.approx(2.0 ** 784, rel=1e-9)
-        assert math.isinf(hi_lin)
 
     def test_sandwich_on_grid_discretizations(self):
         # exhaustive covering of grid-discretized unit balls stays inside
@@ -214,7 +207,7 @@ class TestNormBallBounds:
         for d, spacing in ((1, 0.5), (2, 0.5)):
             sp = discretize_unit_ball(d, spacing)
             for eta in (0.5, 1.0):
-                lo, hi = norm_ball_covering_bounds(d, eta)
+                lo, hi = exp_covering_bounds(d, eta)
                 cov = covering_number(sp, eta, cap=25)
                 assert lo <= cov <= hi, (d, eta, cov, lo, hi)
 
@@ -225,9 +218,8 @@ class TestEffectiveDimension:
         assert effective_dimension(sp) == 0.0
 
     def test_interval_grid(self):
-        sp = discretize_unit_ball(1, 0.1, norm="l1")
+        sp = discretize_unit_ball(1, 0.1)
         assert len(sp) == 21
-        assert sp.meta["spacing"] == 0.1
         assert effective_dimension(sp, cap=21) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_untagged_rejected(self):
@@ -261,12 +253,9 @@ class TestValidation:
 
 
     def test_box_validation(self):
-        # a norm ball needs a positive dimension, and a norm must be known
+        # a norm ball needs a positive dimension
         with pytest.raises(ValueError):
             norm_ball_covering_bounds_log(0, 0.5)
-        with pytest.raises(ValueError):
-            pairwise_distances(np.zeros((2, 2)), "l3")
-        assert vector_norm(np.array([0.5, -2.0, 1.0]), "LINF") == 2.0
 
 
 class TestFileFormat:
@@ -287,6 +276,4 @@ class TestFileFormat:
 
 def test_pairwise_norms_agree_with_manual():
     x = np.array([[0.0, 0.0], [3.0, 4.0]])
-    assert pairwise_distances(x, "l2")[0, 1] == pytest.approx(5.0)
-    assert pairwise_distances(x, "l1")[0, 1] == pytest.approx(7.0)
-    assert pairwise_distances(x, "linf")[0, 1] == pytest.approx(4.0)
+    assert pairwise_distances(x)[0, 1] == pytest.approx(5.0)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from reconbound import oracle
 from reconbound.bounds import BoundQuery, dp_lecam_bound, two_point_bound
 from reconbound.divergence import bh_tv_bound, kl_bound, renyi_bound
 from reconbound.mechanisms import PrivacyParams
@@ -116,6 +117,15 @@ class TestExactBayesRisk:
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationCapError):
             exact_bayes_risk(randomized_response(1.0), two_point_space(1.0), 21)
+
+    def test_squared_distance_overflow_rejected(self):
+        # an infinite risk would dominate every bound and certify nothing
+        mech = randomized_response(1.0)
+        assert math.isfinite(exact_bayes_risk(mech, two_point_space(1e150), 2))
+        for call in (lambda sp: exact_bayes_risk(mech, sp, 2),
+                     lambda sp: lecam_certificate(mech, sp, n=2)):
+            with pytest.raises(ValueError, match="overflow"):
+                call(two_point_space(1e200))
 
     def test_dominates_closed_form_bound(self):
         # the certified chain on exhaustive instances: exact risk at least
@@ -314,16 +324,19 @@ class TestTypeClassesMatchTupleEnumeration:
             for n in (1, 2, 3, 4, 5):
                 self.check(FiniteMechanism(channel=c), n, rng)
 
-    def test_cap_counts_ordered_tuples(self):
+    def test_cap_counts_ordered_tuples(self, monkeypatch):
         # the cap still applies to n_outcomes^n, not to the type classes
         sp = uniform_space(3)
         mech = randomized_response(1.0, k=3)
-        for call in (lambda cap: exact_bayes_risk(mech, sp, 4, cap),
-                     lambda cap: exact_identification_error(mech, 4, cap),
-                     lambda cap: mutual_information(mech, 4, cap)):
-            call(3 ** 4)
+        for call in (lambda: exact_bayes_risk(mech, sp, 4),
+                     lambda: exact_identification_error(mech, 4),
+                     lambda: mutual_information(mech, 4)):
+            monkeypatch.setattr(oracle, "ENUMERATION_CAP", 3 ** 4)
+            call()
+            monkeypatch.setattr(oracle, "ENUMERATION_CAP", 3 ** 4 - 1)
             with pytest.raises(EnumerationCapError):
-                call(3 ** 4 - 1)
+                call()
+            monkeypatch.undo()
         product_tv(randomized_response(1.0), 19)
         assert 2 ** 19 <= ENUMERATION_CAP < 2 ** 20
         with pytest.raises(EnumerationCapError):

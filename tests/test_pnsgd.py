@@ -27,7 +27,7 @@ class TestRun:
         cfg = PNSGDConfig(eta=1.0, sigma=0.0, w0=np.zeros(2),
                           constraint_radius=5.0, beta=1.0)
         x_star = np.array([0.5, -1.0])
-        w = pnsgd_run(cfg, [x_star] * 4, quad_grad, np.random.default_rng(0))
+        w = pnsgd_run(cfg, [x_star] * 4, quad_grad, [np.random.default_rng(0)])[0]
         assert np.allclose(w, x_star, rtol=0, atol=1e-15)
 
     def test_projection_identity(self):
@@ -47,7 +47,7 @@ class TestRun:
         cfg = PNSGDConfig(eta=0.5, sigma=0.0, w0=np.zeros(1),
                           constraint_radius=1.0, beta=1.0)
         with pytest.raises(ValueError):
-            pnsgd_run(cfg, [], quad_grad, np.random.default_rng(0))
+            pnsgd_run(cfg, [], quad_grad, [np.random.default_rng(0)])
 
     def test_final_iterate_law_monte_carlo(self):
         # 1-D quadratic with noise and slack radius: the final iterate is
@@ -73,8 +73,8 @@ class TestRun:
         cfg = PNSGDConfig(eta=0.5, sigma=1.0, w0=np.zeros(3),
                           constraint_radius=2.0, beta=1.0)
         xs = [np.array([0.1, 0.2, 0.3])] * 10
-        w1 = pnsgd_run(cfg, xs, quad_grad, np.random.default_rng(7))
-        w2 = pnsgd_run(cfg, xs, quad_grad, np.random.default_rng(7))
+        w1 = pnsgd_run(cfg, xs, quad_grad, [np.random.default_rng(7)])[0]
+        w2 = pnsgd_run(cfg, xs, quad_grad, [np.random.default_rng(7)])[0]
         assert np.array_equal(w1, w2)
 
     def test_contractive_update_on_random_quadratics(self):
@@ -147,7 +147,7 @@ class TestLockstep:
             alone = PNSGDConfig(eta=0.8, sigma=sigma, w0=np.zeros(3),
                                 constraint_radius=1.5, beta=1.0)
             assert np.array_equal(together[b],
-                                  pnsgd_run(alone, signed, many, np.random.default_rng(b)))
+                                  pnsgd_run(alone, signed, many, [np.random.default_rng(b)])[0])
 
     def test_sigma_per_chain_validated(self):
         with pytest.raises(ValueError):

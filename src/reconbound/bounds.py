@@ -103,8 +103,9 @@ def mdp_fano_bound(q: BoundQuery) -> float:
     e = q.params.eps
     if e * e == 0:
         return math.inf
-    num = (d_eff - math.log(2.0)) ** 2
-    return num / (8.0 * q.n * e * e * d_eff) * (1.0 - q.params.delta)
+    gap = d_eff - math.log(2.0)
+    # gap * gap, not gap ** 2: float ** raises OverflowError past 1.3e154
+    return gap * gap / (8.0 * q.n * e * e * d_eff) * (1.0 - q.params.delta)
 
 
 def unbiased_rdp_bound(q: BoundQuery) -> float:

@@ -134,6 +134,12 @@ def _cmd_oracle(args) -> int:
                   f"two_point={rep.lecam_bound:.6g} relaxed={rep.bh_bound:.6g} "
                   f"closed_form={rep.dp_bound:.6g} OK")
     else:
+        entries = args.inputs * args.inputs
+        if entries > oracle.ENUMERATION_CAP:
+            raise harness.ConfigError(
+                f"--inputs {args.inputs}: its {args.inputs}x{args.inputs} channel and "
+                f"distance matrices hold {entries} entries, above the limit "
+                f"{oracle.ENUMERATION_CAP}")
         space = _uniform_space(args.inputs, args.separation)
         for eps in grid:
             mech = oracle.randomized_response(eps, k=args.inputs)

@@ -12,6 +12,14 @@ zeros and only the order of the floating-point operations changes.
 Instances whose ordered tuple count n_outcomes^n exceeds the cap are
 refused rather than sampled.
 
+The type-class index (one sorted row of outcomes per class, and the
+class sizes) depends only on (n_outcomes, n), not on the channel.  It
+is built once per key and kept in a bounded module-level LRU cache of
+`_TYPE_CLASS_CACHE_SIZE` entries, as read-only arrays, so a certificate
+and every point of an eps grid share it; each call only forms the
+product likelihoods of its own channel.  The cap is checked, at its
+current value, before the cache is consulted.
+
 Why the certificates are sound: the closed-form bounds are proved by
 reducing estimation to testing under the uniform prior on the channel
 inputs (Le Cam's two-point method, Fano's inequality), so each bounds
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -37,6 +46,9 @@ from .mechanisms import PrivacyParams
 from .metric_space import FiniteMetricSpace
 
 ENUMERATION_CAP = 1_000_000
+# keys (n_outcomes, n) kept by `_type_classes`; an entry holds at most
+# (n + 1) * ENUMERATION_CAP numbers, and a run uses one or two keys
+_TYPE_CLASS_CACHE_SIZE = 8
 
 
 class EnumerationCapError(ValueError):
@@ -107,29 +119,44 @@ def dp_epsilon_of(mech: FiniteMechanism) -> float:
     return float(np.max(logs.max(axis=0) - logs.min(axis=0)))
 
 
-def _type_likelihoods(mech: FiniteMechanism, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Product likelihoods of the outcome type classes of n draws: the
-    (n_inputs, n_types) matrix and the number of ordered tuples in each
-    class.  `ENUMERATION_CAP` applies to the ordered tuple count."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    k = mech.n_outcomes
-    total = k ** n
-    if total > ENUMERATION_CAP:
-        raise EnumerationCapError(f"{k}^{n} = {total} tuples exceed cap {ENUMERATION_CAP}")
-    # one sorted row of outcomes per class.  A class's size is the
-    # multinomial n!/prod(c_o!), built over prefixes: growing a prefix to
-    # length j + 1 with an outcome it then holds r times multiplies the
-    # prefix's multinomial by (j + 1)/r.  Every step is an integer at most
-    # n * n_outcomes^n, so the float arithmetic is exact below 2^53.
+@lru_cache(maxsize=_TYPE_CLASS_CACHE_SIZE)
+def _type_classes(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The channel-independent index of the type classes of n draws from
+    k outcomes: one sorted row of outcomes per class, and the number of
+    ordered tuples in each class.  Both arrays are read-only, because
+    every caller with the same (k, n) shares them."""
+    # a class's size is the multinomial n!/prod(c_o!), built over
+    # prefixes: growing a prefix to length j + 1 with an outcome it then
+    # holds r times multiplies the prefix's multinomial by (j + 1)/r.
+    # Every step is an integer at most n * k^n, so the float arithmetic
+    # is exact below 2^53.
     draws = np.array(list(combinations_with_replacement(range(k), n)), dtype=np.intp)
     mult = np.ones(len(draws))
     run = np.ones(len(draws))
     for j in range(1, n):
         run = np.where(draws[:, j] == draws[:, j - 1], run + 1.0, 1.0)
         mult = mult * (j + 1) / run
-    like = np.prod(mech.channel[:, draws], axis=2)
-    return like, mult
+    draws.setflags(write=False)
+    mult.setflags(write=False)
+    return draws, mult
+
+
+def _type_likelihoods(mech: FiniteMechanism, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Product likelihoods of the outcome type classes of n draws: the
+    (n_inputs, n_types) matrix and the number of ordered tuples in each
+    class.  `ENUMERATION_CAP` applies to the ordered tuple count and is
+    read and checked on every call, before the cached, read-only class
+    index of `_type_classes` (keyed by (n_outcomes, n), at most
+    `_TYPE_CLASS_CACHE_SIZE` keys) is looked up; only the product of the
+    channel's entries is computed per call."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    k = mech.n_outcomes
+    total = k ** n
+    if total > ENUMERATION_CAP:
+        raise EnumerationCapError(f"{k}^{n} = {total} tuples exceed cap {ENUMERATION_CAP}")
+    draws, mult = _type_classes(k, n)
+    return np.prod(mech.channel[:, draws], axis=2), mult
 
 
 def exact_bayes_risk(mech: FiniteMechanism, space: FiniteMetricSpace, n: int = 1) -> float:

@@ -42,6 +42,13 @@ class TestBounds:
         assert prior[0].endswith("VACUOUS")   # eps=1 under the threshold
         assert prior[2].endswith("VALID")     # eps=5.5 above it
 
+    def test_fano_square_beyond_float_range(self, tmp_path):
+        # (d_eff - ln 2)^2 overflows: the bound is inf, not a traceback
+        out_path = tmp_path / "bounds.csv"
+        assert run_cli(["bounds", "--eps-grid", "1", "--diam", "1", "--d-eff", "1e200",
+                        "--out", str(out_path)]) == 0
+        assert "1.0,mdp_fano,inf,INFINITE" in out_path.read_text()
+
 
 class TestOracleCommand:
     def test_two_point(self, capsys):
@@ -206,6 +213,21 @@ class TestBadInput:
     def test_oversized_grid_exit_2(self, capsys):
         assert run_cli(["oracle", "--eps-grid", "0:1:1e-9"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_oversized_inputs_exit_2(self, monkeypatch, capsys):
+        # refused before the k x k matrices are built
+        def no_matrices(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+        monkeypatch.setattr(cli, "_uniform_space", no_matrices)
+        monkeypatch.setattr(oracle, "randomized_response", no_matrices)
+        assert run_cli(["oracle", "--eps-grid", "1", "--inputs", "100000"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(oracle.ENUMERATION_CAP) in err
+        monkeypatch.undo()
+        # the limit is read at call time: 3x3 entries fit under 9, 4x4 do not
+        monkeypatch.setattr(oracle, "ENUMERATION_CAP", 9)
+        assert run_cli(["oracle", "--eps-grid", "1", "--inputs", "3"]) == 0
+        assert run_cli(["oracle", "--eps-grid", "1", "--inputs", "4"]) == 2
 
     def test_pnsgd_dp_zero_delta_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

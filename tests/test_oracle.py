@@ -324,6 +324,33 @@ class TestTypeClassesMatchTupleEnumeration:
             for n in (1, 2, 3, 4, 5):
                 self.check(FiniteMechanism(channel=c), n, rng)
 
+    def test_second_call_hits_the_cache(self):
+        # the same sums again from the cached class index of (3, 5)
+        rng = np.random.default_rng(41)
+        oracle._type_classes.cache_clear()
+        for _ in range(2):
+            self.check(random_channel(rng, 2, 3), 5, rng)
+        info = oracle._type_classes.cache_info()
+        assert (info.misses, info.hits) == (1, 7)
+
+    def test_cached_index_is_read_only(self):
+        draws, mult = oracle._type_classes(3, 4)
+        assert draws is oracle._type_classes(3, 4)[0]
+        for array in (draws, mult):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_cap_applies_after_caching(self, monkeypatch):
+        # (3, 4) is cached, yet a lowered cap refuses it before the lookup
+        mech = randomized_response(1.0, k=3)
+        exact_identification_error(mech, 4)
+        info = oracle._type_classes.cache_info()
+        monkeypatch.setattr(oracle, "ENUMERATION_CAP", 3 ** 4 - 1)
+        with pytest.raises(EnumerationCapError):
+            exact_identification_error(mech, 4)
+        assert oracle._type_classes.cache_info() == info
+
     def test_cap_counts_ordered_tuples(self, monkeypatch):
         # the cap still applies to n_outcomes^n, not to the type classes
         sp = uniform_space(3)

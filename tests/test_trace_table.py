@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import reconbound
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -47,3 +49,27 @@ def test_sweep_layers_are_traced():
             tracer.uninstall()
         totals = spans.layer_totals(tracer.spans, {None})
         assert {layer: totals[layer]["calls"] for layer in counts} == counts, kind
+
+
+def test_certificate_layers_are_traced():
+    # exact-small's layer table rests on the certificates reaching the
+    # enumeration functions through the attributes the tracer swaps
+    spans = load_spans()
+    oracle, ms = reconbound.oracle, reconbound.metric_space
+    dist = np.ones((3, 3))
+    np.fill_diagonal(dist, 0.0)
+    runs = {
+        "lecam_certificate": (oracle.randomized_response(1.0), ms.two_point_space(1.0)),
+        "fano_certificate": (oracle.randomized_response(1.0, k=3),
+                             ms.FiniteMetricSpace(points=(0, 1, 2), dist=dist)),
+    }
+    for name, (mech, space) in runs.items():
+        tracer = spans.Tracer(spans.layer_table(reconbound))
+        tracer.install()
+        try:
+            getattr(oracle, name)(mech, space, n=2)
+        finally:
+            tracer.uninstall()
+        totals = spans.layer_totals(tracer.spans, {None})
+        assert totals["oracle.certificate"]["calls"] == 1, name
+        assert totals["oracle.enumerate"]["calls"] >= 1, name

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import harness, oracle
-from .bounds import BoundQuery, validity_check
+from .bounds import validity_check
 from .mechanisms import PrivacyParams
 from .metric_space import (FiniteMetricSpace, covering_number, packing_number,
                            two_point_space)
@@ -99,23 +99,21 @@ def _cmd_bounds(args) -> int:
     trivial = args.diam * args.diam
     if not math.isfinite(trivial):
         raise harness.ConfigError(f"--diam {args.diam:g} squared is not finite")
+    if args.n < 1:
+        raise harness.ConfigError(f"--n {args.n} must be >= 1")
     rows = []
     for eps in grid:
-        q = BoundQuery(params=PrivacyParams(eps=eps, delta=args.delta, alpha=args.alpha),
-                       n=args.n, diam=args.diam,
-                       coord_diam_sq_sum=(args.coord_diam_sq_sum
-                                          if args.coord_diam_sq_sum is not None
-                                          else math.nan),
-                       d_eff=(args.d_eff if args.d_eff is not None else math.nan))
+        params = PrivacyParams(eps=eps, delta=args.delta, alpha=args.alpha)
         values = {
-            "dp_lecam": bounds_mod.dp_lecam_bound(q),
-            "dp_lecam_renyi": bounds_mod.renyi_dp_lecam_bound(q),
-            "mdp_lecam": bounds_mod.mdp_lecam_bound(q),
+            "dp_lecam": bounds_mod.dp_lecam_bound(params, args.n, args.diam),
+            "dp_lecam_renyi": bounds_mod.renyi_dp_lecam_bound(params, args.n, args.diam),
+            "mdp_lecam": bounds_mod.mdp_lecam_bound(params, args.n),
         }
         if args.coord_diam_sq_sum is not None:
-            values["rdp_unbiased"] = bounds_mod.unbiased_rdp_bound(q)
+            values["rdp_unbiased"] = bounds_mod.unbiased_rdp_bound(
+                params, args.coord_diam_sq_sum)
         if args.d_eff is not None:
-            values["mdp_fano"] = bounds_mod.mdp_fano_bound(q)
+            values["mdp_fano"] = bounds_mod.mdp_fano_bound(params, args.n, args.d_eff)
         for name, value in values.items():
             rows.append((eps, name, value, validity_check(value, trivial)))
     harness.emit_bounds_csv(rows, args.out)

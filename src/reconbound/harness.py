@@ -35,7 +35,6 @@ from . import pnsgd as pnsgd_mod
 # sweeps no longer call attack_average, but perfbench/spans.py traces it
 # under this module's name, so it stays importable from here
 from .attack import ThreatModel, attack_average, attack_trials  # noqa: F401
-from .bounds import BoundQuery
 from .mechanisms import (LogRegProblem, PrivacyParams, output_perturb_dp,
                          output_perturb_mdp_euclidean, sigmoid,
                          train_logreg_exact)
@@ -130,6 +129,10 @@ class SweepConfig:
             raise ConfigError("n_samples must be >= 1")
         if not 0 <= self.delta < 1:
             raise ConfigError("delta must lie in [0, 1)")
+        if not 1 < self.alpha < math.inf:
+            raise ConfigError("alpha must exceed 1 and be finite")
+        if not 0 < self.constraint_radius < math.inf:
+            raise ConfigError("constraint_radius must be positive and finite")
         object.__setattr__(self, "digit_pair", tuple(int(d) for d in self.digit_pair))
 
 
@@ -385,16 +388,14 @@ def evaluate_bounds(kind: MechanismKind, config: SweepConfig, problem: LogRegPro
     the unit-ball domain: diameter 2, effective dimension the log of the
     ball's lower covering bound at radius 1/2 (d*ln2), and the prior
     unbiased bound's unit-ball convention (coordinate sum d)."""
-    delta = config.delta if kind.pnsgd else 0.0
-    q = BoundQuery(params=PrivacyParams(eps=eps, delta=delta),
-                   n=config.n_samples, diam=UNIT_BALL_DIAM,
-                   coord_diam_sq_sum=float(problem.dim),
-                   d_eff=norm_ball_covering_bounds_log(problem.dim, 0.5)[0])
+    params = PrivacyParams(eps=eps, delta=config.delta if kind.pnsgd else 0.0)
+    n = config.n_samples
     if kind.metric:
-        return {"mdp_lecam": bounds_mod.mdp_lecam_bound(q),
-                "mdp_fano": bounds_mod.mdp_fano_bound(q)}
-    return {"dp_lecam": bounds_mod.dp_lecam_bound(q),
-            "rdp_unbiased": bounds_mod.unbiased_rdp_bound(q)}
+        d_eff = norm_ball_covering_bounds_log(problem.dim, 0.5)[0]
+        return {"mdp_lecam": bounds_mod.mdp_lecam_bound(params, n),
+                "mdp_fano": bounds_mod.mdp_fano_bound(params, n, d_eff)}
+    return {"dp_lecam": bounds_mod.dp_lecam_bound(params, n, UNIT_BALL_DIAM),
+            "rdp_unbiased": bounds_mod.unbiased_rdp_bound(params, float(problem.dim))}
 
 
 def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator) -> tuple:

@@ -58,7 +58,7 @@ class PrivacyParams:
             raise ValueError("eps must be nonnegative")
         if not 0 <= self.delta < 1:
             raise ValueError("delta must lie in [0, 1)")
-        if self.alpha is not None and self.alpha <= 1:
+        if self.alpha is not None and not self.alpha > 1:
             raise ValueError("alpha must exceed 1")
 
 
@@ -85,8 +85,8 @@ class LogRegProblem:
             raise ValueError("features must be finite")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < np.inf:
+            raise ValueError("lam must be positive and finite")
         if np.any(np.sqrt(np.einsum("ij,ij->i", x, x)) > 1.0 + 1e-12):
             raise ValueError("feature rows must have L2 norm <= 1")
         object.__setattr__(self, "features", x)

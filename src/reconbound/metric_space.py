@@ -9,14 +9,15 @@ Covering and packing numbers are computed over the space's own points
 (internal covers), exactly, by branch-and-bound over bitmasks of points.
 An external cover with arbitrary centers can be smaller, but only by at
 most a factor-two change of radius, and internal covers keep the search
-exact.  Spaces larger than the search cap are rejected outright rather
-than approximated.
+exact.  Spaces larger than the search cap, or than the searches'
+recursion can reach, are rejected outright rather than approximated.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,17 +125,29 @@ def _cover_masks(space: FiniteMetricSpace, eta: float) -> list[int]:
             for i in range(len(space))]
 
 
+def _check_search(space: FiniteMetricSpace, eta: float, cap: int) -> int:
+    """Number of points in ``space``, after refusing an eta that is not
+    positive and a space above the cap or above half the recursion limit:
+    both searches recurse once per point, and the other half is left to
+    their callers."""
+    if not eta > 0:
+        raise ValueError(f"eta={eta} must be positive")
+    n = len(space)
+    if n > cap:
+        raise SizeCapError(f"{n} points exceeds exhaustive-search cap {cap}")
+    depth = sys.getrecursionlimit() // 2
+    if n > depth:
+        raise SizeCapError(f"{n} points exceeds the searches' recursion depth {depth}")
+    return n
+
+
 def covering_number(space: FiniteMetricSpace, eta: float,
                     cap: int = DEFAULT_SEARCH_CAP) -> int:
     """Minimum number of centers (from the point set) covering every point
     within eta.  Exact, by branch-and-bound over cover bitmasks: some
     chosen center must cover the lowest uncovered point, so the search
     branches over the centers that do."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    n = len(space)
-    if n > cap:
-        raise SizeCapError(f"{n} points exceeds exhaustive-search cap {cap}")
+    n = _check_search(space, eta, cap)
     masks = _cover_masks(space, eta)
     full = (1 << n) - 1
     best = n
@@ -162,11 +175,7 @@ def packing_number(space: FiniteMetricSpace, eta: float,
                    cap: int = DEFAULT_SEARCH_CAP) -> int:
     """Maximum number of points with pairwise distances >= eta.  Exact,
     by branch-and-bound over compatibility bitmasks."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    n = len(space)
-    if n > cap:
-        raise SizeCapError(f"{n} points exceeds exhaustive-search cap {cap}")
+    n = _check_search(space, eta, cap)
     slack = _ETA_SLACK * max(1.0, eta)
     apart = space.dist >= eta - slack
     compat = [int(sum(1 << j for j in range(n) if j != i and apart[i, j]))

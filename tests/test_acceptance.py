@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from reconbound.attack import glm_reconstruct_single
-from reconbound.bounds import (BoundQuery, Validity, dp_lecam_bound,
-                               unbiased_rdp_bound, unbiased_rdp_validity_threshold,
-                               validity_check)
+from reconbound.bounds import (Validity, dp_lecam_bound, unbiased_rdp_bound,
+                               unbiased_rdp_validity_threshold, validity_check)
 from reconbound.divergence import (GAUSSIAN, LAPLACE, AnalyticPair, analytic_kl,
                                    kl_bound, numeric_kl_pair)
 from reconbound.harness import SweepConfig, emit_csv, generate_synthetic, run_sweep
@@ -64,12 +63,10 @@ def test_c1_prior_bound_validity_threshold():
         thr = unbiased_rdp_validity_threshold(784)
         assert thr == pytest.approx(5.283, abs=0.005)
         for eps in (1.0, 2.0, 3.0, 4.0, 5.0):
-            val = unbiased_rdp_bound(BoundQuery(params=PrivacyParams(eps=eps),
-                                                coord_diam_sq_sum=784.0))
+            val = unbiased_rdp_bound(PrivacyParams(eps=eps), 784.0)
             assert validity_check(val, 1.0) is Validity.VACUOUS, eps
         for eps in (5.5, 6.0):
-            val = unbiased_rdp_bound(BoundQuery(params=PrivacyParams(eps=eps),
-                                                coord_diam_sq_sum=784.0))
+            val = unbiased_rdp_bound(PrivacyParams(eps=eps), 784.0)
             assert validity_check(val, 1.0) is Validity.VALID, eps
         assert time.perf_counter() - start < 1.0
 
@@ -82,8 +79,7 @@ def test_c2_oracle_dominates_two_point_bound():
             mech = randomized_response(float(eps))
             for n in (1, 2, 3):
                 exact = exact_bayes_risk(mech, space, n)
-                bound = dp_lecam_bound(BoundQuery(params=PrivacyParams(eps=float(eps)),
-                                                  n=n, diam=1.0))
+                bound = dp_lecam_bound(PrivacyParams(eps=float(eps)), n, 1.0)
                 assert exact >= bound, (eps, n, exact, bound)
         assert time.perf_counter() - start < 10.0
 
@@ -93,7 +89,7 @@ def test_c3_tightness_ratio_at_zero_privacy():
         for diam in (1.0, 2.0, 0.5):
             space = two_point_space(diam)
             exact = exact_bayes_risk(randomized_response(0.0), space, 1)
-            bound = dp_lecam_bound(BoundQuery(params=PrivacyParams(), n=1, diam=diam))
+            bound = dp_lecam_bound(PrivacyParams(), 1, diam)
             assert exact / bound == pytest.approx(8.0, abs=1e-10)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reconbound.bounds import (BoundQuery, DegenerateDimensionError, Validity,
+from reconbound.bounds import (DegenerateDimensionError, Validity,
                                dp_lecam_bound, mdp_fano_bound, mdp_lecam_bound,
                                renyi_dp_lecam_bound, two_point_bound,
                                unbiased_rdp_bound, unbiased_rdp_validity_threshold,
@@ -31,8 +31,8 @@ def golden_max(f, lo, hi, tol=1e-10):
     return x, f(x)
 
 
-def q(eps=0.0, delta=0.0, alpha=None, **kw):
-    return BoundQuery(params=PrivacyParams(eps=eps, delta=delta, alpha=alpha), **kw)
+def p(eps=0.0, delta=0.0, alpha=None):
+    return PrivacyParams(eps=eps, delta=delta, alpha=alpha)
 
 
 class TestTwoPoint:
@@ -48,80 +48,80 @@ class TestTwoPoint:
         for eps in (0.1, 0.45, 1.0, 2.9, 7.5):
             for n in (1, 2, 5, 18):
                 for diam in (0.5, 1.0, 2.0):
-                    assert dp_lecam_bound(q(eps=eps, delta=1e-5, diam=diam, n=n)) == \
+                    assert dp_lecam_bound(p(eps=eps, delta=1e-5), n, diam) == \
                         two_point_bound(diam, kl_bound(eps), n, 1e-5)
                     for alpha in (1.5, 2.0, 8.0):
-                        assert renyi_dp_lecam_bound(q(eps=eps, alpha=alpha, diam=diam, n=n)) == \
+                        assert renyi_dp_lecam_bound(p(eps=eps, alpha=alpha), n, diam) == \
                             two_point_bound(diam, renyi_bound(eps, alpha), n)
 
 
 class TestDpLecam:
     def test_eps_zero_proof_constant(self):
-        assert dp_lecam_bound(q(diam=1.0)) == pytest.approx(1.0 / 16.0, rel=1e-12)
+        assert dp_lecam_bound(p(), 1, 1.0) == pytest.approx(1.0 / 16.0, rel=1e-12)
 
     def test_delta_one_kills_bound(self):
-        val = dp_lecam_bound(q(eps=1.0, delta=1.0 - 1e-12, diam=1.0))
+        val = dp_lecam_bound(p(eps=1.0, delta=1.0 - 1e-12), 1, 1.0)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_direct_evaluation(self):
         expected = math.exp(-math.tanh(0.5)) / 16.0
-        assert dp_lecam_bound(q(eps=1.0, diam=1.0)) == pytest.approx(expected, rel=1e-12)
+        assert dp_lecam_bound(p(eps=1.0), 1, 1.0) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.0393718, abs=1e-6)
 
     def test_never_exceeds_cap_and_monotone(self):
         cap = lambda delta: (1.0 / 16.0) * 4.0 * (1 - delta)
         prev = math.inf
         for eps in np.linspace(0.0, 8.0, 50):
-            val = dp_lecam_bound(q(eps=float(eps), delta=0.1, diam=2.0))
+            val = dp_lecam_bound(p(eps=float(eps), delta=0.1), 1, 2.0)
             assert val <= cap(0.1) + 1e-15
             assert val <= prev + 1e-15
             prev = val
-        n_vals = [dp_lecam_bound(q(eps=1.0, diam=1.0, n=n)) for n in (1, 2, 4, 8)]
+        n_vals = [dp_lecam_bound(p(eps=1.0), n, 1.0) for n in (1, 2, 4, 8)]
         assert n_vals == sorted(n_vals, reverse=True)
 
     def test_needs_finite_diam(self):
         with pytest.raises(ValueError):
-            dp_lecam_bound(q(eps=1.0))
+            dp_lecam_bound(p(eps=1.0), 1, math.nan)
 
 
 class TestRenyiLecam:
     def test_eps_zero(self):
-        assert renyi_dp_lecam_bound(q(alpha=2.0, diam=1.0)) == pytest.approx(1 / 16)
+        assert renyi_dp_lecam_bound(p(alpha=2.0), 1, 1.0) == pytest.approx(1 / 16)
 
     def test_quadratic_branch(self):
-        val = renyi_dp_lecam_bound(q(eps=0.1, alpha=2.0, diam=1.0))
+        val = renyi_dp_lecam_bound(p(eps=0.1, alpha=2.0), 1, 1.0)
         assert val == pytest.approx(math.exp(-0.03) / 16.0, rel=1e-12)
         assert val == pytest.approx(0.0606529, abs=1e-6)
 
     def test_linear_branch(self):
-        val = renyi_dp_lecam_bound(q(eps=2.0, alpha=2.0, diam=1.0, n=3))
+        val = renyi_dp_lecam_bound(p(eps=2.0, alpha=2.0), 3, 1.0)
         assert val == pytest.approx(math.exp(-3 * 2.0) / 16.0, rel=1e-12)
 
     def test_alpha_required(self):
         with pytest.raises(ValueError):
-            renyi_dp_lecam_bound(q(eps=1.0, diam=1.0))
+            renyi_dp_lecam_bound(p(eps=1.0), 1, 1.0)
 
 
 class TestMdpLecam:
     def test_direct(self):
-        assert mdp_lecam_bound(q(eps=1.0)) == pytest.approx(
+        assert mdp_lecam_bound(p(eps=1.0), 1) == pytest.approx(
             1.0 / (2.0 * math.e), rel=1e-12)
-        assert mdp_lecam_bound(q(eps=1.0)) == pytest.approx(0.183940, abs=1e-6)
+        assert mdp_lecam_bound(p(eps=1.0), 1) == pytest.approx(0.183940, abs=1e-6)
 
     def test_halves_with_n(self):
-        a = mdp_lecam_bound(q(eps=1.0, n=1))
-        b = mdp_lecam_bound(q(eps=1.0, n=2))
+        a = mdp_lecam_bound(p(eps=1.0), 1)
+        b = mdp_lecam_bound(p(eps=1.0), 2)
         assert b == pytest.approx(a / 2.0, rel=1e-12)
 
     def test_infinite_at_zero(self):
-        assert math.isinf(mdp_lecam_bound(q(eps=0.0)))
+        assert math.isinf(mdp_lecam_bound(p(eps=0.0), 1))
 
     def test_infinite_where_eps_squared_underflows(self):
         # eps^2 is 0.0 below about 1.5e-162; the bound there is beyond
         # the float range, and inf is its correctly rounded value
         for eps in (1e-170, 1e-200, 5e-324):
-            assert mdp_lecam_bound(q(eps=eps)) == math.inf
-        assert mdp_lecam_bound(q(eps=1e-150)) == pytest.approx(
+            assert mdp_lecam_bound(p(eps=eps), 1) == math.inf
+        assert mdp_lecam_bound(p(eps=1e-150), 1) == pytest.approx(
             1.0 / (2.0 * math.e * 1e-300), rel=1e-12)
 
     def test_optimizer_matches_golden_section(self):
@@ -130,19 +130,19 @@ class TestMdpLecam:
             f = lambda t: (t * t / 4.0) * math.exp(-n * eps * eps * t * t / 2.0)
             t_star, val = golden_max(f, 1e-6, 50.0)
             assert t_star == pytest.approx((1.0 / eps) * math.sqrt(2.0 / n), abs=1e-6)
-            assert val == pytest.approx(mdp_lecam_bound(q(eps=eps, n=n)),
+            assert val == pytest.approx(mdp_lecam_bound(p(eps=eps), n),
                                         rel=1e-9)
 
 
 class TestMdpFano:
     def test_closed_form_small_dim(self):
         d_eff = 2 * math.log(2.0)
-        val = mdp_fano_bound(q(eps=1.0, d_eff=d_eff))
+        val = mdp_fano_bound(p(eps=1.0), 1, d_eff)
         assert val == pytest.approx(math.log(2.0) / 16.0, rel=1e-12)
 
     def test_asymptotically_linear_in_dim(self):
-        r = (mdp_fano_bound(q(eps=1.0, d_eff=2e6))
-             / mdp_fano_bound(q(eps=1.0, d_eff=1e6)))
+        r = (mdp_fano_bound(p(eps=1.0), 1, 2e6)
+             / mdp_fano_bound(p(eps=1.0), 1, 1e6))
         assert r == pytest.approx(2.0, rel=1e-3)
 
     def test_matches_numeric_maximization(self):
@@ -154,15 +154,15 @@ class TestMdpFano:
             f = lambda t: t * t * (1.0 - (2 * n * eps * eps * t * t + math.log(2.0)) / d_eff)
             _, val = golden_max(f, 0.0, math.sqrt(d_eff / (2 * n * eps * eps)))
             assert val == pytest.approx(
-                mdp_fano_bound(q(eps=eps, d_eff=d_eff, n=n)), rel=1e-8)
+                mdp_fano_bound(p(eps=eps), n, d_eff), rel=1e-8)
 
     def test_degenerate_dim_rejected(self):
         with pytest.raises(DegenerateDimensionError):
-            mdp_fano_bound(q(eps=1.0, d_eff=math.log(2.0)))
+            mdp_fano_bound(p(eps=1.0), 1, math.log(2.0))
 
     def test_infinite_where_eps_squared_underflows(self):
         for eps in (0.0, 1e-170, 1e-200):
-            assert mdp_fano_bound(q(eps=eps, d_eff=11.0)) == math.inf
+            assert mdp_fano_bound(p(eps=eps), 1, 11.0) == math.inf
 
     def test_constant_factor_from_two_point_form(self):
         # at d_eff = 2 ln 2 the multi-hypothesis form recovers the
@@ -170,41 +170,41 @@ class TestMdpFano:
         d_eff = 2 * math.log(2.0)
         for n in (1, 2, 5, 10):
             for eps in (0.2, 1.0, 3.0):
-                ratio = (mdp_lecam_bound(q(eps=eps, n=n))
-                         / mdp_fano_bound(q(eps=eps, d_eff=d_eff, n=n)))
+                ratio = (mdp_lecam_bound(p(eps=eps), n)
+                         / mdp_fano_bound(p(eps=eps), n, d_eff))
                 assert 1.0 <= ratio <= 8.0 * math.e
 
 
 class TestUnbiasedRdp:
     def test_unit_ball_at_threshold(self):
         eps = unbiased_rdp_validity_threshold(784)
-        val = unbiased_rdp_bound(q(eps=eps, coord_diam_sq_sum=784.0))
+        val = unbiased_rdp_bound(p(eps=eps), 784.0)
         assert val == pytest.approx(1.0, rel=1e-9)
 
     def test_ln2_plugin(self):
-        assert unbiased_rdp_bound(q(eps=math.log(2.0), coord_diam_sq_sum=4.0)) == \
+        assert unbiased_rdp_bound(p(eps=math.log(2.0)), 4.0) == \
             pytest.approx(1.0, rel=1e-12)
 
     def test_large_eps_limit(self):
-        assert unbiased_rdp_bound(q(eps=200.0, coord_diam_sq_sum=4.0)) == \
+        assert unbiased_rdp_bound(p(eps=200.0), 4.0) == \
             pytest.approx(0.0, abs=1e-60)
 
     def test_infinite_at_zero(self):
-        assert math.isinf(unbiased_rdp_bound(q(coord_diam_sq_sum=4.0)))
+        assert math.isinf(unbiased_rdp_bound(p(), 4.0))
 
     def test_small_eps_keeps_precision(self):
         # e^eps - 1 is eps to first order; exp(eps) - 1.0 rounds to 0 below
         # 1.1e-16 and to 2.2e-16 at eps = 3e-16, 35 % off
         for eps in (1e-200, 1e-17, 3e-16, 1e-10):
-            val = unbiased_rdp_bound(q(eps=eps, coord_diam_sq_sum=1.0))
+            val = unbiased_rdp_bound(p(eps=eps), 1.0)
             assert val == pytest.approx(1.0 / (4.0 * eps), rel=1e-9)
 
     def test_zero_beyond_exp_overflow(self):
         # e^eps overflows a float above eps = ln(max float) = 709.78
-        below = unbiased_rdp_bound(q(eps=700.0, coord_diam_sq_sum=784.0))
+        below = unbiased_rdp_bound(p(eps=700.0), 784.0)
         assert below == 784.0 / (4.0 * (math.exp(700.0) - 1.0)) > 0.0
         for eps in (710.0, 800.0, 1e6):
-            assert unbiased_rdp_bound(q(eps=eps, coord_diam_sq_sum=784.0)) == 0.0
+            assert unbiased_rdp_bound(p(eps=eps), 784.0) == 0.0
 
     def test_threshold_values(self):
         assert unbiased_rdp_validity_threshold(784) == pytest.approx(5.2832037, abs=1e-6)
@@ -213,8 +213,8 @@ class TestUnbiasedRdp:
     def test_crossing_at_threshold(self):
         d = 784
         thr = unbiased_rdp_validity_threshold(d)
-        below = unbiased_rdp_bound(q(eps=thr - 1e-3, coord_diam_sq_sum=float(d)))
-        above = unbiased_rdp_bound(q(eps=thr + 1e-3, coord_diam_sq_sum=float(d)))
+        below = unbiased_rdp_bound(p(eps=thr - 1e-3), float(d))
+        above = unbiased_rdp_bound(p(eps=thr + 1e-3), float(d))
         assert below > 1.0 >= above
 
 
@@ -226,7 +226,7 @@ class TestValidity:
         assert validity_check(2.0, 1.0) is Validity.VACUOUS
 
     def test_unit_ball_midrange_vacuous(self):
-        val = unbiased_rdp_bound(q(eps=3.0, coord_diam_sq_sum=784.0))
+        val = unbiased_rdp_bound(p(eps=3.0), 784.0)
         assert validity_check(val, 1.0) is Validity.VACUOUS
 
     def test_infinite_flag(self):
@@ -237,12 +237,12 @@ class TestComparisons:
     def test_metric_bounds_strictly_decreasing(self):
         d_eff = 16 * math.log(2.0)
         eps_grid = [0.1, 0.5, 1.0, 2.0, 4.0]
-        lecam = [mdp_lecam_bound(q(eps=e)) for e in eps_grid]
-        fano = [mdp_fano_bound(q(eps=e, d_eff=d_eff)) for e in eps_grid]
+        lecam = [mdp_lecam_bound(p(eps=e), 1) for e in eps_grid]
+        fano = [mdp_fano_bound(p(eps=e), 1, d_eff) for e in eps_grid]
         assert all(b < a for a, b in zip(lecam, lecam[1:]))
         assert all(b < a for a, b in zip(fano, fano[1:]))
-        lecam_n = [mdp_lecam_bound(q(eps=1.0, n=n)) for n in (1, 2, 3, 4)]
-        fano_n = [mdp_fano_bound(q(eps=1.0, d_eff=d_eff, n=n)) for n in (1, 2, 3, 4)]
+        lecam_n = [mdp_lecam_bound(p(eps=1.0), n) for n in (1, 2, 3, 4)]
+        fano_n = [mdp_fano_bound(p(eps=1.0), n, d_eff) for n in (1, 2, 3, 4)]
         assert all(b < a for a, b in zip(lecam_n, lecam_n[1:]))
         assert all(b < a for a, b in zip(fano_n, fano_n[1:]))
 
@@ -250,7 +250,3 @@ class TestComparisons:
         # d/t^2 >= d/(e^t - 1) for t > 0, i.e. e^t - 1 >= t^2 on the grid
         for t in np.linspace(0.01, 10.0, 200):
             assert math.exp(t) - 1.0 >= t * t
-
-    def test_query_validation(self):
-        with pytest.raises(ValueError):
-            BoundQuery(params=PrivacyParams(), n=0)

@@ -1,4 +1,8 @@
+import sys
 import warnings
+
+import numpy as np
+import pytest
 
 from reconbound import cli, harness, oracle
 from reconbound.harness import SweepConfig, SweepResult, SweepRow
@@ -26,7 +30,26 @@ class TestCovering:
         sp = FiniteMetricSpace.from_points([[0.0], [1.0]])
         path = tmp_path / "m.txt"
         sp.to_file(path)
-        assert run_cli(["covering", "--matrix", str(path), "--eta", "-1"]) == 2
+        for eta in ("-1", "nan"):
+            assert run_cli(["covering", "--matrix", str(path), "--eta", eta]) == 2
+
+    def test_space_beyond_recursion_depth_exit_2(self, tmp_path, capsys):
+        # both searches recurse once per point: at a tiny eta on a line, a
+        # space as large as the recursion limit would overflow the stack
+        limit = 400
+        sp = FiniteMetricSpace.from_points(np.arange(float(limit))[:, None])
+        path = tmp_path / "m.txt"
+        sp.to_file(path)
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit)
+        try:
+            code = run_cli(["covering", "--matrix", str(path), "--eta", "0.001",
+                            "--cap", str(2 * limit)])
+        finally:
+            sys.setrecursionlimit(old)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "recursion" in err
 
 
 class TestBounds:
@@ -43,11 +66,14 @@ class TestBounds:
         assert prior[2].endswith("VALID")     # eps=5.5 above it
 
     def test_fano_square_beyond_float_range(self, tmp_path):
-        # (d_eff - ln 2)^2 overflows: the bound is inf, not a traceback
+        # (d_eff - ln 2)^2 overflows, but the bound, about d_eff / 8, is
+        # finite: neither inf nor nan nor a traceback
         out_path = tmp_path / "bounds.csv"
-        assert run_cli(["bounds", "--eps-grid", "1", "--diam", "1", "--d-eff", "1e200",
-                        "--out", str(out_path)]) == 0
-        assert "1.0,mdp_fano,inf,INFINITE" in out_path.read_text()
+        for d_eff, row in (("1e200", "1.0,mdp_fano,1.25e+199,VACUOUS"),
+                           ("1e308", "1.0,mdp_fano,1.25e+307,VACUOUS")):
+            assert run_cli(["bounds", "--eps-grid", "1", "--diam", "1", "--d-eff", d_eff,
+                            "--out", str(out_path)]) == 0
+            assert row in out_path.read_text()
 
 
 class TestOracleCommand:
@@ -182,6 +208,29 @@ class TestTinyEpsilon:
 
 
 class TestBadInput:
+    @pytest.mark.parametrize("flag,value", [
+        ("--n", "0"), ("--diam", "-1"), ("--coord-diam-sq-sum", "-1"),
+        ("--d-eff", "0.5"), ("--d-eff", "inf"), ("--coord-diam-sq-sum", "inf"),
+        ("--alpha", "nan")])
+    def test_bad_bound_input_exit_2(self, tmp_path, capsys, flag, value):
+        out_path = tmp_path / "b.csv"
+        assert run_cli(["bounds", "--eps-grid", "1", "--diam", "1", flag, value,
+                        "--out", str(out_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("OUTPUT_PERTURB_DP", "lam", "nan"), ("OUTPUT_PERTURB_DP", "lam", "inf"),
+        ("PNSGD_MDP", "lam", "nan"), ("PNSGD_MDP", "alpha", "nan"),
+        ("PNSGD_MDP", "constraint_radius", "nan"), ("PNSGD_MDP", "constraint_radius", "inf")])
+    def test_non_finite_sweep_value_exit_2(self, tmp_path, capsys, kind, key, value):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"eps_grid = 1\nmechanism_kind = {kind}\nseed = 1\n"
+                       f"trials = 1\ntrain_size = 40\ndim = 2\n{key} = {value}\n")
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not (tmp_path / "o").exists()
     def test_diam_square_overflow_exit_2(self, tmp_path, capsys):
         out_path = tmp_path / "b.csv"
         assert run_cli(["bounds", "--eps-grid", "1", "--diam", "1e200",

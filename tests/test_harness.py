@@ -11,7 +11,7 @@ from reconbound.harness import (MECHANISM_KINDS, ConfigError, DigitAbsentError,
                                 SweepRow, audit_dominance, emit_bounds_csv, emit_csv,
                                 emit_svg, evaluate_bounds, generate_synthetic, load_idx,
                                 parse_config_text, parse_eps_grid, run_sweep)
-from reconbound.bounds import BoundQuery, Validity
+from reconbound.bounds import Validity
 from reconbound.mechanisms import PrivacyParams
 
 
@@ -199,6 +199,14 @@ class TestConfigParsing:
                 tiny_config(delta=delta)
         assert tiny_config(delta=0.0).delta == 0.0
 
+    def test_alpha_and_radius_range(self):
+        for alpha in (1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="alpha"):
+                tiny_config(alpha=alpha)
+        for radius in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="constraint_radius"):
+                tiny_config(constraint_radius=radius)
+
     def test_grid_validation(self):
         with pytest.raises(ConfigError):
             tiny_config(eps_grid=(2.0, 1.0))
@@ -328,16 +336,13 @@ class TestKindDispatch:
         problem = generate_synthetic(cfg.train_size, cfg.dim, cfg.seed, lam=cfg.lam)
         delta = cfg.delta if takes_delta else 0.0
         eps = 1.5
+        params = PrivacyParams(eps=eps, delta=delta)
         if metric:
-            q = BoundQuery(params=PrivacyParams(eps=eps, delta=delta), n=2,
-                           d_eff=cfg.dim * math.log(2.0))
-            want = {"mdp_lecam": bounds.mdp_lecam_bound(q),
-                    "mdp_fano": bounds.mdp_fano_bound(q)}
+            want = {"mdp_lecam": bounds.mdp_lecam_bound(params, 2),
+                    "mdp_fano": bounds.mdp_fano_bound(params, 2, cfg.dim * math.log(2.0))}
         else:
-            q = BoundQuery(params=PrivacyParams(eps=eps, delta=delta), n=2,
-                           diam=2.0, coord_diam_sq_sum=float(cfg.dim))
-            want = {"dp_lecam": bounds.dp_lecam_bound(q),
-                    "rdp_unbiased": bounds.unbiased_rdp_bound(q)}
+            want = {"dp_lecam": bounds.dp_lecam_bound(params, 2, 2.0),
+                    "rdp_unbiased": bounds.unbiased_rdp_bound(params, float(cfg.dim))}
         got = evaluate_bounds(MECHANISM_KINDS[name], cfg, problem, eps)
         assert list(got) == list(want)
         assert got == want

@@ -23,8 +23,9 @@ class TestValidation:
             PrivacyParams(eps=-1)
         with pytest.raises(ValueError):
             PrivacyParams(delta=1.0)
-        with pytest.raises(ValueError):
-            PrivacyParams(alpha=1.0)
+        for alpha in (1.0, np.nan):
+            with pytest.raises(ValueError):
+                PrivacyParams(alpha=alpha)
 
     def test_specs(self):
         # the delta spec the sweep mechanisms read
@@ -51,8 +52,9 @@ class TestValidation:
 
     def test_logreg_lam(self):
         x = np.array([[0.5, 0.0]])
-        with pytest.raises(ValueError):
-            LogRegProblem(features=x, labels=np.array([1.0]), lam=0.0)
+        for lam in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                LogRegProblem(features=x, labels=np.array([1.0]), lam=lam)
 
     def test_caller_writes_do_not_reach_the_problem(self):
         # a writable array, or a read-only view of a writable base, is

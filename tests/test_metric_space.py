@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -114,8 +115,22 @@ class TestCovering:
         assert covering_number(sp, 0.5, cap=25) >= 1
 
     def test_bad_eta(self):
-        with pytest.raises(ValueError):
-            covering_number(two_point_space(1.0), 0.0)
+        for search in (covering_number, packing_number):
+            for eta in (0.0, math.nan):
+                with pytest.raises(ValueError):
+                    search(two_point_space(1.0), eta)
+
+    def test_recursion_depth_caps_the_search(self):
+        # one recursion level per point: past half the interpreter's limit
+        # the space is refused, however large the cap
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            for search in (covering_number, packing_number):
+                with pytest.raises(SizeCapError, match="recursion"):
+                    search(collinear(range(101)), 1e-3, cap=1000)
+        finally:
+            sys.setrecursionlimit(old)
 
 
 class TestCoveringMatchesSubsetEnumeration:

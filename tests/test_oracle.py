@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from reconbound import oracle
-from reconbound.bounds import BoundQuery, dp_lecam_bound, two_point_bound
+from reconbound.bounds import dp_lecam_bound, two_point_bound
 from reconbound.divergence import bh_tv_bound, kl_bound, renyi_bound
 from reconbound.mechanisms import PrivacyParams
 from reconbound.metric_space import FiniteMetricSpace, two_point_space
@@ -136,8 +136,7 @@ class TestExactBayesRisk:
             mech = randomized_response(float(eps))
             for n in (1, 2, 3):
                 exact = exact_bayes_risk(mech, sp, n)
-                bound = dp_lecam_bound(BoundQuery(
-                    params=PrivacyParams(eps=float(eps)), n=n, diam=1.0))
+                bound = dp_lecam_bound(PrivacyParams(eps=float(eps)), n, 1.0)
                 assert exact >= bound
 
     def test_merging_outcomes_never_helps(self):
@@ -193,8 +192,7 @@ class TestLeCamCertificate:
             for eps in (0.25, 1.0, 4.75):
                 for n in (1, 2, 18):
                     rep = lecam_certificate(randomized_response(eps), two_point_space(sep), n)
-                    assert rep.dp_bound == dp_lecam_bound(
-                        BoundQuery(params=PrivacyParams(eps=rep.epsilon), n=n, diam=sep))
+                    assert rep.dp_bound == dp_lecam_bound(PrivacyParams(eps=rep.epsilon), n, sep)
                     assert rep.bh_bound == two_point_bound(sep, rep.kl_single, n)
 
     def test_zero_entry_channel(self):

@@ -25,6 +25,15 @@ releases can make the equation unsolvable; that surfaces as
 Inversion works on a stack of releases at once: the known-sample
 gradient sums come from two matrix products and the scalar equation is
 solved for every release in one vectorized bisection.
+
+Most failures are certified before the gradient sum.  The target h.g
+equals -N*lam*|h|^2 + sum_i m_i*sigmoid(-m_i) over the known margins
+m_i = y_i * x_i.h, and m*sigmoid(-m) never exceeds W(1/e) = 0.27846.
+So a release with |h|^2 > W(1/e)/lam has no root, whatever the data
+(the norm certificate), and any other release's target can be read off
+the margins of the first matrix product (the margin certificate).  A
+stack whose every release is certified returns without the features,
+or without the second product; any other stack is inverted whole.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from .mechanisms import LogRegProblem, logistic_grad_sum, sigmoid
 # so every positive target has a root, between the target and the target
 # plus W(1/e).
 _W_MIN = -1.2784645427610738
+_W = -1.0 - _W_MIN
 
 # bisection narrows each bracket to _TOL / 4; the widest bracket is the
 # negative targets' [_W_MIN, 0]
@@ -130,9 +140,36 @@ def glm_reconstruct(releases: np.ndarray, features_minus: np.ndarray,
     release 0 on success or the code (`DEGENERATE`, `NO_ROOT`) of the
     reason it could not be inverted, in which case its row is NaN.
     ``n_total`` is the training-set size including the challenge.
+
+    A stack whose every release is certified to have no root (see the
+    module docstring) returns before the features are read or before
+    the gradient sum, with the rows and reasons inverting it would give.
     """
     h = np.asarray(releases, dtype=float)
-    g = -n_total * lam * h - logistic_grad_sum(h.T, features_minus, labels_minus).T
+    # Slack: the margin certificate sums the target as -N*lam*|h|^2 +
+    # sum_i m_i*s_i, the inversion as h.g, both from the same margins m_i
+    # and slopes s_i.  With rows in the unit ball, |m_i| <= |h| and the
+    # gradient sum is worth at most N|h| against h, so the worst-case
+    # dot-product error bounds put each form within u*(N + d + 3)*S of
+    # the exact target on those slopes, S = N*lam*|h|^2 + 2N|h|, u =
+    # 2^-53: a gap below 7e-13*S at N + d = 2 784, and below 1e-9*S
+    # while N + d stays under 4 million.  The norm certificate's own
+    # rounding is a few u of S, and the constant 1e-9 covers that of
+    # W(1/e) and of w*sigmoid(w) at its minimum.
+    # A certified release is never DEGENERATE: its |h.g| exceeds the
+    # slack, hence 2e-9*N|h|, so |g| > 2e-9*N, far above the threshold
+    # 1e-12.  A non-finite h makes the slack inf or NaN: never certified.
+    norm_sq = np.einsum("md,md->m", h, h)
+    scale = n_total * lam * norm_sq
+    slack = 1e-9 * (scale + 2 * n_total * np.sqrt(norm_sq) + 1)
+    certified = scale > n_total * _W + slack
+    if not certified.all():
+        margins = labels_minus[:, None] * (features_minus @ h.T)
+        slopes = sigmoid(-margins)
+        certified |= np.einsum("nm,nm->m", margins, slopes) - scale < -_W - slack
+    if certified.all():
+        return np.full(h.shape, np.nan), np.full(len(h), NO_ROOT)
+    g = -n_total * lam * h - logistic_grad_sum(slopes, features_minus, labels_minus).T
     degenerate = np.sqrt(np.einsum("md,md->m", g, g)) < 1e-12
     # u = h.x solves u * (-y * sigmoid(-y*u)) = h.g;  substituting w = -y*u
     # turns the left side into w * sigmoid(w) for either label.

@@ -155,7 +155,7 @@ def _uniform_space(k: int, separation: float) -> FiniteMetricSpace:
 
 
 def _cmd_covering(args) -> int:
-    space = FiniteMetricSpace.from_file(args.matrix)
+    space = FiniteMetricSpace.from_file(args.matrix, cap=args.cap)
     cov = covering_number(space, args.eta, cap=args.cap)
     pack = packing_number(space, args.eta, cap=args.cap)
     print(f"points={len(space)} eta={args.eta:g} covering={cov} packing={pack}")

@@ -109,18 +109,13 @@ def sigmoid(t):
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
-def _margin_grad_sum(margins: np.ndarray, features: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sum of the per-sample loss gradients -y * sigmoid(-margin) * x."""
-    return features.T @ (-y * sigmoid(-margins))
-
-
-def logistic_grad_sum(theta: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """`_margin_grad_sum` at the margins y * theta.x for each column of a
-    (d, M) theta: a (d, M) array of M sums, from two matrix products."""
-    if theta.ndim != 2:
-        raise ValueError("theta must be a (d, M) array")
-    y = labels[:, None]
-    return _margin_grad_sum(y * (features @ theta), features, y)
+def logistic_grad_sum(slopes: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Sum of the per-sample loss gradients -y * slope * x, where each
+    slope is sigmoid(-margin) at the margin y * theta.x: an (n,) column
+    of slopes gives a (d,) sum, an (n, M) stack of them a (d, M) array
+    of M sums, from one matrix product."""
+    y = labels if slopes.ndim == 1 else labels[:, None]
+    return features.T @ (-y * slopes)
 
 
 # damped Newton ends in a handful of steps on every problem the sweeps
@@ -171,7 +166,7 @@ def train_logreg_exact(problem: LogRegProblem) -> np.ndarray:
         return m, float(np.sum(np.logaddexp(0.0, -m))) / n + 0.5 * lam * float(t @ t)
 
     def gradient(m, t):
-        return _margin_grad_sum(m, x, y) / n + lam * t
+        return logistic_grad_sum(sigmoid(-m), x, y) / n + lam * t
 
     theta = np.zeros(problem.dim)
     margins, fval = margins_and_objective(theta)

@@ -92,13 +92,16 @@ class FiniteMetricSpace:
         return cls(points=points, dist=pairwise_distances(x))
 
     @classmethod
-    def from_file(cls, path) -> "FiniteMetricSpace":
-        """Load from plain text: first line n, then n rows of n distances."""
+    def from_file(cls, path, cap: int = DEFAULT_SEARCH_CAP) -> "FiniteMetricSpace":
+        """Load from plain text: first line n, then n rows of n distances.
+        A count the exact searches refuse at ``cap`` (see `_check_size`)
+        is refused before the distances are parsed or validated."""
         with open(path, "r", encoding="ascii") as fh:
             tokens = fh.read().split()
         if not tokens:
             raise ValueError(f"{path}: empty distance-matrix file")
         n = int(tokens[0])
+        _check_size(n, cap)
         vals = tokens[1:]
         if len(vals) != n * n:
             raise ValueError(f"{path}: expected {n * n} entries, found {len(vals)}")
@@ -125,19 +128,24 @@ def _cover_masks(space: FiniteMetricSpace, eta: float) -> list[int]:
             for i in range(len(space))]
 
 
-def _check_search(space: FiniteMetricSpace, eta: float, cap: int) -> int:
-    """Number of points in ``space``, after refusing an eta that is not
-    positive and a space above the cap or above half the recursion limit:
-    both searches recurse once per point, and the other half is left to
-    their callers."""
-    if not eta > 0:
-        raise ValueError(f"eta={eta} must be positive")
-    n = len(space)
+def _check_size(n: int, cap: int) -> None:
+    """Refuse a space of n points above the cap or above half the
+    recursion limit: both searches recurse once per point, and the other
+    half is left to their callers."""
     if n > cap:
         raise SizeCapError(f"{n} points exceeds exhaustive-search cap {cap}")
     depth = sys.getrecursionlimit() // 2
     if n > depth:
         raise SizeCapError(f"{n} points exceeds the searches' recursion depth {depth}")
+
+
+def _check_search(space: FiniteMetricSpace, eta: float, cap: int) -> int:
+    """Number of points in ``space``, after refusing an eta that is not
+    positive and a size `_check_size` refuses."""
+    if not eta > 0:
+        raise ValueError(f"eta={eta} must be positive")
+    n = len(space)
+    _check_size(n, cap)
     return n
 
 

@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reconbound.attack import (NO_ROOT, AllFailedError, DegenerateGradientError,
+from reconbound import attack
+from reconbound.attack import (DEGENERATE, NO_ROOT, AllFailedError, DegenerateGradientError,
                                NoRootError, ThreatModel, _solve_scalar, attack_average,
                                attack_trials, glm_reconstruct, glm_reconstruct_single)
 from reconbound.harness import generate_synthetic
-from reconbound.mechanisms import (LogRegProblem, PrivacyParams, output_perturb_dp,
-                                   sigmoid, train_logreg_exact)
+from reconbound.mechanisms import (LogRegProblem, PrivacyParams, logistic_grad_sum,
+                                   output_perturb_dp, sigmoid, train_logreg_exact)
 
 
 def trained_instance(seed, n=60, d=4, lam=1.0):
@@ -45,6 +46,22 @@ def scan_and_bisect(target, bracket=100.0, tol=1e-12, points=8001):
                 lo, flo = mid, fmid
         roots.append(0.5 * (lo + hi))
     return min(roots, key=abs) if roots else None
+
+
+def inversion_as_it_stood(releases, features_minus, labels_minus, y_star, lam, n_total):
+    """Reference: `glm_reconstruct` before the no-root certificates, which
+    inverted every stack whole.  The certificates must leave its rows and
+    reasons unchanged, bit for bit.  Also returns the targets h.g."""
+    h = np.asarray(releases, dtype=float)
+    y = labels_minus[:, None]
+    grad_sum = features_minus.T @ (-y * sigmoid(-(y * (features_minus @ h.T))))
+    g = -n_total * lam * h - grad_sum.T
+    degenerate = np.sqrt(np.einsum("md,md->m", g, g)) < 1e-12
+    w, found = _solve_scalar(np.einsum("md,md->m", h, g))
+    estimates = g / (-y_star * sigmoid(w))[:, None]
+    reasons = np.where(degenerate, DEGENERATE, np.where(found, 0, NO_ROOT))
+    estimates[reasons != 0] = np.nan
+    return estimates, reasons, np.einsum("md,md->m", h, g)
 
 
 class TestScalarSolver:
@@ -103,9 +120,9 @@ class TestSingleReconstruction:
         # second, larger-magnitude solution, so the oracle applies the same
         # smallest-|u| selection the attack documents.
         prob, theta = trained_instance(3, n=30, d=1)
-        from reconbound.mechanisms import logistic_grad_sum
-        g = -prob.n * prob.lam * theta - logistic_grad_sum(theta[:, None], prob.features[:-1],
-                                                           prob.labels[:-1])[:, 0]
+        x, labels = prob.features[:-1], prob.labels[:-1]
+        slopes = sigmoid(-labels * (x @ theta))
+        g = -prob.n * prob.lam * theta - logistic_grad_sum(slopes, x, labels)
         y = float(prob.labels[-1])
         target = float(theta @ g)
         coarse = np.arange(-50.0, 50.0, 1e-3)
@@ -125,9 +142,9 @@ class TestSingleReconstruction:
 
     def test_reconstruction_parallel_to_gradient(self):
         prob, theta = trained_instance(5)
-        from reconbound.mechanisms import logistic_grad_sum
-        g = -prob.n * prob.lam * theta - logistic_grad_sum(theta[:, None], prob.features[:-1],
-                                                           prob.labels[:-1])[:, 0]
+        x, labels = prob.features[:-1], prob.labels[:-1]
+        slopes = sigmoid(-labels * (x @ theta))
+        g = -prob.n * prob.lam * theta - logistic_grad_sum(slopes, x, labels)
         x_hat = glm_reconstruct_single(theta, prob.features[:-1], prob.labels[:-1],
                                        float(prob.labels[-1]), prob.lam, prob.n)
         cos = float(g @ x_hat) / (np.linalg.norm(g) * np.linalg.norm(x_hat))
@@ -314,3 +331,148 @@ class TestExactnessSweep:
             rel = (np.linalg.norm(x_hat - prob.features[-1])
                    / np.linalg.norm(prob.features[-1]))
             assert rel < 1e-6
+
+
+# W(1/e): the maximum of m*sigmoid(-m), and minus the minimum of w*sigmoid(w)
+W_E = 0.2784645427610738
+
+
+def adversary_args(prob):
+    return (prob.features[:-1], prob.labels[:-1], float(prob.labels[-1]),
+            prob.lam, prob.n)
+
+
+def count_grad_sums(monkeypatch) -> list:
+    """Record each call the attack makes to its gradient-sum helper."""
+    calls = []
+    original = attack.logistic_grad_sum
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(attack, "logistic_grad_sum", counted)
+    return calls
+
+
+def assert_as_it_stood(releases, args):
+    est, reasons = glm_reconstruct(releases, *args)
+    ref_est, ref_reasons, _ = inversion_as_it_stood(releases, *args)
+    assert np.array_equal(est, ref_est, equal_nan=True)
+    assert np.array_equal(reasons, ref_reasons)
+    return reasons
+
+
+class TestNoRootCertificates:
+    def test_matches_inversion_as_it_stood(self, monkeypatch):
+        # noise norms from 0.05 to 20 times sqrt(W(1/e)/lam), the radius
+        # beyond which every release is norm-certified; stacks drawn from
+        # all scales mix certified draws with ones that invert
+        calls = count_grad_sums(monkeypatch)
+        rng = np.random.default_rng(2024)
+        seen = {"norm": 0, "margin": 0, "mixed": 0}
+        for d in (2, 16, 64):
+            for lam in (1e-2, 1.0):
+                prob, theta = trained_instance(d, n=120, d=d, lam=lam)
+                args = adversary_args(prob)
+                radius = math.sqrt(W_E / lam)
+                for multiples in ([0.05, 0.3, 1.0, 3.0, 20.0], [0.3, 1.0, 3.0], [20.0]):
+                    for _ in range(6):
+                        scales = radius / math.sqrt(2 * d) * rng.choice(multiples, size=8)
+                        releases = theta + rng.laplace(size=(8, d)) * scales[:, None]
+                        before = len(calls)
+                        reasons = assert_as_it_stood(releases, args)
+                        beyond = np.einsum("md,md->m", releases, releases) > W_E / lam
+                        if len(calls) == before:
+                            assert (reasons == NO_ROOT).all()
+                            seen["norm" if beyond.all() else "margin"] += 1
+                        elif beyond.any() and (reasons == 0).any():
+                            seen["mixed"] += 1
+        assert min(seen.values()) >= 5, seen
+
+    def test_non_finite_releases_are_never_certified(self, monkeypatch):
+        # an infinite or NaN release, or one whose squared norm overflows,
+        # takes the full inversion and fails there
+        calls = count_grad_sums(monkeypatch)
+        prob, theta = trained_instance(24, n=40, d=3, lam=1.0)
+        args = adversary_args(prob)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for bad in (np.inf, -np.inf, np.nan, 1e200):
+                release = theta + np.array([bad, 0.0, 0.0])
+                assert list(assert_as_it_stood(release[None], args)) == [NO_ROOT]
+        assert len(calls) == 4
+
+    def test_ray_across_the_boundary(self, monkeypatch):
+        # bisect along a ray to releases whose targets lie within 1e-7 of
+        # -W(1/e) on either side: the side with a root is never certified
+        calls = count_grad_sums(monkeypatch)
+        prob, theta = trained_instance(21, n=80, d=8, lam=1.0)
+        args = adversary_args(prob)
+        ray = np.random.default_rng(3).normal(size=8)
+        lo, hi = 0.0, 10.0
+        assert inversion_as_it_stood(hi * ray[None], *args)[1][0] == NO_ROOT
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            _, (reason,), (target,) = inversion_as_it_stood(mid * ray[None], *args)
+            if reason == 0:
+                lo, t_lo = mid, target
+            else:
+                hi, t_hi = mid, target
+            if lo > 0 and hi < 10.0 and max(abs(t_lo + W_E), abs(t_hi + W_E)) < 1e-7:
+                break
+        else:
+            pytest.fail("bisection did not close on the boundary")
+        assert t_hi < -W_E < t_lo
+        assert list(assert_as_it_stood(lo * ray[None], args)) == [0]
+        assert len(calls) == 1
+        assert list(assert_as_it_stood(hi * ray[None], args)) == [NO_ROOT]
+
+    def test_norm_radius_is_tight(self, monkeypatch):
+        # every known margin at the maximizer 1 + W(1/e) of m*sigmoid(-m)
+        # makes the known sum (N - 1)*W(1/e), so a release with
+        # N*lam*|h|^2 = (N - 1/2)*W(1/e), just inside the radius, has the
+        # target -W(1/e)/2 and a root
+        calls = count_grad_sums(monkeypatch)
+        n_total, h = 20, np.array([[1.5, 0.0, 0.0]])
+        labels = np.where(np.arange(n_total - 1) % 2, 1.0, -1.0)
+        features = np.outer(labels, (1.0 + W_E) / 1.5 * np.array([1.0, 0.0, 0.0]))
+        lam = (n_total - 0.5) * W_E / (n_total * 2.25)
+        args = (features, labels, 1.0, lam, n_total)
+        assert inversion_as_it_stood(h, *args)[2][0] == pytest.approx(-0.5 * W_E, rel=1e-12)
+        assert list(assert_as_it_stood(h, args)) == [0]
+        assert len(calls) == 1
+
+    def test_degenerate_release_is_never_certified(self):
+        # |h| = 1e12 with margins -0.3: the target is -0.64, below the
+        # minimum, yet |g| is 6.4e-13, so the reason is DEGENERATE; the
+        # slack, which grows with N|h|, keeps the margins from certifying it
+        h = np.array([[1e12, 0.0]])
+        features = np.array([[-3e-13, 0.5], [-3e-13, -0.5]])
+        args = (features, np.ones(2), 1.0, 1e-25, 3)
+        assert inversion_as_it_stood(h, *args)[2][0] < -W_E
+        assert list(assert_as_it_stood(h, args)) == [DEGENERATE]
+
+    def test_margin_certified_stack_skips_the_gradient_sum(self, monkeypatch):
+        # inside the norm radius, so only the margins can certify them
+        prob, theta = trained_instance(22, n=60, d=6, lam=1.0)
+        args = adversary_args(prob)
+        rays = np.random.default_rng(4).normal(size=(5, 6))
+        releases = 0.9 * math.sqrt(W_E) * rays / np.linalg.norm(rays, axis=1)[:, None]
+
+        def unreachable(*args):
+            raise AssertionError("gradient sum of a certified stack")
+
+        monkeypatch.setattr(attack, "logistic_grad_sum", unreachable)
+        assert (assert_as_it_stood(releases, args) == NO_ROOT).all()
+
+    def test_norm_certified_stack_never_reads_the_features(self):
+        # any matrix product with features one column too wide would raise
+        prob, theta = trained_instance(23, n=60, d=6, lam=1e-2)
+        args = adversary_args(prob)
+        releases = theta + np.random.default_rng(5).laplace(0.0, 50.0, size=(4, 6))
+        ref_est, ref_reasons, _ = inversion_as_it_stood(releases, *args)
+        wide = np.zeros((prob.n - 1, 7))
+        est, reasons = glm_reconstruct(releases, wide, *args[1:])
+        assert np.array_equal(est, ref_est, equal_nan=True)
+        assert np.array_equal(reasons, ref_reasons)
+        assert (reasons == NO_ROOT).all()

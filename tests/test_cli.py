@@ -52,6 +52,31 @@ class TestCovering:
         assert "config error" in err and "recursion" in err
 
 
+    def test_large_space_refused_before_validation(self, tmp_path, monkeypatch, capsys):
+        # the file's point count is checked against --cap and the
+        # recursion depth before the distances are parsed, so the
+        # all-triples validation of the space never runs
+        small, large = tmp_path / "small.txt", tmp_path / "large.txt"
+        FiniteMetricSpace.from_points(np.arange(30.0)[:, None]).to_file(small)
+        FiniteMetricSpace.from_points(np.arange(250.0)[:, None]).to_file(large)
+
+        def unreachable(self):
+            raise AssertionError("validated a space the searches refuse")
+
+        monkeypatch.setattr(FiniteMetricSpace, "__post_init__", unreachable)
+        assert run_cli(["covering", "--matrix", str(small), "--eta", "1.0"]) == 2
+        assert "30 points exceeds exhaustive-search cap 20" in capsys.readouterr().err
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(400)
+        try:
+            code = run_cli(["covering", "--matrix", str(large), "--eta", "1.0",
+                            "--cap", "1000"])
+        finally:
+            sys.setrecursionlimit(old)
+        assert code == 2
+        assert "recursion depth 200" in capsys.readouterr().err
+
+
 class TestBounds:
     def test_unit_ball_flags(self, tmp_path, capsys):
         out_path = tmp_path / "bounds.csv"

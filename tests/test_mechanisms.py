@@ -32,13 +32,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             PrivacyParams(delta=-1e-5)
 
-    def test_grad_sum_needs_2d_theta(self):
-        # one sum per column of a (d, M) theta; a 1-D theta would broadcast
+    def test_grad_sum_of_a_slope_stack_is_column_by_column(self):
+        # an (n,) column of slopes gives one (d,) sum; an (n, M) stack
+        # gives M, each equal to the sum of its own column
         prob = small_problem()
-        with pytest.raises(ValueError):
-            logistic_grad_sum(np.zeros(prob.dim), prob.features, prob.labels)
-        assert logistic_grad_sum(np.zeros((prob.dim, 2)), prob.features,
-                                 prob.labels).shape == (prob.dim, 2)
+        thetas = np.random.default_rng(1).normal(size=(prob.dim, 3))
+        slopes = sigmoid(-prob.labels[:, None] * (prob.features @ thetas))
+        sums = logistic_grad_sum(slopes, prob.features, prob.labels)
+        assert sums.shape == (prob.dim, 3)
+        for k in range(3):
+            one = logistic_grad_sum(slopes[:, k], prob.features, prob.labels)
+            assert one.shape == (prob.dim,)
+            np.testing.assert_allclose(sums[:, k], one, rtol=1e-13, atol=1e-15)
 
     def test_logreg_row_norms(self):
         x = np.array([[2.0, 0.0]])
@@ -116,7 +121,7 @@ class TestTrainer:
 
 def reference_gradient(problem, theta):
     """The gradient of the regularized mean loss, coded apart from the
-    trainer's margins-to-gradient helper."""
+    trainer's gradient-sum helper, `logistic_grad_sum`."""
     x, y = problem.features, problem.labels
     margins = y * (x @ theta)
     weights = -y * sigmoid(-margins)

@@ -282,6 +282,15 @@ class TestFileFormat:
         back = FiniteMetricSpace.from_file(path)
         assert np.allclose(back.dist, sp.dist, rtol=0, atol=0)
 
+    def test_cap_refuses_before_parsing(self, tmp_path):
+        # the header alone decides: the distances are never read
+        path = tmp_path / "big.txt"
+        path.write_text("21\n" + "x " * 441)
+        with pytest.raises(SizeCapError, match="cap 20"):
+            FiniteMetricSpace.from_file(path, cap=20)
+        with pytest.raises(ValueError, match="could not convert"):
+            FiniteMetricSpace.from_file(path, cap=21)
+
     def test_bad_count(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2\n0 1\n")

@@ -4,7 +4,7 @@ reconstruction attack, exact finite-instance oracles, and a sweep
 harness that checks the attack never beats a valid bound.
 """
 
-from .attack import AttackResult, ThreatModel, attack_average, glm_reconstruct_single
+from .attack import ThreatModel, attack_average, glm_reconstruct_single
 from .bounds import (Validity, dp_lecam_bound, mdp_fano_bound, mdp_lecam_bound,
                      renyi_dp_lecam_bound, unbiased_rdp_bound,
                      unbiased_rdp_validity_threshold, validity_check)

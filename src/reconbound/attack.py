@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -72,35 +71,21 @@ class DegenerateGradientError(RuntimeError):
     """The recovered gradient contribution is numerically zero."""
 
 
-class AllFailedError(RuntimeError):
-    """Every drawn release failed to invert."""
-
-
 @dataclass(frozen=True)
 class ThreatModel:
     """The informed adversary: the training problem, whose last row is the
-    challenge, and the query budget m, the number of releases drawn per
-    trial.  The attack reads every other row, the challenge label, lam
+    challenge.  The attack reads every other row, the challenge label, lam
     and N from the problem; the challenge features are read for scoring
-    only.  The problem is held, not copied."""
+    only.  The problem is held, not copied.  The query budget, the number
+    of releases drawn per trial, is the second axis of the releases that
+    `attack_average` takes."""
 
     problem: LogRegProblem
-    query_budget_m: int
 
     def __post_init__(self):
-        if self.query_budget_m < 1:
-            raise ValueError("query_budget_m must be >= 1")
         x = self.problem.features
         if np.any(np.all(x[:-1] == x[-1], axis=1)):
             raise ValueError("challenge must not appear in the fixed dataset")
-
-
-@dataclass(frozen=True)
-class AttackResult:
-    z_hat: np.ndarray
-    mse: float
-    per_sample_estimates: tuple
-    failures: int = 0
 
 
 def _r(w):
@@ -194,57 +179,26 @@ def glm_reconstruct_single(h, features_minus: np.ndarray, labels_minus: np.ndarr
     return estimates[0]
 
 
-def _invert(model: ThreatModel, releases: np.ndarray) -> tuple:
-    """`glm_reconstruct` of a (M, d) stack against the adversary's view."""
+def attack_average(model: ThreatModel, releases: np.ndarray) -> tuple:
+    """Run the attack for T independent trials in one batch.
+
+    ``releases`` is (T, n, d): trial t's n draws, n being the adversary's
+    query budget.  All T*n are inverted at once and each trial averages
+    the estimates of its draws that inverted.  Returns (mse, failures):
+    per trial the squared Euclidean error of the average, NaN when every
+    draw failed, and the count of draws that failed.
+    """
+    trials, n, d = releases.shape
     p = model.problem
-    return glm_reconstruct(releases, p.features[:-1], p.labels[:-1],
-                           float(p.labels[-1]), p.lam, p.n)
-
-
-def _average(model: ThreatModel, estimates: np.ndarray, ok: np.ndarray) -> tuple:
-    """Mean of each trial's surviving estimates and its squared distance
-    to the challenge; (T, n, d) estimates with a (T, n) survival mask.
-    Trials with no survivor get NaN."""
+    estimates, reasons = glm_reconstruct(releases.reshape(trials * n, d), p.features[:-1],
+                                         p.labels[:-1], float(p.labels[-1]), p.lam, p.n)
+    ok = (reasons == 0).reshape(trials, n)
     counts = ok.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        z_hat = np.where(ok[:, :, None], estimates, 0.0).sum(axis=1) / counts[:, None]
-    diff = model.problem.features[-1] - z_hat
+        z_hat = (np.where(ok[:, :, None], estimates.reshape(trials, n, d), 0.0).sum(axis=1)
+                 / counts[:, None])
+    diff = p.features[-1] - z_hat
     # squaring the norm, rather than summing squares, fixes the rounding
     # of the emitted errors: sweep CSVs are compared byte for byte
     dist = np.sqrt(np.einsum("td,td->t", diff, diff))
-    return z_hat, dist * dist
-
-
-def attack_trials(model: ThreatModel, releases: np.ndarray) -> tuple:
-    """Run the attack for T independent trials in one batch.
-
-    ``releases`` is (T, n, d): trial t's n draws.  All T*n are inverted
-    at once and each trial averages its survivors.  Returns (mse,
-    failures): per trial the squared Euclidean error of the average, NaN
-    when every draw failed, and the count of draws that failed.
-    """
-    trials, n, d = releases.shape
-    estimates, reasons = _invert(model, releases.reshape(trials * n, d))
-    ok = (reasons == 0).reshape(trials, n)
-    _, mse = _average(model, estimates.reshape(trials, n, d), ok)
-    return mse, n - ok.sum(axis=1)
-
-
-def attack_average(model: ThreatModel, mechanism: Callable[[np.random.Generator], np.ndarray],
-                   rng: np.random.Generator) -> AttackResult:
-    """Draw n releases, invert them, and average the survivors: one trial.
-
-    ``mechanism(rng)`` must return one released vector per call.  Draws
-    whose scalar equation has no solution are dropped and counted; the
-    error is the squared Euclidean distance between the challenge and the
-    averaged estimate.
-    """
-    releases = np.stack([mechanism(rng) for _ in range(model.query_budget_m)])
-    estimates, reasons = _invert(model, releases)
-    ok = reasons == 0
-    if not ok.any():
-        raise AllFailedError(f"all {model.query_budget_m} draws failed to invert")
-    z_hat, mse = _average(model, estimates[None], ok[None])
-    return AttackResult(z_hat=z_hat[0], mse=float(mse[0]),
-                        per_sample_estimates=tuple(estimates[ok]),
-                        failures=int((~ok).sum()))
+    return dist * dist, n - counts

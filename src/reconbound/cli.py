@@ -70,7 +70,7 @@ def _cmd_sweep(args) -> int:
              "eps_grid": args.eps_grid, "trials": args.trials, "noiseless": args.noiseless}
     flags = {key: value for key, value in flags.items() if value is not None}
     config = harness.parse_config(args.config) if args.config else None
-    if config is None and not {"eps_grid", "mechanism_kind", "seed"} <= flags.keys():
+    if config is None and not harness.REQUIRED_CONFIG_KEYS <= flags.keys():
         raise harness.ConfigError(
             "without --config, all of --eps-grid/--mechanism/--seed are required")
     if "eps_grid" in flags:

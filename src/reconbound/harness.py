@@ -9,8 +9,8 @@ generators are derived from the master seed by counter-based spawn keys,
 so neither trial order nor batch size can perturb results.
 
 Trials run in batches: each grid cell stacks its trials' releases and
-inverts them in one call, and PNSGD runs the chains of every cell and
-trial in one lockstep pass.
+attacks them in one `attack_average` call, and PNSGD runs the chains of
+every cell and trial in one lockstep pass.
 
 `MECHANISM_KINDS` is the one place that decides a kind's release, noise
 calibration and bounds: it maps each kind to flags, read once per sweep.
@@ -25,16 +25,14 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from . import pnsgd as pnsgd_mod
-# sweeps no longer call attack_average, but perfbench/spans.py traces it
-# under this module's name, so it stays importable from here
-from .attack import ThreatModel, attack_average, attack_trials  # noqa: F401
+from .attack import ThreatModel, attack_average
 from .mechanisms import (LogRegProblem, PrivacyParams, output_perturb_dp,
                          output_perturb_mdp_euclidean, sigmoid,
                          train_logreg_exact)
@@ -133,7 +131,14 @@ class SweepConfig:
             raise ConfigError("alpha must exceed 1 and be finite")
         if not 0 < self.constraint_radius < math.inf:
             raise ConfigError("constraint_radius must be positive and finite")
-        object.__setattr__(self, "digit_pair", tuple(int(d) for d in self.digit_pair))
+        digits = tuple(int(d) for d in self.digit_pair)
+        if len(digits) != 2 or digits[0] == digits[1]:
+            raise ConfigError(f"digit_pair must be two distinct labels, got {digits}")
+        object.__setattr__(self, "digit_pair", digits)
+
+
+# the keys a config must set: the fields without a default
+REQUIRED_CONFIG_KEYS = frozenset(f.name for f in fields(SweepConfig) if f.default is MISSING)
 
 
 @dataclass(frozen=True)
@@ -226,7 +231,7 @@ def parse_config_text(text: str) -> SweepConfig:
             raise
         except Exception as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    missing = {"eps_grid", "mechanism_kind", "seed"} - values.keys()
+    missing = REQUIRED_CONFIG_KEYS - values.keys()
     if missing:
         raise ConfigError(f"missing required keys: {sorted(missing)}")
     return SweepConfig(**values)
@@ -419,13 +424,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     mechanism, so every draw is a chain of its own.
     """
     problem = _load_problem(config)
-    model = ThreatModel(problem, config.n_samples)
+    model = ThreatModel(problem)
     kind = MECHANISM_KINDS[config.mechanism_kind]
     release = _pnsgd_releases if kind.pnsgd else _output_perturb_releases
     cells = release(kind, config, problem)
     rows = []
     for eps_idx, (eps, releases) in enumerate(zip(config.eps_grid, cells)):
-        mse, failures = attack_trials(model, releases)
+        mse, failures = attack_average(model, releases)
         mses = mse[~np.isnan(mse)]
         mean_mse = float(mses.mean()) if mses.size else math.inf
         ci_rng = np.random.default_rng(

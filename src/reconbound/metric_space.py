@@ -85,13 +85,6 @@ class FiniteMetricSpace:
         return len(self.points)
 
     @classmethod
-    def from_points(cls, vectors) -> "FiniteMetricSpace":
-        """Build a space from row vectors under the Euclidean distance."""
-        x = np.atleast_2d(np.asarray(vectors, dtype=float))
-        points = tuple(tuple(row) for row in x)
-        return cls(points=points, dist=pairwise_distances(x))
-
-    @classmethod
     def from_file(cls, path, cap: int = DEFAULT_SEARCH_CAP) -> "FiniteMetricSpace":
         """Load from plain text: first line n, then n rows of n distances.
         A count the exact searches refuse at ``cap`` (see `_check_size`)
@@ -107,13 +100,6 @@ class FiniteMetricSpace:
             raise ValueError(f"{path}: expected {n * n} entries, found {len(vals)}")
         d = np.array(vals, dtype=float).reshape(n, n)
         return cls(points=tuple(range(n)), dist=d)
-
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            n = len(self)
-            fh.write(f"{n}\n")
-            for row in self.dist:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
 def two_point_space(separation: float) -> FiniteMetricSpace:

@@ -63,12 +63,11 @@ class CertificateError(RuntimeError):
 class FiniteMechanism:
     """A finite channel: row-stochastic matrix of P(outcome | input).
 
-    ``inputs`` are indices into a `FiniteMetricSpace` point list when the
-    mechanism is used for risk computation.
+    Input i stands for point i of the `FiniteMetricSpace` that a risk
+    computation takes.
     """
 
     channel: np.ndarray
-    inputs: tuple | None = None
 
     def __post_init__(self):
         c = np.array(self.channel, dtype=float)
@@ -80,10 +79,6 @@ class FiniteMechanism:
             raise ValueError("channel rows must sum to 1 within 1e-12")
         c.setflags(write=False)
         object.__setattr__(self, "channel", c)
-        if self.inputs is None:
-            object.__setattr__(self, "inputs", tuple(range(c.shape[0])))
-        if len(self.inputs) != c.shape[0]:
-            raise ValueError("inputs must match the channel shape")
 
     @property
     def n_inputs(self) -> int:
@@ -148,13 +143,13 @@ def _type_likelihoods(mech: FiniteMechanism, n: int) -> tuple[np.ndarray, np.nda
     read and checked on every call, before the cached, read-only class
     index of `_type_classes` (keyed by (n_outcomes, n), at most
     `_TYPE_CLASS_CACHE_SIZE` keys) is looked up; only the product of the
-    channel's entries is computed per call."""
+    channel's entries is computed per call.  Beyond the cap's bit length,
+    2^n alone exceeds it, so k^n is formed only for n below that."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    k = mech.n_outcomes
-    total = k ** n
-    if total > ENUMERATION_CAP:
-        raise EnumerationCapError(f"{k}^{n} = {total} tuples exceed cap {ENUMERATION_CAP}")
+    k, cap = mech.n_outcomes, ENUMERATION_CAP
+    if (k > 1 and n > cap.bit_length()) or k ** n > cap:
+        raise EnumerationCapError(f"{k}^{n} tuples exceed cap {cap}")
     draws, mult = _type_classes(k, n)
     return np.prod(mech.channel[:, draws], axis=2), mult
 
@@ -170,9 +165,8 @@ def exact_bayes_risk(mech: FiniteMechanism, space: FiniteMetricSpace, n: int = 1
     dominate every bound and certify nothing.
     """
     like, mult = _type_likelihoods(mech, n)
-    idx = np.array(mech.inputs, dtype=int)
     with np.errstate(over="ignore"):
-        sq = space.dist[np.ix_(idx, np.arange(len(space)))] ** 2
+        sq = space.dist[:mech.n_inputs] ** 2
     if not np.all(np.isfinite(sq)):
         raise ValueError("squared distances overflow the float range")
     cost = sq.T @ like          # candidate x type class: posterior-weighted loss
@@ -255,8 +249,7 @@ def lecam_certificate(mech: FiniteMechanism, space: FiniteMetricSpace,
     """
     if mech.n_inputs != 2:
         raise ValueError("the two-point certificate requires exactly two inputs")
-    i, j = mech.inputs
-    sep = float(space.dist[i, j])
+    sep = float(space.dist[0, 1])
     t = sep / 2.0
     tv_n, overlap = product_tv(mech, n)
     kl = channel_kl(mech, 0, 1)

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-# default Renyi orders scanned when converting to (eps, delta) guarantees
+# Renyi orders scanned when converting to (eps, delta) guarantees
 DEFAULT_ALPHAS = (1.5, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
@@ -151,18 +151,20 @@ def rdp_to_dp(alpha: float, eps_renyi: float, delta: float) -> float:
     return eps_renyi + math.log(1.0 / delta) / (alpha - 1.0)
 
 
-def noise_for_target_dp(eps: float, delta: float, G: float, n: int, t: int,
-                        alphas: Iterable[float] = DEFAULT_ALPHAS) -> tuple[float, float]:
-    """Smallest variance on the alpha grid whose converted guarantee meets
-    a target (eps, delta).  Returns (sigma_squared, alpha_used)."""
+def noise_for_target_dp(eps: float, delta: float, G: float, n: int,
+                        t: int) -> tuple[float, float]:
+    """Smallest variance on the `DEFAULT_ALPHAS` grid whose converted
+    guarantee meets a target (eps, delta): at each order the Renyi budget
+    is eps less the `rdp_to_dp` offset of a zero Renyi level.  Returns
+    (sigma_squared, alpha_used)."""
     _check_position(n, t)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     best = (math.inf, math.nan)
-    for alpha in alphas:
-        budget = eps - math.log(1.0 / delta) / (alpha - 1.0)
+    for alpha in DEFAULT_ALPHAS:
+        budget = eps - rdp_to_dp(alpha, 0.0, delta)
         if budget <= 0:
             continue
         sigma_sq = noise_for_renyi_dp(alpha, budget, G, n, t)

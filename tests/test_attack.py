@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from reconbound import attack
-from reconbound.attack import (DEGENERATE, NO_ROOT, AllFailedError, DegenerateGradientError,
-                               NoRootError, ThreatModel, _solve_scalar, attack_average,
-                               attack_trials, glm_reconstruct, glm_reconstruct_single)
+from reconbound.attack import (DEGENERATE, NO_ROOT, DegenerateGradientError, NoRootError,
+                               ThreatModel, _solve_scalar, attack_average, glm_reconstruct,
+                               glm_reconstruct_single)
 from reconbound.harness import generate_synthetic
 from reconbound.mechanisms import (LogRegProblem, PrivacyParams, logistic_grad_sum,
                                    output_perturb_dp, sigmoid, train_logreg_exact)
@@ -19,8 +19,10 @@ def trained_instance(seed, n=60, d=4, lam=1.0):
     return prob, theta
 
 
-def threat_model(prob, m=1):
-    return ThreatModel(prob, m)
+def draw_releases(theta, prob, eps, n, rngs):
+    """(T, n, d): n output-perturbation draws from each trial's generator."""
+    return np.array([[output_perturb_dp(theta, PrivacyParams(eps=eps), prob.n, prob.lam, rng)
+                      for _ in range(n)] for rng in rngs])
 
 
 def scan_and_bisect(target, bracket=100.0, tol=1e-12, points=8001):
@@ -170,77 +172,62 @@ class TestSingleReconstruction:
 class TestAveraging:
     def test_n1_equals_single(self):
         prob, theta = trained_instance(4)
-        model = threat_model(prob, m=1)
-        mech = lambda rng: output_perturb_dp(theta, PrivacyParams(eps=3.0), prob.n,
-                                             prob.lam, rng)
-        rng = np.random.default_rng(11)
-        res = attack_average(model, mech, rng)
-        rng2 = np.random.default_rng(11)
-        single = glm_reconstruct_single(mech(rng2), prob.features[:-1], prob.labels[:-1],
+        releases = draw_releases(theta, prob, 3.0, 1, [np.random.default_rng(11)])
+        mse, failures = attack_average(ThreatModel(prob), releases)
+        single = glm_reconstruct_single(releases[0, 0], prob.features[:-1], prob.labels[:-1],
                                         float(prob.labels[-1]), prob.lam, prob.n)
-        assert np.allclose(res.z_hat, single, rtol=0, atol=0)
-        assert len(res.per_sample_estimates) == 1
+        diff = (prob.features[-1] - single)[None]
+        assert mse[0] == np.sqrt(np.einsum("td,td->t", diff, diff))[0] ** 2
+        assert failures[0] == 0
 
     def test_noiseless_zero_error(self):
         prob, theta = trained_instance(6)
-        model = threat_model(prob, m=5)
-        mech = lambda rng: theta
-        res = attack_average(model, mech, np.random.default_rng(0))
-        assert res.mse < 1e-12
-        assert res.failures == 0
+        mse, failures = attack_average(ThreatModel(prob), np.tile(theta, (1, 5, 1)))
+        assert mse[0] < 1e-12
+        assert failures[0] == 0
 
     def test_mean_of_estimates(self):
         prob, theta = trained_instance(7)
-        model = threat_model(prob, m=4)
-        mech = lambda rng: output_perturb_dp(theta, PrivacyParams(eps=5.0), prob.n,
-                                             prob.lam, rng)
-        res = attack_average(model, mech, np.random.default_rng(1))
-        assert np.allclose(res.z_hat, np.mean(np.stack(res.per_sample_estimates), axis=0))
+        releases = draw_releases(theta, prob, 5.0, 4, [np.random.default_rng(1)])
+        mse, failures = attack_average(ThreatModel(prob), releases)
+        estimates, reasons = glm_reconstruct(releases[0], *adversary_args(prob))
+        ok = reasons == 0
+        assert failures[0] == np.count_nonzero(~ok)
+        z_hat = np.mean(estimates[ok], axis=0)
+        assert mse[0] == pytest.approx(np.sum((prob.features[-1] - z_hat) ** 2), rel=1e-12)
 
     def test_mse_nonincreasing_in_sample_count(self):
         prob, theta = trained_instance(11)
         means = []
         for n in (1, 4, 16):
-            model = threat_model(prob, m=n)
-            mses = []
-            for trial in range(200):
-                rng = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(n, trial)))
-                mech = lambda r: output_perturb_dp(theta, PrivacyParams(eps=4.0),
-                                                   prob.n, prob.lam, r)
-                try:
-                    mses.append(attack_average(model, mech, rng).mse)
-                except AllFailedError:
-                    pass
-            means.append(float(np.mean(mses)))
+            rngs = [np.random.default_rng(np.random.SeedSequence(99, spawn_key=(n, trial)))
+                    for trial in range(200)]
+            mse, _ = attack_average(ThreatModel(prob), draw_releases(theta, prob, 4.0, n, rngs))
+            means.append(float(np.mean(mse[~np.isnan(mse)])))
         assert means[0] >= means[1] >= means[2], means
 
     def test_median_error_degrades_with_privacy(self):
         # stronger privacy (smaller eps) must not help the attack; one
         # inversion is tolerated since medians are noisy
         prob, theta = trained_instance(11)
-        model = threat_model(prob, m=1)
         medians = []
         for eps in (0.1, 0.5, 1.0, 2.0, 5.0):
-            mses = []
-            for trial in range(50):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(7, spawn_key=(int(eps * 10), trial)))
-                mech = lambda r: output_perturb_dp(theta, PrivacyParams(eps=eps),
-                                                   prob.n, prob.lam, r)
-                try:
-                    mses.append(attack_average(model, mech, rng).mse)
-                except AllFailedError:
-                    pass
-            medians.append(float(np.median(mses)) if mses else math.inf)
+            rngs = [np.random.default_rng(
+                np.random.SeedSequence(7, spawn_key=(int(eps * 10), trial)))
+                for trial in range(50)]
+            mse, _ = attack_average(ThreatModel(prob), draw_releases(theta, prob, eps, 1, rngs))
+            mses = mse[~np.isnan(mse)]
+            medians.append(float(np.median(mses)) if mses.size else math.inf)
         inversions = sum(1 for a, b in zip(medians, medians[1:]) if b > a * (1 + 1e-9))
         assert inversions <= 1, medians
 
     def test_all_failed(self):
+        # a trial none of whose draws inverts has no error to report
         prob, theta = trained_instance(2)
-        model = threat_model(prob, m=3)
-        wild = lambda rng: theta + 50.0 * np.ones_like(theta)
-        with pytest.raises(AllFailedError):
-            attack_average(model, wild, np.random.default_rng(0))
+        wild = theta + 50.0 * np.ones_like(theta)
+        mse, failures = attack_average(ThreatModel(prob), np.tile(wild, (1, 3, 1)))
+        assert np.isnan(mse[0])
+        assert failures[0] == 3
 
 
 class TestBatchInversion:
@@ -249,7 +236,7 @@ class TestBatchInversion:
         # the same failure set and estimates; both levels mix failed draws
         # and survivors, and eps=1 has trials in which every draw fails
         prob, theta = trained_instance(12, n=300, d=6, lam=1e-2)
-        model = threat_model(prob, m=3)
+        model = ThreatModel(prob)
         for eps in (1.0, 3.0):
             rngs = [np.random.default_rng(np.random.SeedSequence(5, spawn_key=(t,)))
                     for t in range(8)]
@@ -263,9 +250,9 @@ class TestBatchInversion:
             assert list(reasons) == [int(r[0]) for _, r in alone]
             for row, (one, _) in zip(est, alone):
                 np.testing.assert_allclose(row, one[0], rtol=1e-12, atol=0)
-            mse, failures = attack_trials(model, releases)
+            mse, failures = attack_average(model, releases)
             for t in range(8):
-                mse_t, failures_t = attack_trials(model, releases[t:t + 1])
+                mse_t, failures_t = attack_average(model, releases[t:t + 1])
                 assert failures[t] == failures_t[0]
                 np.testing.assert_allclose(mse[t], mse_t[0], rtol=1e-12, atol=0)
             assert failures.sum() == np.count_nonzero(reasons == NO_ROOT)
@@ -291,20 +278,15 @@ class TestThreatModelAndShadows:
         # at image width the features are 12.5 MB; the threat model adds a
         # view of them and the transient row comparison, nothing full size
         prob = generate_synthetic(2000, 784, seed=20240817)
-        ThreatModel(generate_synthetic(20, 784, seed=1), 1)
+        ThreatModel(generate_synthetic(20, 784, seed=1))
         tracemalloc.start()
         try:
-            model = ThreatModel(prob, 1)
+            model = ThreatModel(prob)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert np.shares_memory(model.problem.features, prob.features)
         assert peak <= 0.25 * prob.features.nbytes
-
-    def test_budget_exhausted(self):
-        prob, _ = trained_instance(0)
-        with pytest.raises(ValueError, match="query_budget_m"):
-            threat_model(prob, m=0)
 
     def test_challenge_not_in_fixed_dataset(self):
         prob, _ = trained_instance(0)
@@ -312,7 +294,7 @@ class TestThreatModelAndShadows:
         labels = np.append(prob.labels, prob.labels[3])
         repeated = LogRegProblem(features=feats, labels=labels, lam=prob.lam)
         with pytest.raises(ValueError, match="challenge must not appear"):
-            ThreatModel(repeated, 1)
+            ThreatModel(repeated)
 
 
 class TestExactnessSweep:

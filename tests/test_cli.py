@@ -1,4 +1,5 @@
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -6,18 +7,25 @@ import pytest
 
 from reconbound import cli, harness, oracle
 from reconbound.harness import SweepConfig, SweepResult, SweepRow
-from reconbound.metric_space import FiniteMetricSpace
+from reconbound.metric_space import FiniteMetricSpace, pairwise_distances
 
 
 def run_cli(argv):
     return cli.main(argv)
 
 
+def write_matrix(path, vectors):
+    """The Euclidean distance matrix of row vectors in the covering
+    command's file format: the point count, then one row per line."""
+    dist = pairwise_distances(vectors)
+    rows = (" ".join(repr(float(v)) for v in row) for row in dist)
+    path.write_text(f"{len(dist)}\n" + "\n".join(rows) + "\n", encoding="ascii")
+
+
 class TestCovering:
     def test_matrix_file(self, tmp_path, capsys):
-        sp = FiniteMetricSpace.from_points([[0.0], [1.0], [2.0]])
         path = tmp_path / "m.txt"
-        sp.to_file(path)
+        write_matrix(path, [[0.0], [1.0], [2.0]])
         assert run_cli(["covering", "--matrix", str(path), "--eta", "1.0"]) == 0
         out = capsys.readouterr().out
         assert "covering=1" in out and "packing=3" in out
@@ -27,9 +35,8 @@ class TestCovering:
                         "--eta", "1.0"]) == 4
 
     def test_bad_eta_is_config_error(self, tmp_path):
-        sp = FiniteMetricSpace.from_points([[0.0], [1.0]])
         path = tmp_path / "m.txt"
-        sp.to_file(path)
+        write_matrix(path, [[0.0], [1.0]])
         for eta in ("-1", "nan"):
             assert run_cli(["covering", "--matrix", str(path), "--eta", eta]) == 2
 
@@ -37,9 +44,8 @@ class TestCovering:
         # both searches recurse once per point: at a tiny eta on a line, a
         # space as large as the recursion limit would overflow the stack
         limit = 400
-        sp = FiniteMetricSpace.from_points(np.arange(float(limit))[:, None])
         path = tmp_path / "m.txt"
-        sp.to_file(path)
+        write_matrix(path, np.arange(float(limit))[:, None])
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(limit)
         try:
@@ -57,8 +63,8 @@ class TestCovering:
         # recursion depth before the distances are parsed, so the
         # all-triples validation of the space never runs
         small, large = tmp_path / "small.txt", tmp_path / "large.txt"
-        FiniteMetricSpace.from_points(np.arange(30.0)[:, None]).to_file(small)
-        FiniteMetricSpace.from_points(np.arange(250.0)[:, None]).to_file(large)
+        write_matrix(small, np.arange(30.0)[:, None])
+        write_matrix(large, np.arange(250.0)[:, None])
 
         def unreachable(self):
             raise AssertionError("validated a space the searches refuse")
@@ -110,6 +116,17 @@ class TestOracleCommand:
     def test_multi_hypothesis(self, capsys):
         assert run_cli(["oracle", "--eps-grid", "1", "--inputs", "4"]) == 0
         assert "info_bound" in capsys.readouterr().out
+
+    def test_long_enumeration_refused_at_once(self, capsys):
+        # 3^(10^8) is refused from the cap's bit length, without forming
+        # the 48-million-digit count; the message names the cap, not it
+        start = time.perf_counter()
+        assert run_cli(["oracle", "--eps-grid", "1", "--inputs", "3",
+                        "--n", "100000000"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"3^100000000 tuples exceed cap {oracle.ENUMERATION_CAP}" in err
+        assert len(err) < 100
 
     def test_certificate_violation_exit_5(self, monkeypatch, capsys):
         # a broken exact risk trips the certificate chain

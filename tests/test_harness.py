@@ -207,6 +207,21 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match="constraint_radius"):
                 tiny_config(constraint_radius=radius)
 
+    def test_samples_and_digit_pair_range(self):
+        # n_samples is the adversary's query budget: at least one release
+        with pytest.raises(ConfigError, match="n_samples"):
+            tiny_config(n_samples=0)
+        # a pair of equal labels would make every row one class, and more
+        # than two labels no binary problem
+        for pair in ((1, 1), (0, 1, 2), (3,)):
+            with pytest.raises(ConfigError, match="digit_pair"):
+                tiny_config(digit_pair=pair)
+        for text in ("1,1", "0,1,2"):
+            with pytest.raises(ConfigError, match="digit_pair"):
+                parse_config_text("eps_grid = 1\nmechanism_kind = OUTPUT_PERTURB_DP\n"
+                                  f"seed = 1\ndigit_pair = {text}\n")
+        assert tiny_config(digit_pair=("7", 2)).digit_pair == (7, 2)
+
     def test_grid_validation(self):
         with pytest.raises(ConfigError):
             tiny_config(eps_grid=(2.0, 1.0))
@@ -243,12 +258,12 @@ class TestRunSweep:
         # the array the dataset build freezes is the one the problem and
         # the threat model hold
         built, models = [], []
-        real_problem, real_trials = harness.LogRegProblem, harness.attack_trials
+        real_problem, real_attack = harness.LogRegProblem, harness.attack_average
         monkeypatch.setattr(harness, "LogRegProblem",
                             lambda **kw: built.append(kw["features"]) or real_problem(**kw))
-        monkeypatch.setattr(harness, "attack_trials",
+        monkeypatch.setattr(harness, "attack_average",
                             lambda model, releases: (models.append(model)
-                                                     or real_trials(model, releases)))
+                                                     or real_attack(model, releases)))
         run_sweep(tiny_config(trials=2, lam=1e-2, train_size=2000, dim=16))
         assert np.shares_memory(models[0].problem.features, built[0])
 

@@ -12,13 +12,18 @@ from reconbound.metric_space import (FiniteMetricSpace, SizeCapError,
                                      pairwise_distances, two_point_space)
 
 
+def euclidean(vectors):
+    """The space of row vectors under the Euclidean distance."""
+    dist = pairwise_distances(vectors)
+    return FiniteMetricSpace(points=tuple(range(len(dist))), dist=dist)
+
+
 def unit_square_corners():
-    return FiniteMetricSpace.from_points(
-        [[0, 0], [0, 1], [1, 0], [1, 1]])
+    return euclidean([[0, 0], [0, 1], [1, 0], [1, 1]])
 
 
 def collinear(vals):
-    return FiniteMetricSpace.from_points([[v] for v in vals])
+    return euclidean([[v] for v in vals])
 
 
 def brute_covering(space, eta):
@@ -84,7 +89,7 @@ class TestDiameter:
         # scaling every distance by c scales the diameter and every
         # covering and packing radius by c
         rng = np.random.default_rng(0)
-        sp = FiniteMetricSpace.from_points(rng.normal(size=(6, 3)))
+        sp = euclidean(rng.normal(size=(6, 3)))
         etas = np.quantile(sp.dist[sp.dist > 0], [0.1, 0.4, 0.7]) * 1.01
         for c in (0.5, 2.0, 7.25):
             scaled = FiniteMetricSpace(points=sp.points, dist=sp.dist * c)
@@ -109,7 +114,7 @@ class TestCovering:
 
     def test_cap(self):
         rng = np.random.default_rng(1)
-        sp = FiniteMetricSpace.from_points(rng.normal(size=(25, 2)))
+        sp = euclidean(rng.normal(size=(25, 2)))
         with pytest.raises(SizeCapError):
             covering_number(sp, 0.5)
         assert covering_number(sp, 0.5, cap=25) >= 1
@@ -138,7 +143,7 @@ class TestCoveringMatchesSubsetEnumeration:
         rng = np.random.default_rng(11)
         for _ in range(12):
             n = int(rng.integers(10, 17))
-            sp = FiniteMetricSpace.from_points(rng.uniform(size=(n, 2)))
+            sp = euclidean(rng.uniform(size=(n, 2)))
             for eta in (0.15, 0.3, 0.5, 0.8):
                 cov = covering_number(sp, eta)
                 assert cov == retired_covering(sp, eta), (n, eta)
@@ -173,7 +178,7 @@ class TestPacking:
     def test_matches_bruteforce_random(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
-            sp = FiniteMetricSpace.from_points(rng.uniform(size=(8, 2)))
+            sp = euclidean(rng.uniform(size=(8, 2)))
             eta = float(rng.uniform(0.05, 1.2))
             assert packing_number(sp, eta) == brute_packing(sp, eta)
             assert covering_number(sp, eta) == brute_covering(sp, eta)
@@ -184,7 +189,7 @@ class TestSandwich:
         rng = np.random.default_rng(3)
         for _ in range(20):
             n = int(rng.integers(3, 11))
-            sp = FiniteMetricSpace.from_points(rng.uniform(size=(n, 2)))
+            sp = euclidean(rng.uniform(size=(n, 2)))
             eta = float(rng.uniform(0.1, 1.0))
             cov = covering_number(sp, eta)
             assert packing_number(sp, 2 * eta) <= cov <= packing_number(sp, eta)
@@ -275,12 +280,15 @@ class TestValidation:
 
 class TestFileFormat:
     def test_round_trip(self, tmp_path):
+        # repr writes each distance with every digit it needs to read back
         rng = np.random.default_rng(4)
-        sp = FiniteMetricSpace.from_points(rng.uniform(size=(5, 3)))
+        dist = pairwise_distances(rng.uniform(size=(5, 3)))
         path = tmp_path / "space.txt"
-        sp.to_file(path)
+        path.write_text("5\n" + "\n".join(" ".join(repr(float(v)) for v in row)
+                                         for row in dist) + "\n", encoding="ascii")
         back = FiniteMetricSpace.from_file(path)
-        assert np.allclose(back.dist, sp.dist, rtol=0, atol=0)
+        assert back.points == tuple(range(5))
+        assert np.allclose(back.dist, dist, rtol=0, atol=0)
 
     def test_cap_refuses_before_parsing(self, tmp_path):
         # the header alone decides: the distances are never read

@@ -8,7 +8,7 @@ from reconbound import oracle
 from reconbound.bounds import dp_lecam_bound, two_point_bound
 from reconbound.divergence import bh_tv_bound, kl_bound, renyi_bound
 from reconbound.mechanisms import PrivacyParams
-from reconbound.metric_space import FiniteMetricSpace, two_point_space
+from reconbound.metric_space import FiniteMetricSpace, pairwise_distances, two_point_space
 from reconbound.oracle import (ENUMERATION_CAP, CertificateError,
                                EnumerationCapError, FiniteMechanism, channel_kl,
                                channel_renyi, channel_tv, dp_epsilon_of,
@@ -290,7 +290,8 @@ class TestTypeClassesMatchTupleEnumeration:
     def check(self, mech, n, rng):
         # all four enumerations against their sums over ordered tuples
         m = mech.n_inputs
-        space = FiniteMetricSpace.from_points(rng.normal(size=(m, 2)))
+        dist = pairwise_distances(rng.normal(size=(m, 2)))
+        space = FiniteMetricSpace(points=tuple(range(m)), dist=dist)
         like = tuple_likelihoods(mech, n)
         sq = space.dist ** 2
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -213,16 +213,18 @@ class TestConversion:
 
     def test_grid_minimization_matches_dense_oracle(self):
         delta, g, n, t, eps = 1e-5, 2.0, 100, 50, 3.0
-        dense = np.arange(4.9, 64.0, 1e-3)
-        sigma_sq, alpha = noise_for_target_dp(eps, delta, g, n, t, alphas=dense)
-        # independent dense scan of the variance 2*alpha*G^2 / (budget*(n-t+1))
-        oracle = min(2.0 * a * g * g / ((eps - math.log(1.0 / delta) / (a - 1.0)) * (n - t + 1))
-                     for a in dense if eps - math.log(1.0 / delta) / (a - 1.0) > 0)
-        assert sigma_sq == pytest.approx(oracle, rel=1e-12)
-        assert alpha in dense
-        # the default coarse grid can only do worse
-        coarse, _ = noise_for_target_dp(eps, delta, g, n, t, alphas=DEFAULT_ALPHAS)
-        assert coarse >= sigma_sq * (1 - 1e-12)
+        sigma_sq, alpha = noise_for_target_dp(eps, delta, g, n, t)
+
+        # independent scan of the variance 2*alpha*G^2 / (budget*(n-t+1))
+        def scan(alphas):
+            return min(2.0 * a * g * g / ((eps - math.log(1.0 / delta) / (a - 1.0))
+                                          * (n - t + 1))
+                       for a in alphas if eps - math.log(1.0 / delta) / (a - 1.0) > 0)
+
+        assert sigma_sq == pytest.approx(scan(DEFAULT_ALPHAS), rel=1e-12)
+        assert alpha in DEFAULT_ALPHAS
+        # a dense grid of orders can only do better than the coarse one
+        assert scan(np.arange(4.9, 64.0, 1e-3)) <= sigma_sq * (1 + 1e-12)
 
     def test_target_inversion_meets_budget(self):
         delta, g, n, t = 1e-5, 2.0, 100, 100

@@ -25,17 +25,19 @@ def test_every_traced_attribute_exists():
 
 
 def test_sweep_layers_are_traced():
-    # the sweep must call the release, training and bound functions
-    # through the attributes the tracer swaps; a kind table holding the
-    # function objects themselves would bypass it and count nothing
+    # the sweep must call the release, training, attack and bound
+    # functions through the attributes the tracer swaps, the attack once
+    # per cell; a kind table holding the function objects themselves
+    # would bypass it and count nothing
     spans = load_spans()
     cells, trials, n_samples = 2, 3, 2
     expected = {
         "OUTPUT_PERTURB_DP": {"mechanisms.release": cells * trials * n_samples,
                               "mechanisms.train": 1, "bounds.evaluate": cells,
-                              "pnsgd.pass": 0},
+                              "pnsgd.pass": 0, "attack.average": cells},
         "PNSGD_MDP": {"mechanisms.release": 0, "mechanisms.train": 0,
-                      "bounds.evaluate": cells, "pnsgd.pass": n_samples},
+                      "bounds.evaluate": cells, "pnsgd.pass": n_samples,
+                      "attack.average": cells},
     }
     for kind, counts in expected.items():
         config = reconbound.harness.SweepConfig(

@@ -6,7 +6,10 @@ grid, runs the reconstruction attack per trial, and compares the mean
 attack error against every applicable theoretical lower bound on the
 same grid.  Everything is deterministic given (config, seed): per-trial
 generators are derived from the master seed by counter-based spawn keys,
-so neither trial order nor batch size can perturb results.
+so neither trial order nor batch size can perturb results.  The seed
+words of every spawn-keyed generator of a sweep come from one vectorized
+derivation that equals numpy's `SeedSequence(seed, spawn_key=key)` word
+for word, so a generator costs a `PCG64` and no `SeedSequence` of its own.
 
 Trials run in batches: each grid cell stacks its trials' releases and
 attacks them in one `attack_average` call, and PNSGD runs the chains of
@@ -29,6 +32,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import bounds as bounds_mod
 from . import pnsgd as pnsgd_mod
@@ -109,6 +113,9 @@ class SweepConfig:
     constraint_radius: float = 10.0
 
     def __post_init__(self):
+        # the seed is split into 32-bit words, which never ends for a negative one
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         grid = tuple(float(e) for e in self.eps_grid)
         if not grid:
             raise ConfigError("eps_grid must be nonempty")
@@ -319,10 +326,84 @@ def _load_problem(config: SweepConfig) -> LogRegProblem:
                     digits=config.digit_pair, lam=config.lam)
 
 
-def _trial_rngs(config: SweepConfig, eps_idx: int) -> list:
-    return [np.random.default_rng(
-        np.random.SeedSequence(config.seed, spawn_key=(0, eps_idx, trial)))
-        for trial in range(config.trials)]
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def _spawned_seed_words(seed: int, *key) -> np.ndarray:
+    """`SeedSequence(seed, spawn_key=k).generate_state(4, np.uint64)` for
+    every key k at once, shape (*broadcast(key), 4).  The key parts are
+    broadcast against each other, and each must fit one 32-bit word (a
+    cell or trial index does): numpy's hashing of the assembled entropy
+    runs word by word, on uint32 scalars for the seed and on uint32
+    arrays over all keys once a key word enters."""
+    words = []
+    while True:  # the seed's 32-bit words, least significant first
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    # numpy pads a short seed to the pool size when a spawn key follows
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.uint32(w) for w in words] + [np.asarray(k, dtype=np.uint32) for k in key]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(_XSHIFT))
+
+    def mix(x, y):
+        out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return out ^ (out >> np.uint32(_XSHIFT))
+
+    # uint32 arithmetic wraps, as numpy's C code does; scalars would warn
+    with np.errstate(over="ignore"):
+        pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        # generate_state: 8 uint32 words cycled from the pool, paired
+        # little-endian into 4 uint64 words
+        hash_const = _INIT_B
+        state = []
+        for i in range(2 * _POOL_SIZE):
+            value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+            hash_const = hash_const * _MULT_B & _MASK32
+            value = value * np.uint32(hash_const)
+            state.append(np.uint64(value ^ (value >> np.uint32(_XSHIFT))))
+    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(state[::2], state[1::2])],
+                    axis=-1)
+
+
+class _SeedWords(ISeedSequence):
+    """One generator's derived seed words, in the form numpy's PCG64
+    takes a seed sequence in: it asks for 4 uint64 words, once, and reads
+    them straight from the buffer, so they must be one C-contiguous row
+    of `_spawned_seed_words`' result."""
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._words
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """The PCG64 generator of one key's derived seed words."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def _logreg_chain_grad(lam: float) -> Callable:
@@ -348,8 +429,8 @@ def _pnsgd_sigma(kind: MechanismKind, config: SweepConfig, problem: LogRegProble
     return math.sqrt(sigma_sq)
 
 
-def _pnsgd_releases(kind: MechanismKind, config: SweepConfig,
-                    problem: LogRegProblem) -> np.ndarray:
+def _pnsgd_releases(kind: MechanismKind, config: SweepConfig, problem: LogRegProblem,
+                    trial_seeds: np.ndarray) -> np.ndarray:
     """Every cell's releases, (cells, trials, n_samples, d).  One chain per
     (cell, trial) at the cell's noise level; all chains run in one
     lockstep pass per sample, each continuing its trial's generator."""
@@ -358,8 +439,7 @@ def _pnsgd_releases(kind: MechanismKind, config: SweepConfig,
     run_cfg = pnsgd_mod.PNSGDConfig(eta=1.0 / beta, sigma=np.repeat(sigmas, config.trials),
                                     w0=np.zeros(problem.dim),
                                     constraint_radius=config.constraint_radius, beta=beta)
-    rngs = [rng for eps_idx in range(len(config.eps_grid))
-            for rng in _trial_rngs(config, eps_idx)]
+    rngs = [_generator(words) for words in trial_seeds.reshape(-1, 4)]
     signed = problem.labels[:, None] * problem.features
     grad = _logreg_chain_grad(config.lam)
     passes = [pnsgd_mod.pnsgd_run(run_cfg, signed, grad, rngs)
@@ -369,7 +449,8 @@ def _pnsgd_releases(kind: MechanismKind, config: SweepConfig,
 
 
 def _output_perturb_releases(kind: MechanismKind, config: SweepConfig,
-                             problem: LogRegProblem) -> Iterator[np.ndarray]:
+                             problem: LogRegProblem,
+                             trial_seeds: np.ndarray) -> Iterator[np.ndarray]:
     """Each cell's releases in turn, (trials, n_samples, d), each trial's
     drawn in order from its own generator.  A noiseless sweep stands for
     the eps -> infinity limit: every release is the optimum itself, and
@@ -384,7 +465,7 @@ def _output_perturb_releases(kind: MechanismKind, config: SweepConfig,
         params = PrivacyParams(eps=eps)
         yield np.array([[draw(theta_hat, params, problem.n, config.lam, rng)
                          for _ in range(config.n_samples)]
-                        for rng in _trial_rngs(config, eps_idx)])
+                        for rng in map(_generator, trial_seeds[eps_idx])])
 
 
 def evaluate_bounds(kind: MechanismKind, config: SweepConfig, problem: LogRegProblem,
@@ -427,15 +508,18 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     model = ThreatModel(problem)
     kind = MECHANISM_KINDS[config.mechanism_kind]
     release = _pnsgd_releases if kind.pnsgd else _output_perturb_releases
-    cells = release(kind, config, problem)
+    cell_idx = np.arange(len(config.eps_grid))
+    # spawn keys (0, cell, trial) for the trials, (1, cell) for the bootstrap
+    trial_seeds = _spawned_seed_words(config.seed, 0, cell_idx[:, None],
+                                      np.arange(config.trials))
+    ci_seeds = _spawned_seed_words(config.seed, 1, cell_idx)
+    cells = release(kind, config, problem, trial_seeds)
     rows = []
     for eps_idx, (eps, releases) in enumerate(zip(config.eps_grid, cells)):
         mse, failures = attack_average(model, releases)
         mses = mse[~np.isnan(mse)]
         mean_mse = float(mses.mean()) if mses.size else math.inf
-        ci_rng = np.random.default_rng(
-            np.random.SeedSequence(config.seed, spawn_key=(1, eps_idx)))
-        ci_low, ci_high = _bootstrap_ci(mses, ci_rng)
+        ci_low, ci_high = _bootstrap_ci(mses, _generator(ci_seeds[eps_idx]))
         rows.append(SweepRow(epsilon=eps, mechanism=config.mechanism_kind,
                              mean_mse=mean_mse, ci_low=ci_low, ci_high=ci_high,
                              bound_values=evaluate_bounds(kind, config, problem, eps),

@@ -301,6 +301,13 @@ class TestBadInput:
         assert capsys.readouterr().err.count("config error") == 4
         assert not (tmp_path / "o").exists() and not (tmp_path / "b.csv").exists()
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        assert run_cli(["sweep", "--eps-grid", "1", "--mechanism", "OUTPUT_PERTURB_DP",
+                        "--seed", "-3", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "seed" in err
+        assert not (tmp_path / "o").exists()
+
     def test_oversized_grid_exit_2(self, capsys):
         assert run_cli(["oracle", "--eps-grid", "0:1:1e-9"]) == 2
         assert "config error" in capsys.readouterr().err

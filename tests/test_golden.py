@@ -26,6 +26,9 @@ GOLDEN = {
         "65c5308b8f05fc2eacce0c3e3a1faee217ec3a73b2f31b876301e22597ee82c4",
 }
 
+# OUTPUT_PERTURB_MDP at seed 2**64 + 5 (see test_multi_word_seed_digest)
+MULTI_WORD_SEED_GOLDEN = "574f3235e1c0f444031f5f59f80dc3be30334ca2c67a60b4c0f5092c6782bf03"
+
 
 @pytest.mark.parametrize("kind,noiseless", sorted(GOLDEN),
                          ids=lambda v: v if isinstance(v, str) else ("noiseless" if v else "noisy"))
@@ -39,3 +42,14 @@ def test_csv_digest(kind, noiseless, tmp_path):
         f"{kind} (noiseless={noiseless}) CSV bytes changed: sha256 {digest}.  "
         "If the change is intended, record the new digests and the reason in "
         "CHANGES.md and update GOLDEN here.\n" + path.read_text())
+
+
+def test_multi_word_seed_digest(tmp_path):
+    # a seed of three 32-bit words, so no padding to numpy's pool size;
+    # two trials survive in each cell, so the bootstrap draws too
+    cfg = SweepConfig(eps_grid=(2.0, 8.0), mechanism_kind="OUTPUT_PERTURB_MDP",
+                      seed=2**64 + 5, trials=4, n_samples=2, train_size=200, dim=4)
+    path = tmp_path / "sweep.csv"
+    emit_csv(run_sweep(cfg), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == MULTI_WORD_SEED_GOLDEN, path.read_text()

@@ -222,6 +222,14 @@ class TestConfigParsing:
                                   f"seed = 1\ndigit_pair = {text}\n")
         assert tiny_config(digit_pair=("7", 2)).digit_pair == (7, 2)
 
+    def test_seed_range(self):
+        # a negative seed has no 32-bit word split, so the config refuses it
+        with pytest.raises(ConfigError, match="seed"):
+            tiny_config(seed=-3)
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config_text("eps_grid = 1\nmechanism_kind = OUTPUT_PERTURB_DP\nseed = -3\n")
+        assert tiny_config(seed=0).seed == 0
+
     def test_grid_validation(self):
         with pytest.raises(ConfigError):
             tiny_config(eps_grid=(2.0, 1.0))
@@ -231,6 +239,32 @@ class TestConfigParsing:
             tiny_config(trials=0)
         with pytest.raises(ConfigError):
             tiny_config(mechanism_kind="SOMETHING")
+
+
+class TestSpawnedSeeds:
+    # seeds of one to six 32-bit words: 2**160 + 7 has more words than
+    # numpy's pool of 4, and the shorter ones are zero-padded to it
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**160 + 7, 20240817)
+    CELLS = np.array([0, 13, harness.GRID_POINTS_CAP - 1])
+    TRIALS = np.array([0, 49, 19_999])
+
+    def assert_same_generators(self, words, keys, seed):
+        for w, key in zip(words.reshape(-1, 4), keys):
+            oracle_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+            assert harness._generator(w).bit_generator.state == oracle_rng.bit_generator.state, (
+                seed, key)
+
+    def test_trial_keys_match_numpy(self):
+        for seed in self.SEEDS:
+            words = harness._spawned_seed_words(seed, 0, self.CELLS[:, None], self.TRIALS)
+            assert words.shape == (3, 3, 4)
+            keys = [(0, int(c), int(t)) for c in self.CELLS for t in self.TRIALS]
+            self.assert_same_generators(words, keys, seed)
+
+    def test_bootstrap_keys_match_numpy(self):
+        for seed in self.SEEDS:
+            words = harness._spawned_seed_words(seed, 1, self.CELLS)
+            self.assert_same_generators(words, [(1, int(c)) for c in self.CELLS], seed)
 
 
 class TestRunSweep:

@@ -26,20 +26,28 @@ Inversion works on a stack of releases at once: the known-sample
 gradient sums come from two matrix products and the scalar equation is
 solved for every release in one vectorized bisection.
 
-Most failures are certified before the gradient sum.  The target h.g
-equals -N*lam*|h|^2 + sum_i m_i*sigmoid(-m_i) over the known margins
-m_i = y_i * x_i.h, and m*sigmoid(-m) never exceeds W(1/e) = 0.27846.
-So a release with |h|^2 > W(1/e)/lam has no root, whatever the data
-(the norm certificate), and any other release's target can be read off
-the margins of the first matrix product (the margin certificate).  A
-stack whose every release is certified returns without the features,
-or without the second product; any other stack is inverted whole.
+Most failures are certified before the gradient sum, by three bounds
+on the target h.g = -N*lam*|h|^2 + sum_i m_i*sigmoid(-m_i), a sum over
+the known margins m_i = y_i * x_i.h:
+
+- the norm certificate: m*sigmoid(-m) never exceeds W(1/e) = 0.27846,
+  so a release with |h|^2 > W(1/e)/lam has no root, whatever the data;
+- the mean-margin certificate: m*sigmoid(-m) - m/2 = -(m/2)*tanh(m/2)
+  is never positive, so the target is at most h.s/2 - N*lam*|h|^2, with
+  s = sum_i y_i * x_i the adversary's one d-vector of known data
+  (`ThreatModel.known_sum`);
+- the margin certificate: any other release's target is read off the
+  margins of the first matrix product.
+
+A stack whose every release is certified returns without reading the
+features, or without the second product; any other stack is inverted
+whole.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,16 +84,25 @@ class ThreatModel:
     """The informed adversary: the training problem, whose last row is the
     challenge.  The attack reads every other row, the challenge label, lam
     and N from the problem; the challenge features are read for scoring
-    only.  The problem is held, not copied.  The query budget, the number
-    of releases drawn per trial, is the second axis of the releases that
-    `attack_average` takes."""
+    only.  The problem is held, not copied; ``known_sum`` is formed once
+    here, so the inversions of a whole sweep share it.  The query budget,
+    the number of releases drawn per trial, is the second axis of the
+    releases that `attack_average` takes."""
 
     problem: LogRegProblem
+    known_sum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = self.problem.features
         if np.any(np.all(x[:-1] == x[-1], axis=1)):
             raise ValueError("challenge must not appear in the fixed dataset")
+        object.__setattr__(self, "known_sum", _known_sum(x[:-1], self.problem.labels[:-1]))
+
+
+def _known_sum(features_minus: np.ndarray, labels_minus: np.ndarray) -> np.ndarray:
+    """s = sum_i y_i * x_i over the known rows, the mean-margin
+    certificate's statistic: one pass over the features."""
+    return labels_minus @ features_minus
 
 
 def _r(w):
@@ -118,13 +135,14 @@ def _solve_scalar(target: np.ndarray) -> tuple:
 
 def glm_reconstruct(releases: np.ndarray, features_minus: np.ndarray,
                     labels_minus: np.ndarray, y_star: float, lam: float,
-                    n_total: int) -> tuple:
+                    n_total: int, known_sum: np.ndarray) -> tuple:
     """Invert a (M, d) stack of released parameter vectors at once.
 
     Returns (estimates, reasons): the (M, d) challenge estimates, and per
     release 0 on success or the code (`DEGENERATE`, `NO_ROOT`) of the
     reason it could not be inverted, in which case its row is NaN.
-    ``n_total`` is the training-set size including the challenge.
+    ``n_total`` is the training-set size including the challenge, and
+    ``known_sum`` is `_known_sum` of the known rows.
 
     A stack whose every release is certified to have no root (see the
     module docstring) returns before the features are read or before
@@ -147,7 +165,20 @@ def glm_reconstruct(releases: np.ndarray, features_minus: np.ndarray,
     norm_sq = np.einsum("md,md->m", h, h)
     scale = n_total * lam * norm_sq
     slack = 1e-9 * (scale + 2 * n_total * np.sqrt(norm_sq) + 1)
-    certified = scale > n_total * _W + slack
+    # The mean-margin certificate: `sigmoid` rounds to at most 1/2 below 0
+    # and to at least 1/2 from 0 up, so m*sigmoid(-m) <= m/2 holds for the
+    # computed margins and slopes too, and the target on the inversion's
+    # slopes is at most h.s/2 - N*lam*|h|^2 plus 3/2 of the margins' error,
+    # under 1.5*gamma_d*N|h| (gamma_k = k*u/(1 - k*u)).  The computed s is
+    # within gamma_N*N of s, since rows lie in the unit ball, so its
+    # product with h is within gamma_N*N|h| + gamma_d*N|h| of h.s; |h|^2
+    # carries gamma_(d+2) of the scale, and the subtraction one more u.
+    # The bound as computed is thus within u*(N/4 + 2d + 4)*S of that
+    # target, and with the inversion's own u*(N + d + 3)*S the gap is
+    # u*(5N/4 + 3d + 7)*S: below 1e-9*S while 5N/4 + 3d stays under 9
+    # million, for example while N + d stays under 3 million.
+    certified = ((scale > n_total * _W + slack)
+                 | (0.5 * (h @ known_sum) - scale < -_W - slack))
     if not certified.all():
         margins = labels_minus[:, None] * (features_minus @ h.T)
         slopes = sigmoid(-margins)
@@ -169,8 +200,9 @@ def glm_reconstruct_single(h, features_minus: np.ndarray, labels_minus: np.ndarr
                            y_star: float, lam: float, n_total: int) -> np.ndarray:
     """Invert one released parameter vector into challenge features: the
     batch-of-one case of `glm_reconstruct`, raising its failure reason."""
-    estimates, reasons = glm_reconstruct(np.atleast_2d(h), features_minus,
-                                         labels_minus, y_star, lam, n_total)
+    estimates, reasons = glm_reconstruct(np.atleast_2d(h), features_minus, labels_minus,
+                                         y_star, lam, n_total,
+                                         _known_sum(features_minus, labels_minus))
     if reasons[0] == DEGENERATE:
         raise DegenerateGradientError("challenge gradient contribution is numerically zero")
     if reasons[0] == NO_ROOT:
@@ -191,7 +223,8 @@ def attack_average(model: ThreatModel, releases: np.ndarray) -> tuple:
     trials, n, d = releases.shape
     p = model.problem
     estimates, reasons = glm_reconstruct(releases.reshape(trials * n, d), p.features[:-1],
-                                         p.labels[:-1], float(p.labels[-1]), p.lam, p.n)
+                                         p.labels[:-1], float(p.labels[-1]), p.lam, p.n,
+                                         model.known_sum)
     ok = (reasons == 0).reshape(trials, n)
     counts = ok.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -88,11 +88,14 @@ def mdp_fano_bound(params: PrivacyParams, n: int, d_eff: float) -> float:
     if e * e == 0:
         return math.inf
     gap = d_eff - math.log(2.0)
-    # gap * gap, not gap ** 2: float ** raises OverflowError past 1.3e154;
-    # where the square overflows, gap / d_eff rounds to 1
-    if math.isinf(gap * gap):
-        return gap / (8.0 * n * e * e) * (1.0 - params.delta)
-    return gap * gap / (8.0 * n * e * e * d_eff) * (1.0 - params.delta)
+    # gap * gap, not gap ** 2: float ** raises OverflowError past 1.3e154
+    denominator = 8.0 * n * e * e * d_eff
+    if math.isinf(gap * gap) or math.isinf(denominator):
+        # gap / d_eff <= 1, so no quotient below overflows unless the
+        # bound does, and dividing by e after the rest cannot underflow
+        # before the bound does
+        return gap / d_eff * gap / (8.0 * n) / e / e * (1.0 - params.delta)
+    return gap * gap / denominator * (1.0 - params.delta)
 
 
 def unbiased_rdp_bound(params: PrivacyParams, coord_diam_sq_sum: float) -> float:

@@ -6,9 +6,9 @@ import pytest
 
 from reconbound import attack
 from reconbound.attack import (DEGENERATE, NO_ROOT, DegenerateGradientError, NoRootError,
-                               ThreatModel, _solve_scalar, attack_average, glm_reconstruct,
-                               glm_reconstruct_single)
-from reconbound.harness import generate_synthetic
+                               ThreatModel, _known_sum, _solve_scalar, attack_average,
+                               glm_reconstruct, glm_reconstruct_single)
+from reconbound.harness import SweepConfig, generate_synthetic, run_sweep
 from reconbound.mechanisms import (LogRegProblem, PrivacyParams, logistic_grad_sum,
                                    output_perturb_dp, sigmoid, train_logreg_exact)
 
@@ -190,7 +190,7 @@ class TestAveraging:
         prob, theta = trained_instance(7)
         releases = draw_releases(theta, prob, 5.0, 4, [np.random.default_rng(1)])
         mse, failures = attack_average(ThreatModel(prob), releases)
-        estimates, reasons = glm_reconstruct(releases[0], *adversary_args(prob))
+        estimates, reasons = invert(releases[0], adversary_args(prob))
         ok = reasons == 0
         assert failures[0] == np.count_nonzero(~ok)
         z_hat = np.mean(estimates[ok], axis=0)
@@ -245,8 +245,8 @@ class TestBatchInversion:
                                   for _ in range(3)] for rng in rngs])
             args = (prob.features[:-1], prob.labels[:-1], float(prob.labels[-1]),
                     prob.lam, prob.n)
-            est, reasons = glm_reconstruct(releases.reshape(24, -1), *args)
-            alone = [glm_reconstruct(h[None], *args) for h in releases.reshape(24, -1)]
+            est, reasons = invert(releases.reshape(24, -1), args)
+            alone = [invert(h[None], args) for h in releases.reshape(24, -1)]
             assert list(reasons) == [int(r[0]) for _, r in alone]
             for row, (one, _) in zip(est, alone):
                 np.testing.assert_allclose(row, one[0], rtol=1e-12, atol=0)
@@ -263,9 +263,7 @@ class TestBatchInversion:
         # those of a single release, so agreement is to rounding
         prob, theta = trained_instance(13)
         wild = theta + 50.0 * np.ones_like(theta)
-        est, reasons = glm_reconstruct(np.stack([theta, wild]), prob.features[:-1],
-                                       prob.labels[:-1], float(prob.labels[-1]),
-                                       prob.lam, prob.n)
+        est, reasons = invert(np.stack([theta, wild]), adversary_args(prob))
         single = glm_reconstruct_single(theta, prob.features[:-1], prob.labels[:-1],
                                         float(prob.labels[-1]), prob.lam, prob.n)
         np.testing.assert_allclose(est[0], single, rtol=1e-12, atol=0)
@@ -287,6 +285,27 @@ class TestThreatModelAndShadows:
             tracemalloc.stop()
         assert np.shares_memory(model.problem.features, prob.features)
         assert peak <= 0.25 * prob.features.nbytes
+
+    def test_sweep_forms_the_known_sum_once(self, monkeypatch):
+        # every cell's stack has a release inside the norm radius, so each
+        # reaches the mean-margin bound; all share the threat model's sum
+        sums = count_calls(monkeypatch, "_known_sum")
+        stacks = []
+        original = attack.glm_reconstruct
+
+        def recorded(releases, *args):
+            stacks.append((releases, args))
+            return original(releases, *args)
+
+        monkeypatch.setattr(attack, "glm_reconstruct", recorded)
+        cfg = SweepConfig(eps_grid=(0.5, 1.0, 2.0, 4.0), mechanism_kind="OUTPUT_PERTURB_DP",
+                          seed=20240817, trials=3, n_samples=2, train_size=200, dim=4)
+        run_sweep(cfg)
+        assert len(sums) == 1
+        assert len(stacks) == len(cfg.eps_grid)
+        for releases, (_, _, _, lam, _, known_sum) in stacks:
+            assert (np.einsum("md,md->m", releases, releases) <= W_E / lam).any()
+            assert known_sum is stacks[0][1][-1]
 
     def test_challenge_not_in_fixed_dataset(self):
         prob, _ = trained_instance(0)
@@ -324,21 +343,27 @@ def adversary_args(prob):
             prob.lam, prob.n)
 
 
-def count_grad_sums(monkeypatch) -> list:
-    """Record each call the attack makes to its gradient-sum helper."""
+def invert(releases, args):
+    """`glm_reconstruct` on (features, labels, y_star, lam, n_total), with
+    the known sum formed from those features."""
+    return glm_reconstruct(releases, *args, _known_sum(args[0], args[1]))
+
+
+def count_calls(monkeypatch, name) -> list:
+    """Record each call the attack makes to its helper ``name``."""
     calls = []
-    original = attack.logistic_grad_sum
+    original = getattr(attack, name)
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(attack, "logistic_grad_sum", counted)
+    monkeypatch.setattr(attack, name, counted)
     return calls
 
 
 def assert_as_it_stood(releases, args):
-    est, reasons = glm_reconstruct(releases, *args)
+    est, reasons = invert(releases, args)
     ref_est, ref_reasons, _ = inversion_as_it_stood(releases, *args)
     assert np.array_equal(est, ref_est, equal_nan=True)
     assert np.array_equal(reasons, ref_reasons)
@@ -349,10 +374,13 @@ class TestNoRootCertificates:
     def test_matches_inversion_as_it_stood(self, monkeypatch):
         # noise norms from 0.05 to 20 times sqrt(W(1/e)/lam), the radius
         # beyond which every release is norm-certified; stacks drawn from
-        # all scales mix certified draws with ones that invert
-        calls = count_grad_sums(monkeypatch)
+        # all scales mix certified draws with ones that invert.  A stack
+        # inverted without a sigmoid was certified before its margins: by
+        # the norm alone, or with the mean margin's help
+        calls = count_calls(monkeypatch, "logistic_grad_sum")
+        sigmoids = count_calls(monkeypatch, "sigmoid")
         rng = np.random.default_rng(2024)
-        seen = {"norm": 0, "margin": 0, "mixed": 0}
+        seen = {"norm": 0, "mean": 0, "margin": 0, "mixed": 0}
         for d in (2, 16, 64):
             for lam in (1e-2, 1.0):
                 prob, theta = trained_instance(d, n=120, d=d, lam=lam)
@@ -362,12 +390,17 @@ class TestNoRootCertificates:
                     for _ in range(6):
                         scales = radius / math.sqrt(2 * d) * rng.choice(multiples, size=8)
                         releases = theta + rng.laplace(size=(8, d)) * scales[:, None]
-                        before = len(calls)
+                        before, sigmoids_before = len(calls), len(sigmoids)
+                        invert(releases, args)
+                        no_margins = len(sigmoids) == sigmoids_before
                         reasons = assert_as_it_stood(releases, args)
                         beyond = np.einsum("md,md->m", releases, releases) > W_E / lam
-                        if len(calls) == before:
+                        if no_margins:
                             assert (reasons == NO_ROOT).all()
-                            seen["norm" if beyond.all() else "margin"] += 1
+                            seen["norm" if beyond.all() else "mean"] += 1
+                        elif len(calls) == before:
+                            assert (reasons == NO_ROOT).all()
+                            seen["margin"] += 1
                         elif beyond.any() and (reasons == 0).any():
                             seen["mixed"] += 1
         assert min(seen.values()) >= 5, seen
@@ -375,7 +408,7 @@ class TestNoRootCertificates:
     def test_non_finite_releases_are_never_certified(self, monkeypatch):
         # an infinite or NaN release, or one whose squared norm overflows,
         # takes the full inversion and fails there
-        calls = count_grad_sums(monkeypatch)
+        calls = count_calls(monkeypatch, "logistic_grad_sum")
         prob, theta = trained_instance(24, n=40, d=3, lam=1.0)
         args = adversary_args(prob)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -387,7 +420,7 @@ class TestNoRootCertificates:
     def test_ray_across_the_boundary(self, monkeypatch):
         # bisect along a ray to releases whose targets lie within 1e-7 of
         # -W(1/e) on either side: the side with a root is never certified
-        calls = count_grad_sums(monkeypatch)
+        calls = count_calls(monkeypatch, "logistic_grad_sum")
         prob, theta = trained_instance(21, n=80, d=8, lam=1.0)
         args = adversary_args(prob)
         ray = np.random.default_rng(3).normal(size=8)
@@ -414,7 +447,7 @@ class TestNoRootCertificates:
         # makes the known sum (N - 1)*W(1/e), so a release with
         # N*lam*|h|^2 = (N - 1/2)*W(1/e), just inside the radius, has the
         # target -W(1/e)/2 and a root
-        calls = count_grad_sums(monkeypatch)
+        calls = count_calls(monkeypatch, "logistic_grad_sum")
         n_total, h = 20, np.array([[1.5, 0.0, 0.0]])
         labels = np.where(np.arange(n_total - 1) % 2, 1.0, -1.0)
         features = np.outer(labels, (1.0 + W_E) / 1.5 * np.array([1.0, 0.0, 0.0]))
@@ -454,7 +487,49 @@ class TestNoRootCertificates:
         releases = theta + np.random.default_rng(5).laplace(0.0, 50.0, size=(4, 6))
         ref_est, ref_reasons, _ = inversion_as_it_stood(releases, *args)
         wide = np.zeros((prob.n - 1, 7))
-        est, reasons = glm_reconstruct(releases, wide, *args[1:])
+        est, reasons = glm_reconstruct(releases, wide, *args[1:], _known_sum(*args[:2]))
         assert np.array_equal(est, ref_est, equal_nan=True)
         assert np.array_equal(reasons, ref_reasons)
         assert (reasons == NO_ROOT).all()
+
+    def test_mean_certified_stack_never_reads_the_features(self):
+        # inside the norm radius and nearly against s, so h.s/2 alone is
+        # below -W(1/e); a margin product with features one column too
+        # wide would raise
+        prob, theta = trained_instance(25, n=60, d=6, lam=1.0)
+        args = adversary_args(prob)
+        s = _known_sum(*args[:2])
+        rays = -s / np.linalg.norm(s) + 0.1 * np.random.default_rng(6).normal(size=(4, 6))
+        releases = 0.9 * math.sqrt(W_E) * rays / np.linalg.norm(rays, axis=1)[:, None]
+        assert (np.einsum("md,md->m", releases, releases) < W_E / prob.lam).all()
+        ref_est, ref_reasons, _ = inversion_as_it_stood(releases, *args)
+        wide = np.zeros((prob.n - 1, 7))
+        est, reasons = glm_reconstruct(releases, wide, *args[1:], s)
+        assert np.array_equal(est, ref_est, equal_nan=True)
+        assert np.array_equal(reasons, ref_reasons)
+        assert (reasons == NO_ROOT).all()
+
+    def test_mean_margin_bound_is_tight(self, monkeypatch):
+        # h orthogonal to every known row makes every margin 0, where
+        # m*sigmoid(-m) = m/2, so the bound h.s/2 - N*lam*|h|^2 is the
+        # target itself: a release with the target just above -W(1/e)
+        # inverts, and one just below is certified before its margins
+        sigmoids = count_calls(monkeypatch, "sigmoid")
+        n_total = 20
+        labels = np.where(np.arange(n_total - 1) % 2, 1.0, -1.0)
+        angles = np.arange(n_total - 1) * 0.3
+        features = 0.8 * np.stack([np.cos(angles), np.sin(angles), np.zeros(n_total - 1)], 1)
+        s = _known_sum(features, labels)
+        lam = 1.0 / n_total
+        for factor, reason in ((1 - 1e-6, 0), (1 + 1e-6, NO_ROOT)):
+            h = np.array([[0.0, 0.0, math.sqrt(factor * W_E)]])
+            args = (features, labels, 1.0, lam, n_total)
+            target = inversion_as_it_stood(h, *args)[2][0]
+            assert target == pytest.approx(0.5 * float(h[0] @ s) - n_total * lam * factor * W_E,
+                                           rel=1e-15)
+            assert target == pytest.approx(-factor * W_E, rel=1e-15)
+            before = len(sigmoids)
+            _, reasons = glm_reconstruct(h, *args, s)
+            assert list(reasons) == [reason]
+            assert (len(sigmoids) == before) == (reason == NO_ROOT)
+            assert list(assert_as_it_stood(h, args)) == [reason]

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -159,6 +161,26 @@ class TestMdpFano:
     def test_degenerate_dim_rejected(self):
         with pytest.raises(DegenerateDimensionError):
             mdp_fano_bound(p(eps=1.0), 1, math.log(2.0))
+
+    def test_denominator_beyond_float_range(self):
+        # 8*n*eps^2*d_eff overflows on and past this grid's edge, and eps^2
+        # itself past 1.3e154, while the bound stays a normal float
+        def exact(eps, n, d_eff):
+            gap = Fraction(d_eff) - Fraction(math.log(2.0))
+            return float(gap * gap / (8 * n * Fraction(eps) ** 2 * Fraction(d_eff)))
+
+        cases = [(1e100, 1, 1e150), (1e155, 1, 1e300), (1e160, 3, 1e300)]
+        for d_eff in (11.0, 1e8, 1e100, 1e150, 1e200):
+            for n in (1, 2):
+                # the product at 0.1 to 1e4 times the largest float
+                cases += [(math.sqrt(edge / (8 * n * d_eff))
+                           * math.sqrt(sys.float_info.max), n, d_eff)
+                          for edge in (0.1, 0.95, 1.0, 1.05, 10.0, 1e4)]
+        for eps, n, d_eff in cases:
+            assert mdp_fano_bound(p(eps=eps), n, d_eff) == pytest.approx(
+                exact(eps, n, d_eff), rel=1e-12, abs=0), (eps, n, d_eff)
+        assert mdp_fano_bound(p(eps=1e100), 1, 1e150) == pytest.approx(1.25e-51, rel=1e-12,
+                                                                       abs=0)
 
     def test_infinite_where_eps_squared_underflows(self):
         for eps in (0.0, 1e-170, 1e-200):

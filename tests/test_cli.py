@@ -1,6 +1,8 @@
+import math
 import sys
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -105,6 +107,19 @@ class TestBounds:
             assert run_cli(["bounds", "--eps-grid", "1", "--diam", "1", "--d-eff", d_eff,
                             "--out", str(out_path)]) == 0
             assert row in out_path.read_text()
+
+
+    def test_fano_denominator_beyond_float_range(self, tmp_path):
+        # 8*n*eps^2*d_eff overflows, but the bound, about 1.25e-51, does not
+        out_path = tmp_path / "bounds.csv"
+        assert run_cli(["bounds", "--eps-grid", "1e100", "--diam", "1", "--d-eff", "1e150",
+                        "--out", str(out_path)]) == 0
+        (row,) = [ln for ln in out_path.read_text().splitlines() if ",mdp_fano," in ln]
+        eps, _, value, flag = row.split(",")
+        gap = Fraction(1e150) - Fraction(math.log(2.0))
+        exact = gap * gap / (8 * Fraction(1e100) ** 2 * Fraction(1e150))
+        assert float(value) == pytest.approx(float(exact), rel=1e-12, abs=0)
+        assert (eps, flag) == ("1e+100", "VALID")
 
 
 class TestOracleCommand:

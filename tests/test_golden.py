@@ -8,7 +8,7 @@ import hashlib
 
 import pytest
 
-from reconbound.harness import SweepConfig, emit_csv, run_sweep
+from reconbound.harness import SweepConfig, emit_csv, parse_eps_grid, run_sweep
 
 # (mechanism kind, noiseless) -> sha256 of the CSV
 GOLDEN = {
@@ -25,6 +25,9 @@ GOLDEN = {
     ("OUTPUT_PERTURB_MDP", True):
         "65c5308b8f05fc2eacce0c3e3a1faee217ec3a73b2f31b876301e22597ee82c4",
 }
+
+# OUTPUT_PERTURB_DP at d=256 on the 14-point grid (see test_wide_sweep_digest)
+WIDE_GOLDEN = "606b4897a4e9cd873f145cb23a8b91007a24b8f44ecf24cd77aa554c6830e0e8"
 
 # OUTPUT_PERTURB_MDP at seed 2**64 + 5 (see test_multi_word_seed_digest)
 MULTI_WORD_SEED_GOLDEN = "574f3235e1c0f444031f5f59f80dc3be30334ca2c67a60b4c0f5092c6782bf03"
@@ -53,3 +56,14 @@ def test_multi_word_seed_digest(tmp_path):
     emit_csv(run_sweep(cfg), path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == MULTI_WORD_SEED_GOLDEN, path.read_text()
+
+
+def test_wide_sweep_digest(tmp_path):
+    # every draw fails; the last two cells' stacks are certified whole
+    # only with the mean-margin bound, the first twelve by the norm
+    cfg = SweepConfig(eps_grid=parse_eps_grid("0.1:5:0.35"), mechanism_kind="OUTPUT_PERTURB_DP",
+                      seed=20240817, trials=3, n_samples=2, train_size=300, dim=256)
+    path = tmp_path / "sweep.csv"
+    emit_csv(run_sweep(cfg), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == WIDE_GOLDEN, path.read_text()

@@ -12,8 +12,8 @@ from .divergence import (AnalyticPair, analytic_kl, analytic_renyi, bh_tv_bound,
                          kl_bound, numeric_kl, renyi_bound)
 from .harness import (SweepConfig, SweepResult, audit_dominance, emit_csv,
                       emit_svg, generate_synthetic, load_idx, run_sweep)
-from .mechanisms import (LogRegProblem, PrivacyParams, output_perturb_dp,
-                         output_perturb_mdp_euclidean, train_logreg_exact)
+from .mechanisms import (LogRegProblem, output_perturb_dp, output_perturb_mdp_euclidean,
+                         train_logreg_exact)
 from .metric_space import (FiniteMetricSpace, covering_number, discretize_unit_ball,
                            effective_dimension, norm_ball_covering_bounds_log,
                            packing_number)

@@ -1,9 +1,12 @@
 """Lower bounds on the reconstruction error achievable by any adversary
 that draws n samples from a private learner's output distribution.
 
-Each bound takes the guarantee, n (callers check n >= 1) and only the
-geometry its hypotheses read: a diameter (DP and Renyi two-point forms),
-an effective dimension (metric Fano form) or none (metric two-point).
+Each bound takes the privacy numbers it reads as plain floats (eps
+first, delta last), n and only the geometry its hypotheses read: a
+diameter (DP and Renyi two-point forms), an effective dimension (metric
+Fano form) or none (metric two-point).  Callers check eps, delta, alpha
+and n >= 1 where they enter the program (`harness.SweepConfig`, the
+`bounds` command).
 
 All bounds are exact closed forms with their proof constants pinned
 (two-point reduction constant `LECAM_CONSTANT` = 1/16; the Fano bound
@@ -22,9 +25,9 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 
 from .divergence import kl_bound, renyi_bound
-from .mechanisms import PrivacyParams
 
 LECAM_CONSTANT = 1.0 / 16.0
 
@@ -49,34 +52,33 @@ def two_point_bound(sep: float, kl: float, n: int, delta: float = 0.0) -> float:
     return LECAM_CONSTANT * sep * sep * math.exp(-n * kl) * (1.0 - delta)
 
 
-def dp_lecam_bound(params: PrivacyParams, n: int, diam: float) -> float:
+def dp_lecam_bound(eps: float, n: int, diam: float, delta: float = 0.0) -> float:
     """Two-point bound for (eps, delta)-DP learners at sep = diam, with
     the KL budget eps * tanh(eps/2)."""
-    return two_point_bound(diam, kl_bound(params.eps), n, params.delta)
+    return two_point_bound(diam, kl_bound(eps), n, delta)
 
 
-def renyi_dp_lecam_bound(params: PrivacyParams, n: int, diam: float) -> float:
+def renyi_dp_lecam_bound(eps: float, alpha: float, n: int, diam: float) -> float:
     """Two-point bound for order-alpha Renyi DP at sep = diam, with the
     KL budget min(eps, 3*alpha*eps^2/2)."""
-    return two_point_bound(diam, renyi_bound(params.eps, params.alpha), n)
+    return two_point_bound(diam, renyi_bound(eps, alpha), n)
 
 
-def mdp_lecam_bound(params: PrivacyParams, n: int) -> float:
+def mdp_lecam_bound(eps: float, n: int, delta: float = 0.0) -> float:
     """Two-point bound for (eps, delta) metric-private learners, eps per
     unit of distance: (1 - delta) / (2 * n * e * eps^2).  Infinite where
     eps^2 underflows to 0, the correctly rounded value of a bound beyond
     the float range."""
-    e = params.eps
-    if e * e == 0:
+    if eps * eps == 0:
         return math.inf
-    return (1.0 - params.delta) / (2.0 * n * math.e * e * e)
+    return (1.0 - delta) / (2.0 * n * math.e * eps * eps)
 
 
-def mdp_fano_bound(params: PrivacyParams, n: int, d_eff: float) -> float:
+def mdp_fano_bound(eps: float, n: int, d_eff: float, delta: float = 0.0) -> float:
     """Multi-hypothesis bound for metric privacy in the high-dimensional
     regime, eps per unit of distance, in its maximized closed form
     (d_eff - ln2)^2 / (8 * n * eps^2 * d_eff) * (1 - delta).  Infinite
-    where eps^2 underflows to 0.
+    at eps = 0 and wherever the bound is beyond the float range.
 
     ``d_eff`` is the log covering number of the domain's unit ball (see
     `metric_space.effective_dimension`); it must be finite and exceed
@@ -84,28 +86,28 @@ def mdp_fano_bound(params: PrivacyParams, n: int, d_eff: float) -> float:
     """
     if not math.log(2.0) < d_eff < math.inf:
         raise DegenerateDimensionError(f"d_eff={d_eff} must be finite and exceed ln 2")
-    e = params.eps
-    if e * e == 0:
+    if eps == 0:
         return math.inf
     gap = d_eff - math.log(2.0)
     # gap * gap, not gap ** 2: float ** raises OverflowError past 1.3e154
-    denominator = 8.0 * n * e * e * d_eff
-    if math.isinf(gap * gap) or math.isinf(denominator):
-        # gap / d_eff <= 1, so no quotient below overflows unless the
-        # bound does, and dividing by e after the rest cannot underflow
-        # before the bound does
-        return gap / d_eff * gap / (8.0 * n) / e / e * (1.0 - params.delta)
-    return gap * gap / denominator * (1.0 - params.delta)
+    denominator = 8.0 * n * eps * eps * d_eff
+    if (eps * eps < sys.float_info.min or math.isinf(gap * gap)
+            or math.isinf(denominator)):
+        # eps^2 subnormal (few significant bits) or a product past the
+        # float range: gap / d_eff <= 1, so no quotient below overflows
+        # unless the bound does, and dividing by eps last cannot
+        # underflow before the bound does
+        return gap / d_eff * gap / (8.0 * n) / eps / eps * (1.0 - delta)
+    return gap * gap / denominator * (1.0 - delta)
 
 
-def unbiased_rdp_bound(params: PrivacyParams, coord_diam_sq_sum: float) -> float:
+def unbiased_rdp_bound(eps: float, coord_diam_sq_sum: float) -> float:
     """Restated prior bound for unbiased attacks on order-2 Renyi-DP
     learners: sum_i diam_i^2 / (4 * (e^eps - 1)), with e^eps - 1 from
     `math.expm1`, which keeps its relative precision at small eps.
     Infinite at eps=0."""
     if not 0 <= coord_diam_sq_sum < math.inf:
         raise ValueError("coord_diam_sq_sum must be finite and nonnegative")
-    eps = params.eps
     if eps == 0:
         return math.inf
     try:

@@ -24,7 +24,6 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import harness, oracle
 from .bounds import validity_check
-from .mechanisms import PrivacyParams
 from .metric_space import (FiniteMetricSpace, covering_number, packing_number,
                            two_point_space)
 
@@ -101,19 +100,25 @@ def _cmd_bounds(args) -> int:
         raise harness.ConfigError(f"--diam {args.diam:g} squared is not finite")
     if args.n < 1:
         raise harness.ConfigError(f"--n {args.n} must be >= 1")
+    if any(eps < 0 for eps in grid):
+        raise harness.ConfigError(f"--eps-grid {args.eps_grid!r} has a negative value")
+    if not 0 <= args.delta < 1:
+        raise harness.ConfigError(f"--delta {args.delta:g} must lie in [0, 1)")
+    if not args.alpha > 1:  # NaN included
+        raise harness.ConfigError(f"--alpha {args.alpha:g} must exceed 1")
     rows = []
     for eps in grid:
-        params = PrivacyParams(eps=eps, delta=args.delta, alpha=args.alpha)
         values = {
-            "dp_lecam": bounds_mod.dp_lecam_bound(params, args.n, args.diam),
-            "dp_lecam_renyi": bounds_mod.renyi_dp_lecam_bound(params, args.n, args.diam),
-            "mdp_lecam": bounds_mod.mdp_lecam_bound(params, args.n),
+            "dp_lecam": bounds_mod.dp_lecam_bound(eps, args.n, args.diam, args.delta),
+            "dp_lecam_renyi": bounds_mod.renyi_dp_lecam_bound(eps, args.alpha, args.n,
+                                                              args.diam),
+            "mdp_lecam": bounds_mod.mdp_lecam_bound(eps, args.n, args.delta),
         }
         if args.coord_diam_sq_sum is not None:
-            values["rdp_unbiased"] = bounds_mod.unbiased_rdp_bound(
-                params, args.coord_diam_sq_sum)
+            values["rdp_unbiased"] = bounds_mod.unbiased_rdp_bound(eps, args.coord_diam_sq_sum)
         if args.d_eff is not None:
-            values["mdp_fano"] = bounds_mod.mdp_fano_bound(params, args.n, args.d_eff)
+            values["mdp_fano"] = bounds_mod.mdp_fano_bound(eps, args.n, args.d_eff,
+                                                           args.delta)
         for name, value in values.items():
             rows.append((eps, name, value, validity_check(value, trivial)))
     harness.emit_bounds_csv(rows, args.out)

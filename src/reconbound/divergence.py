@@ -41,9 +41,7 @@ def kl_bound(eps: float, rho: float = 1.0) -> float:
 
 def renyi_bound(eps: float, alpha: float, rho: float = 1.0) -> float:
     """Renyi divergence budget min(t, 3*alpha*t^2/2) with t = eps*rho."""
-    if alpha is None:
-        raise ValueError("alpha is required for the Renyi bound")
-    if alpha <= 1:
+    if not alpha > 1:  # NaN included
         raise ValueError("alpha must exceed 1")
     if eps < 0 or rho < 0:
         raise ValueError("eps and rho must be nonnegative")

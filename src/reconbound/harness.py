@@ -37,9 +37,8 @@ from numpy.random.bit_generator import ISeedSequence
 from . import bounds as bounds_mod
 from . import pnsgd as pnsgd_mod
 from .attack import ThreatModel, attack_average
-from .mechanisms import (LogRegProblem, PrivacyParams, output_perturb_dp,
-                         output_perturb_mdp_euclidean, sigmoid,
-                         train_logreg_exact)
+from .mechanisms import (LogRegProblem, output_perturb_dp,
+                         output_perturb_mdp_euclidean, sigmoid, train_logreg_exact)
 from .metric_space import norm_ball_covering_bounds_log
 
 DATASET_SOURCES = ("SYNTHETIC", "IDX_FILES")
@@ -462,8 +461,7 @@ def _output_perturb_releases(kind: MechanismKind, config: SweepConfig,
         return
     draw = output_perturb_mdp_euclidean if kind.metric else output_perturb_dp
     for eps_idx, eps in enumerate(config.eps_grid):
-        params = PrivacyParams(eps=eps)
-        yield np.array([[draw(theta_hat, params, problem.n, config.lam, rng)
+        yield np.array([[draw(theta_hat, eps, problem.n, config.lam, rng)
                          for _ in range(config.n_samples)]
                         for rng in map(_generator, trial_seeds[eps_idx])])
 
@@ -474,14 +472,14 @@ def evaluate_bounds(kind: MechanismKind, config: SweepConfig, problem: LogRegPro
     the unit-ball domain: diameter 2, effective dimension the log of the
     ball's lower covering bound at radius 1/2 (d*ln2), and the prior
     unbiased bound's unit-ball convention (coordinate sum d)."""
-    params = PrivacyParams(eps=eps, delta=config.delta if kind.pnsgd else 0.0)
+    delta = config.delta if kind.pnsgd else 0.0
     n = config.n_samples
     if kind.metric:
         d_eff = norm_ball_covering_bounds_log(problem.dim, 0.5)[0]
-        return {"mdp_lecam": bounds_mod.mdp_lecam_bound(params, n),
-                "mdp_fano": bounds_mod.mdp_fano_bound(params, n, d_eff)}
-    return {"dp_lecam": bounds_mod.dp_lecam_bound(params, n, UNIT_BALL_DIAM),
-            "rdp_unbiased": bounds_mod.unbiased_rdp_bound(params, float(problem.dim))}
+        return {"mdp_lecam": bounds_mod.mdp_lecam_bound(eps, n, delta),
+                "mdp_fano": bounds_mod.mdp_fano_bound(eps, n, d_eff, delta)}
+    return {"dp_lecam": bounds_mod.dp_lecam_bound(eps, n, UNIT_BALL_DIAM, delta),
+            "rdp_unbiased": bounds_mod.unbiased_rdp_bound(eps, float(problem.dim))}
 
 
 def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator) -> tuple:

@@ -8,9 +8,11 @@ products that read the features twice and never form the d x d
 Hessian; one margin product y * (X @ theta) per candidate gives its
 objective and gradient.
 
-Every sampler takes an explicit numpy Generator, so runs are
-deterministic per stream and safe to execute concurrently, and returns
-the released vector: all the adversary sees of a release.
+Every sampler takes eps, a budget per unit of distance between inputs
+(standard DP is the case of neighbouring datasets at distance 1), and an
+explicit numpy Generator, so runs are deterministic per stream and safe
+to execute concurrently; it returns the released vector: all the
+adversary sees of a release.
 """
 
 from __future__ import annotations
@@ -37,29 +39,6 @@ def _frozen(a) -> np.ndarray:
         a = np.array(a, dtype=float)
         a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True)
-class PrivacyParams:
-    """Privacy knobs shared by mechanisms and bounds.
-
-    ``eps`` is a budget per unit of distance between inputs, as metric
-    privacy states it; standard differential privacy is the case of
-    neighbouring datasets at distance 1.  ``delta`` is the additive
-    slack and ``alpha`` the optional Renyi order.
-    """
-
-    eps: float = 0.0
-    delta: float = 0.0
-    alpha: float | None = None
-
-    def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
-        if not 0 <= self.delta < 1:
-            raise ValueError("delta must lie in [0, 1)")
-        if self.alpha is not None and not self.alpha > 1:
-            raise ValueError("alpha must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -200,21 +179,20 @@ def train_logreg_exact(problem: LogRegProblem) -> np.ndarray:
                            f"tolerance after {NEWTON_CAP} Newton steps")
 
 
-def output_perturb_dp(theta: np.ndarray, params: PrivacyParams, n_train: int,
+def output_perturb_dp(theta: np.ndarray, eps: float, n_train: int,
                       lam: float, rng: np.random.Generator) -> np.ndarray:
     """Release theta + iid Laplace noise with scale 2 / (N * eps * lam)."""
     theta = np.asarray(theta, dtype=float)
-    if params.eps <= 0:
+    if eps <= 0:
         raise ValueError("eps must be positive (infinite noise otherwise)")
     if n_train < 1 or lam <= 0:
         raise ValueError("need n_train >= 1 and lam > 0")
-    b = 2.0 / (n_train * params.eps * lam)
+    b = 2.0 / (n_train * eps * lam)
     return theta + rng.laplace(0.0, b, size=theta.shape)
 
 
-def output_perturb_mdp_euclidean(theta: np.ndarray, params: PrivacyParams,
-                                 n_train: int, lam: float,
-                                 rng: np.random.Generator) -> np.ndarray:
+def output_perturb_mdp_euclidean(theta: np.ndarray, eps: float, n_train: int,
+                                 lam: float, rng: np.random.Generator) -> np.ndarray:
     """Euclidean metric-privacy output perturbation.
 
     Noise is radial-Laplace: direction uniform on the sphere, radius
@@ -224,12 +202,12 @@ def output_perturb_mdp_euclidean(theta: np.ndarray, params: PrivacyParams,
     budget per unit of that distance.
     """
     theta = np.asarray(theta, dtype=float)
-    if params.eps <= 0:
+    if eps <= 0:
         raise ValueError("eps must be positive")
     if n_train < 1 or lam <= 0:
         raise ValueError("need n_train >= 1 and lam > 0")
     d = theta.size
-    rate = n_train * params.eps * lam / 2.0
+    rate = n_train * eps * lam / 2.0
     radius = rng.gamma(shape=d, scale=1.0 / rate)
     direction = rng.normal(size=d)
     direction /= np.sqrt(direction @ direction)

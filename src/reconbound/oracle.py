@@ -42,7 +42,6 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .bounds import dp_lecam_bound, two_point_bound
-from .mechanisms import PrivacyParams
 from .metric_space import FiniteMetricSpace
 
 ENUMERATION_CAP = 1_000_000
@@ -256,7 +255,7 @@ def lecam_certificate(mech: FiniteMechanism, space: FiniteMetricSpace,
     eps = dp_epsilon_of(mech)
     lecam = (t * t / 2.0) * overlap
     bh = two_point_bound(sep, kl, n)
-    dp_bound = dp_lecam_bound(PrivacyParams(eps=eps), n, sep)
+    dp_bound = dp_lecam_bound(eps, n, sep)
     exact = exact_bayes_risk(mech, space, n)
     slack = 1e-12 * max(1.0, exact)
     if not (exact + slack >= lecam and lecam + slack >= bh and bh + slack >= dp_bound):

@@ -16,7 +16,7 @@ from reconbound.bounds import (Validity, dp_lecam_bound, unbiased_rdp_bound,
 from reconbound.divergence import (GAUSSIAN, LAPLACE, AnalyticPair, analytic_kl,
                                    kl_bound, numeric_kl_pair)
 from reconbound.harness import SweepConfig, emit_csv, generate_synthetic, run_sweep
-from reconbound.mechanisms import PrivacyParams, train_logreg_exact
+from reconbound.mechanisms import train_logreg_exact
 from reconbound.metric_space import (covering_number, discretize_unit_ball,
                                      norm_ball_covering_bounds_log, two_point_space)
 from reconbound.oracle import exact_bayes_risk, randomized_response
@@ -63,10 +63,10 @@ def test_c1_prior_bound_validity_threshold():
         thr = unbiased_rdp_validity_threshold(784)
         assert thr == pytest.approx(5.283, abs=0.005)
         for eps in (1.0, 2.0, 3.0, 4.0, 5.0):
-            val = unbiased_rdp_bound(PrivacyParams(eps=eps), 784.0)
+            val = unbiased_rdp_bound(eps, 784.0)
             assert validity_check(val, 1.0) is Validity.VACUOUS, eps
         for eps in (5.5, 6.0):
-            val = unbiased_rdp_bound(PrivacyParams(eps=eps), 784.0)
+            val = unbiased_rdp_bound(eps, 784.0)
             assert validity_check(val, 1.0) is Validity.VALID, eps
         assert time.perf_counter() - start < 1.0
 
@@ -79,7 +79,7 @@ def test_c2_oracle_dominates_two_point_bound():
             mech = randomized_response(float(eps))
             for n in (1, 2, 3):
                 exact = exact_bayes_risk(mech, space, n)
-                bound = dp_lecam_bound(PrivacyParams(eps=float(eps)), n, 1.0)
+                bound = dp_lecam_bound(float(eps), n, 1.0)
                 assert exact >= bound, (eps, n, exact, bound)
         assert time.perf_counter() - start < 10.0
 
@@ -89,7 +89,7 @@ def test_c3_tightness_ratio_at_zero_privacy():
         for diam in (1.0, 2.0, 0.5):
             space = two_point_space(diam)
             exact = exact_bayes_risk(randomized_response(0.0), space, 1)
-            bound = dp_lecam_bound(PrivacyParams(), 1, diam)
+            bound = dp_lecam_bound(0.0, 1, diam)
             assert exact / bound == pytest.approx(8.0, abs=1e-10)
 
 

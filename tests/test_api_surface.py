@@ -109,3 +109,30 @@ def test_allow_list_is_current():
     referenced = referenced_names()
     stale = [name for name in ALLOWED if name not in defined or name in referenced]
     assert not stale, stale
+
+
+# the bounds and their verification oracles: they import one another and
+# nothing of the training, attack or sweep code, so a bound reads no
+# parameter object of a mechanism
+MATH_LAYER = {"bounds", "divergence", "oracle", "metric_space"}
+
+
+def package_imports(tree) -> set:
+    """The modules of the package that a module imports."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module:
+                out.add(node.module.rsplit(".", 1)[-1])
+            if node.module in (None, "reconbound"):  # from . import harness
+                out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+    return out & modules
+
+
+def test_math_layer_imports_only_itself():
+    for module in sorted(MATH_LAYER):
+        outside = package_imports(parse(PACKAGE / f"{module}.py")) - MATH_LAYER
+        assert not outside, f"{module} imports {sorted(outside)}"

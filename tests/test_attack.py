@@ -9,8 +9,8 @@ from reconbound.attack import (DEGENERATE, NO_ROOT, DegenerateGradientError, NoR
                                ThreatModel, _known_sum, _solve_scalar, attack_average,
                                glm_reconstruct, glm_reconstruct_single)
 from reconbound.harness import SweepConfig, generate_synthetic, run_sweep
-from reconbound.mechanisms import (LogRegProblem, PrivacyParams, logistic_grad_sum,
-                                   output_perturb_dp, sigmoid, train_logreg_exact)
+from reconbound.mechanisms import (LogRegProblem, logistic_grad_sum, output_perturb_dp,
+                                   sigmoid, train_logreg_exact)
 
 
 def trained_instance(seed, n=60, d=4, lam=1.0):
@@ -21,7 +21,7 @@ def trained_instance(seed, n=60, d=4, lam=1.0):
 
 def draw_releases(theta, prob, eps, n, rngs):
     """(T, n, d): n output-perturbation draws from each trial's generator."""
-    return np.array([[output_perturb_dp(theta, PrivacyParams(eps=eps), prob.n, prob.lam, rng)
+    return np.array([[output_perturb_dp(theta, eps, prob.n, prob.lam, rng)
                       for _ in range(n)] for rng in rngs])
 
 
@@ -240,8 +240,7 @@ class TestBatchInversion:
         for eps in (1.0, 3.0):
             rngs = [np.random.default_rng(np.random.SeedSequence(5, spawn_key=(t,)))
                     for t in range(8)]
-            releases = np.array([[output_perturb_dp(theta, PrivacyParams(eps=eps), prob.n,
-                                                    prob.lam, rng)
+            releases = np.array([[output_perturb_dp(theta, eps, prob.n, prob.lam, rng)
                                   for _ in range(3)] for rng in rngs])
             args = (prob.features[:-1], prob.labels[:-1], float(prob.labels[-1]),
                     prob.lam, prob.n)

@@ -11,7 +11,6 @@ from reconbound.bounds import (DegenerateDimensionError, Validity,
                                unbiased_rdp_bound, unbiased_rdp_validity_threshold,
                                validity_check)
 from reconbound.divergence import kl_bound, renyi_bound
-from reconbound.mechanisms import PrivacyParams
 
 
 def golden_max(f, lo, hi, tol=1e-10):
@@ -33,8 +32,14 @@ def golden_max(f, lo, hi, tol=1e-10):
     return x, f(x)
 
 
-def p(eps=0.0, delta=0.0, alpha=None):
-    return PrivacyParams(eps=eps, delta=delta, alpha=alpha)
+def fano_exact(eps, n, d_eff):
+    """mdp_fano_bound's closed form in exact rationals, rounded once; inf
+    where it rounds beyond the float range."""
+    gap = Fraction(d_eff) - Fraction(math.log(2.0))
+    try:
+        return float(gap * gap / (8 * n * Fraction(eps) ** 2 * Fraction(d_eff)))
+    except OverflowError:
+        return math.inf
 
 
 class TestTwoPoint:
@@ -50,80 +55,82 @@ class TestTwoPoint:
         for eps in (0.1, 0.45, 1.0, 2.9, 7.5):
             for n in (1, 2, 5, 18):
                 for diam in (0.5, 1.0, 2.0):
-                    assert dp_lecam_bound(p(eps=eps, delta=1e-5), n, diam) == \
+                    assert dp_lecam_bound(eps, n, diam, 1e-5) == \
                         two_point_bound(diam, kl_bound(eps), n, 1e-5)
                     for alpha in (1.5, 2.0, 8.0):
-                        assert renyi_dp_lecam_bound(p(eps=eps, alpha=alpha), n, diam) == \
+                        assert renyi_dp_lecam_bound(eps, alpha, n, diam) == \
                             two_point_bound(diam, renyi_bound(eps, alpha), n)
 
 
 class TestDpLecam:
     def test_eps_zero_proof_constant(self):
-        assert dp_lecam_bound(p(), 1, 1.0) == pytest.approx(1.0 / 16.0, rel=1e-12)
+        assert dp_lecam_bound(0.0, 1, 1.0) == pytest.approx(1.0 / 16.0, rel=1e-12)
 
     def test_delta_one_kills_bound(self):
-        val = dp_lecam_bound(p(eps=1.0, delta=1.0 - 1e-12), 1, 1.0)
+        val = dp_lecam_bound(1.0, 1, 1.0, 1.0 - 1e-12)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_direct_evaluation(self):
         expected = math.exp(-math.tanh(0.5)) / 16.0
-        assert dp_lecam_bound(p(eps=1.0), 1, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert dp_lecam_bound(1.0, 1, 1.0) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.0393718, abs=1e-6)
 
     def test_never_exceeds_cap_and_monotone(self):
         cap = lambda delta: (1.0 / 16.0) * 4.0 * (1 - delta)
         prev = math.inf
         for eps in np.linspace(0.0, 8.0, 50):
-            val = dp_lecam_bound(p(eps=float(eps), delta=0.1), 1, 2.0)
+            val = dp_lecam_bound(float(eps), 1, 2.0, 0.1)
             assert val <= cap(0.1) + 1e-15
             assert val <= prev + 1e-15
             prev = val
-        n_vals = [dp_lecam_bound(p(eps=1.0), n, 1.0) for n in (1, 2, 4, 8)]
+        n_vals = [dp_lecam_bound(1.0, n, 1.0) for n in (1, 2, 4, 8)]
         assert n_vals == sorted(n_vals, reverse=True)
 
     def test_needs_finite_diam(self):
         with pytest.raises(ValueError):
-            dp_lecam_bound(p(eps=1.0), 1, math.nan)
+            dp_lecam_bound(1.0, 1, math.nan)
 
 
 class TestRenyiLecam:
     def test_eps_zero(self):
-        assert renyi_dp_lecam_bound(p(alpha=2.0), 1, 1.0) == pytest.approx(1 / 16)
+        assert renyi_dp_lecam_bound(0.0, 2.0, 1, 1.0) == pytest.approx(1 / 16)
 
     def test_quadratic_branch(self):
-        val = renyi_dp_lecam_bound(p(eps=0.1, alpha=2.0), 1, 1.0)
+        val = renyi_dp_lecam_bound(0.1, 2.0, 1, 1.0)
         assert val == pytest.approx(math.exp(-0.03) / 16.0, rel=1e-12)
         assert val == pytest.approx(0.0606529, abs=1e-6)
 
     def test_linear_branch(self):
-        val = renyi_dp_lecam_bound(p(eps=2.0, alpha=2.0), 3, 1.0)
+        val = renyi_dp_lecam_bound(2.0, 2.0, 3, 1.0)
         assert val == pytest.approx(math.exp(-3 * 2.0) / 16.0, rel=1e-12)
 
     def test_alpha_required(self):
-        with pytest.raises(ValueError):
-            renyi_dp_lecam_bound(p(eps=1.0), 1, 1.0)
+        # a Renyi order above 1; NaN is none
+        for alpha in (1.0, 0.5, math.nan):
+            with pytest.raises(ValueError):
+                renyi_dp_lecam_bound(1.0, alpha, 1, 1.0)
 
 
 class TestMdpLecam:
     def test_direct(self):
-        assert mdp_lecam_bound(p(eps=1.0), 1) == pytest.approx(
+        assert mdp_lecam_bound(1.0, 1) == pytest.approx(
             1.0 / (2.0 * math.e), rel=1e-12)
-        assert mdp_lecam_bound(p(eps=1.0), 1) == pytest.approx(0.183940, abs=1e-6)
+        assert mdp_lecam_bound(1.0, 1) == pytest.approx(0.183940, abs=1e-6)
 
     def test_halves_with_n(self):
-        a = mdp_lecam_bound(p(eps=1.0), 1)
-        b = mdp_lecam_bound(p(eps=1.0), 2)
+        a = mdp_lecam_bound(1.0, 1)
+        b = mdp_lecam_bound(1.0, 2)
         assert b == pytest.approx(a / 2.0, rel=1e-12)
 
     def test_infinite_at_zero(self):
-        assert math.isinf(mdp_lecam_bound(p(eps=0.0), 1))
+        assert math.isinf(mdp_lecam_bound(0.0, 1))
 
     def test_infinite_where_eps_squared_underflows(self):
         # eps^2 is 0.0 below about 1.5e-162; the bound there is beyond
         # the float range, and inf is its correctly rounded value
         for eps in (1e-170, 1e-200, 5e-324):
-            assert mdp_lecam_bound(p(eps=eps), 1) == math.inf
-        assert mdp_lecam_bound(p(eps=1e-150), 1) == pytest.approx(
+            assert mdp_lecam_bound(eps, 1) == math.inf
+        assert mdp_lecam_bound(1e-150, 1) == pytest.approx(
             1.0 / (2.0 * math.e * 1e-300), rel=1e-12)
 
     def test_optimizer_matches_golden_section(self):
@@ -132,19 +139,18 @@ class TestMdpLecam:
             f = lambda t: (t * t / 4.0) * math.exp(-n * eps * eps * t * t / 2.0)
             t_star, val = golden_max(f, 1e-6, 50.0)
             assert t_star == pytest.approx((1.0 / eps) * math.sqrt(2.0 / n), abs=1e-6)
-            assert val == pytest.approx(mdp_lecam_bound(p(eps=eps), n),
+            assert val == pytest.approx(mdp_lecam_bound(eps, n),
                                         rel=1e-9)
 
 
 class TestMdpFano:
     def test_closed_form_small_dim(self):
         d_eff = 2 * math.log(2.0)
-        val = mdp_fano_bound(p(eps=1.0), 1, d_eff)
+        val = mdp_fano_bound(1.0, 1, d_eff)
         assert val == pytest.approx(math.log(2.0) / 16.0, rel=1e-12)
 
     def test_asymptotically_linear_in_dim(self):
-        r = (mdp_fano_bound(p(eps=1.0), 1, 2e6)
-             / mdp_fano_bound(p(eps=1.0), 1, 1e6))
+        r = mdp_fano_bound(1.0, 1, 2e6) / mdp_fano_bound(1.0, 1, 1e6)
         assert r == pytest.approx(2.0, rel=1e-3)
 
     def test_matches_numeric_maximization(self):
@@ -156,19 +162,15 @@ class TestMdpFano:
             f = lambda t: t * t * (1.0 - (2 * n * eps * eps * t * t + math.log(2.0)) / d_eff)
             _, val = golden_max(f, 0.0, math.sqrt(d_eff / (2 * n * eps * eps)))
             assert val == pytest.approx(
-                mdp_fano_bound(p(eps=eps), n, d_eff), rel=1e-8)
+                mdp_fano_bound(eps, n, d_eff), rel=1e-8)
 
     def test_degenerate_dim_rejected(self):
         with pytest.raises(DegenerateDimensionError):
-            mdp_fano_bound(p(eps=1.0), 1, math.log(2.0))
+            mdp_fano_bound(1.0, 1, math.log(2.0))
 
     def test_denominator_beyond_float_range(self):
         # 8*n*eps^2*d_eff overflows on and past this grid's edge, and eps^2
         # itself past 1.3e154, while the bound stays a normal float
-        def exact(eps, n, d_eff):
-            gap = Fraction(d_eff) - Fraction(math.log(2.0))
-            return float(gap * gap / (8 * n * Fraction(eps) ** 2 * Fraction(d_eff)))
-
         cases = [(1e100, 1, 1e150), (1e155, 1, 1e300), (1e160, 3, 1e300)]
         for d_eff in (11.0, 1e8, 1e100, 1e150, 1e200):
             for n in (1, 2):
@@ -177,14 +179,28 @@ class TestMdpFano:
                            * math.sqrt(sys.float_info.max), n, d_eff)
                           for edge in (0.1, 0.95, 1.0, 1.05, 10.0, 1e4)]
         for eps, n, d_eff in cases:
-            assert mdp_fano_bound(p(eps=eps), n, d_eff) == pytest.approx(
-                exact(eps, n, d_eff), rel=1e-12, abs=0), (eps, n, d_eff)
-        assert mdp_fano_bound(p(eps=1e100), 1, 1e150) == pytest.approx(1.25e-51, rel=1e-12,
+            assert mdp_fano_bound(eps, n, d_eff) == pytest.approx(
+                fano_exact(eps, n, d_eff), rel=1e-12, abs=0), (eps, n, d_eff)
+        assert mdp_fano_bound(1e100, 1, 1e150) == pytest.approx(1.25e-51, rel=1e-12,
                                                                        abs=0)
 
     def test_infinite_where_eps_squared_underflows(self):
         for eps in (0.0, 1e-170, 1e-200):
-            assert mdp_fano_bound(p(eps=eps), 1, 11.0) == math.inf
+            assert mdp_fano_bound(eps, 1, 11.0) == math.inf
+
+    def test_subnormal_eps_squared(self):
+        # eps^2 is subnormal below about 1.5e-154, with too few significant
+        # bits for the one-product denominator, and 0 below 1.5e-162 while
+        # the bound can still be a float when d_eff is near ln 2
+        ln2 = math.log(2.0)
+        for d_eff in (math.nextafter(ln2, 2.0), ln2 * (1 + 1e-9), 11.0, 1e6):
+            for n in (1, 3):
+                for eps in np.geomspace(1e-165, 1e-150, 301):
+                    want = fano_exact(float(eps), n, d_eff)
+                    assert mdp_fano_bound(float(eps), n, d_eff) == pytest.approx(
+                        want, rel=1e-12, abs=0), (eps, n, d_eff)
+        assert mdp_fano_bound(1e-162, 1, math.nextafter(ln2, 2.0)) == pytest.approx(
+            2.2228e291, rel=1e-4)
 
     def test_constant_factor_from_two_point_form(self):
         # at d_eff = 2 ln 2 the multi-hypothesis form recovers the
@@ -192,41 +208,40 @@ class TestMdpFano:
         d_eff = 2 * math.log(2.0)
         for n in (1, 2, 5, 10):
             for eps in (0.2, 1.0, 3.0):
-                ratio = (mdp_lecam_bound(p(eps=eps), n)
-                         / mdp_fano_bound(p(eps=eps), n, d_eff))
+                ratio = mdp_lecam_bound(eps, n) / mdp_fano_bound(eps, n, d_eff)
                 assert 1.0 <= ratio <= 8.0 * math.e
 
 
 class TestUnbiasedRdp:
     def test_unit_ball_at_threshold(self):
         eps = unbiased_rdp_validity_threshold(784)
-        val = unbiased_rdp_bound(p(eps=eps), 784.0)
+        val = unbiased_rdp_bound(eps, 784.0)
         assert val == pytest.approx(1.0, rel=1e-9)
 
     def test_ln2_plugin(self):
-        assert unbiased_rdp_bound(p(eps=math.log(2.0)), 4.0) == \
+        assert unbiased_rdp_bound(math.log(2.0), 4.0) == \
             pytest.approx(1.0, rel=1e-12)
 
     def test_large_eps_limit(self):
-        assert unbiased_rdp_bound(p(eps=200.0), 4.0) == \
+        assert unbiased_rdp_bound(200.0, 4.0) == \
             pytest.approx(0.0, abs=1e-60)
 
     def test_infinite_at_zero(self):
-        assert math.isinf(unbiased_rdp_bound(p(), 4.0))
+        assert math.isinf(unbiased_rdp_bound(0.0, 4.0))
 
     def test_small_eps_keeps_precision(self):
         # e^eps - 1 is eps to first order; exp(eps) - 1.0 rounds to 0 below
         # 1.1e-16 and to 2.2e-16 at eps = 3e-16, 35 % off
         for eps in (1e-200, 1e-17, 3e-16, 1e-10):
-            val = unbiased_rdp_bound(p(eps=eps), 1.0)
+            val = unbiased_rdp_bound(eps, 1.0)
             assert val == pytest.approx(1.0 / (4.0 * eps), rel=1e-9)
 
     def test_zero_beyond_exp_overflow(self):
         # e^eps overflows a float above eps = ln(max float) = 709.78
-        below = unbiased_rdp_bound(p(eps=700.0), 784.0)
+        below = unbiased_rdp_bound(700.0, 784.0)
         assert below == 784.0 / (4.0 * (math.exp(700.0) - 1.0)) > 0.0
         for eps in (710.0, 800.0, 1e6):
-            assert unbiased_rdp_bound(p(eps=eps), 784.0) == 0.0
+            assert unbiased_rdp_bound(eps, 784.0) == 0.0
 
     def test_threshold_values(self):
         assert unbiased_rdp_validity_threshold(784) == pytest.approx(5.2832037, abs=1e-6)
@@ -235,8 +250,8 @@ class TestUnbiasedRdp:
     def test_crossing_at_threshold(self):
         d = 784
         thr = unbiased_rdp_validity_threshold(d)
-        below = unbiased_rdp_bound(p(eps=thr - 1e-3), float(d))
-        above = unbiased_rdp_bound(p(eps=thr + 1e-3), float(d))
+        below = unbiased_rdp_bound(thr - 1e-3, float(d))
+        above = unbiased_rdp_bound(thr + 1e-3, float(d))
         assert below > 1.0 >= above
 
 
@@ -248,7 +263,7 @@ class TestValidity:
         assert validity_check(2.0, 1.0) is Validity.VACUOUS
 
     def test_unit_ball_midrange_vacuous(self):
-        val = unbiased_rdp_bound(p(eps=3.0), 784.0)
+        val = unbiased_rdp_bound(3.0, 784.0)
         assert validity_check(val, 1.0) is Validity.VACUOUS
 
     def test_infinite_flag(self):
@@ -259,12 +274,12 @@ class TestComparisons:
     def test_metric_bounds_strictly_decreasing(self):
         d_eff = 16 * math.log(2.0)
         eps_grid = [0.1, 0.5, 1.0, 2.0, 4.0]
-        lecam = [mdp_lecam_bound(p(eps=e), 1) for e in eps_grid]
-        fano = [mdp_fano_bound(p(eps=e), 1, d_eff) for e in eps_grid]
+        lecam = [mdp_lecam_bound(e, 1) for e in eps_grid]
+        fano = [mdp_fano_bound(e, 1, d_eff) for e in eps_grid]
         assert all(b < a for a, b in zip(lecam, lecam[1:]))
         assert all(b < a for a, b in zip(fano, fano[1:]))
-        lecam_n = [mdp_lecam_bound(p(eps=1.0), n) for n in (1, 2, 3, 4)]
-        fano_n = [mdp_fano_bound(p(eps=1.0), n, d_eff) for n in (1, 2, 3, 4)]
+        lecam_n = [mdp_lecam_bound(1.0, n) for n in (1, 2, 3, 4)]
+        fano_n = [mdp_fano_bound(1.0, n, d_eff) for n in (1, 2, 3, 4)]
         assert all(b < a for a, b in zip(lecam_n, lecam_n[1:]))
         assert all(b < a for a, b in zip(fano_n, fano_n[1:]))
 

@@ -268,10 +268,14 @@ class TestBadInput:
     @pytest.mark.parametrize("flag,value", [
         ("--n", "0"), ("--diam", "-1"), ("--coord-diam-sq-sum", "-1"),
         ("--d-eff", "0.5"), ("--d-eff", "inf"), ("--coord-diam-sq-sum", "inf"),
-        ("--alpha", "nan")])
+        ("--alpha", "nan"), ("--alpha", "1"), ("--alpha", "0.5"),
+        ("--delta", "1"), ("--delta", "-0.1"), ("--delta", "nan"),
+        ("--eps-grid", "-1")])
     def test_bad_bound_input_exit_2(self, tmp_path, capsys, flag, value):
+        # flag=value: after a space, argparse takes a value like "-1,2" for
+        # a flag; a second --eps-grid replaces the first
         out_path = tmp_path / "b.csv"
-        assert run_cli(["bounds", "--eps-grid", "1", "--diam", "1", flag, value,
+        assert run_cli(["bounds", "--eps-grid", "1", "--diam", "1", f"{flag}={value}",
                         "--out", str(out_path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out_path.exists()

@@ -40,11 +40,11 @@ class TestRenyiBound:
     def test_quadratic_branch(self):
         assert renyi_bound(0.1, alpha=2.0, rho=1.0) == pytest.approx(0.03)
 
-    def test_missing_alpha(self):
-        with pytest.raises(ValueError):
-            renyi_bound(1.0, alpha=None)
-        with pytest.raises(ValueError):
-            renyi_bound(1.0, alpha=1.0)
+    def test_alpha_must_exceed_one(self):
+        # NaN compares false with everything, so it must not slip past
+        for alpha in (1.0, 0.5, math.nan):
+            with pytest.raises(ValueError):
+                renyi_bound(1.0, alpha=alpha)
 
     def test_monotone_in_all_args(self):
         grid = np.linspace(0.01, 3.0, 25)

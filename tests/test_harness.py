@@ -12,7 +12,6 @@ from reconbound.harness import (MECHANISM_KINDS, ConfigError, DigitAbsentError,
                                 emit_svg, evaluate_bounds, generate_synthetic, load_idx,
                                 parse_config_text, parse_eps_grid, run_sweep)
 from reconbound.bounds import Validity
-from reconbound.mechanisms import PrivacyParams
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -233,6 +232,9 @@ class TestConfigParsing:
     def test_grid_validation(self):
         with pytest.raises(ConfigError):
             tiny_config(eps_grid=(2.0, 1.0))
+        for grid in ((-1.0, 1.0), (0.0, 1.0)):
+            with pytest.raises(ConfigError, match="positive"):
+                tiny_config(eps_grid=grid)
         with pytest.raises(ConfigError):
             tiny_config(eps_grid=())
         with pytest.raises(ConfigError):
@@ -385,13 +387,12 @@ class TestKindDispatch:
         problem = generate_synthetic(cfg.train_size, cfg.dim, cfg.seed, lam=cfg.lam)
         delta = cfg.delta if takes_delta else 0.0
         eps = 1.5
-        params = PrivacyParams(eps=eps, delta=delta)
         if metric:
-            want = {"mdp_lecam": bounds.mdp_lecam_bound(params, 2),
-                    "mdp_fano": bounds.mdp_fano_bound(params, 2, cfg.dim * math.log(2.0))}
+            want = {"mdp_lecam": bounds.mdp_lecam_bound(eps, 2, delta),
+                    "mdp_fano": bounds.mdp_fano_bound(eps, 2, cfg.dim * math.log(2.0), delta)}
         else:
-            want = {"dp_lecam": bounds.dp_lecam_bound(params, 2, 2.0),
-                    "rdp_unbiased": bounds.unbiased_rdp_bound(params, float(cfg.dim))}
+            want = {"dp_lecam": bounds.dp_lecam_bound(eps, 2, 2.0, delta),
+                    "rdp_unbiased": bounds.unbiased_rdp_bound(eps, float(cfg.dim))}
         got = evaluate_bounds(MECHANISM_KINDS[name], cfg, problem, eps)
         assert list(got) == list(want)
         assert got == want

@@ -3,10 +3,9 @@ import pytest
 
 from reconbound.divergence import laplace_logpdf
 from reconbound.harness import generate_synthetic
-from reconbound.mechanisms import (GRAD_TOL, LogRegProblem, PrivacyParams,
-                                   logistic_grad_sum, output_perturb_dp,
-                                   output_perturb_mdp_euclidean, sigmoid,
-                                   train_logreg_exact)
+from reconbound.mechanisms import (GRAD_TOL, LogRegProblem, logistic_grad_sum,
+                                   output_perturb_dp, output_perturb_mdp_euclidean,
+                                   sigmoid, train_logreg_exact)
 
 
 def small_problem(lam=1.0, seed=0, n=40, d=3):
@@ -18,20 +17,6 @@ def small_problem(lam=1.0, seed=0, n=40, d=3):
 
 
 class TestValidation:
-    def test_privacy_params(self):
-        with pytest.raises(ValueError):
-            PrivacyParams(eps=-1)
-        with pytest.raises(ValueError):
-            PrivacyParams(delta=1.0)
-        for alpha in (1.0, np.nan):
-            with pytest.raises(ValueError):
-                PrivacyParams(alpha=alpha)
-
-    def test_specs(self):
-        # the delta spec the sweep mechanisms read
-        with pytest.raises(ValueError):
-            PrivacyParams(delta=-1e-5)
-
     def test_grad_sum_of_a_slope_stack_is_column_by_column(self):
         # an (n,) column of slopes gives one (d,) sum; an (n, M) stack
         # gives M, each equal to the sum of its own column
@@ -186,30 +171,25 @@ class TestOutputPerturbDP:
         # scale b = 2 / (N * eps * lam), bit for bit
         theta = np.array([0.3, -0.2])
         n_train, eps, lam = 60000, 1.0, 1.0
-        out = output_perturb_dp(theta, PrivacyParams(eps=eps), n_train, lam,
-                                np.random.default_rng(0))
+        out = output_perturb_dp(theta, eps, n_train, lam, np.random.default_rng(0))
         b = 2.0 / (n_train * eps * lam)
         assert np.array_equal(out, theta + np.random.default_rng(0).laplace(0.0, b, size=2))
 
     def test_eps_zero_rejected(self):
         with pytest.raises(ValueError):
-            output_perturb_dp(np.zeros(1), PrivacyParams(eps=0.0), 10, 1.0,
-                              np.random.default_rng(0))
+            output_perturb_dp(np.zeros(1), 0.0, 10, 1.0, np.random.default_rng(0))
 
     def test_empirical_variance(self):
         rng = np.random.default_rng(5)
-        params = PrivacyParams(eps=1.0)
         n_train, lam = 100, 0.5
         b = 2.0 / (n_train * 1.0 * lam)
-        draws = np.stack([output_perturb_dp(np.zeros(4), params, n_train, lam, rng)
+        draws = np.stack([output_perturb_dp(np.zeros(4), 1.0, n_train, lam, rng)
                           for _ in range(25_000)])
         assert draws.var() == pytest.approx(2 * b * b, rel=0.03)
 
     def test_seeded_determinism(self):
-        a = output_perturb_dp(np.ones(3), PrivacyParams(eps=0.7), 50, 0.1,
-                              np.random.default_rng(99))
-        b = output_perturb_dp(np.ones(3), PrivacyParams(eps=0.7), 50, 0.1,
-                              np.random.default_rng(99))
+        a = output_perturb_dp(np.ones(3), 0.7, 50, 0.1, np.random.default_rng(99))
+        b = output_perturb_dp(np.ones(3), 0.7, 50, 0.1, np.random.default_rng(99))
         assert np.array_equal(a, b)
 
     def test_pointwise_ratio_at_dp_calibration(self):
@@ -233,18 +213,15 @@ class TestOutputPerturbDP:
 class TestOutputPerturbMDP:
     def test_d1_reduces_to_laplace(self):
         rng = np.random.default_rng(8)
-        params = PrivacyParams(eps=1.0)
         n_train, lam = 100, 0.5
         b = 2.0 / (n_train * 1.0 * lam)
-        vals = np.array([output_perturb_mdp_euclidean(np.zeros(1), params, n_train,
-                                                      lam, rng)[0]
+        vals = np.array([output_perturb_mdp_euclidean(np.zeros(1), 1.0, n_train, lam, rng)[0]
                          for _ in range(100_000)])
         assert vals.var() == pytest.approx(2 * b * b, rel=0.03)
 
     def test_eps_metric_zero_rejected(self):
         with pytest.raises(ValueError):
-            output_perturb_mdp_euclidean(np.zeros(2), PrivacyParams(eps=0.0),
-                                         10, 1.0, np.random.default_rng(0))
+            output_perturb_mdp_euclidean(np.zeros(2), 0.0, 10, 1.0, np.random.default_rng(0))
 
     def test_log_density_ratio_lipschitz(self):
         # the radial-Laplace log-density is -rate * ||h - theta|| up to a
@@ -265,11 +242,10 @@ class TestOutputPerturbMDP:
 
     def test_mean_radius_gamma_identity(self):
         rng = np.random.default_rng(2)
-        params = PrivacyParams(eps=1.0)
         n_train, lam, d = 100, 0.5, 3
         rate = n_train * 1.0 * lam / 2.0
         radii = np.empty(100_000)
         for i in range(radii.size):
-            out = output_perturb_mdp_euclidean(np.zeros(d), params, n_train, lam, rng)
+            out = output_perturb_mdp_euclidean(np.zeros(d), 1.0, n_train, lam, rng)
             radii[i] = np.linalg.norm(out)
         assert radii.mean() == pytest.approx(d / rate, rel=0.02)

@@ -7,7 +7,6 @@ import pytest
 from reconbound import oracle
 from reconbound.bounds import dp_lecam_bound, two_point_bound
 from reconbound.divergence import bh_tv_bound, kl_bound, renyi_bound
-from reconbound.mechanisms import PrivacyParams
 from reconbound.metric_space import FiniteMetricSpace, pairwise_distances, two_point_space
 from reconbound.oracle import (ENUMERATION_CAP, CertificateError,
                                EnumerationCapError, FiniteMechanism, channel_kl,
@@ -136,7 +135,7 @@ class TestExactBayesRisk:
             mech = randomized_response(float(eps))
             for n in (1, 2, 3):
                 exact = exact_bayes_risk(mech, sp, n)
-                bound = dp_lecam_bound(PrivacyParams(eps=float(eps)), n, 1.0)
+                bound = dp_lecam_bound(float(eps), n, 1.0)
                 assert exact >= bound
 
     def test_merging_outcomes_never_helps(self):
@@ -192,7 +191,7 @@ class TestLeCamCertificate:
             for eps in (0.25, 1.0, 4.75):
                 for n in (1, 2, 18):
                     rep = lecam_certificate(randomized_response(eps), two_point_space(sep), n)
-                    assert rep.dp_bound == dp_lecam_bound(PrivacyParams(eps=rep.epsilon), n, sep)
+                    assert rep.dp_bound == dp_lecam_bound(rep.epsilon, n, sep)
                     assert rep.bh_bound == two_point_bound(sep, rep.kl_single, n)
 
     def test_zero_entry_channel(self):

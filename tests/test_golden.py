@@ -6,8 +6,10 @@ the last digit of one cell, fails here.
 
 import hashlib
 
+import numpy as np
 import pytest
 
+import reconbound.pnsgd as pnsgd_mod
 from reconbound.harness import SweepConfig, emit_csv, parse_eps_grid, run_sweep
 
 # (mechanism kind, noiseless) -> sha256 of the CSV
@@ -24,6 +26,22 @@ GOLDEN = {
         "b1e1d352aebc1e8e8400caf97a5d6458f652d278471d3366c983c40da63c6826",
     ("OUTPUT_PERTURB_MDP", True):
         "65c5308b8f05fc2eacce0c3e3a1faee217ec3a73b2f31b876301e22597ee82c4",
+}
+
+# (PNSGD kind, noiseless) -> sha256 of the golden sweep's releases, the
+# stacked (cells, trials, n_samples, d) array of every PNSGD pass result.
+# Every draw of these sweeps fails to invert, so the CSV digests above
+# do not read the releases; these do.  A noiseless pass draws nothing,
+# so both kinds release the same iterates.
+RELEASE_GOLDEN = {
+    ("PNSGD_DP", False):
+        "11adb7f83edd2279d98ddf23d30451178834b641dac45f73d1cff64bb5d58de2",
+    ("PNSGD_MDP", False):
+        "591758307138b2ae82abf40e088e5849c73c0a588768b4e2b954443ddfbc9265",
+    ("PNSGD_DP", True):
+        "1e0c4627ee7b71c2265d0527ae93b3c6c3de2a56603877764610e7a427455f39",
+    ("PNSGD_MDP", True):
+        "1e0c4627ee7b71c2265d0527ae93b3c6c3de2a56603877764610e7a427455f39",
 }
 
 # OUTPUT_PERTURB_DP at d=256 on the 14-point grid (see test_wide_sweep_digest)
@@ -45,6 +63,31 @@ def test_csv_digest(kind, noiseless, tmp_path):
         f"{kind} (noiseless={noiseless}) CSV bytes changed: sha256 {digest}.  "
         "If the change is intended, record the new digests and the reason in "
         "CHANGES.md and update GOLDEN here.\n" + path.read_text())
+
+
+@pytest.mark.parametrize("kind,noiseless", sorted(RELEASE_GOLDEN),
+                         ids=lambda v: v if isinstance(v, str) else ("noiseless" if v else "noisy"))
+def test_pnsgd_release_digest(kind, noiseless, monkeypatch):
+    # the wrapper takes any arguments, so it records the passes whatever
+    # the pass's signature
+    passes = []
+    run = pnsgd_mod.pnsgd_run
+
+    def recording(*args, **kwargs):
+        result = run(*args, **kwargs)
+        passes.append(np.array(result))
+        return result
+
+    monkeypatch.setattr(pnsgd_mod, "pnsgd_run", recording)
+    cfg = SweepConfig(eps_grid=(0.5, 2.0), mechanism_kind=kind, seed=20240817,
+                      trials=3, n_samples=2, train_size=200, dim=4, noiseless=noiseless)
+    run_sweep(cfg)
+    assert len(passes) == cfg.n_samples
+    releases = np.stack(passes, axis=1).reshape(len(cfg.eps_grid), cfg.trials,
+                                                cfg.n_samples, cfg.dim)
+    digest = hashlib.sha256(releases.tobytes()).hexdigest()
+    assert digest == RELEASE_GOLDEN[kind, noiseless], (
+        f"{kind} (noiseless={noiseless}) release bytes changed: sha256 {digest}")
 
 
 def test_multi_word_seed_digest(tmp_path):

@@ -29,7 +29,7 @@ import io
 import math
 import struct
 from dataclasses import MISSING, dataclass, fields
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -38,7 +38,7 @@ from . import bounds as bounds_mod
 from . import pnsgd as pnsgd_mod
 from .attack import ThreatModel, attack_average
 from .mechanisms import (LogRegProblem, output_perturb_dp,
-                         output_perturb_mdp_euclidean, sigmoid, train_logreg_exact)
+                         output_perturb_mdp_euclidean, train_logreg_exact)
 from .metric_space import norm_ball_covering_bounds_log
 
 DATASET_SOURCES = ("SYNTHETIC", "IDX_FILES")
@@ -185,6 +185,8 @@ def parse_eps_grid(text: str) -> tuple:
     out = []
     while (v := a + len(out) * step) < b - 1e-12:
         out.append(v)
+    if not out:
+        raise ConfigError(f"grid spec {text!r} has no point")
     return tuple(out)
 
 
@@ -405,27 +407,15 @@ def _generator(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
-def _logreg_chain_grad(lam: float) -> Callable:
-    """Per-sample logistic gradient plus the ridge term at every chain's
-    state; a sample is a signed row y*x, so the label needs no lookup."""
-    def grad(w, z):
-        return -sigmoid(-np.einsum("bd,d->b", w, z))[:, None] * z + lam * w
-    return grad
-
-
-def _pnsgd_sigma(kind: MechanismKind, config: SweepConfig, problem: LogRegProblem,
-                 eps: float) -> float:
+def _pnsgd_sigma(kind: MechanismKind, config: SweepConfig, eps: float) -> float:
     if config.noiseless:
         return 0.0
     if kind.metric:
         l_input = 1.0 + config.constraint_radius / 4.0
         return math.sqrt(pnsgd_mod.noise_for_renyi_mdp(config.alpha, eps, l_input,
-                                                       domain_diam=UNIT_BALL_DIAM,
-                                                       n=problem.n, t=problem.n))
+                                                       domain_diam=UNIT_BALL_DIAM))
     g_bound = 1.0 + config.lam * config.constraint_radius
-    sigma_sq, _ = pnsgd_mod.noise_for_target_dp(eps, config.delta, g_bound,
-                                                n=problem.n, t=problem.n)
-    return math.sqrt(sigma_sq)
+    return math.sqrt(pnsgd_mod.noise_for_target_dp(eps, config.delta, g_bound))
 
 
 def _pnsgd_releases(kind: MechanismKind, config: SweepConfig, problem: LogRegProblem,
@@ -433,15 +423,11 @@ def _pnsgd_releases(kind: MechanismKind, config: SweepConfig, problem: LogRegPro
     """Every cell's releases, (cells, trials, n_samples, d).  One chain per
     (cell, trial) at the cell's noise level; all chains run in one
     lockstep pass per sample, each continuing its trial's generator."""
-    sigmas = [_pnsgd_sigma(kind, config, problem, eps) for eps in config.eps_grid]
-    beta = 0.25 + config.lam
-    run_cfg = pnsgd_mod.PNSGDConfig(eta=1.0 / beta, sigma=np.repeat(sigmas, config.trials),
-                                    w0=np.zeros(problem.dim),
-                                    constraint_radius=config.constraint_radius, beta=beta)
+    sigmas = np.repeat([_pnsgd_sigma(kind, config, eps) for eps in config.eps_grid],
+                       config.trials)
     rngs = [_generator(words) for words in trial_seeds.reshape(-1, 4)]
     signed = problem.labels[:, None] * problem.features
-    grad = _logreg_chain_grad(config.lam)
-    passes = [pnsgd_mod.pnsgd_run(run_cfg, signed, grad, rngs)
+    passes = [pnsgd_mod.pnsgd_run(sigmas, signed, config.lam, config.constraint_radius, rngs)
               for _ in range(config.n_samples)]
     return np.stack(passes, axis=1).reshape(len(config.eps_grid), config.trials,
                                             config.n_samples, problem.dim)

@@ -1,11 +1,14 @@
 """Single-pass projected noisy stochastic gradient descent.
 
-One pass over the dataset in order, a fresh Gaussian perturbation of each
-gradient, an L2-ball projection after every step, and only the final
-iterate released.  Because later samples receive less subsequent noise,
-the Renyi noise calibrations below depend on the sample position t: a
-target privacy level at position t needs variance proportional to
-1/(n - t + 1).
+One pass of L2-regularized logistic regression over the dataset in
+order, from 0, a fresh Gaussian perturbation of each gradient, an L2-ball
+projection after every step, and only the final iterate released.
+Because later samples receive less subsequent noise (privacy
+amplification by iteration, Feldman et al. 2018), a target privacy level
+for the sample at position t of n needs variance proportional to
+1/(n - t + 1).  The last sample gets no later noise, so it is the worst
+case: the Renyi noise calibrations below are made for it, and so protect
+every sample of the pass.
 
 Two calibrations are provided: the standard one driven by a global
 gradient bound G, and the metric-privacy one driven by the gradients'
@@ -17,53 +20,18 @@ cheaper for losses whose G itself scales with the domain diameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from .mechanisms import sigmoid
 
 # Renyi orders scanned when converting to (eps, delta) guarantees
 DEFAULT_ALPHAS = (1.5, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
-
-class StepSizeError(ValueError):
-    """Learning rate violates the contractivity requirement eta <= 2/beta."""
-
-
 # noise is drawn per chain in blocks of steps, holding at most this many
 # floats at once across all chains
 NOISE_BLOCK_FLOATS = 1 << 17
-
-
-@dataclass(frozen=True)
-class PNSGDConfig:
-    """Pass settings.  ``sigma`` is one noise scale, or one per chain when
-    several chains run in lockstep."""
-
-    eta: float
-    sigma: float | np.ndarray
-    w0: np.ndarray
-    constraint_radius: float
-    beta: float
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.eta > 2.0 / self.beta + 1e-15:
-            raise StepSizeError(f"eta={self.eta} exceeds 2/beta={2.0 / self.beta}")
-        sigma = np.array(self.sigma, dtype=float)
-        if sigma.ndim > 1 or np.any(sigma < 0):
-            raise ValueError("sigma must be nonnegative, a scalar or one per chain")
-        if self.constraint_radius <= 0:
-            raise ValueError("constraint_radius must be positive")
-        w = np.array(self.w0, dtype=float)
-        if math.sqrt(float(w @ w)) > self.constraint_radius + 1e-12:
-            raise ValueError("w0 must lie in the constraint ball")
-        for arr, name in ((sigma, "sigma"), (w, "w0")):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 def project_l2(v: np.ndarray, radius: float) -> np.ndarray:
@@ -74,70 +42,63 @@ def project_l2(v: np.ndarray, radius: float) -> np.ndarray:
     return v * (radius / np.maximum(norms, radius))[..., None]
 
 
-def pnsgd_run(config: PNSGDConfig, dataset: Sequence, loss_grad: Callable,
+def pnsgd_run(sigmas: np.ndarray, signed: np.ndarray, lam: float, radius: float,
               rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Run one pass of B chains in lockstep from ``w0``, one per generator
-    in ``rngs``, and return their final iterates as a (B, d) array.
+    """Run one pass of B chains in lockstep from 0, one per generator in
+    ``rngs``, over the signed rows y*x of ``signed``, and return their
+    final iterates as a (B, d) array.
 
-    Chain b draws its noise from its own generator at its own
-    ``config.sigma``, in the same order as a pass run alone, so its
-    result does not depend on which chains share the pass; a chain with
-    sigma 0 draws nothing.
-    ``loss_grad(w, sample)`` must return the per-sample loss gradient at
-    every row of the (B, d) state.  Intermediate iterates are never
-    exposed.
+    The step is 1/(1/4 + lam), the inverse of the smoothness of the
+    lam-regularized logistic loss, so every step is contractive.  Chain b
+    draws its noise from its own generator at its own ``sigmas[b]``, in
+    the same order as a pass run alone, so its result does not depend on
+    which chains share the pass; a chain with sigma 0 draws nothing.
+    Intermediate iterates are never exposed.
     """
-    n = len(dataset)
+    n, d = signed.shape
     if n == 0:
         raise ValueError("dataset must be nonempty")
-    chains, d = len(rngs), config.w0.size
-    sigmas = np.zeros(chains) + config.sigma
-    w = np.zeros((chains, d)) + config.w0
+    sigmas = np.asarray(sigmas, dtype=float)
+    chains = len(rngs)
+    if sigmas.shape != (chains,) or np.any(sigmas < 0):
+        raise ValueError("sigmas must be nonnegative, one per chain")
+    w = np.zeros((chains, d))
     block = max(1, min(n, NOISE_BLOCK_FLOATS // (chains * d)))
     noise = np.zeros((block, chains, d))
     noisy = [(b, rngs[b], float(sigmas[b])) for b in np.flatnonzero(sigmas > 0)]
-    eta, radius = config.eta, config.constraint_radius
-    for i, sample in enumerate(dataset):
+    eta = 1.0 / (0.25 + lam)
+    for i, z in enumerate(signed):
         k = i % block
         if k == 0:
             steps = min(block, n - i)
             for b, gen, s in noisy:
                 noise[:steps, b] = gen.normal(0.0, s, size=(steps, d))
-        grad = np.asarray(loss_grad(w, sample), dtype=float)
+        grad = -sigmoid(-np.einsum("bd,d->b", w, z))[:, None] * z + lam * w
         w = project_l2(w - eta * (grad + noise[k]), radius)
     return w
 
 
-def noise_for_renyi_dp(alpha: float, eps: float, G: float, n: int, t: int) -> float:
-    """Variance 2*alpha*G^2 / (eps*(n-t+1)) giving an order-alpha Renyi
-    privacy level eps for the sample at position t."""
-    _check_position(n, t)
+def noise_for_renyi_dp(alpha: float, eps: float, G: float) -> float:
+    """Variance 2*alpha*G^2 / eps giving every sample an order-alpha Renyi
+    privacy level eps."""
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
     if eps <= 0 or G <= 0:
         raise ValueError("eps and G must be positive")
-    return 2.0 * alpha * G * G / (eps * (n - t + 1))
+    return 2.0 * alpha * G * G / eps
 
 
 def noise_for_renyi_mdp(alpha: float, eps_metric: float, L_input: float,
-                        domain_diam: float, n: int, t: int) -> float:
-    """Variance 2*alpha*L_input^2*diam / (eps_metric*(n-t+1)) for the
-    metric-privacy calibration."""
-    _check_position(n, t)
+                        domain_diam: float) -> float:
+    """Variance 2*alpha*L_input^2*diam / eps_metric for the metric-privacy
+    calibration."""
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
     if eps_metric <= 0 or L_input <= 0:
         raise ValueError("eps_metric and L_input must be positive")
     if not math.isfinite(domain_diam) or domain_diam <= 0:
         raise ValueError("domain_diam must be finite and positive")
-    return 2.0 * alpha * L_input * L_input * domain_diam / (eps_metric * (n - t + 1))
-
-
-def _check_position(n: int, t: int) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 1 <= t <= n:
-        raise ValueError(f"position t={t} outside [1, {n}]")
+    return 2.0 * alpha * L_input * L_input * domain_diam / eps_metric
 
 
 def rdp_to_dp(alpha: float, eps_renyi: float, delta: float) -> float:
@@ -151,25 +112,19 @@ def rdp_to_dp(alpha: float, eps_renyi: float, delta: float) -> float:
     return eps_renyi + math.log(1.0 / delta) / (alpha - 1.0)
 
 
-def noise_for_target_dp(eps: float, delta: float, G: float, n: int,
-                        t: int) -> tuple[float, float]:
+def noise_for_target_dp(eps: float, delta: float, G: float) -> float:
     """Smallest variance on the `DEFAULT_ALPHAS` grid whose converted
     guarantee meets a target (eps, delta): at each order the Renyi budget
-    is eps less the `rdp_to_dp` offset of a zero Renyi level.  Returns
-    (sigma_squared, alpha_used)."""
-    _check_position(n, t)
+    is eps less the `rdp_to_dp` offset of a zero Renyi level."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    best = (math.inf, math.nan)
+    best = math.inf
     for alpha in DEFAULT_ALPHAS:
         budget = eps - rdp_to_dp(alpha, 0.0, delta)
-        if budget <= 0:
-            continue
-        sigma_sq = noise_for_renyi_dp(alpha, budget, G, n, t)
-        if sigma_sq < best[0]:
-            best = (sigma_sq, alpha)
-    if not math.isfinite(best[0]):
+        if budget > 0:
+            best = min(best, noise_for_renyi_dp(alpha, budget, G))
+    if not math.isfinite(best):
         raise ValueError(f"target eps={eps} unreachable at delta={delta} on the alpha grid")
     return best

@@ -320,6 +320,19 @@ class TestBadInput:
         assert capsys.readouterr().err.count("config error") == 4
         assert not (tmp_path / "o").exists() and not (tmp_path / "b.csv").exists()
 
+    def test_empty_grid_spec_exit_2(self, tmp_path, capsys):
+        # the end lies within the half-open grid's 1e-12 tolerance of the
+        # start, so the spec yields no point
+        assert run_cli(["oracle", "--eps-grid", "0:1e-13:1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "has no point" in captured.err
+        assert run_cli(["bounds", "--eps-grid", "0:1e-13:1", "--diam", "1",
+                        "--out", str(tmp_path / "b.csv")]) == 2
+        assert run_cli(["sweep", "--eps-grid", "0:1e-13:1", "--mechanism", "OUTPUT_PERTURB_DP",
+                        "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.count("has no point") == 2
+        assert not (tmp_path / "o").exists() and not (tmp_path / "b.csv").exists()
+
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         assert run_cli(["sweep", "--eps-grid", "1", "--mechanism", "OUTPUT_PERTURB_DP",
                         "--seed", "-3", "--out", str(tmp_path / "o")]) == 2

@@ -30,7 +30,7 @@ def test_sweep_layers_are_traced():
     # per cell; a kind table holding the function objects themselves
     # would bypass it and count nothing
     spans = load_spans()
-    cells, trials, n_samples = 2, 3, 2
+    cells, trials, n_samples, train_size = 2, 3, 2, 40
     expected = {
         "OUTPUT_PERTURB_DP": {"mechanisms.release": cells * trials * n_samples,
                               "mechanisms.train": 1, "bounds.evaluate": cells,
@@ -42,7 +42,7 @@ def test_sweep_layers_are_traced():
     for kind, counts in expected.items():
         config = reconbound.harness.SweepConfig(
             eps_grid=(1.0, 3.0), mechanism_kind=kind, seed=3, trials=trials,
-            n_samples=n_samples, lam=1.0, train_size=40, dim=3)
+            n_samples=n_samples, lam=1.0, train_size=train_size, dim=3)
         tracer = spans.Tracer(spans.layer_table(reconbound))
         tracer.install()
         try:
@@ -51,6 +51,10 @@ def test_sweep_layers_are_traced():
             tracer.uninstall()
         totals = spans.layer_totals(tracer.spans, {None})
         assert {layer: totals[layer]["calls"] for layer in counts} == counts, kind
+        # the step counter reads the length of the pass's second argument,
+        # the signed rows: one step per row in every pass
+        steps = totals["pnsgd.pass"]["counts"]["steps"]
+        assert steps == counts["pnsgd.pass"] * train_size, kind
 
 
 def test_certificate_layers_are_traced():

@@ -4,16 +4,16 @@ CSV/SVG emission.
 A sweep trains a private learner, releases it at each epsilon on the
 grid, runs the reconstruction attack per trial, and compares the mean
 attack error against every applicable theoretical lower bound on the
-same grid.  Everything is deterministic given (config, seed): per-trial
-generators are derived from the master seed by counter-based spawn keys,
-so neither trial order nor batch size can perturb results.  The seed
-words of every spawn-keyed generator of a sweep come from one vectorized
-derivation that equals numpy's `SeedSequence(seed, spawn_key=key)` word
-for word, so a generator costs a `PCG64` and no `SeedSequence` of its own.
+same grid.  Everything is deterministic given (config, seed): each grid
+cell draws all its releases from one generator,
+`SeedSequence(seed, spawn_key=(0, cell))`, and its bootstrap from
+another, spawn key (1, cell), so a cell's draws depend only on the seed,
+the cell index, trials, n_samples and d, and not on the other cells.
 
-Trials run in batches: each grid cell stacks its trials' releases and
-attacks them in one `attack_average` call, and PNSGD runs the chains of
-every cell and trial in one lockstep pass.
+Trials run in batches: each grid cell draws its (trials, n_samples, d)
+releases in one vectorized call and attacks them in one `attack_average`
+call, and PNSGD runs the chains of every cell and trial in one lockstep
+pass.
 
 `MECHANISM_KINDS` is the one place that decides a kind's release, noise
 calibration and bounds: it maps each kind to flags, read once per sweep.
@@ -32,7 +32,6 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import bounds as bounds_mod
 from . import pnsgd as pnsgd_mod
@@ -112,7 +111,8 @@ class SweepConfig:
     constraint_radius: float = 10.0
 
     def __post_init__(self):
-        # the seed is split into 32-bit words, which never ends for a negative one
+        # SeedSequence rejects a negative seed too, but only once the
+        # sweep runs, after the IDX files have been read
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         grid = tuple(float(e) for e in self.eps_grid)
@@ -327,86 +327,6 @@ def _load_problem(config: SweepConfig) -> LogRegProblem:
                     digits=config.digit_pair, lam=config.lam)
 
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
-
-
-def _spawned_seed_words(seed: int, *key) -> np.ndarray:
-    """`SeedSequence(seed, spawn_key=k).generate_state(4, np.uint64)` for
-    every key k at once, shape (*broadcast(key), 4).  The key parts are
-    broadcast against each other, and each must fit one 32-bit word (a
-    cell or trial index does): numpy's hashing of the assembled entropy
-    runs word by word, on uint32 scalars for the seed and on uint32
-    arrays over all keys once a key word enters."""
-    words = []
-    while True:  # the seed's 32-bit words, least significant first
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    # numpy pads a short seed to the pool size when a spawn key follows
-    words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.uint32(w) for w in words] + [np.asarray(k, dtype=np.uint32) for k in key]
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(_XSHIFT))
-
-    def mix(x, y):
-        out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return out ^ (out >> np.uint32(_XSHIFT))
-
-    # uint32 arithmetic wraps, as numpy's C code does; scalars would warn
-    with np.errstate(over="ignore"):
-        pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in entropy[_POOL_SIZE:]:
-            for dst in range(_POOL_SIZE):
-                pool[dst] = mix(pool[dst], hashmix(word))
-        # generate_state: 8 uint32 words cycled from the pool, paired
-        # little-endian into 4 uint64 words
-        hash_const = _INIT_B
-        state = []
-        for i in range(2 * _POOL_SIZE):
-            value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-            hash_const = hash_const * _MULT_B & _MASK32
-            value = value * np.uint32(hash_const)
-            state.append(np.uint64(value ^ (value >> np.uint32(_XSHIFT))))
-    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(state[::2], state[1::2])],
-                    axis=-1)
-
-
-class _SeedWords(ISeedSequence):
-    """One generator's derived seed words, in the form numpy's PCG64
-    takes a seed sequence in: it asks for 4 uint64 words, once, and reads
-    them straight from the buffer, so they must be one C-contiguous row
-    of `_spawned_seed_words`' result."""
-    __slots__ = ("_words",)
-
-    def __init__(self, words: np.ndarray):
-        self._words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self._words
-
-
-def _generator(words: np.ndarray) -> np.random.Generator:
-    """The PCG64 generator of one key's derived seed words."""
-    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
-
-
 def _pnsgd_sigma(kind: MechanismKind, config: SweepConfig, eps: float) -> float:
     if config.noiseless:
         return 0.0
@@ -419,26 +339,23 @@ def _pnsgd_sigma(kind: MechanismKind, config: SweepConfig, eps: float) -> float:
 
 
 def _pnsgd_releases(kind: MechanismKind, config: SweepConfig, problem: LogRegProblem,
-                    trial_seeds: np.ndarray) -> np.ndarray:
+                    rngs: list) -> np.ndarray:
     """Every cell's releases, (cells, trials, n_samples, d).  One chain per
     (cell, trial) at the cell's noise level; all chains run in one
-    lockstep pass per sample, each continuing its trial's generator."""
-    sigmas = np.repeat([_pnsgd_sigma(kind, config, eps) for eps in config.eps_grid],
-                       config.trials)
-    rngs = [_generator(words) for words in trial_seeds.reshape(-1, 4)]
+    lockstep pass per sample, each pass continuing the cells' generators."""
+    sigmas = [_pnsgd_sigma(kind, config, eps) for eps in config.eps_grid]
     signed = problem.labels[:, None] * problem.features
-    passes = [pnsgd_mod.pnsgd_run(sigmas, signed, config.lam, config.constraint_radius, rngs)
+    passes = [pnsgd_mod.pnsgd_run(sigmas, signed, config.lam, config.constraint_radius, rngs,
+                                  config.trials)
               for _ in range(config.n_samples)]
-    return np.stack(passes, axis=1).reshape(len(config.eps_grid), config.trials,
-                                            config.n_samples, problem.dim)
+    return np.stack(passes, axis=2)
 
 
 def _output_perturb_releases(kind: MechanismKind, config: SweepConfig,
-                             problem: LogRegProblem,
-                             trial_seeds: np.ndarray) -> Iterator[np.ndarray]:
-    """Each cell's releases in turn, (trials, n_samples, d), each trial's
-    drawn in order from its own generator.  A noiseless sweep stands for
-    the eps -> infinity limit: every release is the optimum itself, and
+                             problem: LogRegProblem, rngs: list) -> Iterator[np.ndarray]:
+    """Each cell's releases in turn, (trials, n_samples, d), drawn in one
+    call from the cell's generator.  A noiseless sweep stands for the
+    eps -> infinity limit: every release is the optimum itself, and
     nothing is drawn."""
     theta_hat = train_logreg_exact(problem)
     if config.noiseless:
@@ -446,10 +363,8 @@ def _output_perturb_releases(kind: MechanismKind, config: SweepConfig,
             yield np.tile(theta_hat, (config.trials, config.n_samples, 1))
         return
     draw = output_perturb_mdp_euclidean if kind.metric else output_perturb_dp
-    for eps_idx, eps in enumerate(config.eps_grid):
-        yield np.array([[draw(theta_hat, eps, problem.n, config.lam, rng)
-                         for _ in range(config.n_samples)]
-                        for rng in map(_generator, trial_seeds[eps_idx])])
+    for eps, rng in zip(config.eps_grid, rngs):
+        yield draw((config.trials, config.n_samples), theta_hat, eps, problem.n, config.lam, rng)
 
 
 def evaluate_bounds(kind: MechanismKind, config: SweepConfig, problem: LogRegProblem,
@@ -492,18 +407,17 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     model = ThreatModel(problem)
     kind = MECHANISM_KINDS[config.mechanism_kind]
     release = _pnsgd_releases if kind.pnsgd else _output_perturb_releases
-    cell_idx = np.arange(len(config.eps_grid))
-    # spawn keys (0, cell, trial) for the trials, (1, cell) for the bootstrap
-    trial_seeds = _spawned_seed_words(config.seed, 0, cell_idx[:, None],
-                                      np.arange(config.trials))
-    ci_seeds = _spawned_seed_words(config.seed, 1, cell_idx)
-    cells = release(kind, config, problem, trial_seeds)
+
+    def spawn(*key):  # (0, cell) for the cell's releases, (1, cell) for its bootstrap
+        return np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=key))
+
+    cells = release(kind, config, problem, [spawn(0, c) for c in range(len(config.eps_grid))])
     rows = []
     for eps_idx, (eps, releases) in enumerate(zip(config.eps_grid, cells)):
         mse, failures = attack_average(model, releases)
         mses = mse[~np.isnan(mse)]
         mean_mse = float(mses.mean()) if mses.size else math.inf
-        ci_low, ci_high = _bootstrap_ci(mses, _generator(ci_seeds[eps_idx]))
+        ci_low, ci_high = _bootstrap_ci(mses, spawn(1, eps_idx))
         rows.append(SweepRow(epsilon=eps, mechanism=config.mechanism_kind,
                              mean_mse=mean_mse, ci_low=ci_low, ci_high=ci_high,
                              bound_values=evaluate_bounds(kind, config, problem, eps),

@@ -9,9 +9,10 @@ Hessian; one margin product y * (X @ theta) per candidate gives its
 objective and gradient.
 
 Every sampler takes eps, a budget per unit of distance between inputs
-(standard DP is the case of neighbouring datasets at distance 1), and an
+(standard DP is the case of neighbouring datasets at distance 1), an
 explicit numpy Generator, so runs are deterministic per stream and safe
-to execute concurrently; it returns the released vector: all the
+to execute concurrently, and leads with a ``size``: it returns a
+(*size, d) stack of released vectors drawn in one call, each all the
 adversary sees of a release.
 """
 
@@ -179,21 +180,22 @@ def train_logreg_exact(problem: LogRegProblem) -> np.ndarray:
                            f"tolerance after {NEWTON_CAP} Newton steps")
 
 
-def output_perturb_dp(theta: np.ndarray, eps: float, n_train: int,
+def output_perturb_dp(size: tuple, theta: np.ndarray, eps: float, n_train: int,
                       lam: float, rng: np.random.Generator) -> np.ndarray:
-    """Release theta + iid Laplace noise with scale 2 / (N * eps * lam)."""
+    """A (*size, d) stack of releases of theta + iid Laplace noise with
+    scale 2 / (N * eps * lam), drawn in one call."""
     theta = np.asarray(theta, dtype=float)
     if eps <= 0:
         raise ValueError("eps must be positive (infinite noise otherwise)")
     if n_train < 1 or lam <= 0:
         raise ValueError("need n_train >= 1 and lam > 0")
     b = 2.0 / (n_train * eps * lam)
-    return theta + rng.laplace(0.0, b, size=theta.shape)
+    return theta + rng.laplace(0.0, b, size=(*size, theta.size))
 
 
-def output_perturb_mdp_euclidean(theta: np.ndarray, eps: float, n_train: int,
+def output_perturb_mdp_euclidean(size: tuple, theta: np.ndarray, eps: float, n_train: int,
                                  lam: float, rng: np.random.Generator) -> np.ndarray:
-    """Euclidean metric-privacy output perturbation.
+    """A (*size, d) stack of Euclidean metric-privacy releases of theta.
 
     Noise is radial-Laplace: direction uniform on the sphere, radius
     Gamma(d, rate) with rate N * eps * lam / 2, so the density is
@@ -208,8 +210,7 @@ def output_perturb_mdp_euclidean(theta: np.ndarray, eps: float, n_train: int,
         raise ValueError("need n_train >= 1 and lam > 0")
     d = theta.size
     rate = n_train * eps * lam / 2.0
-    radius = rng.gamma(shape=d, scale=1.0 / rate)
-    direction = rng.normal(size=d)
-    direction /= np.sqrt(direction @ direction)
-    return theta + radius * direction
-
+    radius = rng.gamma(shape=d, scale=1.0 / rate, size=size)
+    direction = rng.normal(size=(*size, d))
+    direction /= np.sqrt(np.einsum("...i,...i->...", direction, direction))[..., None]
+    return theta + radius[..., None] * direction

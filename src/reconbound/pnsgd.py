@@ -29,7 +29,7 @@ from .mechanisms import sigmoid
 # Renyi orders scanned when converting to (eps, delta) guarantees
 DEFAULT_ALPHAS = (1.5, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
-# noise is drawn per chain in blocks of steps, holding at most this many
+# noise is drawn per cell in blocks of steps, holding at most this many
 # floats at once across all chains
 NOISE_BLOCK_FLOATS = 1 << 17
 
@@ -43,37 +43,39 @@ def project_l2(v: np.ndarray, radius: float) -> np.ndarray:
 
 
 def pnsgd_run(sigmas: np.ndarray, signed: np.ndarray, lam: float, radius: float,
-              rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Run one pass of B chains in lockstep from 0, one per generator in
-    ``rngs``, over the signed rows y*x of ``signed``, and return their
-    final iterates as a (B, d) array.
+              rngs: Sequence[np.random.Generator], trials: int) -> np.ndarray:
+    """Run one pass of ``trials`` chains per cell in lockstep from 0 over
+    the signed rows y*x of ``signed``, cell c at noise level ``sigmas[c]``
+    with its noise from ``rngs[c]``, and return the final iterates as a
+    (cells, trials, d) array.
 
     The step is 1/(1/4 + lam), the inverse of the smoothness of the
-    lam-regularized logistic loss, so every step is contractive.  Chain b
-    draws its noise from its own generator at its own ``sigmas[b]``, in
-    the same order as a pass run alone, so its result does not depend on
-    which chains share the pass; a chain with sigma 0 draws nothing.
+    lam-regularized logistic loss, so every step is contractive.  A noisy
+    cell draws its noise in (steps, trials, d) blocks, step by step in
+    the order of one whole (n, trials, d) draw, so its result depends on
+    its generator, trials, n and d, and not on the block size or the
+    other cells of the pass; a cell with sigma 0 draws nothing.
     Intermediate iterates are never exposed.
     """
     n, d = signed.shape
     if n == 0:
         raise ValueError("dataset must be nonempty")
     sigmas = np.asarray(sigmas, dtype=float)
-    chains = len(rngs)
-    if sigmas.shape != (chains,) or np.any(sigmas < 0):
-        raise ValueError("sigmas must be nonnegative, one per chain")
-    w = np.zeros((chains, d))
-    block = max(1, min(n, NOISE_BLOCK_FLOATS // (chains * d)))
-    noise = np.zeros((block, chains, d))
-    noisy = [(b, rngs[b], float(sigmas[b])) for b in np.flatnonzero(sigmas > 0)]
+    cells = len(rngs)
+    if sigmas.shape != (cells,) or np.any(sigmas < 0):
+        raise ValueError("sigmas must be nonnegative, one per cell")
+    w = np.zeros((cells, trials, d))
+    block = max(1, min(n, NOISE_BLOCK_FLOATS // (cells * trials * d)))
+    noise = np.zeros((block, cells, trials, d))
+    noisy = [(c, rngs[c], float(sigmas[c])) for c in np.flatnonzero(sigmas > 0)]
     eta = 1.0 / (0.25 + lam)
     for i, z in enumerate(signed):
         k = i % block
         if k == 0:
             steps = min(block, n - i)
-            for b, gen, s in noisy:
-                noise[:steps, b] = gen.normal(0.0, s, size=(steps, d))
-        grad = -sigmoid(-np.einsum("bd,d->b", w, z))[:, None] * z + lam * w
+            for c, gen, s in noisy:
+                noise[:steps, c] = gen.normal(0.0, s, size=(steps, trials, d))
+        grad = -sigmoid(-np.einsum("ctd,d->ct", w, z))[..., None] * z + lam * w
         w = project_l2(w - eta * (grad + noise[k]), radius)
     return w
 

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from reconbound import pnsgd as pnsgd_mod
 from reconbound.attack import glm_reconstruct_single
 from reconbound.bounds import (Validity, dp_lecam_bound, unbiased_rdp_bound,
                                unbiased_rdp_validity_threshold, validity_check)
@@ -188,8 +189,20 @@ def test_c9_sweep_determinism(dp_sweep, tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_c10_desk_scale_pnsgd_sweep(tmp_path):
-    with criterion(10, "desk-scale PNSGD_MDP sweep within budget, CSV byte for byte"):
+def test_c10_desk_scale_pnsgd_sweep(tmp_path, monkeypatch):
+    # every PNSGD_MDP draw here fails to invert, so the CSV reads no
+    # release; the pass results are compared byte for byte as well
+    with criterion(10, "desk-scale PNSGD_MDP sweep within budget, "
+                       "CSV and releases byte for byte"):
+        passes = []
+        run = pnsgd_mod.pnsgd_run
+
+        def recording(*args, **kwargs):
+            result = run(*args, **kwargs)
+            passes.append(result.tobytes())
+            return result
+
+        monkeypatch.setattr(pnsgd_mod, "pnsgd_run", recording)
         start = time.perf_counter()
         first = run_sweep(_sweep_config("PNSGD_MDP"))
         elapsed = time.perf_counter() - start
@@ -198,5 +211,7 @@ def test_c10_desk_scale_pnsgd_sweep(tmp_path):
         emit_csv(first, p1)
         emit_csv(again, p2)
         assert p1.read_bytes() == p2.read_bytes()
+        # one pass a run, since n_samples is 1
+        assert len(passes) == 2 and passes[0] == passes[1]
         assert len(first.rows) == len(SWEEP_GRID)
         assert elapsed < 10.0, elapsed

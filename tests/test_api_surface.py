@@ -31,8 +31,6 @@ ALLOWED = {
     "effective_dimension": "planned effective-dimension audit",
     # the prior bound's validity threshold, pinned by acceptance c1
     "unbiased_rdp_validity_threshold": "pinned by acceptance c1",
-    # the seed-sequence adapter's hook, called from numpy's C code
-    "_SeedWords.generate_state": "numpy's PCG64 calls it",
 }
 
 

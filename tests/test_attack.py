@@ -19,10 +19,9 @@ def trained_instance(seed, n=60, d=4, lam=1.0):
     return prob, theta
 
 
-def draw_releases(theta, prob, eps, n, rngs):
-    """(T, n, d): n output-perturbation draws from each trial's generator."""
-    return np.array([[output_perturb_dp(theta, eps, prob.n, prob.lam, rng)
-                      for _ in range(n)] for rng in rngs])
+def draw_releases(theta, prob, eps, trials, n, rng):
+    """(trials, n, d) output-perturbation draws from one generator."""
+    return output_perturb_dp((trials, n), theta, eps, prob.n, prob.lam, rng)
 
 
 def scan_and_bisect(target, bracket=100.0, tol=1e-12, points=8001):
@@ -172,7 +171,7 @@ class TestSingleReconstruction:
 class TestAveraging:
     def test_n1_equals_single(self):
         prob, theta = trained_instance(4)
-        releases = draw_releases(theta, prob, 3.0, 1, [np.random.default_rng(11)])
+        releases = draw_releases(theta, prob, 3.0, 1, 1, np.random.default_rng(11))
         mse, failures = attack_average(ThreatModel(prob), releases)
         single = glm_reconstruct_single(releases[0, 0], prob.features[:-1], prob.labels[:-1],
                                         float(prob.labels[-1]), prob.lam, prob.n)
@@ -188,7 +187,7 @@ class TestAveraging:
 
     def test_mean_of_estimates(self):
         prob, theta = trained_instance(7)
-        releases = draw_releases(theta, prob, 5.0, 4, [np.random.default_rng(1)])
+        releases = draw_releases(theta, prob, 5.0, 1, 4, np.random.default_rng(1))
         mse, failures = attack_average(ThreatModel(prob), releases)
         estimates, reasons = invert(releases[0], adversary_args(prob))
         ok = reasons == 0
@@ -200,9 +199,8 @@ class TestAveraging:
         prob, theta = trained_instance(11)
         means = []
         for n in (1, 4, 16):
-            rngs = [np.random.default_rng(np.random.SeedSequence(99, spawn_key=(n, trial)))
-                    for trial in range(200)]
-            mse, _ = attack_average(ThreatModel(prob), draw_releases(theta, prob, 4.0, n, rngs))
+            rng = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(n,)))
+            mse, _ = attack_average(ThreatModel(prob), draw_releases(theta, prob, 4.0, 200, n, rng))
             means.append(float(np.mean(mse[~np.isnan(mse)])))
         assert means[0] >= means[1] >= means[2], means
 
@@ -212,10 +210,8 @@ class TestAveraging:
         prob, theta = trained_instance(11)
         medians = []
         for eps in (0.1, 0.5, 1.0, 2.0, 5.0):
-            rngs = [np.random.default_rng(
-                np.random.SeedSequence(7, spawn_key=(int(eps * 10), trial)))
-                for trial in range(50)]
-            mse, _ = attack_average(ThreatModel(prob), draw_releases(theta, prob, eps, 1, rngs))
+            rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(int(eps * 10),)))
+            mse, _ = attack_average(ThreatModel(prob), draw_releases(theta, prob, eps, 50, 1, rng))
             mses = mse[~np.isnan(mse)]
             medians.append(float(np.median(mses)) if mses.size else math.inf)
         inversions = sum(1 for a, b in zip(medians, medians[1:]) if b > a * (1 + 1e-9))
@@ -238,10 +234,7 @@ class TestBatchInversion:
         prob, theta = trained_instance(12, n=300, d=6, lam=1e-2)
         model = ThreatModel(prob)
         for eps in (1.0, 3.0):
-            rngs = [np.random.default_rng(np.random.SeedSequence(5, spawn_key=(t,)))
-                    for t in range(8)]
-            releases = np.array([[output_perturb_dp(theta, eps, prob.n, prob.lam, rng)
-                                  for _ in range(3)] for rng in rngs])
+            releases = draw_releases(theta, prob, eps, 8, 3, np.random.default_rng(5))
             args = (prob.features[:-1], prob.labels[:-1], float(prob.labels[-1]),
                     prob.lam, prob.n)
             est, reasons = invert(releases.reshape(24, -1), args)

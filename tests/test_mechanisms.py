@@ -167,29 +167,29 @@ class TestReferenceTrainer:
 
 class TestOutputPerturbDP:
     def test_noise_scale_formula(self):
-        # the release is theta plus the generator's own Laplace draw at
-        # scale b = 2 / (N * eps * lam), bit for bit
+        # the stack is theta plus the generator's own sized Laplace draw
+        # at scale b = 2 / (N * eps * lam), bit for bit
         theta = np.array([0.3, -0.2])
+        d = theta.size
         n_train, eps, lam = 60000, 1.0, 1.0
-        out = output_perturb_dp(theta, eps, n_train, lam, np.random.default_rng(0))
+        out = output_perturb_dp((3, 2), theta, eps, n_train, lam, np.random.default_rng(0))
         b = 2.0 / (n_train * eps * lam)
-        assert np.array_equal(out, theta + np.random.default_rng(0).laplace(0.0, b, size=2))
+        assert np.array_equal(out, theta + np.random.default_rng(0).laplace(0, b, size=(3, 2, d)))
 
     def test_eps_zero_rejected(self):
         with pytest.raises(ValueError):
-            output_perturb_dp(np.zeros(1), 0.0, 10, 1.0, np.random.default_rng(0))
+            output_perturb_dp((1,), np.zeros(1), 0.0, 10, 1.0, np.random.default_rng(0))
 
     def test_empirical_variance(self):
         rng = np.random.default_rng(5)
         n_train, lam = 100, 0.5
         b = 2.0 / (n_train * 1.0 * lam)
-        draws = np.stack([output_perturb_dp(np.zeros(4), 1.0, n_train, lam, rng)
-                          for _ in range(25_000)])
+        draws = output_perturb_dp((25_000,), np.zeros(4), 1.0, n_train, lam, rng)
         assert draws.var() == pytest.approx(2 * b * b, rel=0.03)
 
     def test_seeded_determinism(self):
-        a = output_perturb_dp(np.ones(3), 0.7, 50, 0.1, np.random.default_rng(99))
-        b = output_perturb_dp(np.ones(3), 0.7, 50, 0.1, np.random.default_rng(99))
+        a = output_perturb_dp((4, 2), np.ones(3), 0.7, 50, 0.1, np.random.default_rng(99))
+        b = output_perturb_dp((4, 2), np.ones(3), 0.7, 50, 0.1, np.random.default_rng(99))
         assert np.array_equal(a, b)
 
     def test_pointwise_ratio_at_dp_calibration(self):
@@ -215,13 +215,13 @@ class TestOutputPerturbMDP:
         rng = np.random.default_rng(8)
         n_train, lam = 100, 0.5
         b = 2.0 / (n_train * 1.0 * lam)
-        vals = np.array([output_perturb_mdp_euclidean(np.zeros(1), 1.0, n_train, lam, rng)[0]
-                         for _ in range(100_000)])
+        vals = output_perturb_mdp_euclidean((100_000,), np.zeros(1), 1.0, n_train, lam, rng)
         assert vals.var() == pytest.approx(2 * b * b, rel=0.03)
 
     def test_eps_metric_zero_rejected(self):
         with pytest.raises(ValueError):
-            output_perturb_mdp_euclidean(np.zeros(2), 0.0, 10, 1.0, np.random.default_rng(0))
+            output_perturb_mdp_euclidean((1,), np.zeros(2), 0.0, 10, 1.0,
+                                         np.random.default_rng(0))
 
     def test_log_density_ratio_lipschitz(self):
         # the radial-Laplace log-density is -rate * ||h - theta|| up to a
@@ -244,8 +244,6 @@ class TestOutputPerturbMDP:
         rng = np.random.default_rng(2)
         n_train, lam, d = 100, 0.5, 3
         rate = n_train * 1.0 * lam / 2.0
-        radii = np.empty(100_000)
-        for i in range(radii.size):
-            out = output_perturb_mdp_euclidean(np.zeros(d), 1.0, n_train, lam, rng)
-            radii[i] = np.linalg.norm(out)
+        out = output_perturb_mdp_euclidean((100_000,), np.zeros(d), 1.0, n_train, lam, rng)
+        radii = np.linalg.norm(out, axis=1)
         assert radii.mean() == pytest.approx(d / rate, rel=0.02)

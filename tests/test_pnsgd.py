@@ -24,7 +24,7 @@ class TestRun:
         # sigmoid(-c*|z|^2) = lam*c
         lam, z = 1.0, np.array([0.6, -0.8])
         w = pnsgd_run(np.zeros(1), np.tile(z, (60, 1)), lam, 5.0,
-                      [np.random.default_rng(0)])[0]
+                      [np.random.default_rng(0)], 1)[0, 0]
         c = w @ z
         assert np.allclose(w, c * z, rtol=0, atol=1e-15)
         assert float(sigmoid(np.array(-c))) == pytest.approx(lam * c, rel=1e-14)
@@ -39,7 +39,7 @@ class TestRun:
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
-            pnsgd_run(np.zeros(1), np.zeros((0, 1)), 1.0, 1.0, [np.random.default_rng(0)])
+            pnsgd_run(np.zeros(1), np.zeros((0, 1)), 1.0, 1.0, [np.random.default_rng(0)], 1)
 
     def test_final_iterate_law_monte_carlo(self):
         # on zero rows the gradient is lam*w, so with noise and a slack
@@ -50,20 +50,20 @@ class TestRun:
         s2 = 0.0
         for _ in range(n):
             s2 = (1 - eta * lam) ** 2 * s2 + eta ** 2 * sigma ** 2
-        # 1 000 chains run in lockstep, each from a generator of its own,
-        # for 100 passes; each pass continues its chains' generators, so the
-        # 100 000 final iterates are independent draws of the law
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(12345).spawn(1_000)]
-        sigmas = np.full(len(rngs), sigma)
-        finals = np.concatenate([pnsgd_run(sigmas, np.zeros((n, 1)), lam, 100.0, rngs)[:, 0]
+        # one cell of 1 000 chains runs in lockstep for 100 passes; each
+        # pass continues the cell's generator, so the 100 000 final
+        # iterates are independent draws of the law
+        rngs = [np.random.default_rng(np.random.SeedSequence(12345))]
+        finals = np.concatenate([pnsgd_run(np.array([sigma]), np.zeros((n, 1)), lam, 100.0,
+                                           rngs, 1_000)[0, :, 0]
                                  for _ in range(100)])
         assert finals.mean() == pytest.approx(0.0, abs=5 * math.sqrt(s2 / finals.size))
         assert finals.var() == pytest.approx(s2, rel=0.02)
 
     def test_bit_identical_reruns(self):
         rows = np.tile([0.1, 0.2, 0.3], (10, 1))
-        w1 = pnsgd_run(np.ones(1), rows, 1.0, 2.0, [np.random.default_rng(7)])[0]
-        w2 = pnsgd_run(np.ones(1), rows, 1.0, 2.0, [np.random.default_rng(7)])[0]
+        w1 = pnsgd_run(np.ones(1), rows, 1.0, 2.0, [np.random.default_rng(7)], 3)
+        w2 = pnsgd_run(np.ones(1), rows, 1.0, 2.0, [np.random.default_rng(7)], 3)
         assert np.array_equal(w1, w2)
 
     def test_contractive_update_on_random_quadratics(self):
@@ -84,16 +84,15 @@ class TestRun:
             assert np.linalg.norm(u1 - u2) <= np.linalg.norm(w1 - w2) * (1 + 1e-12)
 
 
-def per_sample_pass(lam, radius, sigma, samples, rng):
+def per_sample_pass(lam, radius, samples, noise):
     """Reference: one chain from 0 at step 1/(1/4 + lam), one labelled
-    sample at a time, one noise draw per step, as the pass ran before
-    chains were batched."""
+    sample at a time, adding row i of ``noise`` to the i-th gradient, as
+    the pass ran before chains were batched."""
     eta = 1.0 / (0.25 + lam)
     w = np.zeros(len(samples[0][0]))
-    for x_i, y_i in samples:
+    for (x_i, y_i), noise_i in zip(samples, noise):
         grad = -y_i * float(sigmoid(np.array(-y_i * float(w @ x_i)))) * x_i + lam * w
-        noise = rng.normal(0.0, sigma, size=w.shape) if sigma > 0 else 0.0
-        v = w - eta * (grad + noise)
+        v = w - eta * (grad + noise_i)
         norm = math.sqrt(float(v @ v))
         w = v if norm <= radius else v * (radius / norm)
     return w
@@ -109,34 +108,47 @@ class TestLockstep:
         y = rng.choice([-1.0, 1.0], size=n)
         return list(zip(x, y)), y[:, None] * x
 
+    TRIALS = 2
+
     def test_matches_per_sample_loop(self, monkeypatch):
         # noise blocks of two steps, so the pass crosses block edges and
-        # ends on a partial block; sigma 0 draws nothing
-        monkeypatch.setattr(pnsgd_mod, "NOISE_BLOCK_FLOATS", 2 * len(self.SIGMAS) * 3)
-        samples, signed = self._logistic(3)
-        rngs = [np.random.default_rng(100 + b) for b in range(len(self.SIGMAS))]
-        batched = pnsgd_run(np.array(self.SIGMAS), signed, self.LAM, self.RADIUS, rngs)
-        for b, sigma in enumerate(self.SIGMAS):
-            ref = per_sample_pass(self.LAM, self.RADIUS, sigma, samples,
-                                  np.random.default_rng(100 + b))
-            np.testing.assert_allclose(batched[b], ref, rtol=1e-12, atol=1e-15)
+        # ends on a partial block; chain t of a cell takes column t of
+        # one whole (n, trials, d) draw from the cell's generator, and a
+        # cell at sigma 0 draws nothing
+        cells, d = len(self.SIGMAS), 3
+        monkeypatch.setattr(pnsgd_mod, "NOISE_BLOCK_FLOATS", 2 * cells * self.TRIALS * d)
+        samples, signed = self._logistic(3, d=d)
+        rngs = [np.random.default_rng(100 + c) for c in range(cells)]
+        batched = pnsgd_run(np.array(self.SIGMAS), signed, self.LAM, self.RADIUS, rngs,
+                            self.TRIALS)
+        assert batched.shape == (cells, self.TRIALS, d)
+        for c, sigma in enumerate(self.SIGMAS):
+            noise = np.random.default_rng(100 + c).normal(
+                0.0, sigma, size=(len(samples), self.TRIALS, d))
+            for t in range(self.TRIALS):
+                ref = per_sample_pass(self.LAM, self.RADIUS, samples, noise[:, t])
+                np.testing.assert_allclose(batched[c, t], ref, rtol=1e-12, atol=1e-15)
         untouched = np.random.default_rng(101).bit_generator.state
         assert rngs[1].bit_generator.state == untouched
 
-    def test_chain_does_not_depend_on_its_company(self):
-        _, signed = self._logistic(4, n=40)
+    def test_chain_does_not_depend_on_its_company(self, monkeypatch):
+        # a cell run with the others and run alone gives the same bytes,
+        # though the noise blocks differ: 2 steps together, 8 alone
+        cells, d = len(self.SIGMAS), 3
+        monkeypatch.setattr(pnsgd_mod, "NOISE_BLOCK_FLOATS", 2 * cells * self.TRIALS * d)
+        _, signed = self._logistic(4, n=40, d=d)
         together = pnsgd_run(np.array(self.SIGMAS), signed, self.LAM, self.RADIUS,
-                             [np.random.default_rng(b) for b in range(len(self.SIGMAS))])
-        for b, sigma in enumerate(self.SIGMAS):
+                             [np.random.default_rng(c) for c in range(cells)], self.TRIALS)
+        for c, sigma in enumerate(self.SIGMAS):
             alone = pnsgd_run(np.array([sigma]), signed, self.LAM, self.RADIUS,
-                              [np.random.default_rng(b)])[0]
-            assert np.array_equal(together[b], alone)
+                              [np.random.default_rng(c)], self.TRIALS)[0]
+            assert np.array_equal(together[c], alone)
 
     def test_sigma_per_chain_validated(self):
         rngs = [np.random.default_rng(0), np.random.default_rng(1)]
         for sigmas in (np.array([0.1, -0.1]), np.array([0.1]), np.array(0.1)):
             with pytest.raises(ValueError, match="sigmas"):
-                pnsgd_run(sigmas, np.ones((3, 1)), 1.0, 1.0, rngs)
+                pnsgd_run(sigmas, np.ones((3, 1)), 1.0, 1.0, rngs, self.TRIALS)
 
 
 class TestNoiseRules:

@@ -26,15 +26,16 @@ def test_every_traced_attribute_exists():
 
 def test_sweep_layers_are_traced():
     # the sweep must call the release, training, attack and bound
-    # functions through the attributes the tracer swaps, the attack once
-    # per cell; a kind table holding the function objects themselves
-    # would bypass it and count nothing
+    # functions through the attributes the tracer swaps, the release and
+    # the attack once per cell; a kind table holding the function objects
+    # themselves would bypass it and count nothing
     spans = load_spans()
     cells, trials, n_samples, train_size = 2, 3, 2, 40
+    output_perturb = {"mechanisms.release": cells, "mechanisms.train": 1,
+                      "bounds.evaluate": cells, "pnsgd.pass": 0, "attack.average": cells}
     expected = {
-        "OUTPUT_PERTURB_DP": {"mechanisms.release": cells * trials * n_samples,
-                              "mechanisms.train": 1, "bounds.evaluate": cells,
-                              "pnsgd.pass": 0, "attack.average": cells},
+        "OUTPUT_PERTURB_DP": output_perturb,
+        "OUTPUT_PERTURB_MDP": output_perturb,
         "PNSGD_MDP": {"mechanisms.release": 0, "mechanisms.train": 0,
                       "bounds.evaluate": cells, "pnsgd.pass": n_samples,
                       "attack.average": cells},

@@ -3,22 +3,22 @@ that draws n samples from a private learner's output distribution.
 
 Each bound takes the privacy numbers it reads as plain floats (eps
 first, delta last), n and only the geometry its hypotheses read: a
-diameter (DP and Renyi two-point forms), an effective dimension (metric
-Fano form) or none (metric two-point).  Callers check eps, delta, alpha
-and n >= 1 where they enter the program (`harness.SweepConfig`, the
+diameter (DP, Renyi and metric two-point forms) or an effective
+dimension (metric Fano form).  Callers check eps, delta, alpha and
+n >= 1 where they enter the program (`harness.SweepConfig`, the
 `bounds` command).
 
 All bounds are exact closed forms with their proof constants pinned
 (two-point reduction constant `LECAM_CONSTANT` = 1/16; the Fano bound
 keeps the maximized form of its quadratic rather than a loose Omega).
 `two_point_bound` alone evaluates the two-point form and checks its
-separation; the DP and Renyi bounds are it at sep = diam, with KL
-budgets from `divergence`.
+separation; the DP and Renyi bounds are it at sep = diam and the metric
+one at a closed-form sep <= diam, with KL budgets from `divergence`.
 
-Division-by-zero privacy levels yield +inf, meaning perfect privacy
-forbids consistent reconstruction; CSV emitters translate that into an
-explicit INFINITE flag instead of serializing bare infinities without
-context.
+The metric Fano and prior unbiased bounds yield +inf at eps = 0 and
+wherever they exceed the float range, meaning perfect privacy forbids
+consistent reconstruction; CSV emitters translate that into an explicit
+INFINITE flag instead of serializing bare infinities without context.
 """
 
 from __future__ import annotations
@@ -64,14 +64,16 @@ def renyi_dp_lecam_bound(eps: float, alpha: float, n: int, diam: float) -> float
     return two_point_bound(diam, renyi_bound(eps, alpha), n)
 
 
-def mdp_lecam_bound(eps: float, n: int, delta: float = 0.0) -> float:
+def mdp_lecam_bound(eps: float, n: int, diam: float, delta: float = 0.0) -> float:
     """Two-point bound for (eps, delta) metric-private learners, eps per
-    unit of distance: (1 - delta) / (2 * n * e * eps^2).  Infinite where
-    eps^2 underflows to 0, the correctly rounded value of a bound beyond
-    the float range."""
-    if eps * eps == 0:
-        return math.inf
-    return (1.0 - delta) / (2.0 * n * math.e * eps * eps)
+    unit of distance, on a domain of diameter diam: inputs sep apart have
+    KL at most `kl_bound(eps, sep)`, so every sep in (0, diam] is valid.
+    This one, diam capped at sqrt(2/n)/eps, maximizes the form under
+    kl <= (eps*sep)^2/2; at eps = 0 the pair still costs diam^2/16."""
+    reach = math.sqrt(2.0 / n)
+    # a NaN eps * diam keeps sep = diam, which two_point_bound rejects
+    sep = diam if not eps * diam > reach else reach / eps
+    return two_point_bound(sep, kl_bound(eps, sep), n, delta)
 
 
 def mdp_fano_bound(eps: float, n: int, d_eff: float, delta: float = 0.0) -> float:

@@ -112,7 +112,7 @@ def _cmd_bounds(args) -> int:
             "dp_lecam": bounds_mod.dp_lecam_bound(eps, args.n, args.diam, args.delta),
             "dp_lecam_renyi": bounds_mod.renyi_dp_lecam_bound(eps, args.alpha, args.n,
                                                               args.diam),
-            "mdp_lecam": bounds_mod.mdp_lecam_bound(eps, args.n, args.delta),
+            "mdp_lecam": bounds_mod.mdp_lecam_bound(eps, args.n, args.diam, args.delta),
         }
         if args.coord_diam_sq_sum is not None:
             values["rdp_unbiased"] = bounds_mod.unbiased_rdp_bound(eps, args.coord_diam_sq_sum)

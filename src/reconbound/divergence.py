@@ -39,14 +39,13 @@ def kl_bound(eps: float, rho: float = 1.0) -> float:
     return t * math.tanh(t / 2.0)
 
 
-def renyi_bound(eps: float, alpha: float, rho: float = 1.0) -> float:
-    """Renyi divergence budget min(t, 3*alpha*t^2/2) with t = eps*rho."""
+def renyi_bound(eps: float, alpha: float) -> float:
+    """Renyi divergence budget min(eps, 3*alpha*eps^2/2)."""
     if not alpha > 1:  # NaN included
         raise ValueError("alpha must exceed 1")
-    if eps < 0 or rho < 0:
-        raise ValueError("eps and rho must be nonnegative")
-    t = eps * rho
-    return min(t, 1.5 * alpha * t * t)
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    return min(eps, 1.5 * alpha * eps * eps)
 
 
 @dataclass(frozen=True)

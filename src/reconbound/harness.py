@@ -377,7 +377,7 @@ def evaluate_bounds(kind: MechanismKind, config: SweepConfig, problem: LogRegPro
     n = config.n_samples
     if kind.metric:
         d_eff = norm_ball_covering_bounds_log(problem.dim, 0.5)[0]
-        return {"mdp_lecam": bounds_mod.mdp_lecam_bound(eps, n, delta),
+        return {"mdp_lecam": bounds_mod.mdp_lecam_bound(eps, n, UNIT_BALL_DIAM, delta),
                 "mdp_fano": bounds_mod.mdp_fano_bound(eps, n, d_eff, delta)}
     return {"dp_lecam": bounds_mod.dp_lecam_bound(eps, n, UNIT_BALL_DIAM, delta),
             "rdp_unbiased": bounds_mod.unbiased_rdp_bound(eps, float(problem.dim))}
@@ -386,9 +386,8 @@ def evaluate_bounds(kind: MechanismKind, config: SweepConfig, problem: LogRegPro
 def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator) -> tuple:
     if values.size == 0:
         return math.inf, math.inf
-    if values.size == 1:
-        v = float(values[0])
-        return v, v
+    if values.size == 1:  # errors are nonnegative; one draw bounds nothing more
+        return 0.0, math.inf
     idx = rng.integers(0, values.size, size=(BOOTSTRAP_RESAMPLES, values.size))
     means = values[idx].mean(axis=1)
     lo, hi = np.percentile(means, [2.5, 97.5])

@@ -14,7 +14,8 @@ Two calibrations are provided: the standard one driven by a global
 gradient bound G, and the metric-privacy one driven by the gradients'
 input Lipschitz constant and the diameter of the data domain.  Their
 ratio is diam * (L_input / G)^2, which is how the metric variant ends up
-cheaper for losses whose G itself scales with the domain diameter.
+cheaper for losses whose G itself scales with the domain diameter.  An
+(eps, delta) target is met at its best Renyi order, for every eps > 0.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from .mechanisms import sigmoid
-
-# Renyi orders scanned when converting to (eps, delta) guarantees
-DEFAULT_ALPHAS = (1.5, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 # noise is drawn per cell in blocks of steps, holding at most this many
 # floats at once across all chains
@@ -115,18 +113,17 @@ def rdp_to_dp(alpha: float, eps_renyi: float, delta: float) -> float:
 
 
 def noise_for_target_dp(eps: float, delta: float, G: float) -> float:
-    """Smallest variance on the `DEFAULT_ALPHAS` grid whose converted
-    guarantee meets a target (eps, delta): at each order the Renyi budget
-    is eps less the `rdp_to_dp` offset of a zero Renyi level."""
+    """Smallest variance whose `rdp_to_dp` conversion meets (eps, delta).
+    The pass's Renyi level alpha*rho, rho = 2*G^2/sigma^2, converts to
+    alpha*rho + L/(alpha - 1), L = ln(1/delta), least at alpha* = 1 +
+    sqrt(L/rho), where it is rho + 2*sqrt(rho*L) = eps.  So sqrt(rho) =
+    eps/(sqrt(L + eps) + sqrt(L)), free of cancellation, and the variance
+    at alpha* and the budget eps less the offset is 2*G^2/rho."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    best = math.inf
-    for alpha in DEFAULT_ALPHAS:
-        budget = eps - rdp_to_dp(alpha, 0.0, delta)
-        if budget > 0:
-            best = min(best, noise_for_renyi_dp(alpha, budget, G))
-    if not math.isfinite(best):
-        raise ValueError(f"target eps={eps} unreachable at delta={delta} on the alpha grid")
-    return best
+    log_inv_delta = math.log(1.0 / delta)
+    sqrt_rho = eps / (math.sqrt(log_inv_delta + eps) + math.sqrt(log_inv_delta))
+    alpha = 1.0 + math.sqrt(log_inv_delta) / sqrt_rho
+    return noise_for_renyi_dp(alpha, eps - rdp_to_dp(alpha, 0.0, delta), G)

@@ -61,6 +61,17 @@ class TestTwoPoint:
                         assert renyi_dp_lecam_bound(eps, alpha, n, diam) == \
                             two_point_bound(diam, renyi_bound(eps, alpha), n)
 
+    def test_metric_bound_is_the_routine(self):
+        # bit for bit: the routine at sep = diam, capped at sqrt(2/n)/eps,
+        # with the KL budget of a pair sep apart
+        for eps in (0.0, 0.1, 0.45, 1.0, 2.9, 7.5):
+            for n in (1, 2, 5, 18):
+                for diam in (0.5, 2.0, 10.0):
+                    reach = math.sqrt(2.0 / n)
+                    sep = diam if eps * diam <= reach else reach / eps
+                    assert mdp_lecam_bound(eps, n, diam, 1e-5) == \
+                        two_point_bound(sep, kl_bound(eps, sep), n, 1e-5)
+
 
 class TestDpLecam:
     def test_eps_zero_proof_constant(self):
@@ -111,36 +122,69 @@ class TestRenyiLecam:
                 renyi_dp_lecam_bound(1.0, alpha, 1, 1.0)
 
 
+def dense_two_point_sup(eps, n, diam, points=20001):
+    """The metric two-point form's largest value over a uniform grid of
+    separations in (0, diam], evaluated with numpy."""
+    sep = np.linspace(0.0, diam, points)[1:]
+    t = eps * sep
+    return float(np.max(sep * sep / 16.0 * np.exp(-n * t * np.tanh(t / 2.0))))
+
+
 class TestMdpLecam:
     def test_direct(self):
-        assert mdp_lecam_bound(1.0, 1) == pytest.approx(
-            1.0 / (2.0 * math.e), rel=1e-12)
-        assert mdp_lecam_bound(1.0, 1) == pytest.approx(0.183940, abs=1e-6)
+        # sep = diam while eps * diam <= sqrt(2/n) ...
+        assert mdp_lecam_bound(0.1, 1, 2.0) == pytest.approx(
+            0.25 * math.exp(-0.2 * math.tanh(0.1)), rel=1e-15)
+        assert mdp_lecam_bound(0.1, 1, 2.0) == pytest.approx(0.24507, abs=1e-5)
+        # ... and sqrt(2/n)/eps past it, where eps * sep = sqrt(2/n)
+        t = math.sqrt(2.0)
+        assert mdp_lecam_bound(1.0, 1, 2.0) == pytest.approx(
+            2.0 / 16.0 * math.exp(-t * math.tanh(t / 2.0)), rel=1e-15)
+        assert mdp_lecam_bound(0.8, 1, 2.0) == pytest.approx(0.08256, abs=1e-5)
 
     def test_halves_with_n(self):
-        a = mdp_lecam_bound(1.0, 1)
-        b = mdp_lecam_bound(1.0, 2)
-        assert b == pytest.approx(a / 2.0, rel=1e-12)
+        # past the cap sep^2 halves as n doubles, and n * kl_bound(eps, sep)
+        # = 1 - 1/(6n) + O(1/n^2) rises, by less than 1/(12n)
+        for eps in (1.0, 3.0):
+            for n in (1, 2, 8, 100):
+                a, b = mdp_lecam_bound(eps, n, 2.0), mdp_lecam_bound(eps, 2 * n, 2.0)
+                assert a / 2 * math.exp(-1.0 / (12 * n)) <= b <= a / 2, (eps, n)
 
-    def test_infinite_at_zero(self):
-        assert math.isinf(mdp_lecam_bound(0.0, 1))
+    def test_eps_zero_costs_the_pair(self):
+        # with no privacy loss the pair at the diameter is still a pair
+        for n in (1, 5):
+            for diam in (1.0, 2.0, 3.0):
+                assert mdp_lecam_bound(0.0, n, diam) == diam * diam / 16.0
 
-    def test_infinite_where_eps_squared_underflows(self):
-        # eps^2 is 0.0 below about 1.5e-162; the bound there is beyond
-        # the float range, and inf is its correctly rounded value
-        for eps in (1e-170, 1e-200, 5e-324):
-            assert mdp_lecam_bound(eps, 1) == math.inf
-        assert mdp_lecam_bound(1e-150, 1) == pytest.approx(
-            1.0 / (2.0 * math.e * 1e-300), rel=1e-12)
+    def test_tiny_eps_is_the_diameter_form(self):
+        # eps^2 underflows to 0 below about 1.5e-162; the KL budget does
+        # too, and the bound is diam^2/16 to the last bit
+        for eps in (1e-150, 1e-170, 1e-200, 5e-324):
+            assert mdp_lecam_bound(eps, 1, 2.0) == 0.25
 
-    def test_optimizer_matches_golden_section(self):
-        # the closed form comes from maximizing (t^2/4)exp(-n eps^2 t^2 / 2)
-        for n, eps in ((1, 1.0), (3, 0.5), (10, 2.0)):
-            f = lambda t: (t * t / 4.0) * math.exp(-n * eps * eps * t * t / 2.0)
-            t_star, val = golden_max(f, 1e-6, 50.0)
-            assert t_star == pytest.approx((1.0 / eps) * math.sqrt(2.0 / n), abs=1e-6)
-            assert val == pytest.approx(mdp_lecam_bound(eps, n),
-                                        rel=1e-9)
+    def test_within_the_unit_ball_trivial_risk(self):
+        # the unit ball's pair at the diameter caps every two-point value at
+        # 4/16, under the constant estimator's worst-case risk 1
+        for eps in np.geomspace(1e-300, 1e3, 301):
+            for n in (1, 2, 5):
+                assert mdp_lecam_bound(float(eps), n, 2.0) <= 0.25, (eps, n)
+
+    def test_near_the_supremum_over_sep(self):
+        # the closed-form sep maximizes the form under kl <= t^2/2; against
+        # the exact form it loses at most 6 % (n = 1), less as n grows
+        eps_grid = [0.1 + 0.35 * i for i in range(14)] + [10.0, 30.0, 100.0]
+        for n in (1, 2, 5):
+            for eps in eps_grid:
+                sup = dense_two_point_sup(eps, n, 2.0)
+                val = mdp_lecam_bound(eps, n, 2.0)
+                assert 0.94 * sup <= val <= sup * (1 + 1e-6), (eps, n, val / sup)
+
+    def test_needs_finite_diam(self):
+        # a NaN, infinite or negative diameter reaches two_point_bound as
+        # the separation at eps = 0, which rejects it
+        for diam in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError):
+                mdp_lecam_bound(0.0, 1, diam)
 
 
 class TestMdpFano:
@@ -204,11 +248,13 @@ class TestMdpFano:
 
     def test_constant_factor_from_two_point_form(self):
         # at d_eff = 2 ln 2 the multi-hypothesis form recovers the
-        # two-point form within a fixed bracket (factor at most 8e)
+        # two-point form within a fixed bracket (factor at most 8e); at
+        # diam 10 the two-point separation is sqrt(2/n)/eps on this grid,
+        # and the ratio is (2/ln 2) * exp(-n * kl), about 1.06 to 1.22
         d_eff = 2 * math.log(2.0)
         for n in (1, 2, 5, 10):
             for eps in (0.2, 1.0, 3.0):
-                ratio = mdp_lecam_bound(eps, n) / mdp_fano_bound(eps, n, d_eff)
+                ratio = mdp_lecam_bound(eps, n, 10.0) / mdp_fano_bound(eps, n, d_eff)
                 assert 1.0 <= ratio <= 8.0 * math.e
 
 
@@ -274,11 +320,11 @@ class TestComparisons:
     def test_metric_bounds_strictly_decreasing(self):
         d_eff = 16 * math.log(2.0)
         eps_grid = [0.1, 0.5, 1.0, 2.0, 4.0]
-        lecam = [mdp_lecam_bound(e, 1) for e in eps_grid]
+        lecam = [mdp_lecam_bound(e, 1, 2.0) for e in eps_grid]
         fano = [mdp_fano_bound(e, 1, d_eff) for e in eps_grid]
         assert all(b < a for a, b in zip(lecam, lecam[1:]))
         assert all(b < a for a, b in zip(fano, fano[1:]))
-        lecam_n = [mdp_lecam_bound(1.0, n) for n in (1, 2, 3, 4)]
+        lecam_n = [mdp_lecam_bound(1.0, n, 2.0) for n in (1, 2, 3, 4)]
         fano_n = [mdp_fano_bound(1.0, n, d_eff) for n in (1, 2, 3, 4)]
         assert all(b < a for a, b in zip(lecam_n, lecam_n[1:]))
         assert all(b < a for a, b in zip(fano_n, fano_n[1:]))

@@ -251,7 +251,7 @@ class TestTinyEpsilon:
                         "--d-eff", "11", "--out", str(metric)]) == 0
         assert run_cli(["bounds", "--eps-grid", "1e-17", "--diam", "1",
                         "--coord-diam-sq-sum", "1", "--out", str(dp)]) == 0
-        assert "1e-200,mdp_lecam,inf,INFINITE" in metric.read_text()
+        assert "1e-200,mdp_lecam,0.0625,VALID" in metric.read_text()
         assert "1e-200,mdp_fano,inf,INFINITE" in metric.read_text()
         assert "1e-17,rdp_unbiased,2.5e+16,VACUOUS" in dp.read_text()
 

@@ -35,10 +35,10 @@ class TestRenyiBound:
         assert renyi_bound(0.0, alpha=2.0) == 0.0
 
     def test_linear_branch(self):
-        assert renyi_bound(1.0, alpha=2.0, rho=1.0) == pytest.approx(1.0)
+        assert renyi_bound(1.0, alpha=2.0) == pytest.approx(1.0)
 
     def test_quadratic_branch(self):
-        assert renyi_bound(0.1, alpha=2.0, rho=1.0) == pytest.approx(0.03)
+        assert renyi_bound(0.1, alpha=2.0) == pytest.approx(0.03)
 
     def test_alpha_must_exceed_one(self):
         # NaN compares false with everything, so it must not slip past
@@ -51,7 +51,6 @@ class TestRenyiBound:
         for eps_lo, eps_hi in zip(grid, grid[1:]):
             assert renyi_bound(eps_hi, alpha=2.0) >= renyi_bound(eps_lo, alpha=2.0)
             assert renyi_bound(0.5, alpha=eps_hi + 1) >= renyi_bound(0.5, alpha=eps_lo + 1)
-            assert renyi_bound(0.5, alpha=2.0, rho=eps_hi) >= renyi_bound(0.5, alpha=2.0, rho=eps_lo)
 
 
 class TestAnalyticForms:

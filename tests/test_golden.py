@@ -17,15 +17,15 @@ GOLDEN = {
     ("OUTPUT_PERTURB_DP", False):
         "67f4ed6033ac5af7af66e707ba4324013c43a4bc0da5552a935274dba1dfd7e7",
     ("OUTPUT_PERTURB_MDP", False):
-        "e07b8f2f37d470cca889760e01440c462b5aa291c126fdfaf03ce74ee86b2d77",
+        "4d4dfe05b7b0f4fb99997bd1d5bce462bc24d9cdffe211aa6da7db07a8e719fe",
     ("PNSGD_DP", False):
         "a1ee3a987e1d914a07a815f8476013cca04b6b0b572b576a2ff5d680d4c92bd7",
     ("PNSGD_MDP", False):
-        "9fd94e501ac60360c89734c4acc52b84e6906ae11495cb12f24a7f673d08ebe2",
+        "70b7d93a36882ee13a7d951ce0745d368e6677fb2236936ed5237796670783e8",
     ("OUTPUT_PERTURB_DP", True):
         "b1e1d352aebc1e8e8400caf97a5d6458f652d278471d3366c983c40da63c6826",
     ("OUTPUT_PERTURB_MDP", True):
-        "65c5308b8f05fc2eacce0c3e3a1faee217ec3a73b2f31b876301e22597ee82c4",
+        "2e5891e4621a4f183ea83cdfd19939f1de244b3361b43bfdc95689fe719300d7",
 }
 
 # (PNSGD kind, noiseless) -> sha256 of the golden sweep's releases, the
@@ -35,7 +35,7 @@ GOLDEN = {
 # so both kinds release the same iterates.
 RELEASE_GOLDEN = {
     ("PNSGD_DP", False):
-        "aad696c49b3c61dcee30b88aa4fcf18778d4287957988bafeb8289bc0a419036",
+        "ee1be794b62faae5d5757e2136d2bffac988e66cbad9fd19879d5e651cf938c0",
     ("PNSGD_MDP", False):
         "240fc6d5a9b2e12002b4b56daa47eeb5925e7da49186bb5f4f63d215a81c948c",
     ("PNSGD_DP", True):
@@ -48,7 +48,7 @@ RELEASE_GOLDEN = {
 WIDE_GOLDEN = "606b4897a4e9cd873f145cb23a8b91007a24b8f44ecf24cd77aa554c6830e0e8"
 
 # OUTPUT_PERTURB_MDP at seed 2**64 + 5 (see test_multi_word_seed_digest)
-MULTI_WORD_SEED_GOLDEN = "db3dd9693952fe984315025b0d309968183140c6be19b5f1b67a36cc654f3b9e"
+MULTI_WORD_SEED_GOLDEN = "28f6abc7a58ed66d244f9b41cca8fc2e481c62be028e43a2108dffb398db5aa5"
 
 
 @pytest.mark.parametrize("kind,noiseless", sorted(GOLDEN),
@@ -91,12 +91,16 @@ def test_pnsgd_release_digest(kind, noiseless, monkeypatch):
 
 
 def test_multi_word_seed_digest(tmp_path):
-    # a seed of three 32-bit words; one trial survives in the first cell
-    # and three in the second, so the bootstrap draws there
+    # a seed of three 32-bit words; one trial survives in the first cell,
+    # whose interval is then [0, inf), and three in the second, so the
+    # bootstrap draws there
     cfg = SweepConfig(eps_grid=(2.0, 8.0), mechanism_kind="OUTPUT_PERTURB_MDP",
                       seed=2**64 + 5, trials=4, n_samples=2, train_size=200, dim=4)
     path = tmp_path / "sweep.csv"
     emit_csv(run_sweep(cfg), path)
+    assert path.read_text().splitlines()[1] == (
+        "2.0,OUTPUT_PERTURB_MDP,66.02324274477456,0.0,inf,"
+        "0.00620054927644826,0.024368455566560573,7")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == MULTI_WORD_SEED_GOLDEN, path.read_text()
 

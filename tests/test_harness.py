@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from reconbound import bounds, harness
-from reconbound.harness import (MECHANISM_KINDS, ConfigError, DigitAbsentError,
-                                DominanceError, IdxFormatError, SweepConfig, SweepResult,
-                                SweepRow, audit_dominance, emit_bounds_csv, emit_csv,
-                                emit_svg, evaluate_bounds, generate_synthetic, load_idx,
-                                parse_config_text, parse_eps_grid, run_sweep)
+from reconbound.harness import (AUDITED_BOUNDS, MECHANISM_KINDS, ConfigError,
+                                DigitAbsentError, DominanceError, IdxFormatError, SweepConfig,
+                                SweepResult, SweepRow, audit_dominance, emit_bounds_csv,
+                                emit_csv, emit_svg, evaluate_bounds, generate_synthetic,
+                                load_idx, parse_config_text, parse_eps_grid, run_sweep)
 from reconbound.bounds import Validity
 
 
@@ -394,7 +394,7 @@ class TestKindDispatch:
         delta = cfg.delta if takes_delta else 0.0
         eps = 1.5
         if metric:
-            want = {"mdp_lecam": bounds.mdp_lecam_bound(eps, 2, delta),
+            want = {"mdp_lecam": bounds.mdp_lecam_bound(eps, 2, 2.0, delta),
                     "mdp_fano": bounds.mdp_fano_bound(eps, 2, cfg.dim * math.log(2.0), delta)}
         else:
             want = {"dp_lecam": bounds.dp_lecam_bound(eps, 2, 2.0, delta),
@@ -403,6 +403,23 @@ class TestKindDispatch:
         assert list(got) == list(want)
         assert got == want
         assert run_sweep(cfg).bound_names == tuple(want)
+
+
+class TestTrivialRisk:
+    # the constant estimator 0 has worst-case risk 1 on the unit ball, so
+    # no valid lower bound there exceeds 1; mdp_fano is left out until its
+    # packing radius is capped at the domain's
+    @pytest.mark.parametrize("name", sorted(MECHANISM_KINDS))
+    def test_two_point_cells_within_trivial_risk(self, name):
+        cfg = tiny_config(mechanism_kind=name, eps_grid=(1e-3, 0.1, 1.0), trials=1,
+                          train_size=40, n_samples=1)
+        checked = 0
+        for row in run_sweep(cfg).rows:
+            for bound, value in row.bound_values.items():
+                if bound in AUDITED_BOUNDS and bound != "mdp_fano":
+                    assert value <= 1.0, (row.epsilon, bound, value)
+                    checked += 1
+        assert checked == len(cfg.eps_grid)
 
 
 class TestEmission:
@@ -426,7 +443,7 @@ class TestEmission:
     def test_bounds_csv(self, tmp_path):
         rows = [(1.0, "dp_lecam", 0.25, Validity.VALID),
                 (1.0, "rdp_unbiased", 114.0, Validity.VACUOUS),
-                (0.0, "mdp_lecam", math.inf, Validity.INFINITE)]
+                (0.0, "mdp_fano", math.inf, Validity.INFINITE)]
         path = tmp_path / "bounds.csv"
         emit_bounds_csv(rows, path)
         text = path.read_text().splitlines()

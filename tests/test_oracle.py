@@ -263,7 +263,7 @@ class TestFiniteChannelDivergences:
             assert channel_tv(mech, i, j) <= bh_tv_bound(kl) + 1e-12
             for alpha in (1.5, 2.0, 8.0):
                 assert channel_renyi(mech, i, j, alpha) <= \
-                    renyi_bound(eps, alpha, 1.0) + 1e-12
+                    renyi_bound(eps, alpha) + 1e-12
 
     def test_certificate_error_surfaces(self, monkeypatch):
         # the violation branch is unreachable for true channels, so break

@@ -5,8 +5,8 @@ import pytest
 
 import reconbound.pnsgd as pnsgd_mod
 from reconbound.mechanisms import sigmoid
-from reconbound.pnsgd import (DEFAULT_ALPHAS, noise_for_renyi_dp, noise_for_renyi_mdp,
-                              noise_for_target_dp, pnsgd_run, project_l2, rdp_to_dp)
+from reconbound.pnsgd import (noise_for_renyi_dp, noise_for_renyi_mdp, noise_for_target_dp,
+                              pnsgd_run, project_l2, rdp_to_dp)
 
 
 def gaussian_final_law(eta, sigma, n, t, dx):
@@ -192,35 +192,49 @@ class TestConversion:
         assert rdp_to_dp(1e12, 0.37, 1e-5) == pytest.approx(0.37, abs=1e-9)
 
     def test_grid_minimization_matches_dense_oracle(self):
-        delta, g, eps = 1e-5, 2.0, 3.0
-        sigma_sq = noise_for_target_dp(eps, delta, g)
-
-        # independent scan of the variance 2*alpha*G^2 / budget
-        def scan(alphas):
-            return min(2.0 * a * g * g / (eps - math.log(1.0 / delta) / (a - 1.0))
-                       for a in alphas if eps - math.log(1.0 / delta) / (a - 1.0) > 0)
-
-        assert sigma_sq == pytest.approx(scan(DEFAULT_ALPHAS), rel=1e-12)
-        # a dense grid of orders can only do better than the coarse one
-        assert scan(np.arange(4.9, 64.0, 1e-3)) <= sigma_sq * (1 + 1e-12)
+        # no order of a dense grid converts to the target with less
+        # variance than the closed form, and the grid comes within 1e-6
+        delta, g = 1e-5, 2.0
+        log_inv_delta = math.log(1.0 / delta)
+        alphas = np.arange(1.001, 300.0, 1e-3)
+        for eps in (0.1, 0.45, 1.0, 3.0, 8.0):
+            sigma_sq = noise_for_target_dp(eps, delta, g)
+            # independent scan of the variance 2*alpha*G^2 / budget
+            budget = eps - log_inv_delta / (alphas - 1.0)
+            dense = np.min(2.0 * alphas[budget > 0] * g * g / budget[budget > 0])
+            assert sigma_sq <= dense * (1 + 1e-12), eps
+            assert dense <= sigma_sq * (1 + 1e-6), eps
+            rho = (eps / (math.sqrt(log_inv_delta + eps) + math.sqrt(log_inv_delta))) ** 2
+            assert sigma_sq == pytest.approx(2.0 * g * g / rho, rel=1e-14)
 
     def test_target_inversion_meets_budget(self):
-        # some order of the grid converts the variance's Renyi levels
-        # 2*alpha*G^2 / sigma^2 to a guarantee within the target
+        # at alpha* = 1 + sqrt(L/rho) the Renyi levels alpha * rho,
+        # rho = 2*G^2 / sigma^2, convert to exactly the target, and no
+        # other order converts to less
         delta, g = 1e-5, 2.0
-        for eps in (1.0, 3.0, 8.0):
-            sigma_sq = noise_for_target_dp(eps, delta, g)
-            achieved = min(rdp_to_dp(a, 2 * a * g * g / sigma_sq, delta) for a in DEFAULT_ALPHAS)
-            assert achieved <= eps + 1e-9
+        log_inv_delta = math.log(1.0 / delta)
+        for eps in (0.1, 1.0, 3.0, 8.0):
+            rho = 2 * g * g / noise_for_target_dp(eps, delta, g)
+            alpha_star = 1.0 + math.sqrt(log_inv_delta / rho)
+            assert rdp_to_dp(alpha_star, alpha_star * rho, delta) == pytest.approx(eps, rel=1e-12)
+            for a in (1.5, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 1e3):
+                assert rdp_to_dp(a, a * rho, delta) >= eps * (1 - 1e-12)
 
     def test_target_delta_out_of_range(self):
         for delta in (0.0, 1.0, -1e-5):
             with pytest.raises(ValueError, match="delta"):
                 noise_for_target_dp(1.0, delta, 1.0)
 
-    def test_unreachable_target(self):
-        with pytest.raises(ValueError):
-            noise_for_target_dp(1e-6, 1e-5, 1.0)
+    def test_small_target_is_reachable(self):
+        # below ln(1/delta)/63 no order of the old seven-order grid
+        # reached the target; the closed-form order reaches every eps > 0
+        delta = 1e-5
+        for eps in (1e-6, 0.1, 0.18):
+            sigma_sq = noise_for_target_dp(eps, delta, 1.0)
+            rho = 2.0 / sigma_sq
+            alpha_star = 1.0 + math.sqrt(math.log(1.0 / delta) / rho)
+            assert math.isfinite(sigma_sq)
+            assert rdp_to_dp(alpha_star, alpha_star * rho, delta) <= eps * (1 + 1e-9)
 
 
 class TestRenyiMdpCertificate:

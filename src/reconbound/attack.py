@@ -17,10 +17,10 @@ reconstruction is g / c.
 
 The scalar equation can have two solutions when the challenge is
 classified correctly; the root of smaller magnitude is returned, which
-is provably the true one whenever |h.x| < 1.543 (guaranteed for
-||h|| below that, e.g. whenever lam >= 0.65 on unit-norm rows).  Noisy
-releases can make the equation unsolvable; that surfaces as
-`NoRootError` and averaging simply drops the draw.
+is the true one exactly when the margin y*h.x is at most 1 + W(1/e) =
+1.2785 (guaranteed at the optimum when lam > 0.782 on unit-norm rows,
+as then ||theta-hat|| <= 1/lam).  Noisy releases can make the equation
+unsolvable; that surfaces as `NoRootError` and averaging drops the draw.
 
 Inversion works on a stack of releases at once: the known-sample
 gradient sums come from two matrix products and the scalar equation is

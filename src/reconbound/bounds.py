@@ -3,29 +3,25 @@ that draws n samples from a private learner's output distribution.
 
 Each bound takes the privacy numbers it reads as plain floats (eps
 first, delta last), n and only the geometry its hypotheses read: a
-diameter (DP, Renyi and metric two-point forms) or an effective
-dimension (metric Fano form).  Callers check eps, delta, alpha and
-n >= 1 where they enter the program (`harness.SweepConfig`, the
-`bounds` command).
+diameter, and for the metric Fano form an effective dimension too.
+Callers check eps, delta, alpha and n >= 1 where they enter the program
+(`harness.SweepConfig`, the `bounds` command).
 
-All bounds are exact closed forms with their proof constants pinned
-(two-point reduction constant `LECAM_CONSTANT` = 1/16; the Fano bound
-keeps the maximized form of its quadratic rather than a loose Omega).
-`two_point_bound` alone evaluates the two-point form and checks its
-separation; the DP and Renyi bounds are it at sep = diam and the metric
-one at a closed-form sep <= diam, with KL budgets from `divergence`.
+All bounds are exact closed forms with their proof constants pinned,
+each one routine at a closed-form separation, with KL budgets from
+`divergence`: `two_point_bound` (Le Cam, `LECAM_CONSTANT` = 1/16) at
+sep = diam for DP and Renyi DP and at a sep <= diam for metric privacy,
+and `fano_bound` at a quarter of diameters <= diam for metric privacy.
 
-The metric Fano and prior unbiased bounds yield +inf at eps = 0 and
-wherever they exceed the float range, meaning perfect privacy forbids
-consistent reconstruction; CSV emitters translate that into an explicit
-INFINITE flag instead of serializing bare infinities without context.
+The prior unbiased bound yields +inf at eps = 0, meaning perfect
+privacy forbids consistent unbiased reconstruction; CSV emitters
+translate that into an explicit INFINITE flag.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import sys
 
 from .divergence import kl_bound, renyi_bound
 
@@ -33,8 +29,7 @@ LECAM_CONSTANT = 1.0 / 16.0
 
 
 class DegenerateDimensionError(ValueError):
-    """Effective dimension outside (ln 2, inf), where the multi-hypothesis
-    bound is defined."""
+    """Effective dimension outside (ln 2, inf), where Fano's bound is defined."""
 
 
 class Validity(enum.Enum):
@@ -50,6 +45,27 @@ def two_point_bound(sep: float, kl: float, n: int, delta: float = 0.0) -> float:
         raise ValueError(f"separation {sep} must be finite and nonnegative")
     # sep * sep, not sep ** 2: float ** raises OverflowError past 1.3e154
     return LECAM_CONSTANT * sep * sep * math.exp(-n * kl) * (1.0 - delta)
+
+
+def fano_bound(sep: float, kl: float, n: int, d_eff: float, delta: float = 0.0) -> float:
+    """Fano's bound (sep/2)^2 * (d_eff - ln 2 - n * kl) / d_eff * (1 - delta)
+    for at least e^d_eff hypotheses pairwise at least sep apart whose
+    output laws are within KL kl per draw."""
+    if not 0 <= sep < math.inf:
+        raise ValueError(f"separation {sep} must be finite and nonnegative")
+    return (sep / 2.0) * (sep / 2.0) * ((_fano_gap(d_eff) - n * kl) / d_eff) * (1.0 - delta)
+
+
+def _fano_gap(d_eff: float) -> float:
+    """d_eff - ln 2, formed first: exact near d_eff = ln 2 (Sterbenz)."""
+    if not math.log(2.0) < d_eff < math.inf:
+        raise DegenerateDimensionError(f"d_eff={d_eff} must be finite and exceed ln 2")
+    return d_eff - math.log(2.0)
+
+
+def _capped(eps: float, diam: float, reach: float) -> float:
+    """diam capped at reach/eps; a NaN eps * diam keeps diam."""
+    return diam if not eps * diam > reach else reach / eps
 
 
 def dp_lecam_bound(eps: float, n: int, diam: float, delta: float = 0.0) -> float:
@@ -70,37 +86,21 @@ def mdp_lecam_bound(eps: float, n: int, diam: float, delta: float = 0.0) -> floa
     KL at most `kl_bound(eps, sep)`, so every sep in (0, diam] is valid.
     This one, diam capped at sqrt(2/n)/eps, maximizes the form under
     kl <= (eps*sep)^2/2; at eps = 0 the pair still costs diam^2/16."""
-    reach = math.sqrt(2.0 / n)
-    # a NaN eps * diam keeps sep = diam, which two_point_bound rejects
-    sep = diam if not eps * diam > reach else reach / eps
+    sep = _capped(eps, diam, math.sqrt(2.0 / n))
     return two_point_bound(sep, kl_bound(eps, sep), n, delta)
 
 
-def mdp_fano_bound(eps: float, n: int, d_eff: float, delta: float = 0.0) -> float:
-    """Multi-hypothesis bound for metric privacy in the high-dimensional
-    regime, eps per unit of distance, in its maximized closed form
-    (d_eff - ln2)^2 / (8 * n * eps^2 * d_eff) * (1 - delta).  Infinite
-    at eps = 0 and wherever the bound is beyond the float range.
-
-    ``d_eff`` is the log covering number of the domain's unit ball (see
-    `metric_space.effective_dimension`); it must be finite and exceed
-    ln 2 (at least two distinguishable hypotheses).
-    """
-    if not math.log(2.0) < d_eff < math.inf:
-        raise DegenerateDimensionError(f"d_eff={d_eff} must be finite and exceed ln 2")
-    if eps == 0:
-        return math.inf
-    gap = d_eff - math.log(2.0)
-    # gap * gap, not gap ** 2: float ** raises OverflowError past 1.3e154
-    denominator = 8.0 * n * eps * eps * d_eff
-    if (eps * eps < sys.float_info.min or math.isinf(gap * gap)
-            or math.isinf(denominator)):
-        # eps^2 subnormal (few significant bits) or a product past the
-        # float range: gap / d_eff <= 1, so no quotient below overflows
-        # unless the bound does, and dividing by eps last cannot
-        # underflow before the bound does
-        return gap / d_eff * gap / (8.0 * n) / eps / eps * (1.0 - delta)
-    return gap * gap / denominator * (1.0 - delta)
+def mdp_fano_bound(eps: float, n: int, diam: float, d_eff: float,
+                   delta: float = 0.0) -> float:
+    """Fano bound for (eps, delta) metric-private learners on a domain of
+    diameter diam whose unit ball has log covering number d_eff at 1/2: a
+    ball of diameter D <= diam holds a D/4-packing of e^d_eff points within
+    KL `kl_bound(eps, D)`.  The larger value at D = diam capped at
+    sqrt(gap/n)/eps and at 2*gap/(3n*eps), gap = d_eff - ln 2, the
+    maximizers under kl <= (eps*D)^2/2 and kl <= eps*D; <= diam^2/64."""
+    gap = _fano_gap(d_eff)
+    sizes = (_capped(eps, diam, math.sqrt(gap / n)), _capped(eps, diam, 2.0 * gap / (3.0 * n)))
+    return max(fano_bound(D / 4.0, kl_bound(eps, D), n, d_eff, delta) for D in sizes)
 
 
 def unbiased_rdp_bound(eps: float, coord_diam_sq_sum: float) -> float:
@@ -127,8 +127,9 @@ def unbiased_rdp_validity_threshold(d: int) -> float:
 
 
 def validity_check(bound_value: float, trivial_upper: float) -> Validity:
-    """Compare a bound against the trivial upper bound diam^2 on any
-    reconstruction error; bounds exceeding it are vacuous."""
+    """Compare a bound against the trivial risk, that of the domain's
+    Chebyshev centre: (diam/2)^2 on any ball or two-point space, so 1 on
+    the unit ball.  Bounds exceeding it are vacuous."""
     if trivial_upper < 0:
         raise ValueError("trivial_upper must be nonnegative")
     if math.isinf(bound_value):

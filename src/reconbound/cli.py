@@ -23,7 +23,6 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import harness, oracle
-from .bounds import validity_check
 from .metric_space import (FiniteMetricSpace, covering_number, packing_number,
                            two_point_space)
 
@@ -95,9 +94,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_bounds(args) -> int:
     grid = harness.parse_eps_grid(args.eps_grid)
-    trivial = args.diam * args.diam
+    trivial = (args.diam / 2.0) * (args.diam / 2.0)
     if not math.isfinite(trivial):
-        raise harness.ConfigError(f"--diam {args.diam:g} squared is not finite")
+        raise harness.ConfigError(f"--diam {args.diam:g}: (diam/2)^2 is not finite")
     if args.n < 1:
         raise harness.ConfigError(f"--n {args.n} must be >= 1")
     if any(eps < 0 for eps in grid):
@@ -117,10 +116,10 @@ def _cmd_bounds(args) -> int:
         if args.coord_diam_sq_sum is not None:
             values["rdp_unbiased"] = bounds_mod.unbiased_rdp_bound(eps, args.coord_diam_sq_sum)
         if args.d_eff is not None:
-            values["mdp_fano"] = bounds_mod.mdp_fano_bound(eps, args.n, args.d_eff,
-                                                           args.delta)
+            values["mdp_fano"] = bounds_mod.mdp_fano_bound(eps, args.n, args.diam,
+                                                           args.d_eff, args.delta)
         for name, value in values.items():
-            rows.append((eps, name, value, validity_check(value, trivial)))
+            rows.append((eps, name, value, bounds_mod.validity_check(value, trivial)))
     harness.emit_bounds_csv(rows, args.out)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0

@@ -370,15 +370,15 @@ def _output_perturb_releases(kind: MechanismKind, config: SweepConfig,
 def evaluate_bounds(kind: MechanismKind, config: SweepConfig, problem: LogRegProblem,
                     eps: float) -> dict:
     """All bounds applicable to this mechanism kind at one grid point, on
-    the unit-ball domain: diameter 2, effective dimension the log of the
-    ball's lower covering bound at radius 1/2 (d*ln2), and the prior
-    unbiased bound's unit-ball convention (coordinate sum d)."""
+    the unit-ball domain: diameter 2 (Fano's packing ball, too), effective
+    dimension d*ln2 (the log of the ball's lower covering bound at radius
+    1/2), and the prior unbiased bound's convention (coordinate sum d)."""
     delta = config.delta if kind.pnsgd else 0.0
     n = config.n_samples
     if kind.metric:
         d_eff = norm_ball_covering_bounds_log(problem.dim, 0.5)[0]
         return {"mdp_lecam": bounds_mod.mdp_lecam_bound(eps, n, UNIT_BALL_DIAM, delta),
-                "mdp_fano": bounds_mod.mdp_fano_bound(eps, n, d_eff, delta)}
+                "mdp_fano": bounds_mod.mdp_fano_bound(eps, n, UNIT_BALL_DIAM, d_eff, delta)}
     return {"dp_lecam": bounds_mod.dp_lecam_bound(eps, n, UNIT_BALL_DIAM, delta),
             "rdp_unbiased": bounds_mod.unbiased_rdp_bound(eps, float(problem.dim))}
 

@@ -141,9 +141,21 @@ def test_c6_desk_scale_sweep_dominance(dp_sweep, mdp_sweep):
         for row in mdp_result.rows:
             assert row.mean_mse >= row.bound_values["mdp_lecam"], row
             assert row.mean_mse >= row.bound_values["mdp_fano"], row
-            # with d_eff = 16 ln 2 the multi-hypothesis bound sits above
-            # the two-point bound across the whole grid
-            assert row.bound_values["mdp_fano"] >= row.bound_values["mdp_lecam"], row
+        # where both metric bounds cap their diameter, eps * diam >=
+        # max(sqrt(gap/n), sqrt(2/n)), mdp_lecam is (2/n)/(16 eps^2) *
+        # e^{-n*k(sqrt(2/n))} and mdp_fano is at least its quadratic
+        # candidate (gap/n)/(64 eps^2) * (gap - n*k(sqrt(gap/n)))/d_eff, with
+        # k = kl_bound and gap = d_eff - ln 2; their ratio C is 2.057 at
+        # n = 1 and d_eff = 16 ln 2
+        n, d_eff = mdp_result.config.n_samples, mdp_result.config.dim * math.log(2.0)
+        gap = d_eff - math.log(2.0)
+        ratio = (gap * (gap - n * kl_bound(math.sqrt(gap / n)))
+                 * math.exp(n * kl_bound(math.sqrt(2.0 / n))) / (8.0 * d_eff))
+        capped = [row for row in mdp_result.rows
+                  if row.epsilon * 2.0 >= max(math.sqrt(gap / n), math.sqrt(2.0 / n))]
+        assert len(capped) == 9  # eps >= 1.612 on the desk grid
+        for row in capped:
+            assert row.bound_values["mdp_fano"] >= ratio * row.bound_values["mdp_lecam"], row
         assert dp_elapsed + mdp_elapsed < 180.0, (dp_elapsed, mdp_elapsed)
 
 

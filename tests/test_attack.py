@@ -105,6 +105,17 @@ class TestScalarSolver:
         assert float(root * sigmoid(root)) == pytest.approx(target, abs=1e-15)
         assert -1.2784645427610738 < root < 0
 
+    def test_true_root_up_to_the_minimum(self):
+        # the root of smaller magnitude is the true w = -y*h.x exactly when
+        # w >= -(1 + W(1/e)) = -1.2785: recovered at -1.27, and at -1.29
+        # the other root of the same target, -1.267, is returned
+        (root,), (ok,) = _solve_scalar(np.array([-1.27 * sigmoid(-1.27)]))
+        assert ok and root == pytest.approx(-1.27, abs=1e-9)
+        (root,), (ok,) = _solve_scalar(np.array([-1.29 * sigmoid(-1.29)]))
+        assert ok and root == pytest.approx(-1.26699, abs=1e-5)
+        assert float(root * sigmoid(root)) == pytest.approx(float(-1.29 * sigmoid(-1.29)),
+                                                            abs=1e-14)
+
 
 class TestSingleReconstruction:
     def test_noiseless_recovery(self):

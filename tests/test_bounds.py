@@ -5,41 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reconbound.bounds import (DegenerateDimensionError, Validity,
-                               dp_lecam_bound, mdp_fano_bound, mdp_lecam_bound,
+from reconbound.bounds import (DegenerateDimensionError, Validity, dp_lecam_bound,
+                               fano_bound, mdp_fano_bound, mdp_lecam_bound,
                                renyi_dp_lecam_bound, two_point_bound,
                                unbiased_rdp_bound, unbiased_rdp_validity_threshold,
                                validity_check)
 from reconbound.divergence import kl_bound, renyi_bound
-
-
-def golden_max(f, lo, hi, tol=1e-10):
-    """Golden-section maximization of a unimodal function."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def fano_exact(eps, n, d_eff):
-    """mdp_fano_bound's closed form in exact rationals, rounded once; inf
-    where it rounds beyond the float range."""
-    gap = Fraction(d_eff) - Fraction(math.log(2.0))
-    try:
-        return float(gap * gap / (8 * n * Fraction(eps) ** 2 * Fraction(d_eff)))
-    except OverflowError:
-        return math.inf
 
 
 class TestTwoPoint:
@@ -187,75 +158,178 @@ class TestMdpLecam:
                 mdp_lecam_bound(0.0, 1, diam)
 
 
+def dense_fano_sup(eps, n, diam, d_eff, points=20001):
+    """The metric Fano form's largest value over a log-spaced grid of ball
+    diameters in [1e-9 * diam, diam], evaluated with numpy."""
+    D = np.geomspace(1e-9 * diam, diam, points)
+    t = eps * D
+    gap = d_eff - math.log(2.0)
+    return float(np.max((D / 8.0) ** 2 * (gap - n * t * np.tanh(t / 2.0)) / d_eff))
+
+
+def lecam_capped_ratio(n, d_eff):
+    """mdp_fano / mdp_lecam where both cap their diameter, eps*diam >=
+    max(sqrt(gap/n), sqrt(2/n)): Fano's quadratic candidate against the
+    two-point value, gap*(gap - n*k(sqrt(gap/n)))*e^{n*k(sqrt(2/n))}/(8*d_eff)
+    with k(t) = t*tanh(t/2); mdp_fano is at least this times mdp_lecam."""
+    gap = d_eff - math.log(2.0)
+    k = lambda t: t * math.tanh(t / 2.0)
+    return gap * (gap - n * k(math.sqrt(gap / n))) * math.exp(n * k(math.sqrt(2.0 / n))) \
+        / (8.0 * d_eff)
+
+
+def assert_capped_and_nonincreasing(eps_grid, n, d_eff, diam=2.0):
+    """Finite, in [0, diam^2/64] and non-increasing along an ascending
+    eps grid."""
+    prev = math.inf
+    for eps in eps_grid:
+        val = mdp_fano_bound(float(eps), n, diam, d_eff)
+        assert 0.0 <= val <= diam * diam / 64.0, (eps, n, d_eff, val)
+        assert val <= prev, (eps, n, d_eff, val, prev)
+        prev = val
+
+
+class TestFanoRoutine:
+    def test_direct(self):
+        ln2 = math.log(2.0)
+        assert fano_bound(2.0, 0.5, 3, 16 * ln2, 0.1) == pytest.approx(
+            1.0 * (15 * ln2 - 1.5) / (16 * ln2) * 0.9, rel=1e-15)
+
+    def test_gap_formed_first(self):
+        # at d_eff one ulp above ln 2, 1 - (ln 2 + n*kl)/d_eff cancels to
+        # 0 or one ulp of 1, 30 % or more off; d_eff - ln 2 is exact
+        d_eff = math.nextafter(math.log(2.0), 2.0)
+        for sep, kl, n in ((0.5, 0.0, 1), (2.0, 1e-17, 3), (1e-8, 5e-17, 1)):
+            exact = (Fraction(sep) / 2) ** 2 * (
+                Fraction(d_eff) - Fraction(math.log(2.0)) - n * Fraction(kl)) / Fraction(d_eff)
+            assert fano_bound(sep, kl, n, d_eff) == pytest.approx(float(exact), rel=1e-12,
+                                                                  abs=0)
+
+    def test_rejects_bad_separation_and_dimension(self):
+        for sep in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError):
+                fano_bound(sep, 0.0, 1, 11.0)
+        for d_eff in (math.log(2.0), 0.5, math.inf, math.nan):
+            with pytest.raises(DegenerateDimensionError):
+                fano_bound(1.0, 0.0, 1, d_eff)
+
+
 class TestMdpFano:
     def test_closed_form_small_dim(self):
-        d_eff = 2 * math.log(2.0)
-        val = mdp_fano_bound(1.0, 1, d_eff)
-        assert val == pytest.approx(math.log(2.0) / 16.0, rel=1e-12)
+        # at d_eff = 2 ln 2, eps = 1 and diam 2 the quadratic reach wins:
+        # D = sqrt(ln 2) with kl = k(D), k(t) = t*tanh(t/2)
+        ln2 = math.log(2.0)
+        r = math.sqrt(ln2)
+        val = mdp_fano_bound(1.0, 1, 2.0, 2 * ln2)
+        assert val == pytest.approx((r / 8.0) ** 2 * (ln2 - r * math.tanh(r / 2.0)) / (2 * ln2),
+                                    rel=1e-12)
+
+    def test_desk_values(self):
+        # n = 1 on the unit ball at d_eff = 16 ln 2, the desk sweep's column
+        want = {0.1: "0.058481", 0.45: "0.056454", 0.8: "0.052606", 1.15: "0.047994",
+                1.5: "0.043291", 1.85: "0.038748", 2.2: "0.034399", 4.65: "0.010892"}
+        for eps, digits in want.items():
+            assert f"{mdp_fano_bound(eps, 1, 2.0, 16 * math.log(2.0)):.5g}" == digits, eps
+
+    def test_metric_bound_is_the_routine(self):
+        # bit for bit: the larger value of the routine at the two capped
+        # diameters, at a quarter of the diameter with the KL of a pair
+        # the diameter apart
+        ln2 = math.log(2.0)
+        for eps in (0.0, 0.1, 0.45, 1.0, 2.9, 7.5):
+            for n in (1, 2, 5, 18):
+                for diam in (0.5, 2.0, 10.0):
+                    for d_eff in (1.5 * ln2, 16 * ln2, 784 * ln2):
+                        gap = d_eff - ln2
+                        values = []
+                        for reach in (math.sqrt(gap / n), 2 * gap / (3 * n)):
+                            D = diam if eps * diam <= reach else reach / eps
+                            values.append(fano_bound(D / 4, kl_bound(eps, D), n, d_eff, 1e-5))
+                        assert mdp_fano_bound(eps, n, diam, d_eff, 1e-5) == max(values)
 
     def test_asymptotically_linear_in_dim(self):
-        r = mdp_fano_bound(1.0, 1, 2e6) / mdp_fano_bound(1.0, 1, 1e6)
-        assert r == pytest.approx(2.0, rel=1e-3)
+        # more hypotheses never lower the bound, and none lifts it past the
+        # packing ball's (diam/8)^2
+        for eps in (0.1, 1.0, 10.0):
+            for n in (1, 5):
+                prev = 0.0
+                for d_eff in np.geomspace(0.7, 1e300, 200):
+                    val = mdp_fano_bound(eps, n, 2.0, float(d_eff))
+                    assert prev <= val <= 4.0 / 64.0, (eps, n, d_eff)
+                    prev = val
 
     def test_matches_numeric_maximization(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            d_eff = float(rng.uniform(1.0, 40.0))
-            n = int(rng.integers(1, 20))
-            eps = float(rng.uniform(0.1, 3.0))
-            f = lambda t: t * t * (1.0 - (2 * n * eps * eps * t * t + math.log(2.0)) / d_eff)
-            _, val = golden_max(f, 0.0, math.sqrt(d_eff / (2 * n * eps * eps)))
-            assert val == pytest.approx(
-                mdp_fano_bound(eps, n, d_eff), rel=1e-8)
+        # every D <= diam is valid, so the value is at most the supremum
+        # over D; the two closed-form diameters reach 94 % of it or more
+        ln2 = math.log(2.0)
+        for ratio in (1 + 1e-7, 1.5, 2, 3, 5, 8, 16, 40, 784):
+            for n in (1, 2, 5, 18):
+                for eps in np.geomspace(0.01, 1e4, 15):
+                    sup = dense_fano_sup(float(eps), n, 2.0, ratio * ln2)
+                    val = mdp_fano_bound(float(eps), n, 2.0, ratio * ln2)
+                    assert 0.94 * sup <= val <= sup * (1 + 1e-5), (ratio, n, eps, val / sup)
 
     def test_degenerate_dim_rejected(self):
-        with pytest.raises(DegenerateDimensionError):
-            mdp_fano_bound(1.0, 1, math.log(2.0))
+        # checked before sqrt(gap/n), so a d_eff below ln 2 is not a math
+        # domain error
+        for d_eff in (math.log(2.0), 0.5, -1.0, math.inf, math.nan):
+            with pytest.raises(DegenerateDimensionError):
+                mdp_fano_bound(1.0, 1, 2.0, d_eff)
 
     def test_denominator_beyond_float_range(self):
-        # 8*n*eps^2*d_eff overflows on and past this grid's edge, and eps^2
-        # itself past 1.3e154, while the bound stays a normal float
-        cases = [(1e100, 1, 1e150), (1e155, 1, 1e300), (1e160, 3, 1e300)]
+        # the inputs where the uncapped form's 8*n*eps^2*d_eff overflowed:
+        # every value is bounded by diam and gap
+        eps_grid = {}
+        for eps, n, d_eff in [(1e100, 1, 1e150), (1e155, 1, 1e300), (1e160, 3, 1e300)]:
+            eps_grid.setdefault((n, d_eff), []).append(eps)
         for d_eff in (11.0, 1e8, 1e100, 1e150, 1e200):
             for n in (1, 2):
-                # the product at 0.1 to 1e4 times the largest float
-                cases += [(math.sqrt(edge / (8 * n * d_eff))
-                           * math.sqrt(sys.float_info.max), n, d_eff)
-                          for edge in (0.1, 0.95, 1.0, 1.05, 10.0, 1e4)]
-        for eps, n, d_eff in cases:
-            assert mdp_fano_bound(eps, n, d_eff) == pytest.approx(
-                fano_exact(eps, n, d_eff), rel=1e-12, abs=0), (eps, n, d_eff)
-        assert mdp_fano_bound(1e100, 1, 1e150) == pytest.approx(1.25e-51, rel=1e-12,
-                                                                       abs=0)
+                eps_grid.setdefault((n, d_eff), []).extend(
+                    math.sqrt(edge / (8 * n * d_eff)) * math.sqrt(sys.float_info.max)
+                    for edge in (0.1, 0.95, 1.0, 1.05, 10.0, 1e4))
+        for (n, d_eff), grid in eps_grid.items():
+            assert_capped_and_nonincreasing(sorted(grid), n, d_eff)
+        # the linear reach 2*gap/3 keeps the whole diameter here
+        assert mdp_fano_bound(1e100, 1, 2.0, 1e150) == 1.0 / 16.0
 
     def test_infinite_where_eps_squared_underflows(self):
+        # eps = 0 and an eps whose KL budget underflows cost the packing at
+        # the full diameter: (diam/8)^2 * gap/d_eff, finite
+        want = (2.0 / 8.0) ** 2 * ((11.0 - math.log(2.0)) / 11.0)
         for eps in (0.0, 1e-170, 1e-200):
-            assert mdp_fano_bound(eps, 1, 11.0) == math.inf
+            assert mdp_fano_bound(eps, 1, 2.0, 11.0) == want
 
     def test_subnormal_eps_squared(self):
-        # eps^2 is subnormal below about 1.5e-154, with too few significant
-        # bits for the one-product denominator, and 0 below 1.5e-162 while
-        # the bound can still be a float when d_eff is near ln 2
+        # eps^2 is subnormal below about 1.5e-154 and 0 below 1.5e-162
         ln2 = math.log(2.0)
-        for d_eff in (math.nextafter(ln2, 2.0), ln2 * (1 + 1e-9), 11.0, 1e6):
+        for d_eff in (math.nextafter(ln2, 2.0), ln2 * (1 + 1e-9), 11.0, 1e6, 1e300):
             for n in (1, 3):
-                for eps in np.geomspace(1e-165, 1e-150, 301):
-                    want = fano_exact(float(eps), n, d_eff)
-                    assert mdp_fano_bound(float(eps), n, d_eff) == pytest.approx(
-                        want, rel=1e-12, abs=0), (eps, n, d_eff)
-        assert mdp_fano_bound(1e-162, 1, math.nextafter(ln2, 2.0)) == pytest.approx(
-            2.2228e291, rel=1e-4)
+                assert_capped_and_nonincreasing(
+                    [5e-324] + list(np.geomspace(1e-165, 1e-150, 301)) + [1e160], n, d_eff)
+
+    def test_within_the_unit_ball_trivial_risk(self):
+        # the unit ball's packing balls cap every Fano value at 4/64, under
+        # the constant estimator's worst-case risk 1
+        ln2 = math.log(2.0)
+        for d_eff in (math.nextafter(ln2, 2.0), 16 * ln2, 784 * ln2, 1e300):
+            for n in (1, 2, 5):
+                for eps in [0.0] + list(np.geomspace(1e-300, 1e300, 301)):
+                    assert mdp_fano_bound(float(eps), n, 2.0, d_eff) <= 1.0 / 16.0, (
+                        eps, n, d_eff)
 
     def test_constant_factor_from_two_point_form(self):
-        # at d_eff = 2 ln 2 the multi-hypothesis form recovers the
-        # two-point form within a fixed bracket (factor at most 8e); at
-        # diam 10 the two-point separation is sqrt(2/n)/eps on this grid,
-        # and the ratio is (2/ln 2) * exp(-n * kl), about 1.06 to 1.22
+        # at d_eff = 2 ln 2 and diam 10 both bounds cap their diameter on
+        # this grid.  Fano's factor 1 - (n*kl + ln 2)/d_eff is at most
+        # e^{-n*kl}/2 there, so mdp_fano is at most 1/8 of the two-point
+        # supremum; and its quadratic candidate keeps it at least
+        # lecam_capped_ratio times mdp_lecam
         d_eff = 2 * math.log(2.0)
         for n in (1, 2, 5, 10):
             for eps in (0.2, 1.0, 3.0):
-                ratio = mdp_lecam_bound(eps, n, 10.0) / mdp_fano_bound(eps, n, d_eff)
-                assert 1.0 <= ratio <= 8.0 * math.e
+                fano = mdp_fano_bound(eps, n, 10.0, d_eff)
+                assert fano <= dense_two_point_sup(eps, n, 10.0) / 8.0 * (1 + 1e-9)
+                assert fano >= lecam_capped_ratio(n, d_eff) * mdp_lecam_bound(eps, n, 10.0) \
+                    * (1 - 1e-12)
 
 
 class TestUnbiasedRdp:
@@ -321,11 +395,11 @@ class TestComparisons:
         d_eff = 16 * math.log(2.0)
         eps_grid = [0.1, 0.5, 1.0, 2.0, 4.0]
         lecam = [mdp_lecam_bound(e, 1, 2.0) for e in eps_grid]
-        fano = [mdp_fano_bound(e, 1, d_eff) for e in eps_grid]
+        fano = [mdp_fano_bound(e, 1, 2.0, d_eff) for e in eps_grid]
         assert all(b < a for a, b in zip(lecam, lecam[1:]))
         assert all(b < a for a, b in zip(fano, fano[1:]))
         lecam_n = [mdp_lecam_bound(1.0, n, 2.0) for n in (1, 2, 3, 4)]
-        fano_n = [mdp_fano_bound(1.0, n, d_eff) for n in (1, 2, 3, 4)]
+        fano_n = [mdp_fano_bound(1.0, n, 2.0, d_eff) for n in (1, 2, 3, 4)]
         assert all(b < a for a, b in zip(lecam_n, lecam_n[1:]))
         assert all(b < a for a, b in zip(fano_n, fano_n[1:]))
 

@@ -1,8 +1,6 @@
-import math
 import sys
 import time
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,8 +85,10 @@ class TestCovering:
 
 class TestBounds:
     def test_unit_ball_flags(self, tmp_path, capsys):
+        # the unit ball has diameter 2 and trivial risk 1, which the prior
+        # bound crosses at its threshold ln(1 + 784/4) = 5.28
         out_path = tmp_path / "bounds.csv"
-        code = run_cli(["bounds", "--eps-grid", "1,3,5.5", "--diam", "1.0",
+        code = run_cli(["bounds", "--eps-grid", "1,3,5.5", "--diam", "2.0",
                         "--coord-diam-sq-sum", "784", "--d-eff", "11.09",
                         "--out", str(out_path)])
         assert code == 0
@@ -98,28 +98,34 @@ class TestBounds:
         assert prior[0].endswith("VACUOUS")   # eps=1 under the threshold
         assert prior[2].endswith("VALID")     # eps=5.5 above it
 
-    def test_fano_square_beyond_float_range(self, tmp_path):
-        # (d_eff - ln 2)^2 overflows, but the bound, about d_eff / 8, is
-        # finite: neither inf nor nan nor a traceback
+    def test_trivial_risk_is_the_squared_radius(self, tmp_path):
+        # on a ball of diameter 2 the trivial risk is 1, not diam^2 = 4:
+        # 4 / (4 * (e^0.3 - 1)) = 2.858 is vacuous
         out_path = tmp_path / "bounds.csv"
-        for d_eff, row in (("1e200", "1.0,mdp_fano,1.25e+199,VACUOUS"),
-                           ("1e308", "1.0,mdp_fano,1.25e+307,VACUOUS")):
+        assert run_cli(["bounds", "--eps-grid", "0.3", "--diam", "2",
+                        "--coord-diam-sq-sum", "4", "--out", str(out_path)]) == 0
+        (row,) = [ln for ln in out_path.read_text().splitlines() if ",rdp_unbiased," in ln]
+        eps, _, value, flag = row.split(",")
+        assert float(value) == pytest.approx(2.858, abs=5e-4)
+        assert flag == "VACUOUS"
+
+    def test_fano_square_beyond_float_range(self, tmp_path):
+        # (d_eff - ln 2)^2 is past the float range, but no value is formed
+        # from it: the packing ball of diameter 1 caps the bound at 1/64
+        out_path = tmp_path / "bounds.csv"
+        for d_eff in ("1e200", "1e308"):
             assert run_cli(["bounds", "--eps-grid", "1", "--diam", "1", "--d-eff", d_eff,
                             "--out", str(out_path)]) == 0
-            assert row in out_path.read_text()
-
+            assert "1.0,mdp_fano,0.015625,VALID" in out_path.read_text()
 
     def test_fano_denominator_beyond_float_range(self, tmp_path):
-        # 8*n*eps^2*d_eff overflows, but the bound, about 1.25e-51, does not
+        # 8*n*eps^2*d_eff is past the float range, but no value is formed
+        # from it: at gap = 1e150 the linear reach 2*gap/3 keeps the whole
+        # diameter, and n*kl = 1e100 is lost against the gap
         out_path = tmp_path / "bounds.csv"
         assert run_cli(["bounds", "--eps-grid", "1e100", "--diam", "1", "--d-eff", "1e150",
                         "--out", str(out_path)]) == 0
-        (row,) = [ln for ln in out_path.read_text().splitlines() if ",mdp_fano," in ln]
-        eps, _, value, flag = row.split(",")
-        gap = Fraction(1e150) - Fraction(math.log(2.0))
-        exact = gap * gap / (8 * Fraction(1e100) ** 2 * Fraction(1e150))
-        assert float(value) == pytest.approx(float(exact), rel=1e-12, abs=0)
-        assert (eps, flag) == ("1e+100", "VALID")
+        assert "1e+100,mdp_fano,0.015625,VALID" in out_path.read_text()
 
 
 class TestOracleCommand:
@@ -252,7 +258,7 @@ class TestTinyEpsilon:
         assert run_cli(["bounds", "--eps-grid", "1e-17", "--diam", "1",
                         "--coord-diam-sq-sum", "1", "--out", str(dp)]) == 0
         assert "1e-200,mdp_lecam,0.0625,VALID" in metric.read_text()
-        assert "1e-200,mdp_fano,inf,INFINITE" in metric.read_text()
+        assert "1e-200,mdp_fano,0.014640415936704622,VALID" in metric.read_text()
         assert "1e-17,rdp_unbiased,2.5e+16,VACUOUS" in dp.read_text()
 
     def test_sweeps(self, tmp_path):

@@ -17,15 +17,15 @@ GOLDEN = {
     ("OUTPUT_PERTURB_DP", False):
         "67f4ed6033ac5af7af66e707ba4324013c43a4bc0da5552a935274dba1dfd7e7",
     ("OUTPUT_PERTURB_MDP", False):
-        "4d4dfe05b7b0f4fb99997bd1d5bce462bc24d9cdffe211aa6da7db07a8e719fe",
+        "e0f2945060302f7763994fc4a8b32185089ce4fdaf4a00c2ad10b614ddae92ff",
     ("PNSGD_DP", False):
         "a1ee3a987e1d914a07a815f8476013cca04b6b0b572b576a2ff5d680d4c92bd7",
     ("PNSGD_MDP", False):
-        "70b7d93a36882ee13a7d951ce0745d368e6677fb2236936ed5237796670783e8",
+        "987f8db0b38d41e695bf3d1cfd3b9ae3bae2f507697a28ea0e4cc7403cb76136",
     ("OUTPUT_PERTURB_DP", True):
         "b1e1d352aebc1e8e8400caf97a5d6458f652d278471d3366c983c40da63c6826",
     ("OUTPUT_PERTURB_MDP", True):
-        "2e5891e4621a4f183ea83cdfd19939f1de244b3361b43bfdc95689fe719300d7",
+        "277b32f9530be0213fe326e9e3a80717a890d3ae2a0719286b9d2b107f433ccd",
 }
 
 # (PNSGD kind, noiseless) -> sha256 of the golden sweep's releases, the
@@ -48,7 +48,7 @@ RELEASE_GOLDEN = {
 WIDE_GOLDEN = "606b4897a4e9cd873f145cb23a8b91007a24b8f44ecf24cd77aa554c6830e0e8"
 
 # OUTPUT_PERTURB_MDP at seed 2**64 + 5 (see test_multi_word_seed_digest)
-MULTI_WORD_SEED_GOLDEN = "28f6abc7a58ed66d244f9b41cca8fc2e481c62be028e43a2108dffb398db5aa5"
+MULTI_WORD_SEED_GOLDEN = "c3968346437ba8840a95c3a48c54504c0f9e0ae4407ea24b729c9352204eb82f"
 
 
 @pytest.mark.parametrize("kind,noiseless", sorted(GOLDEN),
@@ -100,7 +100,7 @@ def test_multi_word_seed_digest(tmp_path):
     emit_csv(run_sweep(cfg), path)
     assert path.read_text().splitlines()[1] == (
         "2.0,OUTPUT_PERTURB_MDP,66.02324274477456,0.0,inf,"
-        "0.00620054927644826,0.024368455566560573,7")
+        "0.00620054927644826,0.001642574585904715,7")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == MULTI_WORD_SEED_GOLDEN, path.read_text()
 

@@ -395,7 +395,8 @@ class TestKindDispatch:
         eps = 1.5
         if metric:
             want = {"mdp_lecam": bounds.mdp_lecam_bound(eps, 2, 2.0, delta),
-                    "mdp_fano": bounds.mdp_fano_bound(eps, 2, cfg.dim * math.log(2.0), delta)}
+                    "mdp_fano": bounds.mdp_fano_bound(eps, 2, 2.0, cfg.dim * math.log(2.0),
+                                                      delta)}
         else:
             want = {"dp_lecam": bounds.dp_lecam_bound(eps, 2, 2.0, delta),
                     "rdp_unbiased": bounds.unbiased_rdp_bound(eps, float(cfg.dim))}
@@ -407,8 +408,7 @@ class TestKindDispatch:
 
 class TestTrivialRisk:
     # the constant estimator 0 has worst-case risk 1 on the unit ball, so
-    # no valid lower bound there exceeds 1; mdp_fano is left out until its
-    # packing radius is capped at the domain's
+    # no valid lower bound there exceeds 1
     @pytest.mark.parametrize("name", sorted(MECHANISM_KINDS))
     def test_two_point_cells_within_trivial_risk(self, name):
         cfg = tiny_config(mechanism_kind=name, eps_grid=(1e-3, 0.1, 1.0), trials=1,
@@ -416,10 +416,12 @@ class TestTrivialRisk:
         checked = 0
         for row in run_sweep(cfg).rows:
             for bound, value in row.bound_values.items():
-                if bound in AUDITED_BOUNDS and bound != "mdp_fano":
+                if bound in AUDITED_BOUNDS:
                     assert value <= 1.0, (row.epsilon, bound, value)
                     checked += 1
-        assert checked == len(cfg.eps_grid)
+        # two audited bounds per metric cell (mdp_lecam, mdp_fano), one per DP cell
+        per_cell = 2 if MECHANISM_KINDS[name].metric else 1
+        assert checked == per_cell * len(cfg.eps_grid)
 
 
 class TestEmission:

@@ -1,7 +1,8 @@
 """Pinned output bytes: small sweeps of every mechanism kind, and the
 noiseless output-perturbation limit, each checked against the full
-sha256 of its CSV.  Any change in the numbers a sweep writes, down to
-the last digit of one cell, fails here.
+sha256 of its CSV, and two grids of exact certificates, checked against
+the sha256 of their reports.  Any change in the numbers a sweep or a
+certificate writes, down to the last digit of one cell, fails here.
 """
 
 import hashlib
@@ -11,6 +12,8 @@ import pytest
 
 import reconbound.pnsgd as pnsgd_mod
 from reconbound.harness import SweepConfig, emit_csv, parse_eps_grid, run_sweep
+from reconbound.metric_space import FiniteMetricSpace, two_point_space
+from reconbound.oracle import fano_certificate, lecam_certificate, randomized_response
 
 # (mechanism kind, noiseless) -> sha256 of the CSV
 GOLDEN = {
@@ -49,6 +52,15 @@ WIDE_GOLDEN = "606b4897a4e9cd873f145cb23a8b91007a24b8f44ecf24cd77aa554c6830e0e8"
 
 # OUTPUT_PERTURB_MDP at seed 2**64 + 5 (see test_multi_word_seed_digest)
 MULTI_WORD_SEED_GOLDEN = "c3968346437ba8840a95c3a48c54504c0f9e0ae4407ea24b729c9352204eb82f"
+
+# certificate name -> sha256 of repr() of its reports over the grid of
+# test_certificate_digest, the same digests perfbench's exact-small prints
+CERTIFICATE_GOLDEN = {
+    "lecam_certificate":
+        "2c01ab27c0a92cd0b406d09cd233c37c8ec78748f71f29bc8d16574153b7cb7f",
+    "fano_certificate":
+        "15b7ffe82d7f2748150742d81813687d794a205e89c2daf424d93545f5ff5ab7",
+}
 
 
 @pytest.mark.parametrize("kind,noiseless", sorted(GOLDEN),
@@ -114,3 +126,20 @@ def test_wide_sweep_digest(tmp_path):
     emit_csv(run_sweep(cfg), path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == WIDE_GOLDEN, path.read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_GOLDEN))
+def test_certificate_digest(name):
+    # randomized response at n=18 against two points 1 apart, and on 8
+    # symbols at n=6 against 8 points pairwise 1 apart
+    if name == "lecam_certificate":
+        reports = [lecam_certificate(randomized_response(eps), two_point_space(1.0), n=18)
+                   for eps in parse_eps_grid("0.25:5:0.25")]
+    else:
+        dist = np.ones((8, 8))
+        np.fill_diagonal(dist, 0.0)
+        space = FiniteMetricSpace(points=tuple(range(8)), dist=dist)
+        reports = [fano_certificate(randomized_response(eps, k=8), space, n=6)
+                   for eps in parse_eps_grid("0.5:5:0.5")]
+    digest = hashlib.sha256(repr(reports).encode()).hexdigest()
+    assert digest == CERTIFICATE_GOLDEN[name], f"{name} report bytes changed: sha256 {digest}"

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import harness, oracle
-from .metric_space import (FiniteMetricSpace, covering_number, packing_number,
-                           two_point_space)
+from .metric_space import FiniteMetricSpace, covering_number, packing_number
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -127,24 +126,23 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_oracle(args) -> int:
     grid = harness.parse_eps_grid(args.eps_grid)
-    if args.inputs == 2:
-        space = two_point_space(args.separation)
-        for eps in grid:
-            mech = oracle.randomized_response(eps)
+    if not 0 < args.separation < math.inf:  # NaN included
+        raise harness.ConfigError(f"--separation {args.separation:g} must be positive and finite")
+    entries = args.inputs * args.inputs
+    if entries > oracle.ENUMERATION_CAP:
+        raise harness.ConfigError(
+            f"--inputs {args.inputs}: its {args.inputs}x{args.inputs} channel and "
+            f"distance matrices hold {entries} entries, above the limit "
+            f"{oracle.ENUMERATION_CAP}")
+    space = _uniform_space(args.inputs, args.separation)
+    for eps in grid:
+        mech = oracle.randomized_response(eps, k=args.inputs)
+        if args.inputs == 2:
             rep = oracle.lecam_certificate(mech, space, n=args.n)
             print(f"eps={eps:g} exact={rep.exact_risk:.6g} "
                   f"two_point={rep.lecam_bound:.6g} relaxed={rep.bh_bound:.6g} "
                   f"closed_form={rep.dp_bound:.6g} OK")
-    else:
-        entries = args.inputs * args.inputs
-        if entries > oracle.ENUMERATION_CAP:
-            raise harness.ConfigError(
-                f"--inputs {args.inputs}: its {args.inputs}x{args.inputs} channel and "
-                f"distance matrices hold {entries} entries, above the limit "
-                f"{oracle.ENUMERATION_CAP}")
-        space = _uniform_space(args.inputs, args.separation)
-        for eps in grid:
-            mech = oracle.randomized_response(eps, k=args.inputs)
+        else:
             rep = oracle.fano_certificate(mech, space, n=args.n)
             print(f"eps={eps:g} exact_error={rep.exact_error:.6g} "
                   f"info_bound={rep.fano_error_bound:.6g} "

@@ -12,13 +12,13 @@ zeros and only the order of the floating-point operations changes.
 Instances whose ordered tuple count n_outcomes^n exceeds the cap are
 refused rather than sampled.
 
-The type-class index (one sorted row of outcomes per class, and the
-class sizes) depends only on (n_outcomes, n), not on the channel.  It
-is built once per key and kept in a bounded module-level LRU cache of
+The type-class index (the classes' outcomes, position-major, and their
+sizes) depends only on (n_outcomes, n), not on the channel.  It is built
+once per key and kept in a bounded module-level LRU cache of
 `_TYPE_CLASS_CACHE_SIZE` entries, as read-only arrays, so a certificate
 and every point of an eps grid share it; each call only forms the
-product likelihoods of its own channel.  The cap is checked, at its
-current value, before the cache is consulted.
+product likelihoods of its own channel, in loops along the class axis.
+The cap is checked, at its current value, before the cache is consulted.
 
 Why the certificates are sound: the closed-form bounds are proved by
 reducing estimation to testing under the uniform prior on the channel
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -70,10 +70,10 @@ class FiniteMechanism:
 
     def __post_init__(self):
         c = np.array(self.channel, dtype=float)
-        if c.ndim != 2:
-            raise ValueError("channel must be a 2-D matrix")
-        if np.any(c < 0):
-            raise ValueError("channel entries must be nonnegative")
+        if c.ndim != 2 or c.size == 0:
+            raise ValueError("channel must be a nonempty 2-D matrix")
+        if not np.all((c >= 0) & (c <= 1)):  # NaN included
+            raise ValueError("channel entries must be finite and lie in [0, 1]")
         if np.any(np.abs(c.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError("channel rows must sum to 1 within 1e-12")
         c.setflags(write=False)
@@ -91,8 +91,8 @@ class FiniteMechanism:
 def randomized_response(eps: float, k: int = 2) -> FiniteMechanism:
     """The canonical eps-private finite channel on k symbols: keep the
     input with probability e^eps/(e^eps + k - 1), else flip uniformly."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not eps >= 0:  # NaN included
+        raise ValueError(f"eps {eps} must be nonnegative")
     if k < 2:
         raise ValueError("k must be >= 2")
     # built from e^-eps, which cannot overflow at any eps
@@ -116,41 +116,39 @@ def dp_epsilon_of(mech: FiniteMechanism) -> float:
 @lru_cache(maxsize=_TYPE_CLASS_CACHE_SIZE)
 def _type_classes(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The channel-independent index of the type classes of n draws from
-    k outcomes: one sorted row of outcomes per class, and the number of
-    ordered tuples in each class.  Both arrays are read-only, because
-    every caller with the same (k, n) shares them."""
+    k outcomes: an (n, classes) array, one row per draw position and one
+    nondecreasing outcome sequence per column, and the number of ordered
+    tuples in each class.  Both arrays are read-only, because every
+    caller with the same (k, n) shares them."""
     # a class's size is the multinomial n!/prod(c_o!), built over
     # prefixes: growing a prefix to length j + 1 with an outcome it then
     # holds r times multiplies the prefix's multinomial by (j + 1)/r.
     # Every step is an integer at most n * k^n, so the float arithmetic
     # is exact below 2^53.
-    draws = np.array(list(combinations_with_replacement(range(k), n)), dtype=np.intp)
-    mult = np.ones(len(draws))
-    run = np.ones(len(draws))
+    index = np.array(list(combinations_with_replacement(range(k), n)), dtype=np.intp).T.copy()
+    mult = run = np.ones(index.shape[1])
     for j in range(1, n):
-        run = np.where(draws[:, j] == draws[:, j - 1], run + 1.0, 1.0)
+        run = np.where(index[j] == index[j - 1], run + 1.0, 1.0)
         mult = mult * (j + 1) / run
-    draws.setflags(write=False)
+    index.setflags(write=False)
     mult.setflags(write=False)
-    return draws, mult
+    return index, mult
 
 
 def _type_likelihoods(mech: FiniteMechanism, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Product likelihoods of the outcome type classes of n draws: the
-    (n_inputs, n_types) matrix and the number of ordered tuples in each
-    class.  `ENUMERATION_CAP` applies to the ordered tuple count and is
-    read and checked on every call, before the cached, read-only class
-    index of `_type_classes` (keyed by (n_outcomes, n), at most
-    `_TYPE_CLASS_CACHE_SIZE` keys) is looked up; only the product of the
-    channel's entries is computed per call.  Beyond the cap's bit length,
-    2^n alone exceeds it, so k^n is formed only for n below that."""
+    """Product likelihoods of the outcome type classes of n draws, each
+    class's entries multiplied in draw order: the (n_inputs, n_types)
+    matrix and the number of ordered tuples in each class.  The cap applies
+    to the ordered tuple count, checked on every call before the cached
+    index is looked up; past the cap's bit length 2^n alone exceeds it, so
+    k^n is formed only for n below that."""
     if n < 1:
         raise ValueError("n must be >= 1")
     k, cap = mech.n_outcomes, ENUMERATION_CAP
     if (k > 1 and n > cap.bit_length()) or k ** n > cap:
         raise EnumerationCapError(f"{k}^{n} tuples exceed cap {cap}")
-    draws, mult = _type_classes(k, n)
-    return np.prod(mech.channel[:, draws], axis=2), mult
+    index, mult = _type_classes(k, n)
+    return np.prod(mech.channel[:, index], axis=1), mult
 
 
 def exact_bayes_risk(mech: FiniteMechanism, space: FiniteMetricSpace, n: int = 1) -> float:
@@ -169,13 +167,15 @@ def exact_bayes_risk(mech: FiniteMechanism, space: FiniteMetricSpace, n: int = 1
     if not np.all(np.isfinite(sq)):
         raise ValueError("squared distances overflow the float range")
     cost = sq.T @ like          # candidate x type class: posterior-weighted loss
-    return float(cost.min(axis=0) @ mult / mech.n_inputs)
+    return float(reduce(np.minimum, cost) @ mult / mech.n_inputs)
 
 
 def exact_identification_error(mech: FiniteMechanism, n: int = 1) -> float:
     """Bayes error of identifying the input from n draws (uniform prior)."""
     like, mult = _type_likelihoods(mech, n)
-    return float(1.0 - like.max(axis=0) @ mult / mech.n_inputs)
+    # a row fold is exact (max and min do not round) and beats axis 0 on this
+    # column-major matrix; sums stay on axis 0, as a fold reorders additions
+    return float(1.0 - reduce(np.maximum, like) @ mult / mech.n_inputs)
 
 
 def mutual_information(mech: FiniteMechanism, n: int = 1) -> float:

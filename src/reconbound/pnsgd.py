@@ -15,7 +15,7 @@ gradient bound G, and the metric-privacy one driven by the gradients'
 input Lipschitz constant and the diameter of the data domain.  Their
 ratio is diam * (L_input / G)^2, which is how the metric variant ends up
 cheaper for losses whose G itself scales with the domain diameter.  An
-(eps, delta) target is met at its best Renyi order, for every eps > 0.
+(eps, delta) target is met at its best Renyi order unless it rounds to 1.
 """
 
 from __future__ import annotations
@@ -126,4 +126,6 @@ def noise_for_target_dp(eps: float, delta: float, G: float) -> float:
     log_inv_delta = math.log(1.0 / delta)
     sqrt_rho = eps / (math.sqrt(log_inv_delta + eps) + math.sqrt(log_inv_delta))
     alpha = 1.0 + math.sqrt(log_inv_delta) / sqrt_rho
+    if not alpha > 1.0:  # rounded to 1 where eps dwarfs ln(1/delta)
+        raise ValueError(f"eps {eps:g} at delta {delta:g}: the best Renyi order rounds to 1")
     return noise_for_renyi_dp(alpha, eps - rdp_to_dp(alpha, 0.0, delta), G)

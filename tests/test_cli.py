@@ -314,6 +314,15 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == "" and "config error" in captured.err
 
+    @pytest.mark.parametrize("inputs", ["2", "3"])
+    @pytest.mark.parametrize("value", ["0", "-0.0", "-1", "nan", "inf"])
+    def test_bad_separation_exit_2(self, capsys, inputs, value):
+        # a zero separation certifies nothing; the message names the flag
+        assert run_cli(["oracle", "--eps-grid", "1", "--inputs", inputs,
+                        f"--separation={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--separation" in captured.err
+
     def test_non_finite_grid_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("eps_grid = 1,nan\nmechanism_kind = OUTPUT_PERTURB_DP\nseed = 1\n")

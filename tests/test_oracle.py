@@ -46,6 +46,24 @@ class TestChannelBasics:
         with pytest.raises(ValueError):
             FiniteMechanism(channel=np.array([[1.5, -0.5], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("channel", [
+        [[np.nan, np.nan], [np.nan, np.nan]], [[0.5, np.nan], [0.5, 0.5]],
+        [[np.inf, -np.inf], [0.5, 0.5]], [[np.inf, 0.0], [0.5, 0.5]],
+        np.zeros((0, 2)), np.zeros((2, 0)), np.zeros((0, 0))],
+        ids=["all_nan", "one_nan", "inf_pair", "inf", "no_inputs", "no_outcomes", "empty"])
+    def test_non_finite_or_empty_channel_rejected(self, channel):
+        # NaN fails both the sign and the row-sum comparisons, and an
+        # empty channel has no row to fail them
+        with pytest.raises(ValueError, match="channel"):
+            FiniteMechanism(channel=np.array(channel, dtype=float))
+
+    def test_rr_nan_eps_rejected(self):
+        # randomized_response(nan) used to build an all-NaN channel, which
+        # fano_certificate turned into an all-NaN report
+        for k in (2, 8):
+            with pytest.raises(ValueError, match="eps nan"):
+                randomized_response(math.nan, k=k)
+
     def test_rr_beyond_exp_overflow(self):
         # e^eps overflows above eps = 709.78; the channel is built from e^-eps
         for k in (2, 3):
@@ -332,9 +350,14 @@ class TestTypeClassesMatchTupleEnumeration:
         assert (info.misses, info.hits) == (1, 7)
 
     def test_cached_index_is_read_only(self):
-        draws, mult = oracle._type_classes(3, 4)
-        assert draws is oracle._type_classes(3, 4)[0]
-        for array in (draws, mult):
+        # position-major: one row per draw position, one nondecreasing
+        # outcome sequence per column, C(4 + 3 - 1, 4) = 15 classes
+        index, mult = oracle._type_classes(3, 4)
+        assert index is oracle._type_classes(3, 4)[0]
+        assert index.shape == (4, 15) and mult.shape == (15,)
+        assert np.all(np.diff(index, axis=0) >= 0)
+        assert len({tuple(col) for col in index.T}) == 15
+        for array in (index, mult):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0

@@ -236,6 +236,15 @@ class TestConversion:
             assert math.isfinite(sigma_sq)
             assert rdp_to_dp(alpha_star, alpha_star * rho, delta) <= eps * (1 + 1e-9)
 
+    def test_order_rounding_to_one_names_eps_and_delta(self):
+        # alpha* = 1 + sqrt(L)/sqrt(rho) rounds to 1 from about eps = 9e32
+        # at delta = 1e-5; the last power of ten below that still converts
+        assert math.isfinite(noise_for_target_dp(1e32, 1e-5, 1.0))
+        for eps in (1e33, 1e40, 1e300):
+            with pytest.raises(ValueError, match=r"eps 1e\+\d+ at delta 1e-05") as raised:
+                noise_for_target_dp(eps, 1e-5, 1.0)
+            assert "alpha" not in str(raised.value)
+
 
 class TestRenyiMdpCertificate:
     def test_final_iterate_divergence_within_budget(self):

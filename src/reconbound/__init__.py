@@ -19,7 +19,6 @@ from .metric_space import (FiniteMetricSpace, covering_number, discretize_unit_b
                            packing_number)
 from .oracle import (FiniteMechanism, dp_epsilon_of, exact_bayes_risk,
                      fano_certificate, lecam_certificate, randomized_response)
-from .pnsgd import (noise_for_renyi_dp, noise_for_renyi_mdp, noise_for_target_dp,
-                    pnsgd_run, rdp_to_dp)
+from .pnsgd import noise_for_renyi_mdp, pnsgd_run, renyi_slope_for_dp
 
 __version__ = "0.1.0"

@@ -91,15 +91,20 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_bounds(args) -> int:
+def _grid_and_n(args) -> tuple:
     grid = harness.parse_eps_grid(args.eps_grid)
-    trivial = (args.diam / 2.0) * (args.diam / 2.0)
-    if not math.isfinite(trivial):
-        raise harness.ConfigError(f"--diam {args.diam:g}: (diam/2)^2 is not finite")
-    if args.n < 1:
-        raise harness.ConfigError(f"--n {args.n} must be >= 1")
     if any(eps < 0 for eps in grid):
         raise harness.ConfigError(f"--eps-grid {args.eps_grid!r} has a negative value")
+    if args.n < 1:
+        raise harness.ConfigError(f"--n {args.n} must be >= 1")
+    return grid
+
+
+def _cmd_bounds(args) -> int:
+    grid = _grid_and_n(args)
+    trivial = (args.diam / 2.0) * (args.diam / 2.0)
+    if not (args.diam >= 0 and math.isfinite(trivial)):
+        raise harness.ConfigError(f"--diam {args.diam:g} must be >= 0 with (diam/2)^2 finite")
     if not 0 <= args.delta < 1:
         raise harness.ConfigError(f"--delta {args.delta:g} must lie in [0, 1)")
     if not args.alpha > 1:  # NaN included
@@ -125,7 +130,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    grid = harness.parse_eps_grid(args.eps_grid)
+    grid = _grid_and_n(args)
+    if args.inputs < 2:
+        raise harness.ConfigError(f"--inputs {args.inputs} must be >= 2")
     if not 0 < args.separation < math.inf:  # NaN included
         raise harness.ConfigError(f"--separation {args.separation:g} must be positive and finite")
     entries = args.inputs * args.inputs

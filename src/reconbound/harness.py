@@ -36,6 +36,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import pnsgd as pnsgd_mod
 from .attack import ThreatModel, attack_average
+from .divergence import kl_bound
 from .mechanisms import (LogRegProblem, output_perturb_dp,
                          output_perturb_mdp_euclidean, train_logreg_exact)
 from .metric_space import norm_ball_covering_bounds_log
@@ -63,7 +64,7 @@ BOOTSTRAP_RESAMPLES = 10_000
 @dataclass(frozen=True)
 class MechanismKind:
     metric: bool  # epsilon is per unit of distance (metric privacy)
-    pnsgd: bool  # the release is a PNSGD pass: not pure, so bounds take delta
+    pnsgd: bool  # the release is a PNSGD pass: not pure, so its audit reads delta
 
 
 # flags, not functions: the benchmark's tracer swaps the functions by name
@@ -123,14 +124,13 @@ class SweepConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("eps_grid must be strictly increasing")
         object.__setattr__(self, "eps_grid", grid)
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        for key in ("trials", "n_samples", "train_size", "dim"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
         if self.mechanism_kind not in MECHANISM_KINDS:
             raise ConfigError(f"unknown mechanism_kind {self.mechanism_kind!r}")
         if self.dataset_source not in DATASET_SOURCES:
             raise ConfigError(f"unknown dataset_source {self.dataset_source!r}")
-        if self.n_samples < 1:
-            raise ConfigError("n_samples must be >= 1")
         if not 0 <= self.delta < 1:
             raise ConfigError("delta must lie in [0, 1)")
         if not 1 < self.alpha < math.inf:
@@ -335,7 +335,9 @@ def _pnsgd_sigma(kind: MechanismKind, config: SweepConfig, eps: float) -> float:
         return math.sqrt(pnsgd_mod.noise_for_renyi_mdp(config.alpha, eps, l_input,
                                                        domain_diam=UNIT_BALL_DIAM))
     g_bound = 1.0 + config.lam * config.constraint_radius
-    return math.sqrt(pnsgd_mod.noise_for_target_dp(eps, config.delta, g_bound))
+    # rho = 2*G^2/sigma^2; a slope that underflowed to 0 asks for infinite noise
+    rho = pnsgd_mod.renyi_slope_for_dp(eps, config.delta)
+    return g_bound * math.sqrt(2.0 / rho) if rho else math.inf
 
 
 def _pnsgd_releases(kind: MechanismKind, config: SweepConfig, problem: LogRegProblem,
@@ -372,14 +374,17 @@ def evaluate_bounds(kind: MechanismKind, config: SweepConfig, problem: LogRegPro
     """All bounds applicable to this mechanism kind at one grid point, on
     the unit-ball domain: diameter 2 (Fano's packing ball, too), effective
     dimension d*ln2 (the log of the ball's lower covering bound at radius
-    1/2), and the prior unbiased bound's convention (coordinate sum d)."""
-    delta = config.delta if kind.pnsgd else 0.0
+    1/2), and the prior unbiased bound's convention (coordinate sum d).
+    The DP two-point KL is a PNSGD pass's Renyi slope rho, as its levels
+    alpha*rho give KL <= rho, and output perturbation's eps*tanh(eps/2)."""
     n = config.n_samples
     if kind.metric:
+        delta = config.delta if kind.pnsgd else 0.0
         d_eff = norm_ball_covering_bounds_log(problem.dim, 0.5)[0]
         return {"mdp_lecam": bounds_mod.mdp_lecam_bound(eps, n, UNIT_BALL_DIAM, delta),
                 "mdp_fano": bounds_mod.mdp_fano_bound(eps, n, UNIT_BALL_DIAM, d_eff, delta)}
-    return {"dp_lecam": bounds_mod.dp_lecam_bound(eps, n, UNIT_BALL_DIAM, delta),
+    kl = pnsgd_mod.renyi_slope_for_dp(eps, config.delta) if kind.pnsgd else kl_bound(eps)
+    return {"dp_lecam": bounds_mod.two_point_bound(UNIT_BALL_DIAM, kl, n),
             "rdp_unbiased": bounds_mod.unbiased_rdp_bound(eps, float(problem.dim))}
 
 
@@ -498,7 +503,9 @@ def _svg_path(points, x_map, y_map) -> str:
 
 def emit_svg(result: SweepResult, path) -> None:
     """Static SVG 1.1 line chart, log-scaled y axis: one polyline per
-    bound plus one for the empirical mean, and a shaded CI polygon."""
+    bound plus one for the empirical mean, and a shaded CI polygon.  With
+    nothing positive and finite to plot, the axes and legend frame empty
+    series on the decade around 1."""
     if not result.rows:
         raise ValueError("refusing to emit an empty sweep result")
     xs = [row.epsilon for row in result.rows]
@@ -509,15 +516,12 @@ def emit_svg(result: SweepResult, path) -> None:
     band_hi = [row.ci_high for row in result.rows]
 
     logvals = [y for vals in (*series.values(), band_lo, band_hi) for _, y in _log_points(xs, vals)]
-    if not logvals:
-        raise ValueError("nothing finite to plot")
-    ymin, ymax = min(logvals) - 0.2, max(logvals) + 0.2
-    xmin, xmax = min(xs), max(xs)
-    if xmax == xmin:
-        xmax = xmin + 1.0
+    ymin, ymax = (min(logvals) - 0.2, max(logvals) + 0.2) if logvals else (-0.2, 0.2)
+    xmin = min(xs)
+    xspan = (max(xs) - xmin) or 1.0  # a one-point grid sits at the left edge
 
     def x_map(x):
-        return _MARGIN + (x - xmin) / (xmax - xmin) * (_SVG_W - 2 * _MARGIN)
+        return _MARGIN + (x - xmin) / xspan * (_SVG_W - 2 * _MARGIN)
 
     def y_map(logy):
         return _SVG_H - _MARGIN - (logy - ymin) / (ymax - ymin) * (_SVG_H - 2 * _MARGIN)

@@ -10,12 +10,12 @@ for the sample at position t of n needs variance proportional to
 case: the Renyi noise calibrations below are made for it, and so protect
 every sample of the pass.
 
-Two calibrations are provided: the standard one driven by a global
-gradient bound G, and the metric-privacy one driven by the gradients'
-input Lipschitz constant and the diameter of the data domain.  Their
-ratio is diam * (L_input / G)^2, which is how the metric variant ends up
-cheaper for losses whose G itself scales with the domain diameter.  An
-(eps, delta) target is met at its best Renyi order unless it rounds to 1.
+The standard calibration is driven by a global gradient bound G: at
+variance sigma^2 the pass's Renyi levels are alpha*rho at every order
+alpha, with slope rho = 2*G^2/sigma^2 (Mironov 2017), so one number meets
+an (eps, delta) target and bounds the pass's KL.  The metric-privacy one
+is driven by the gradients' input Lipschitz constant and the diameter of
+the data domain.
 """
 
 from __future__ import annotations
@@ -78,16 +78,6 @@ def pnsgd_run(sigmas: np.ndarray, signed: np.ndarray, lam: float, radius: float,
     return w
 
 
-def noise_for_renyi_dp(alpha: float, eps: float, G: float) -> float:
-    """Variance 2*alpha*G^2 / eps giving every sample an order-alpha Renyi
-    privacy level eps."""
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
-    if eps <= 0 or G <= 0:
-        raise ValueError("eps and G must be positive")
-    return 2.0 * alpha * G * G / eps
-
-
 def noise_for_renyi_mdp(alpha: float, eps_metric: float, L_input: float,
                         domain_diam: float) -> float:
     """Variance 2*alpha*L_input^2*diam / eps_metric for the metric-privacy
@@ -101,31 +91,17 @@ def noise_for_renyi_mdp(alpha: float, eps_metric: float, L_input: float,
     return 2.0 * alpha * L_input * L_input * domain_diam / eps_metric
 
 
-def rdp_to_dp(alpha: float, eps_renyi: float, delta: float) -> float:
-    """Standard conversion eps = eps_renyi + ln(1/delta)/(alpha - 1)."""
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    if eps_renyi < 0:
-        raise ValueError("eps_renyi must be nonnegative")
-    return eps_renyi + math.log(1.0 / delta) / (alpha - 1.0)
-
-
-def noise_for_target_dp(eps: float, delta: float, G: float) -> float:
-    """Smallest variance whose `rdp_to_dp` conversion meets (eps, delta).
-    The pass's Renyi level alpha*rho, rho = 2*G^2/sigma^2, converts to
-    alpha*rho + L/(alpha - 1), L = ln(1/delta), least at alpha* = 1 +
-    sqrt(L/rho), where it is rho + 2*sqrt(rho*L) = eps.  So sqrt(rho) =
-    eps/(sqrt(L + eps) + sqrt(L)), free of cancellation, and the variance
-    at alpha* and the budget eps less the offset is 2*G^2/rho."""
+def renyi_slope_for_dp(eps: float, delta: float) -> float:
+    """Largest slope rho whose Renyi levels alpha*rho meet (eps, delta)-DP
+    by the standard conversion alpha*rho + L/(alpha - 1), L = ln(1/delta).
+    It is least at alpha = 1 + sqrt(L/rho), where it is rho + 2*sqrt(rho*L)
+    = eps, so sqrt(rho) = eps/(sqrt(L + eps) + sqrt(L)), free of
+    cancellation.  Every eps > 0 gives a rho; below about eps = 1e-161 at
+    delta = 1e-5 it underflows to 0, the no-information limit."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     log_inv_delta = math.log(1.0 / delta)
     sqrt_rho = eps / (math.sqrt(log_inv_delta + eps) + math.sqrt(log_inv_delta))
-    alpha = 1.0 + math.sqrt(log_inv_delta) / sqrt_rho
-    if not alpha > 1.0:  # rounded to 1 where eps dwarfs ln(1/delta)
-        raise ValueError(f"eps {eps:g} at delta {delta:g}: the best Renyi order rounds to 1")
-    return noise_for_renyi_dp(alpha, eps - rdp_to_dp(alpha, 0.0, delta), G)
+    return sqrt_rho * sqrt_rho

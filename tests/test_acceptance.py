@@ -21,7 +21,7 @@ from reconbound.mechanisms import train_logreg_exact
 from reconbound.metric_space import (covering_number, discretize_unit_ball,
                                      norm_ball_covering_bounds_log, two_point_space)
 from reconbound.oracle import exact_bayes_risk, randomized_response
-from reconbound.pnsgd import noise_for_renyi_dp, noise_for_renyi_mdp
+from reconbound.pnsgd import noise_for_renyi_mdp
 
 SWEEP_GRID = tuple(0.1 + 0.35 * k for k in range(14))  # [0.1, 5) step 0.35
 SWEEP_SEED = 20240817
@@ -174,7 +174,8 @@ def test_c7_pnsgd_metric_privacy_certificate():
                         gap = eta * (1 - eta) ** (n - t) * dx
                         d_alpha = alpha * gap ** 2 / (2.0 * var)
                         assert d_alpha <= eps_l * dx * dx * (1 + 1e-9)
-                dp_var = noise_for_renyi_dp(alpha, eps_l, G=diam)
+                # the standard order-alpha rule 2*alpha*G^2/eps, at G = diam
+                dp_var = 2.0 * alpha * diam * diam / eps_l
                 assert dp_var / sigma_sq == pytest.approx(diam, abs=1e-9)
         assert time.perf_counter() - start < 5.0
 

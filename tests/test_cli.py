@@ -248,6 +248,30 @@ class TestLargeEpsilon:
         assert (out_dir / "sweep_output_perturb_dp.csv").exists()
 
 
+class TestNothingToPlot:
+    def test_sweep_completes(self, tmp_path, capsys):
+        # every draw fails and both bounds underflow to 0, so no value is
+        # positive and finite; the sweep still writes its CSV and an SVG of
+        # empty series, and the audit runs
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("eps_grid = 1000\nmechanism_kind = PNSGD_DP\nseed = 1\n"
+                       "trials = 1\ntrain_size = 40\ndim = 4\n")
+        out_dir = tmp_path / "out"
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        lines = (out_dir / "sweep_pnsgd_dp.csv").read_text().splitlines()
+        assert lines[1] == "1000.0,PNSGD_DP,inf,inf,inf,0.0,0.0,1"
+        assert 'points=""' in (out_dir / "sweep_pnsgd_dp.svg").read_text()
+        assert "dominance audit passed" in capsys.readouterr().out
+
+    def test_one_point_grid_beyond_integer_precision(self, tmp_path):
+        # a one-point grid at eps = 1e40, where eps + 1 == eps, is drawn at
+        # the left edge of the axis
+        out_dir = tmp_path / "out"
+        assert run_cli(["sweep", "--mechanism", "OUTPUT_PERTURB_MDP", "--eps-grid", "1e40",
+                        "--seed", "1", "--trials", "1", "--out", str(out_dir)]) == 0
+        assert '<text x="60.0" y="438.0"' in (out_dir / "sweep_output_perturb_mdp.svg").read_text()
+
+
 class TestTinyEpsilon:
     # eps^2 underflows to 0 below about 1.5e-162, and exp(eps) - 1.0 is 0
     # below 1.1e-16: the bounds there are inf or finite, never a traceback
@@ -262,8 +286,10 @@ class TestTinyEpsilon:
         assert "1e-17,rdp_unbiased,2.5e+16,VACUOUS" in dp.read_text()
 
     def test_sweeps(self, tmp_path):
+        # below about eps = 1e-161 a PNSGD_DP pass's Renyi slope underflows
+        # to 0, and its noise is infinite
         for kind, grid in (("OUTPUT_PERTURB_MDP", "1e-170,1"),
-                           ("OUTPUT_PERTURB_DP", "1e-17,1")):
+                           ("OUTPUT_PERTURB_DP", "1e-17,1"), ("PNSGD_DP", "1e-170,1")):
             out_dir = tmp_path / kind
             assert run_cli(["sweep", "--mechanism", kind, "--eps-grid", grid,
                             "--seed", "1", "--trials", "1", "--out", str(out_dir)]) == 0
@@ -298,6 +324,33 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "config error" in err and key in err
         assert not (tmp_path / "o").exists()
+    @pytest.mark.parametrize("key", ["train_size", "dim"])
+    def test_empty_synthetic_dataset_exit_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("eps_grid = 1\nmechanism_kind = OUTPUT_PERTURB_DP\nseed = 1\n"
+                       f"trials = 1\ntrain_size = 40\ndim = 2\n{key} = 0\n")
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key} must be >= 1" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["oracle", "--eps-grid", "1", "--n", "0"], "--n 0"),
+        (["oracle", "--eps-grid", "1", "--inputs", "1"], "--inputs 1"),
+        (["oracle", "--eps-grid", "1", "--inputs", "0"], "--inputs 0"),
+        (["oracle", "--eps-grid", "1", "--inputs", "-2"], "--inputs -2"),
+        (["oracle", "--eps-grid=-1"], "--eps-grid '-1'"),
+        (["oracle", "--eps-grid=1,-1", "--inputs", "3"], "--eps-grid '1,-1'"),
+        (["bounds", "--eps-grid", "1", "--diam=-2"], "--diam -2"),
+        (["bounds", "--eps-grid", "1", "--diam=nan"], "--diam nan")])
+    def test_message_names_the_flag(self, tmp_path, capsys, argv, flag):
+        out_path = tmp_path / "b.csv"
+        extra = ["--out", str(out_path)] if argv[0] == "bounds" else []
+        assert run_cli(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"config error: {flag} " in captured.err
+        assert not out_path.exists()
+
     def test_diam_square_overflow_exit_2(self, tmp_path, capsys):
         out_path = tmp_path / "b.csv"
         assert run_cli(["bounds", "--eps-grid", "1", "--diam", "1e200",

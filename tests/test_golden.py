@@ -22,7 +22,7 @@ GOLDEN = {
     ("OUTPUT_PERTURB_MDP", False):
         "e0f2945060302f7763994fc4a8b32185089ce4fdaf4a00c2ad10b614ddae92ff",
     ("PNSGD_DP", False):
-        "a1ee3a987e1d914a07a815f8476013cca04b6b0b572b576a2ff5d680d4c92bd7",
+        "297bf2e676fbc86f8949daffe66103584a6e3cae44d02c7d1e85b4e99511f3c3",
     ("PNSGD_MDP", False):
         "987f8db0b38d41e695bf3d1cfd3b9ae3bae2f507697a28ea0e4cc7403cb76136",
     ("OUTPUT_PERTURB_DP", True):
@@ -38,7 +38,7 @@ GOLDEN = {
 # so both kinds release the same iterates.
 RELEASE_GOLDEN = {
     ("PNSGD_DP", False):
-        "ee1be794b62faae5d5757e2136d2bffac988e66cbad9fd19879d5e651cf938c0",
+        "8ad2a060a81a042628bc389cef733636c992cbdcd33858ef796d91fb02a354ee",
     ("PNSGD_MDP", False):
         "240fc6d5a9b2e12002b4b56daa47eeb5925e7da49186bb5f4f63d215a81c948c",
     ("PNSGD_DP", True):

@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reconbound.pnsgd as pnsgd_mod
 from reconbound import bounds, harness
+from reconbound.divergence import kl_bound
 from reconbound.harness import (AUDITED_BOUNDS, MECHANISM_KINDS, ConfigError,
                                 DigitAbsentError, DominanceError, IdxFormatError, SweepConfig,
                                 SweepResult, SweepRow, audit_dominance, emit_bounds_csv,
@@ -207,9 +209,15 @@ class TestConfigParsing:
                 tiny_config(constraint_radius=radius)
 
     def test_samples_and_digit_pair_range(self):
-        # n_samples is the adversary's query budget: at least one release
-        with pytest.raises(ConfigError, match="n_samples"):
-            tiny_config(n_samples=0)
+        # n_samples is the adversary's query budget: at least one release;
+        # the synthetic dataset needs a row and a coordinate, and the
+        # message names the key, from a file or from the constructor
+        for key in ("n_samples", "train_size", "dim"):
+            with pytest.raises(ConfigError, match=f"^{key} must be >= 1"):
+                tiny_config(**{key: 0})
+            with pytest.raises(ConfigError, match=f"^{key} must be >= 1"):
+                parse_config_text("eps_grid = 1\nmechanism_kind = OUTPUT_PERTURB_DP\n"
+                                  f"seed = 1\n{key} = -1\n")
         # a pair of equal labels would make every row one class, and more
         # than two labels no binary problem
         for pair in ((1, 1), (0, 1, 2), (3,)):
@@ -377,8 +385,10 @@ class TestRunSweep:
 
 
 class TestKindDispatch:
-    # per kind: metric privacy, and whether its bounds take config.delta
-    # (PNSGD guarantees are not pure; output perturbation's are)
+    # per kind: metric privacy, and whether its audit reads config.delta
+    # (PNSGD guarantees are not pure; output perturbation's are): the
+    # metric bounds take it, and the DP two-point KL is then the pass's
+    # Renyi slope at (eps, delta) in place of eps*tanh(eps/2)
     KINDS = {"OUTPUT_PERTURB_DP": (False, False), "OUTPUT_PERTURB_MDP": (True, False),
              "PNSGD_DP": (False, True), "PNSGD_MDP": (True, True)}
 
@@ -387,23 +397,49 @@ class TestKindDispatch:
 
     @pytest.mark.parametrize("name", sorted(KINDS))
     def test_bounds_follow_the_kind(self, name):
-        metric, takes_delta = self.KINDS[name]
+        metric, reads_delta = self.KINDS[name]
         cfg = tiny_config(mechanism_kind=name, eps_grid=(2.0,), trials=1, train_size=40,
                           delta=1e-3, n_samples=2)
         problem = generate_synthetic(cfg.train_size, cfg.dim, cfg.seed, lam=cfg.lam)
-        delta = cfg.delta if takes_delta else 0.0
+        delta = cfg.delta if reads_delta else 0.0
         eps = 1.5
         if metric:
             want = {"mdp_lecam": bounds.mdp_lecam_bound(eps, 2, 2.0, delta),
                     "mdp_fano": bounds.mdp_fano_bound(eps, 2, 2.0, cfg.dim * math.log(2.0),
                                                       delta)}
         else:
-            want = {"dp_lecam": bounds.dp_lecam_bound(eps, 2, 2.0, delta),
+            kl = pnsgd_mod.renyi_slope_for_dp(eps, delta) if reads_delta else kl_bound(eps)
+            want = {"dp_lecam": bounds.two_point_bound(2.0, kl, 2),
                     "rdp_unbiased": bounds.unbiased_rdp_bound(eps, float(cfg.dim))}
         got = evaluate_bounds(MECHANISM_KINDS[name], cfg, problem, eps)
         assert list(got) == list(want)
         assert got == want
         assert run_sweep(cfg).bound_names == tuple(want)
+
+    def test_pnsgd_dp_noise_and_bound_read_one_slope(self, monkeypatch):
+        # the pass's noise sigma and its audited two-point bound come from
+        # the one Renyi slope rho: sigma^2 = 2*G^2/rho, and KL <= rho
+        sigmas = []
+        run = pnsgd_mod.pnsgd_run
+
+        def recording(sigma, *args, **kwargs):
+            sigmas.append(np.array(sigma, dtype=float))
+            return run(sigma, *args, **kwargs)
+
+        monkeypatch.setattr(pnsgd_mod, "pnsgd_run", recording)
+        cfg = tiny_config(mechanism_kind="PNSGD_DP", eps_grid=(0.1, 1.5, 4.65, 40.0),
+                          trials=1, train_size=40, n_samples=2, delta=1e-5,
+                          constraint_radius=10.0, lam=0.01)
+        result = run_sweep(cfg)
+        assert len(sigmas) == cfg.n_samples
+        g_bound = 1.0 + cfg.lam * cfg.constraint_radius
+        for sigma, row in zip(sigmas[0], result.rows):
+            rho = pnsgd_mod.renyi_slope_for_dp(row.epsilon, cfg.delta)
+            assert 2.0 * g_bound * g_bound / (sigma * sigma) == pytest.approx(
+                rho, rel=4 * np.finfo(float).eps, abs=0)
+            assert row.bound_values["dp_lecam"] == bounds.two_point_bound(2.0, rho,
+                                                                           cfg.n_samples)
+        assert all(np.array_equal(sigmas[0], other) for other in sigmas)
 
 
 class TestTrivialRisk:
@@ -432,6 +468,24 @@ class TestEmission:
             emit_csv(empty, tmp_path / "no.csv")
         with pytest.raises(ValueError):
             emit_svg(empty, tmp_path / "no.svg")
+
+    def test_svg_frames_a_sweep_with_nothing_to_plot(self, tmp_path):
+        # every draw failed and every bound underflowed: the axes, the
+        # grid's tick and each series' legend entry are drawn, the series
+        # themselves are empty
+        cfg = tiny_config(eps_grid=(1000.0,), trials=1)
+        row = SweepRow(epsilon=1000.0, mechanism="OUTPUT_PERTURB_DP", mean_mse=math.inf,
+                       ci_low=math.inf, ci_high=math.inf,
+                       bound_values={"dp_lecam": 0.0, "rdp_unbiased": 0.0}, failures=1)
+        rigged = SweepResult(config=cfg, bound_names=("dp_lecam", "rdp_unbiased"),
+                             rows=(row,))
+        path = tmp_path / "empty.svg"
+        emit_svg(rigged, path)
+        svg = path.read_text()
+        assert svg.count('points=""') == 3 and "<polygon" not in svg
+        for label in ("empirical", "dp_lecam", "rdp_unbiased", ">1000<", ">epsilon<"):
+            assert label in svg
+        assert svg.count("<line ") == 2 and svg.endswith("</svg>\n")
 
     def test_svg_series_count(self, tmp_path):
         res = run_sweep(tiny_config(trials=3))

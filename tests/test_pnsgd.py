@@ -5,8 +5,7 @@ import pytest
 
 import reconbound.pnsgd as pnsgd_mod
 from reconbound.mechanisms import sigmoid
-from reconbound.pnsgd import (noise_for_renyi_dp, noise_for_renyi_mdp, noise_for_target_dp,
-                              pnsgd_run, project_l2, rdp_to_dp)
+from reconbound.pnsgd import noise_for_renyi_mdp, pnsgd_run, project_l2, renyi_slope_for_dp
 
 
 def gaussian_final_law(eta, sigma, n, t, dx):
@@ -151,9 +150,16 @@ class TestLockstep:
                 pnsgd_run(sigmas, np.ones((3, 1)), 1.0, 1.0, rngs, self.TRIALS)
 
 
+def standard_noise(alpha, eps, G):
+    """The standard order-alpha Renyi rule: variance 2*alpha*G^2/eps gives
+    every sample of the pass the level eps at order alpha."""
+    return 2.0 * alpha * G * G / eps
+
+
 class TestNoiseRules:
     def test_dp_plugin(self):
-        assert noise_for_renyi_dp(2.0, 1.0, 1.0) == pytest.approx(4.0)
+        # at delta = 1/e, L = 1, and eps = 3: sqrt(rho) = 3/(2 + 1) = 1
+        assert renyi_slope_for_dp(3.0, 1.0 / math.e) == pytest.approx(1.0, rel=1e-15)
 
     def test_mdp_plugin(self):
         assert noise_for_renyi_mdp(2.0, 1.0, 1.0, 1.0) == pytest.approx(4.0)
@@ -167,7 +173,7 @@ class TestNoiseRules:
         # while the input Lipschitz constant is 1, so the standard rule
         # needs exactly diam times more variance
         for diam in (2.0, 3.5, 10.0):
-            dp = noise_for_renyi_dp(4.0, 0.7, G=diam)
+            dp = standard_noise(4.0, 0.7, G=diam)
             mdp = noise_for_renyi_mdp(4.0, 0.7, L_input=1.0, domain_diam=diam)
             assert dp / mdp == pytest.approx(diam, rel=1e-12)
             assert mdp < dp
@@ -180,70 +186,67 @@ class TestNoiseRules:
             g = float(rng.uniform(0.2, 5.0))
             lip = float(rng.uniform(0.2, 5.0))
             diam = float(rng.uniform(0.5, 20.0))
-            ratio = noise_for_renyi_mdp(alpha, eps, lip, diam) / noise_for_renyi_dp(alpha, eps, g)
+            ratio = noise_for_renyi_mdp(alpha, eps, lip, diam) / standard_noise(alpha, eps, g)
             assert ratio == pytest.approx(diam * (lip / g) ** 2, rel=1e-12)
 
 
+def converted(alpha, rho, delta):
+    """The standard RDP -> DP conversion of the Renyi level alpha*rho:
+    alpha*rho + ln(1/delta)/(alpha - 1)."""
+    return alpha * rho + math.log(1.0 / delta) / (alpha - 1.0)
+
+
 class TestConversion:
-    def test_plugin(self):
-        assert rdp_to_dp(2.0, 0.0, 1.0 / math.e) == pytest.approx(1.0, rel=1e-12)
-
-    def test_large_alpha_limit(self):
-        assert rdp_to_dp(1e12, 0.37, 1e-5) == pytest.approx(0.37, abs=1e-9)
-
     def test_grid_minimization_matches_dense_oracle(self):
-        # no order of a dense grid converts to the target with less
-        # variance than the closed form, and the grid comes within 1e-6
+        # no order of a dense grid meets the target with less variance than
+        # 2*G^2/rho, and the grid comes within 1e-6 of it
         delta, g = 1e-5, 2.0
         log_inv_delta = math.log(1.0 / delta)
         alphas = np.arange(1.001, 300.0, 1e-3)
         for eps in (0.1, 0.45, 1.0, 3.0, 8.0):
-            sigma_sq = noise_for_target_dp(eps, delta, g)
-            # independent scan of the variance 2*alpha*G^2 / budget
+            sigma_sq = 2.0 * g * g / renyi_slope_for_dp(eps, delta)
+            # independent scan of the standard rule at the budget that
+            # each order leaves after the conversion's offset
             budget = eps - log_inv_delta / (alphas - 1.0)
-            dense = np.min(2.0 * alphas[budget > 0] * g * g / budget[budget > 0])
+            dense = np.min(standard_noise(alphas[budget > 0], budget[budget > 0], g))
             assert sigma_sq <= dense * (1 + 1e-12), eps
             assert dense <= sigma_sq * (1 + 1e-6), eps
-            rho = (eps / (math.sqrt(log_inv_delta + eps) + math.sqrt(log_inv_delta))) ** 2
-            assert sigma_sq == pytest.approx(2.0 * g * g / rho, rel=1e-14)
 
     def test_target_inversion_meets_budget(self):
-        # at alpha* = 1 + sqrt(L/rho) the Renyi levels alpha * rho,
-        # rho = 2*G^2 / sigma^2, convert to exactly the target, and no
-        # other order converts to less
-        delta, g = 1e-5, 2.0
+        # at alpha* = 1 + sqrt(L/rho) the Renyi levels alpha * rho convert
+        # to exactly the target, and no other order converts to less
+        delta = 1e-5
         log_inv_delta = math.log(1.0 / delta)
-        for eps in (0.1, 1.0, 3.0, 8.0):
-            rho = 2 * g * g / noise_for_target_dp(eps, delta, g)
+        for eps in (1e-6, 0.1, 0.18, 1.0, 3.0, 8.0):
+            rho = renyi_slope_for_dp(eps, delta)
             alpha_star = 1.0 + math.sqrt(log_inv_delta / rho)
-            assert rdp_to_dp(alpha_star, alpha_star * rho, delta) == pytest.approx(eps, rel=1e-12)
+            assert converted(alpha_star, rho, delta) == pytest.approx(eps, rel=1e-12)
             for a in (1.5, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 1e3):
-                assert rdp_to_dp(a, a * rho, delta) >= eps * (1 - 1e-12)
+                assert converted(a, rho, delta) >= eps * (1 - 1e-12)
 
     def test_target_delta_out_of_range(self):
-        for delta in (0.0, 1.0, -1e-5):
+        for delta in (0.0, 1.0, -1e-5, math.nan):
             with pytest.raises(ValueError, match="delta"):
-                noise_for_target_dp(1.0, delta, 1.0)
+                renyi_slope_for_dp(1.0, delta)
+        for eps in (0.0, -1.0):
+            with pytest.raises(ValueError, match="eps"):
+                renyi_slope_for_dp(eps, 1e-5)
 
     def test_small_target_is_reachable(self):
         # below ln(1/delta)/63 no order of the old seven-order grid
-        # reached the target; the closed-form order reaches every eps > 0
-        delta = 1e-5
+        # reached the target; the slope is positive for every such eps
         for eps in (1e-6, 0.1, 0.18):
-            sigma_sq = noise_for_target_dp(eps, delta, 1.0)
-            rho = 2.0 / sigma_sq
-            alpha_star = 1.0 + math.sqrt(math.log(1.0 / delta) / rho)
-            assert math.isfinite(sigma_sq)
-            assert rdp_to_dp(alpha_star, alpha_star * rho, delta) <= eps * (1 + 1e-9)
+            rho = renyi_slope_for_dp(eps, 1e-5)
+            assert 0 < rho < eps
 
-    def test_order_rounding_to_one_names_eps_and_delta(self):
-        # alpha* = 1 + sqrt(L)/sqrt(rho) rounds to 1 from about eps = 9e32
-        # at delta = 1e-5; the last power of ten below that still converts
-        assert math.isfinite(noise_for_target_dp(1e32, 1e-5, 1.0))
-        for eps in (1e33, 1e40, 1e300):
-            with pytest.raises(ValueError, match=r"eps 1e\+\d+ at delta 1e-05") as raised:
-                noise_for_target_dp(eps, 1e-5, 1.0)
-            assert "alpha" not in str(raised.value)
+    def test_every_target_calibrates(self):
+        # the slope needs no Renyi order, so it is finite and positive
+        # where the order 1 + sqrt(L/rho) rounded to 1 (eps above about
+        # 9e32 at delta = 1e-5), and tends to eps as eps dwarfs L
+        for eps in 10.0 ** np.arange(-6, 301, 3):
+            rho = renyi_slope_for_dp(float(eps), 1e-5)
+            assert 0 < rho < math.inf, eps
+        assert renyi_slope_for_dp(1e300, 1e-5) == pytest.approx(1e300, rel=1e-15)
 
 
 class TestRenyiMdpCertificate:

@@ -15,8 +15,7 @@ from .harness import (SweepConfig, SweepResult, audit_dominance, emit_csv,
 from .mechanisms import (LogRegProblem, output_perturb_dp, output_perturb_mdp_euclidean,
                          train_logreg_exact)
 from .metric_space import (FiniteMetricSpace, covering_number, discretize_unit_ball,
-                           effective_dimension, norm_ball_covering_bounds_log,
-                           packing_number)
+                           norm_ball_covering_bounds_log, packing_number)
 from .oracle import (FiniteMechanism, dp_epsilon_of, exact_bayes_risk,
                      fano_certificate, lecam_certificate, randomized_response)
 from .pnsgd import noise_for_renyi_mdp, pnsgd_run, renyi_slope_for_dp

@@ -109,19 +109,23 @@ def _cmd_bounds(args) -> int:
         raise harness.ConfigError(f"--delta {args.delta:g} must lie in [0, 1)")
     if not args.alpha > 1:  # NaN included
         raise harness.ConfigError(f"--alpha {args.alpha:g} must exceed 1")
+    coord, d_eff = args.coord_diam_sq_sum, args.d_eff
+    if coord is not None and not 0 <= coord < math.inf:  # NaN included
+        raise harness.ConfigError(f"--coord-diam-sq-sum {coord:g} must be finite and >= 0")
+    if d_eff is not None and not math.log(2.0) < d_eff < math.inf:
+        raise harness.ConfigError(f"--d-eff {d_eff:g} must be finite and exceed ln 2")
     rows = []
     for eps in grid:
         values = {
             "dp_lecam": bounds_mod.dp_lecam_bound(eps, args.n, args.diam, args.delta),
-            "dp_lecam_renyi": bounds_mod.renyi_dp_lecam_bound(eps, args.alpha, args.n,
-                                                              args.diam),
+            "dp_lecam_renyi": bounds_mod.renyi_dp_lecam_bound(eps, args.alpha, args.n, args.diam),
             "mdp_lecam": bounds_mod.mdp_lecam_bound(eps, args.n, args.diam, args.delta),
         }
-        if args.coord_diam_sq_sum is not None:
-            values["rdp_unbiased"] = bounds_mod.unbiased_rdp_bound(eps, args.coord_diam_sq_sum)
-        if args.d_eff is not None:
-            values["mdp_fano"] = bounds_mod.mdp_fano_bound(eps, args.n, args.diam,
-                                                           args.d_eff, args.delta)
+        if coord is not None:
+            values["rdp_unbiased"] = bounds_mod.unbiased_rdp_bound(eps, coord)
+        if d_eff is not None:
+            values["mdp_fano"] = bounds_mod.mdp_fano_bound(eps, args.n, args.diam, d_eff,
+                                                           args.delta)
         for name, value in values.items():
             rows.append((eps, name, value, bounds_mod.validity_check(value, trivial)))
     harness.emit_bounds_csv(rows, args.out)

@@ -15,8 +15,9 @@ releases in one vectorized call and attacks them in one `attack_average`
 call, and PNSGD runs the chains of every cell and trial in one lockstep
 pass.
 
-`MECHANISM_KINDS` is the one place that decides a kind's release, noise
-calibration and bounds: it maps each kind to flags, read once per sweep.
+`MECHANISM_KINDS` maps each kind to flags, read in two places: the
+release path, and `_guarantee`, which turns them and the config into
+each cell's `Guarantee`.  The noise and every bound read that one value.
 
 Draws whose inversion has no solution are dropped and counted; a grid
 cell where every trial failed reports an infinite mean error, meaning
@@ -64,7 +65,7 @@ BOOTSTRAP_RESAMPLES = 10_000
 @dataclass(frozen=True)
 class MechanismKind:
     metric: bool  # epsilon is per unit of distance (metric privacy)
-    pnsgd: bool  # the release is a PNSGD pass: not pure, so its audit reads delta
+    pnsgd: bool  # the release is a PNSGD pass
 
 
 # flags, not functions: the benchmark's tracer swaps the functions by name
@@ -74,6 +75,15 @@ MECHANISM_KINDS = {
     "PNSGD_DP": MechanismKind(metric=False, pnsgd=True),
     "PNSGD_MDP": MechanismKind(metric=True, pnsgd=True),
 }
+
+
+@dataclass(frozen=True)
+class Guarantee:
+    """What one grid cell's release meets."""
+    eps: float  # per unit of distance if metric
+    metric: bool
+    rho: float | None  # a PNSGD_DP pass's Renyi slope; None where eps sets the KL
+    delta: float  # what the bounds discount: 0 if pure or already spent in rho
 
 
 class ConfigError(ValueError):
@@ -327,25 +337,29 @@ def _load_problem(config: SweepConfig) -> LogRegProblem:
                     digits=config.digit_pair, lam=config.lam)
 
 
-def _pnsgd_sigma(kind: MechanismKind, config: SweepConfig, eps: float) -> float:
+def _guarantee(kind: MechanismKind, config: SweepConfig, eps: float) -> Guarantee:
+    if kind.pnsgd and not kind.metric:
+        return Guarantee(eps, False, pnsgd_mod.renyi_slope_for_dp(eps, config.delta), 0.0)
+    return Guarantee(eps, kind.metric, None, config.delta if kind.pnsgd else 0.0)
+
+
+def _pnsgd_sigma(g: Guarantee, config: SweepConfig) -> float:
     if config.noiseless:
         return 0.0
-    if kind.metric:
-        l_input = 1.0 + config.constraint_radius / 4.0
-        return math.sqrt(pnsgd_mod.noise_for_renyi_mdp(config.alpha, eps, l_input,
-                                                       domain_diam=UNIT_BALL_DIAM))
+    if g.rho is None:
+        lip = 1.0 + config.constraint_radius / 4.0  # the gradients' input Lipschitz constant
+        return math.sqrt(pnsgd_mod.noise_for_renyi_mdp(config.alpha, g.eps, lip, UNIT_BALL_DIAM))
     g_bound = 1.0 + config.lam * config.constraint_radius
     # rho = 2*G^2/sigma^2; a slope that underflowed to 0 asks for infinite noise
-    rho = pnsgd_mod.renyi_slope_for_dp(eps, config.delta)
-    return g_bound * math.sqrt(2.0 / rho) if rho else math.inf
+    return g_bound * math.sqrt(2.0 / g.rho) if g.rho else math.inf
 
 
-def _pnsgd_releases(kind: MechanismKind, config: SweepConfig, problem: LogRegProblem,
+def _pnsgd_releases(guarantees: list, config: SweepConfig, problem: LogRegProblem,
                     rngs: list) -> np.ndarray:
     """Every cell's releases, (cells, trials, n_samples, d).  One chain per
     (cell, trial) at the cell's noise level; all chains run in one
     lockstep pass per sample, each pass continuing the cells' generators."""
-    sigmas = [_pnsgd_sigma(kind, config, eps) for eps in config.eps_grid]
+    sigmas = [_pnsgd_sigma(g, config) for g in guarantees]
     signed = problem.labels[:, None] * problem.features
     passes = [pnsgd_mod.pnsgd_run(sigmas, signed, config.lam, config.constraint_radius, rngs,
                                   config.trials)
@@ -353,39 +367,35 @@ def _pnsgd_releases(kind: MechanismKind, config: SweepConfig, problem: LogRegPro
     return np.stack(passes, axis=2)
 
 
-def _output_perturb_releases(kind: MechanismKind, config: SweepConfig,
+def _output_perturb_releases(guarantees: list, config: SweepConfig,
                              problem: LogRegProblem, rngs: list) -> Iterator[np.ndarray]:
     """Each cell's releases in turn, (trials, n_samples, d), drawn in one
     call from the cell's generator.  A noiseless sweep stands for the
     eps -> infinity limit: every release is the optimum itself, and
     nothing is drawn."""
     theta_hat = train_logreg_exact(problem)
-    if config.noiseless:
-        for _ in config.eps_grid:
+    for g, rng in zip(guarantees, rngs):
+        if config.noiseless:
             yield np.tile(theta_hat, (config.trials, config.n_samples, 1))
-        return
-    draw = output_perturb_mdp_euclidean if kind.metric else output_perturb_dp
-    for eps, rng in zip(config.eps_grid, rngs):
-        yield draw((config.trials, config.n_samples), theta_hat, eps, problem.n, config.lam, rng)
+            continue
+        draw = output_perturb_mdp_euclidean if g.metric else output_perturb_dp
+        yield draw((config.trials, config.n_samples), theta_hat, g.eps, problem.n, config.lam, rng)
 
 
-def evaluate_bounds(kind: MechanismKind, config: SweepConfig, problem: LogRegProblem,
-                    eps: float) -> dict:
-    """All bounds applicable to this mechanism kind at one grid point, on
-    the unit-ball domain: diameter 2 (Fano's packing ball, too), effective
-    dimension d*ln2 (the log of the ball's lower covering bound at radius
-    1/2), and the prior unbiased bound's convention (coordinate sum d).
-    The DP two-point KL is a PNSGD pass's Renyi slope rho, as its levels
-    alpha*rho give KL <= rho, and output perturbation's eps*tanh(eps/2)."""
-    n = config.n_samples
-    if kind.metric:
-        delta = config.delta if kind.pnsgd else 0.0
-        d_eff = norm_ball_covering_bounds_log(problem.dim, 0.5)[0]
+def evaluate_bounds(guarantee: Guarantee, n: int, dim: int) -> dict:
+    """All bounds applicable to a guarantee at n draws on the unit ball in
+    dimension dim: diameter 2 (also Fano's packing ball), effective dimension
+    dim*ln2 (the log of the ball's lower covering bound at radius 1/2) and
+    coordinate sum dim (the prior unbiased bound's convention).  The DP
+    two-point KL is the Renyi slope rho if there is one, else eps*tanh(eps/2)."""
+    eps, delta = guarantee.eps, guarantee.delta
+    if guarantee.metric:
+        d_eff = norm_ball_covering_bounds_log(dim, 0.5)[0]
         return {"mdp_lecam": bounds_mod.mdp_lecam_bound(eps, n, UNIT_BALL_DIAM, delta),
                 "mdp_fano": bounds_mod.mdp_fano_bound(eps, n, UNIT_BALL_DIAM, d_eff, delta)}
-    kl = pnsgd_mod.renyi_slope_for_dp(eps, config.delta) if kind.pnsgd else kl_bound(eps)
-    return {"dp_lecam": bounds_mod.two_point_bound(UNIT_BALL_DIAM, kl, n),
-            "rdp_unbiased": bounds_mod.unbiased_rdp_bound(eps, float(problem.dim))}
+    kl = kl_bound(eps) if guarantee.rho is None else guarantee.rho
+    return {"dp_lecam": bounds_mod.two_point_bound(UNIT_BALL_DIAM, kl, n, delta),
+            "rdp_unbiased": bounds_mod.unbiased_rdp_bound(eps, float(dim))}
 
 
 def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator) -> tuple:
@@ -411,20 +421,21 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     model = ThreatModel(problem)
     kind = MECHANISM_KINDS[config.mechanism_kind]
     release = _pnsgd_releases if kind.pnsgd else _output_perturb_releases
+    guarantees = [_guarantee(kind, config, eps) for eps in config.eps_grid]
 
     def spawn(*key):  # (0, cell) for the cell's releases, (1, cell) for its bootstrap
         return np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=key))
 
-    cells = release(kind, config, problem, [spawn(0, c) for c in range(len(config.eps_grid))])
+    cells = release(guarantees, config, problem, [spawn(0, c) for c in range(len(guarantees))])
     rows = []
-    for eps_idx, (eps, releases) in enumerate(zip(config.eps_grid, cells)):
+    for eps_idx, (g, releases) in enumerate(zip(guarantees, cells)):
         mse, failures = attack_average(model, releases)
         mses = mse[~np.isnan(mse)]
         mean_mse = float(mses.mean()) if mses.size else math.inf
         ci_low, ci_high = _bootstrap_ci(mses, spawn(1, eps_idx))
-        rows.append(SweepRow(epsilon=eps, mechanism=config.mechanism_kind,
+        rows.append(SweepRow(epsilon=g.eps, mechanism=config.mechanism_kind,
                              mean_mse=mean_mse, ci_low=ci_low, ci_high=ci_high,
-                             bound_values=evaluate_bounds(kind, config, problem, eps),
+                             bound_values=evaluate_bounds(g, config.n_samples, problem.dim),
                              failures=int(failures.sum())))
     return SweepResult(config=config, bound_names=tuple(rows[0].bound_values), rows=tuple(rows))
 

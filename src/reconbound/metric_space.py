@@ -55,7 +55,6 @@ class FiniteMetricSpace:
 
     points: tuple
     dist: np.ndarray
-    unit_ball: bool = False
 
     def __post_init__(self):
         d = np.array(self.dist, dtype=float)
@@ -203,26 +202,11 @@ def norm_ball_covering_bounds_log(dim: int, eta: float) -> tuple[float, float]:
 
 
 def discretize_unit_ball(dim: int, spacing: float) -> FiniteMetricSpace:
-    """Axis-aligned grid restricted to the unit L2 ball, tagged for use by
-    `effective_dimension`, whose estimate depends on the spacing."""
+    """Axis-aligned grid restricted to the unit L2 ball."""
     if spacing <= 0:
         raise ValueError("spacing must be positive")
     k = int(math.floor(1.0 / spacing + 1e-9))
     axis = spacing * np.arange(-k, k + 1)
     pts = [p for p in itertools.product(axis, repeat=dim)
            if np.sqrt(np.sum(np.square(p))) <= 1.0 + 1e-9]
-    arr = np.array(pts, dtype=float)
-    return FiniteMetricSpace(points=tuple(map(tuple, pts)),
-                             dist=pairwise_distances(arr), unit_ball=True)
-
-
-def effective_dimension(space: FiniteMetricSpace, cap: int = DEFAULT_SEARCH_CAP) -> float:
-    """Log covering number of the unit ball at radius 1/2, by the exact
-    covering search over a space tagged as a unit-ball discretization (see
-    `discretize_unit_ball`).  For the continuous d-dimensional ball, the
-    log of its lower covering bound, d*ln(2), is
-    `norm_ball_covering_bounds_log(d, 0.5)[0]`.
-    """
-    if not space.unit_ball:
-        raise ValueError("finite space is not tagged as a unit-ball discretization")
-    return math.log(covering_number(space, 0.5, cap=cap))
+    return FiniteMetricSpace(points=tuple(map(tuple, pts)), dist=pairwise_distances(pts))

@@ -52,20 +52,21 @@ def pnsgd_run(sigmas: np.ndarray, signed: np.ndarray, lam: float, radius: float,
     cell draws its noise in (steps, trials, d) blocks, step by step in
     the order of one whole (n, trials, d) draw, so its result depends on
     its generator, trials, n and d, and not on the block size or the
-    other cells of the pass; a cell with sigma 0 draws nothing.
-    Intermediate iterates are never exposed.
+    other cells of the pass; a cell with sigma 0 draws nothing, and one
+    with sigma inf draws nothing and releases NaN, as it carries no
+    information.  Intermediate iterates are never exposed.
     """
     n, d = signed.shape
     if n == 0:
         raise ValueError("dataset must be nonempty")
     sigmas = np.asarray(sigmas, dtype=float)
     cells = len(rngs)
-    if sigmas.shape != (cells,) or np.any(sigmas < 0):
+    if sigmas.shape != (cells,) or not np.all(sigmas >= 0):  # NaN included
         raise ValueError("sigmas must be nonnegative, one per cell")
     w = np.zeros((cells, trials, d))
     block = max(1, min(n, NOISE_BLOCK_FLOATS // (cells * trials * d)))
     noise = np.zeros((block, cells, trials, d))
-    noisy = [(c, rngs[c], float(sigmas[c])) for c in np.flatnonzero(sigmas > 0)]
+    noisy = [(c, rngs[c], float(s)) for c, s in enumerate(sigmas) if 0 < s < math.inf]
     eta = 1.0 / (0.25 + lam)
     for i, z in enumerate(signed):
         k = i % block
@@ -75,6 +76,7 @@ def pnsgd_run(sigmas: np.ndarray, signed: np.ndarray, lam: float, radius: float,
                 noise[:steps, c] = gen.normal(0.0, s, size=(steps, trials, d))
         grad = -sigmoid(-np.einsum("ctd,d->ct", w, z))[..., None] * z + lam * w
         w = project_l2(w - eta * (grad + noise[k]), radius)
+    w[sigmas == math.inf] = math.nan
     return w
 
 

@@ -26,9 +26,8 @@ ALLOWED = {
     "bh_tv_bound": "verification oracle",
     "channel_tv": "verification oracle",
     "channel_renyi": "verification oracle",
-    # the discretized unit ball that ROADMAP item 1's audit is to use
-    "discretize_unit_ball": "planned effective-dimension audit",
-    "effective_dimension": "planned effective-dimension audit",
+    # the discretized unit ball whose covering numbers acceptance c8 checks
+    "discretize_unit_ball": "read by acceptance c8",
     # the prior bound's validity threshold, pinned by acceptance c1
     "unbiased_rdp_validity_threshold": "pinned by acceptance c1",
 }

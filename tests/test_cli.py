@@ -287,7 +287,8 @@ class TestTinyEpsilon:
 
     def test_sweeps(self, tmp_path):
         # below about eps = 1e-161 a PNSGD_DP pass's Renyi slope underflows
-        # to 0, and its noise is infinite
+        # to 0, and its noise is infinite: the cell draws nothing and
+        # releases NaN, with no RuntimeWarning (tier-1 makes one an error)
         for kind, grid in (("OUTPUT_PERTURB_MDP", "1e-170,1"),
                            ("OUTPUT_PERTURB_DP", "1e-17,1"), ("PNSGD_DP", "1e-170,1")):
             out_dir = tmp_path / kind
@@ -342,7 +343,13 @@ class TestBadInput:
         (["oracle", "--eps-grid=-1"], "--eps-grid '-1'"),
         (["oracle", "--eps-grid=1,-1", "--inputs", "3"], "--eps-grid '1,-1'"),
         (["bounds", "--eps-grid", "1", "--diam=-2"], "--diam -2"),
-        (["bounds", "--eps-grid", "1", "--diam=nan"], "--diam nan")])
+        (["bounds", "--eps-grid", "1", "--diam=nan"], "--diam nan"),
+        (["bounds", "--eps-grid", "1", "--diam", "1", "--coord-diam-sq-sum=-1"],
+         "--coord-diam-sq-sum -1"),
+        (["bounds", "--eps-grid", "1", "--diam", "1", "--coord-diam-sq-sum=inf"],
+         "--coord-diam-sq-sum inf"),
+        (["bounds", "--eps-grid", "1", "--diam", "1", "--d-eff=0.5"], "--d-eff 0.5"),
+        (["bounds", "--eps-grid", "1", "--diam", "1", "--d-eff=nan"], "--d-eff nan")])
     def test_message_names_the_flag(self, tmp_path, capsys, argv, flag):
         out_path = tmp_path / "b.csv"
         extra = ["--out", str(out_path)] if argv[0] == "bounds" else []

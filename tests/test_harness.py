@@ -385,10 +385,10 @@ class TestRunSweep:
 
 
 class TestKindDispatch:
-    # per kind: metric privacy, and whether its audit reads config.delta
-    # (PNSGD guarantees are not pure; output perturbation's are): the
-    # metric bounds take it, and the DP two-point KL is then the pass's
-    # Renyi slope at (eps, delta) in place of eps*tanh(eps/2)
+    # per kind: metric privacy, and whether it is a PNSGD pass.  A cell's
+    # guarantee carries a PNSGD_DP pass's Renyi slope rho, which has spent
+    # delta, and PNSGD_MDP's delta for its bounds; the DP two-point KL is
+    # rho where there is one, in place of eps*tanh(eps/2)
     KINDS = {"OUTPUT_PERTURB_DP": (False, False), "OUTPUT_PERTURB_MDP": (True, False),
              "PNSGD_DP": (False, True), "PNSGD_MDP": (True, True)}
 
@@ -396,25 +396,53 @@ class TestKindDispatch:
         assert set(MECHANISM_KINDS) == set(self.KINDS)
 
     @pytest.mark.parametrize("name", sorted(KINDS))
-    def test_bounds_follow_the_kind(self, name):
-        metric, reads_delta = self.KINDS[name]
-        cfg = tiny_config(mechanism_kind=name, eps_grid=(2.0,), trials=1, train_size=40,
-                          delta=1e-3, n_samples=2)
-        problem = generate_synthetic(cfg.train_size, cfg.dim, cfg.seed, lam=cfg.lam)
-        delta = cfg.delta if reads_delta else 0.0
+    def test_bounds_follow_the_kind(self, name, monkeypatch):
+        metric, pnsgd = self.KINDS[name]
         eps = 1.5
+        cfg = tiny_config(mechanism_kind=name, eps_grid=(eps,), trials=1, train_size=40,
+                          delta=1e-3, n_samples=2)
+        seen = []
+
+        def recording(guarantee, n, dim):
+            seen.append(guarantee)
+            return evaluate_bounds(guarantee, n, dim)
+
+        monkeypatch.setattr(harness, "evaluate_bounds", recording)
+        result = run_sweep(cfg)
+        (guarantee,) = seen
+        rho = pnsgd_mod.renyi_slope_for_dp(eps, cfg.delta) if pnsgd and not metric else None
+        delta = cfg.delta if metric and pnsgd else 0.0
+        assert (guarantee.eps, guarantee.metric, guarantee.rho, guarantee.delta) == (
+            eps, metric, rho, delta)
         if metric:
             want = {"mdp_lecam": bounds.mdp_lecam_bound(eps, 2, 2.0, delta),
                     "mdp_fano": bounds.mdp_fano_bound(eps, 2, 2.0, cfg.dim * math.log(2.0),
                                                       delta)}
         else:
-            kl = pnsgd_mod.renyi_slope_for_dp(eps, delta) if reads_delta else kl_bound(eps)
+            kl = kl_bound(eps) if rho is None else rho
             want = {"dp_lecam": bounds.two_point_bound(2.0, kl, 2),
                     "rdp_unbiased": bounds.unbiased_rdp_bound(eps, float(cfg.dim))}
-        got = evaluate_bounds(MECHANISM_KINDS[name], cfg, problem, eps)
+        got = evaluate_bounds(guarantee, cfg.n_samples, cfg.dim)
         assert list(got) == list(want)
         assert got == want
-        assert run_sweep(cfg).bound_names == tuple(want)
+        assert result.bound_names == tuple(want)
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_one_slope_per_cell(self, name, monkeypatch):
+        # the noise and the bounds read the cell's one guarantee, so a
+        # PNSGD_DP sweep forms each cell's slope once; the others never
+        calls = []
+        slope = pnsgd_mod.renyi_slope_for_dp
+
+        def counting(eps, delta):
+            calls.append(eps)
+            return slope(eps, delta)
+
+        monkeypatch.setattr(pnsgd_mod, "renyi_slope_for_dp", counting)
+        cfg = tiny_config(mechanism_kind=name, eps_grid=(0.5, 1.5, 4.0), trials=1,
+                          train_size=40, n_samples=2)
+        run_sweep(cfg)
+        assert calls == (list(cfg.eps_grid) if name == "PNSGD_DP" else [])
 
     def test_pnsgd_dp_noise_and_bound_read_one_slope(self, monkeypatch):
         # the pass's noise sigma and its audited two-point bound come from

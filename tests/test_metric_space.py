@@ -7,7 +7,6 @@ import pytest
 
 from reconbound.metric_space import (FiniteMetricSpace, SizeCapError,
                                      covering_number, discretize_unit_ball,
-                                     effective_dimension,
                                      norm_ball_covering_bounds_log, packing_number,
                                      pairwise_distances, two_point_space)
 
@@ -230,27 +229,6 @@ class TestNormBallBounds:
                 lo, hi = exp_covering_bounds(d, eta)
                 cov = covering_number(sp, eta, cap=25)
                 assert lo <= cov <= hi, (d, eta, cov, lo, hi)
-
-
-class TestEffectiveDimension:
-    def test_single_point(self):
-        sp = FiniteMetricSpace(points=("o",), dist=np.zeros((1, 1)), unit_ball=True)
-        assert effective_dimension(sp) == 0.0
-
-    def test_interval_grid(self):
-        sp = discretize_unit_ball(1, 0.1)
-        assert len(sp) == 21
-        assert effective_dimension(sp, cap=21) == pytest.approx(math.log(2.0), rel=1e-12)
-
-    def test_untagged_rejected(self):
-        with pytest.raises(ValueError):
-            effective_dimension(two_point_space(1.0))
-
-    def test_search_cap_propagates(self):
-        ball = discretize_unit_ball(2, 0.3)  # 37 points
-        assert len(ball) > 20
-        with pytest.raises(SizeCapError):
-            effective_dimension(ball)
 
 
 class TestValidation:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,9 +144,28 @@ class TestLockstep:
                               [np.random.default_rng(c)], self.TRIALS)[0]
             assert np.array_equal(together[c], alone)
 
+    def test_infinite_sigma_draws_nothing_and_releases_nan(self):
+        # sigma inf is the no-information release: its chains are NaN
+        # without NaN arithmetic (no RuntimeWarning), its generator is
+        # untouched, and the other cells are as if run alone
+        d = 3
+        sigmas = np.array([0.5, math.inf, 0.2])
+        _, signed = self._logistic(5, d=d)
+        rngs = [np.random.default_rng(c) for c in range(len(sigmas))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pnsgd_run(sigmas, signed, self.LAM, self.RADIUS, rngs, self.TRIALS)
+        assert np.isnan(out[1]).all()
+        assert rngs[1].bit_generator.state == np.random.default_rng(1).bit_generator.state
+        for c in (0, 2):
+            alone = pnsgd_run(sigmas[c:c + 1], signed, self.LAM, self.RADIUS,
+                              [np.random.default_rng(c)], self.TRIALS)[0]
+            assert np.array_equal(out[c], alone)
+
     def test_sigma_per_chain_validated(self):
         rngs = [np.random.default_rng(0), np.random.default_rng(1)]
-        for sigmas in (np.array([0.1, -0.1]), np.array([0.1]), np.array(0.1)):
+        for sigmas in (np.array([0.1, -0.1]), np.array([0.1, math.nan]), np.array([0.1]),
+                       np.array(0.1)):
             with pytest.raises(ValueError, match="sigmas"):
                 pnsgd_run(sigmas, np.ones((3, 1)), 1.0, 1.0, rngs, self.TRIALS)
 

@@ -118,14 +118,6 @@ def unbiased_rdp_bound(eps: float, coord_diam_sq_sum: float) -> float:
         return 0.0
 
 
-def unbiased_rdp_validity_threshold(d: int) -> float:
-    """Privacy level below which `unbiased_rdp_bound` exceeds the trivial
-    upper bound on the unit-ball construction: ln(1 + d/4)."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return math.log(1.0 + d / 4.0)
-
-
 def validity_check(bound_value: float, trivial_upper: float) -> Validity:
     """Compare a bound against the trivial risk, that of the domain's
     Chebyshev centre: (diam/2)^2 on any ball or two-point space, so 1 on

@@ -15,6 +15,10 @@ releases in one vectorized call and attacks them in one `attack_average`
 call, and PNSGD runs the chains of every cell and trial in one lockstep
 pass.
 
+Each input is read once: a config file's keys are the `SweepConfig`
+fields, each parsed by its annotation, and one reader checks both IDX
+files.  PNSGD's radius and metric Renyi order are constants.
+
 `MECHANISM_KINDS` maps each kind to flags, read in two places: the
 release path, and `_guarantee`, which turns them and the config into
 each cell's `Guarantee`.  The noise and every bound read that one value.
@@ -26,11 +30,10 @@ the attack produced no evidence against any bound at that privacy level.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 from dataclasses import MISSING, dataclass, fields
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,15 +47,17 @@ from .metric_space import norm_ball_covering_bounds_log
 
 DATASET_SOURCES = ("SYNTHETIC", "IDX_FILES")
 
-_IMAGES_MAGIC = 0x00000803
-_LABELS_MAGIC = 0x00000801
-
 # bounds the audit enforces; the unbiased prior bound is emitted for
 # plotting but assumes an unbiased attack, which this one is not
 AUDITED_BOUNDS = ("dp_lecam", "mdp_lecam", "mdp_fano")
 
 # rows are normalised into the unit L2 ball, so the domain has diameter 2
 UNIT_BALL_DIAM = 2.0
+
+# how PNSGD meets a guarantee, which no bound reads: the radius of the
+# ball it projects onto, and the Renyi order of its metric noise rule
+PNSGD_RADIUS = 10.0
+PNSGD_MDP_ORDER = 2.0
 
 # far beyond any plotted sweep; a finer a:b:step grid is refused before it
 # is built, as its points would fill memory first
@@ -112,14 +117,12 @@ class SweepConfig:
     n_samples: int = 1
     lam: float = 1e-2
     delta: float = 1e-5
-    alpha: float = 2.0
     train_size: int = 2000
     dim: int = 16
     noiseless: bool = False
     idx_images: str = ""
     idx_labels: str = ""
     digit_pair: tuple = (0, 1)
-    constraint_radius: float = 10.0
 
     def __post_init__(self):
         # SeedSequence rejects a negative seed too, but only once the
@@ -143,10 +146,9 @@ class SweepConfig:
             raise ConfigError(f"unknown dataset_source {self.dataset_source!r}")
         if not 0 <= self.delta < 1:
             raise ConfigError("delta must lie in [0, 1)")
-        if not 1 < self.alpha < math.inf:
-            raise ConfigError("alpha must exceed 1 and be finite")
-        if not 0 < self.constraint_radius < math.inf:
-            raise ConfigError("constraint_radius must be positive and finite")
+        # LogRegProblem refuses it too, but only once the dataset is read
+        if not 0 < self.lam < math.inf:
+            raise ConfigError("lam must be positive and finite")
         digits = tuple(int(d) for d in self.digit_pair)
         if len(digits) != 2 or digits[0] == digits[1]:
             raise ConfigError(f"digit_pair must be two distinct labels, got {digits}")
@@ -210,24 +212,14 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, got {text!r}") from None
 
 
-_CONFIG_PARSERS = {
-    "eps_grid": parse_eps_grid,
-    "trials": int,
-    "mechanism_kind": str,
-    "seed": int,
-    "dataset_source": str,
-    "n_samples": int,
-    "lam": float,
-    "delta": float,
-    "alpha": float,
-    "train_size": int,
-    "dim": int,
-    "noiseless": _parse_bool,
-    "idx_images": str,
-    "idx_labels": str,
-    "digit_pair": lambda s: tuple(int(x) for x in s.split(",")),
-    "constraint_radius": float,
-}
+_TYPE_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+_TUPLE_PARSERS = {"eps_grid": parse_eps_grid,
+                  "digit_pair": lambda s: tuple(int(x) for x in s.split(","))}
+
+# the keys a config may set are the SweepConfig fields, each parsed by its
+# annotation; a tuple field names its own parser
+_CONFIG_PARSERS = {f.name: _TUPLE_PARSERS[f.name] if f.type == "tuple" else _TYPE_PARSERS[f.type]
+                   for f in fields(SweepConfig)}
 
 
 def parse_config_text(text: str) -> SweepConfig:
@@ -280,13 +272,21 @@ def generate_synthetic(n: int, d: int, seed: int, lam: float = 1e-2) -> LogRegPr
     return LogRegProblem(features=x, labels=labels, lam=lam)
 
 
-def _read_idx(raw: bytes, magic_expected: int, path: str) -> tuple:
-    if len(raw) < 8:
+def _read_idx(path, ndim: int) -> np.ndarray:
+    """The unsigned bytes of a big-endian IDX file of ndim dimensions:
+    magic 0x0800 + ndim, the ndim sizes, then their product in bytes."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    header = 4 + 4 * ndim
+    if len(raw) < header:
         raise IdxFormatError(f"{path}: truncated header")
-    magic, count = struct.unpack(">II", raw[:8])
-    if magic != magic_expected:
-        raise IdxFormatError(f"{path}: magic 0x{magic:08x} != 0x{magic_expected:08x}")
-    return magic, count
+    magic, *sizes = struct.unpack(f">{1 + ndim}I", raw[:header])
+    if magic != 0x0800 + ndim:
+        raise IdxFormatError(f"{path}: magic 0x{magic:08x} != 0x{0x0800 + ndim:08x}")
+    need = header + math.prod(sizes)
+    if len(raw) < need:
+        raise IdxFormatError(f"{path}: expected {need} bytes, found {len(raw)}")
+    return np.frombuffer(raw, dtype=np.uint8, count=need - header, offset=header).reshape(sizes)
 
 
 def load_idx(images_path, labels_path, digits: tuple = (0, 1),
@@ -294,25 +294,12 @@ def load_idx(images_path, labels_path, digits: tuple = (0, 1),
     """Load a big-endian IDX image/label pair, filter to two digits, map
     labels to -1/+1, scale pixels to [0,1], and normalize rows to the
     unit L2 ball."""
-    with open(images_path, "rb") as fh:
-        img_raw = fh.read()
-    with open(labels_path, "rb") as fh:
-        lab_raw = fh.read()
-    _, n_img = _read_idx(img_raw, _IMAGES_MAGIC, str(images_path))
-    if len(img_raw) < 16:
-        raise IdxFormatError(f"{images_path}: truncated dimension header")
-    rows, cols = struct.unpack(">II", img_raw[8:16])
-    need = 16 + n_img * rows * cols
-    if len(img_raw) < need:
-        raise IdxFormatError(f"{images_path}: expected {need} bytes, found {len(img_raw)}")
-    _, n_lab = _read_idx(lab_raw, _LABELS_MAGIC, str(labels_path))
-    if len(lab_raw) < 8 + n_lab:
-        raise IdxFormatError(f"{labels_path}: expected {8 + n_lab} bytes, found {len(lab_raw)}")
-    if n_img != n_lab:
-        raise IdxFormatError(f"image count {n_img} != label count {n_lab}")
-    images = np.frombuffer(img_raw, dtype=np.uint8, count=n_img * rows * cols,
-                           offset=16).reshape(n_img, rows * cols)
-    labels = np.frombuffer(lab_raw, dtype=np.uint8, count=n_lab, offset=8)
+    images = _read_idx(images_path, 3)
+    labels = _read_idx(labels_path, 1)
+    n_img, rows, cols = images.shape
+    if n_img != len(labels):
+        raise IdxFormatError(f"image count {n_img} != label count {len(labels)}")
+    images = images.reshape(n_img, rows * cols)
     lo, hi = digits
     mask_lo = labels == lo
     mask_hi = labels == hi
@@ -347,9 +334,9 @@ def _pnsgd_sigma(g: Guarantee, config: SweepConfig) -> float:
     if config.noiseless:
         return 0.0
     if g.rho is None:
-        lip = 1.0 + config.constraint_radius / 4.0  # the gradients' input Lipschitz constant
-        return math.sqrt(pnsgd_mod.noise_for_renyi_mdp(config.alpha, g.eps, lip, UNIT_BALL_DIAM))
-    g_bound = 1.0 + config.lam * config.constraint_radius
+        lip = 1.0 + PNSGD_RADIUS / 4.0  # the gradients' input Lipschitz constant
+        return math.sqrt(pnsgd_mod.noise_for_renyi_mdp(PNSGD_MDP_ORDER, g.eps, lip, UNIT_BALL_DIAM))
+    g_bound = 1.0 + config.lam * PNSGD_RADIUS  # the gradients' norm bound
     # rho = 2*G^2/sigma^2; a slope that underflowed to 0 asks for infinite noise
     return g_bound * math.sqrt(2.0 / g.rho) if g.rho else math.inf
 
@@ -361,8 +348,7 @@ def _pnsgd_releases(guarantees: list, config: SweepConfig, problem: LogRegProble
     lockstep pass per sample, each pass continuing the cells' generators."""
     sigmas = [_pnsgd_sigma(g, config) for g in guarantees]
     signed = problem.labels[:, None] * problem.features
-    passes = [pnsgd_mod.pnsgd_run(sigmas, signed, config.lam, config.constraint_radius, rngs,
-                                  config.trials)
+    passes = [pnsgd_mod.pnsgd_run(sigmas, signed, config.lam, PNSGD_RADIUS, rngs, config.trials)
               for _ in range(config.n_samples)]
     return np.stack(passes, axis=2)
 
@@ -463,39 +449,35 @@ def audit_dominance(result: SweepResult) -> bool:
 
 
 def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(float(x))
+    return repr(float(x))  # 'inf' and '-inf' as well
+
+
+def _write_csv(path, header: Sequence, rows: Iterable) -> None:
+    """Comma-joined lines ended by one newline, formed before the file opens."""
+    text = "".join(",".join(cells) + "\n" for cells in [header, *rows])
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text)
 
 
 def emit_csv(result: SweepResult, path) -> None:
     """One row per grid point; byte-deterministic given (config, seed)."""
     if not result.rows:
         raise ValueError("refusing to emit an empty sweep result")
-    cols = ["epsilon", "mechanism", "mean_mse", "ci_low", "ci_high",
-            *result.bound_names, "failures"]
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    for row in result.rows:
-        cells = [_fmt(row.epsilon), row.mechanism, _fmt(row.mean_mse),
-                 _fmt(row.ci_low), _fmt(row.ci_high)]
-        cells += [_fmt(row.bound_values[name]) for name in result.bound_names]
-        cells.append(str(row.failures))
-        buf.write(",".join(cells) + "\n")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(buf.getvalue())
+    header = ["epsilon", "mechanism", "mean_mse", "ci_low", "ci_high",
+              *result.bound_names, "failures"]
+    lines = ([_fmt(row.epsilon), row.mechanism, _fmt(row.mean_mse), _fmt(row.ci_low),
+              _fmt(row.ci_high), *(_fmt(row.bound_values[name]) for name in result.bound_names),
+              str(row.failures)]
+             for row in result.rows)
+    _write_csv(path, header, lines)
 
 
 def emit_bounds_csv(rows: Sequence, path) -> None:
     """Bound curves: epsilon, bound_name, value, validity_flag."""
     if not rows:
         raise ValueError("refusing to emit an empty bounds table")
-    buf = io.StringIO()
-    buf.write("epsilon,bound_name,value,validity_flag\n")
-    for eps, name, value, flag in rows:
-        buf.write(f"{_fmt(eps)},{name},{_fmt(value)},{flag.value}\n")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(buf.getvalue())
+    _write_csv(path, ["epsilon", "bound_name", "value", "validity_flag"],
+               ([_fmt(eps), name, _fmt(value), flag.value] for eps, name, value, flag in rows))
 
 
 _SVG_W, _SVG_H = 760, 480

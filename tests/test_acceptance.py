@@ -12,8 +12,7 @@ import pytest
 
 from reconbound import pnsgd as pnsgd_mod
 from reconbound.attack import glm_reconstruct_single
-from reconbound.bounds import (Validity, dp_lecam_bound, unbiased_rdp_bound,
-                               unbiased_rdp_validity_threshold, validity_check)
+from reconbound.bounds import Validity, dp_lecam_bound, unbiased_rdp_bound, validity_check
 from reconbound.divergence import (GAUSSIAN, LAPLACE, AnalyticPair, analytic_kl,
                                    kl_bound, numeric_kl_pair)
 from reconbound.harness import SweepConfig, emit_csv, generate_synthetic, run_sweep
@@ -61,8 +60,11 @@ def mdp_sweep():
 def test_c1_prior_bound_validity_threshold():
     with criterion(1, "prior-bound validity threshold at d=784 and unit-ball flags"):
         start = time.perf_counter()
-        thr = unbiased_rdp_validity_threshold(784)
+        # ln(1 + d/4) solves d / (4 * (e^eps - 1)) = 1, the unit ball's trivial risk
+        thr = math.log(1 + 784 / 4)
         assert thr == pytest.approx(5.283, abs=0.005)
+        assert validity_check(unbiased_rdp_bound(thr - 1e-3, 784.0), 1.0) is Validity.VACUOUS
+        assert validity_check(unbiased_rdp_bound(thr + 1e-3, 784.0), 1.0) is Validity.VALID
         for eps in (1.0, 2.0, 3.0, 4.0, 5.0):
             val = unbiased_rdp_bound(eps, 784.0)
             assert validity_check(val, 1.0) is Validity.VACUOUS, eps

@@ -28,8 +28,6 @@ ALLOWED = {
     "channel_renyi": "verification oracle",
     # the discretized unit ball whose covering numbers acceptance c8 checks
     "discretize_unit_ball": "read by acceptance c8",
-    # the prior bound's validity threshold, pinned by acceptance c1
-    "unbiased_rdp_validity_threshold": "pinned by acceptance c1",
 }
 
 

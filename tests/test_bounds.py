@@ -8,8 +8,7 @@ import pytest
 from reconbound.bounds import (DegenerateDimensionError, Validity, dp_lecam_bound,
                                fano_bound, mdp_fano_bound, mdp_lecam_bound,
                                renyi_dp_lecam_bound, two_point_bound,
-                               unbiased_rdp_bound, unbiased_rdp_validity_threshold,
-                               validity_check)
+                               unbiased_rdp_bound, validity_check)
 from reconbound.divergence import kl_bound, renyi_bound
 
 
@@ -334,7 +333,8 @@ class TestMdpFano:
 
 class TestUnbiasedRdp:
     def test_unit_ball_at_threshold(self):
-        eps = unbiased_rdp_validity_threshold(784)
+        # ln(1 + d/4) solves d / (4 * (e^eps - 1)) = 1, the unit ball's trivial risk
+        eps = math.log(1 + 784 / 4)
         val = unbiased_rdp_bound(eps, 784.0)
         assert val == pytest.approx(1.0, rel=1e-9)
 
@@ -363,13 +363,9 @@ class TestUnbiasedRdp:
         for eps in (710.0, 800.0, 1e6):
             assert unbiased_rdp_bound(eps, 784.0) == 0.0
 
-    def test_threshold_values(self):
-        assert unbiased_rdp_validity_threshold(784) == pytest.approx(5.2832037, abs=1e-6)
-        assert unbiased_rdp_validity_threshold(4) == pytest.approx(math.log(2.0))
-
     def test_crossing_at_threshold(self):
         d = 784
-        thr = unbiased_rdp_validity_threshold(d)
+        thr = math.log(1 + d / 4)
         below = unbiased_rdp_bound(thr - 1e-3, float(d))
         above = unbiased_rdp_bound(thr + 1e-3, float(d))
         assert below > 1.0 >= above

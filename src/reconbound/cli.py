@@ -14,7 +14,6 @@ certificate violation (an exact oracle fell below a bound it certifies).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -44,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--diam", type=float, required=True)
     p_bounds.add_argument("--n", type=int, default=1)
     p_bounds.add_argument("--delta", type=float, default=0.0)
-    p_bounds.add_argument("--alpha", type=float, default=2.0)
     p_bounds.add_argument("--coord-diam-sq-sum", type=float, default=None)
     p_bounds.add_argument("--d-eff", type=float, default=None)
     p_bounds.add_argument("--out", default="bounds.csv")
@@ -66,14 +64,11 @@ def _cmd_sweep(args) -> int:
     flags = {"seed": args.seed, "mechanism_kind": args.mechanism,
              "eps_grid": args.eps_grid, "trials": args.trials, "noiseless": args.noiseless}
     flags = {key: value for key, value in flags.items() if value is not None}
-    config = harness.parse_config(args.config) if args.config else None
-    if config is None and not harness.REQUIRED_CONFIG_KEYS <= flags.keys():
-        raise harness.ConfigError(
-            "without --config, all of --eps-grid/--mechanism/--seed are required")
     if "eps_grid" in flags:
         flags["eps_grid"] = harness.parse_eps_grid(flags["eps_grid"])
-    config = (harness.SweepConfig(**flags) if config is None
-              else dataclasses.replace(config, **flags))
+    # flags complete and override the file; without one they are the config
+    config = (harness.parse_config(args.config, **flags) if args.config
+              else harness.parse_config_text("", **flags))
 
     result = harness.run_sweep(config)
     os.makedirs(args.out, exist_ok=True)
@@ -107,8 +102,6 @@ def _cmd_bounds(args) -> int:
         raise harness.ConfigError(f"--diam {args.diam:g} must be >= 0 with (diam/2)^2 finite")
     if not 0 <= args.delta < 1:
         raise harness.ConfigError(f"--delta {args.delta:g} must lie in [0, 1)")
-    if not args.alpha > 1:  # NaN included
-        raise harness.ConfigError(f"--alpha {args.alpha:g} must exceed 1")
     coord, d_eff = args.coord_diam_sq_sum, args.d_eff
     if coord is not None and not 0 <= coord < math.inf:  # NaN included
         raise harness.ConfigError(f"--coord-diam-sq-sum {coord:g} must be finite and >= 0")
@@ -116,11 +109,8 @@ def _cmd_bounds(args) -> int:
         raise harness.ConfigError(f"--d-eff {d_eff:g} must be finite and exceed ln 2")
     rows = []
     for eps in grid:
-        values = {
-            "dp_lecam": bounds_mod.dp_lecam_bound(eps, args.n, args.diam, args.delta),
-            "dp_lecam_renyi": bounds_mod.renyi_dp_lecam_bound(eps, args.alpha, args.n, args.diam),
-            "mdp_lecam": bounds_mod.mdp_lecam_bound(eps, args.n, args.diam, args.delta),
-        }
+        values = {"dp_lecam": bounds_mod.dp_lecam_bound(eps, args.n, args.diam, args.delta),
+                  "mdp_lecam": bounds_mod.mdp_lecam_bound(eps, args.n, args.diam, args.delta)}
         if coord is not None:
             values["rdp_unbiased"] = bounds_mod.unbiased_rdp_bound(eps, coord)
         if d_eff is not None:

@@ -1,11 +1,11 @@
-"""Divergence machinery: bounds on KL and Renyi divergence implied by a
-likelihood-ratio privacy budget, closed forms for Laplace/Gaussian pairs,
-and a deterministic quadrature oracle used to verify the closed forms.
+"""Divergence machinery: the KL budget implied by a likelihood-ratio
+privacy budget, closed forms for Laplace/Gaussian pairs, and a
+deterministic quadrature oracle used to verify the closed forms.
 
-The KL budget ``t * tanh(t/2)`` and the Renyi budget
-``min(t, 3*alpha*t^2/2)`` are computed here and nowhere else; they feed
-`bounds.two_point_bound` as its KL argument, so the bounds the sweep
-audits use the very functions the quadrature oracles verify.
+The KL budget ``t * tanh(t/2)`` is computed here and nowhere else; it
+feeds `bounds.two_point_bound` and `bounds.fano_bound` as their KL
+argument, so the bounds the sweep audits use the very function the
+quadrature oracles verify.
 """
 
 from __future__ import annotations
@@ -37,15 +37,6 @@ def kl_bound(eps: float, rho: float = 1.0) -> float:
         raise ValueError("eps and rho must be nonnegative")
     t = eps * rho
     return t * math.tanh(t / 2.0)
-
-
-def renyi_bound(eps: float, alpha: float) -> float:
-    """Renyi divergence budget min(eps, 3*alpha*eps^2/2)."""
-    if not alpha > 1:  # NaN included
-        raise ValueError("alpha must exceed 1")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    return min(eps, 1.5 * alpha * eps * eps)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,10 @@ call, and PNSGD runs the chains of every cell and trial in one lockstep
 pass.
 
 Each input is read once: a config file's keys are the `SweepConfig`
-fields, each parsed by its annotation, and one reader checks both IDX
-files.  PNSGD's radius and metric Renyi order are constants.
+fields, each parsed by its annotation, and flags complete and override
+them.  The dataset is the IDX pair if one is named, else synthetic; one
+reader checks both IDX files and one helper scales rows into the unit
+ball.  PNSGD's radius and metric Renyi order are constants.
 
 `MECHANISM_KINDS` maps each kind to flags, read in two places: the
 release path, and `_guarantee`, which turns them and the config into
@@ -44,8 +46,6 @@ from .divergence import kl_bound
 from .mechanisms import (LogRegProblem, output_perturb_dp,
                          output_perturb_mdp_euclidean, train_logreg_exact)
 from .metric_space import norm_ball_covering_bounds_log
-
-DATASET_SOURCES = ("SYNTHETIC", "IDX_FILES")
 
 # bounds the audit enforces; the unbiased prior bound is emitted for
 # plotting but assumes an unbiased attack, which this one is not
@@ -113,7 +113,6 @@ class SweepConfig:
     mechanism_kind: str
     seed: int
     trials: int = 50
-    dataset_source: str = "SYNTHETIC"
     n_samples: int = 1
     lam: float = 1e-2
     delta: float = 1e-5
@@ -142,10 +141,17 @@ class SweepConfig:
                 raise ConfigError(f"{key} must be >= 1")
         if self.mechanism_kind not in MECHANISM_KINDS:
             raise ConfigError(f"unknown mechanism_kind {self.mechanism_kind!r}")
-        if self.dataset_source not in DATASET_SOURCES:
-            raise ConfigError(f"unknown dataset_source {self.dataset_source!r}")
         if not 0 <= self.delta < 1:
             raise ConfigError("delta must lie in [0, 1)")
+        if bool(self.idx_images) != bool(self.idx_labels):
+            raise ConfigError("idx_images and idx_labels must be set together")
+        # refused before any work: a PNSGD_DP pass spends delta in its Renyi
+        # slope, and the metric bounds' d_eff = dim*ln 2 must exceed ln 2
+        kind = MECHANISM_KINDS[self.mechanism_kind]
+        if kind.pnsgd and not kind.metric and self.delta == 0:
+            raise ConfigError(f"delta must be > 0 for {self.mechanism_kind}")
+        if kind.metric and not self.idx_images and self.dim < 2:
+            raise ConfigError(f"dim must be >= 2 for {self.mechanism_kind} on synthetic data")
         # LogRegProblem refuses it too, but only once the dataset is read
         if not 0 < self.lam < math.inf:
             raise ConfigError("lam must be positive and finite")
@@ -222,8 +228,9 @@ _CONFIG_PARSERS = {f.name: _TUPLE_PARSERS[f.name] if f.type == "tuple" else _TYP
                    for f in fields(SweepConfig)}
 
 
-def parse_config_text(text: str) -> SweepConfig:
-    """Flat key = value lines; '#' starts a comment."""
+def parse_config_text(text: str, **flags) -> SweepConfig:
+    """Flat key = value lines; '#' starts a comment.  Flags, parsed values
+    keyed by field name, complete and override the lines."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -241,15 +248,16 @@ def parse_config_text(text: str) -> SweepConfig:
             raise
         except Exception as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
+    values.update(flags)
     missing = REQUIRED_CONFIG_KEYS - values.keys()
     if missing:
         raise ConfigError(f"missing required keys: {sorted(missing)}")
     return SweepConfig(**values)
 
 
-def parse_config(path) -> SweepConfig:
+def parse_config(path, **flags) -> SweepConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        return parse_config_text(fh.read(), **flags)
 
 
 def generate_synthetic(n: int, d: int, seed: int, lam: float = 1e-2) -> LogRegProblem:
@@ -265,11 +273,16 @@ def generate_synthetic(n: int, d: int, seed: int, lam: float = 1e-2) -> LogRegPr
     x = rng.normal(0.0, 0.3, size=(n, d))
     np.add(x, 0.5 * mu, out=x, where=labels[:, None] > 0)
     np.subtract(x, 0.5 * mu, out=x, where=labels[:, None] < 0)
-    # row blocks: each row sums as in a whole-array sum, with no full-size temporary
-    norms = np.concatenate([np.sum(b * b, axis=1) for b in np.split(x, range(256, n, 256))])
+    return LogRegProblem(features=_into_unit_ball(x), labels=labels, lam=lam)
+
+
+def _into_unit_ball(x: np.ndarray) -> np.ndarray:
+    """x, read-only, each row of norm above 1 divided in place by its norm.
+    Row blocks: each row sums as in a whole-array sum, with no full-size temporary."""
+    norms = np.concatenate([np.sum(b * b, axis=1) for b in np.split(x, range(256, len(x), 256))])
     x /= np.maximum(np.sqrt(norms), 1.0)[:, None]
     x.setflags(write=False)
-    return LogRegProblem(features=x, labels=labels, lam=lam)
+    return x
 
 
 def _read_idx(path, ndim: int) -> np.ndarray:
@@ -310,18 +323,14 @@ def load_idx(images_path, labels_path, digits: tuple = (0, 1),
     keep = mask_lo | mask_hi
     x = images[keep].astype(float) / 255.0
     y = np.where(labels[keep] == hi, 1.0, -1.0)
-    norms = np.sqrt(np.sum(x * x, axis=1))
-    x /= np.maximum(norms, 1.0)[:, None]
-    x.setflags(write=False)
-    return LogRegProblem(features=x, labels=y, lam=lam)
+    return LogRegProblem(features=_into_unit_ball(x), labels=y, lam=lam)
 
 
 def _load_problem(config: SweepConfig) -> LogRegProblem:
-    if config.dataset_source == "SYNTHETIC":
-        return generate_synthetic(config.train_size, config.dim, config.seed,
-                                  lam=config.lam)
-    return load_idx(config.idx_images, config.idx_labels,
-                    digits=config.digit_pair, lam=config.lam)
+    if config.idx_images:
+        return load_idx(config.idx_images, config.idx_labels,
+                        digits=config.digit_pair, lam=config.lam)
+    return generate_synthetic(config.train_size, config.dim, config.seed, lam=config.lam)
 
 
 def _guarantee(kind: MechanismKind, config: SweepConfig, eps: float) -> Guarantee:

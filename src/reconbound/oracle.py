@@ -199,17 +199,6 @@ def channel_tv(mech: FiniteMechanism, i: int, j: int) -> float:
     return float(0.5 * np.sum(np.abs(mech.channel[i] - mech.channel[j])))
 
 
-def channel_renyi(mech: FiniteMechanism, i: int, j: int, alpha: float) -> float:
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
-    p, q = mech.channel[i], mech.channel[j]
-    if np.any((p > 0) & (q == 0)):
-        return math.inf
-    mask = p > 0
-    s = float(np.sum(p[mask] ** alpha * q[mask] ** (1.0 - alpha)))
-    return math.log(s) / (alpha - 1.0)
-
-
 def product_tv(mech: FiniteMechanism, n: int) -> tuple[float, float]:
     """Exact total variation between the n-fold products of a two-input
     channel's rows, and their overlap sum(min(p, q)) = 1 - TV, summed

@@ -25,7 +25,6 @@ ALLOWED = {
     "numeric_tv": "verification oracle",
     "bh_tv_bound": "verification oracle",
     "channel_tv": "verification oracle",
-    "channel_renyi": "verification oracle",
     # the discretized unit ball whose covering numbers acceptance c8 checks
     "discretize_unit_ball": "read by acceptance c8",
 }

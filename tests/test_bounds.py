@@ -7,9 +7,8 @@ import pytest
 
 from reconbound.bounds import (DegenerateDimensionError, Validity, dp_lecam_bound,
                                fano_bound, mdp_fano_bound, mdp_lecam_bound,
-                               renyi_dp_lecam_bound, two_point_bound,
-                               unbiased_rdp_bound, validity_check)
-from reconbound.divergence import kl_bound, renyi_bound
+                               two_point_bound, unbiased_rdp_bound, validity_check)
+from reconbound.divergence import kl_bound
 
 
 class TestTwoPoint:
@@ -19,17 +18,14 @@ class TestTwoPoint:
         # a separation whose square overflows gives inf, not OverflowError
         assert two_point_bound(1e200, 0.5, 1) == math.inf
 
-    def test_dp_and_renyi_bounds_are_the_routine(self):
-        # bit for bit: both closed forms are the two-point routine at
-        # sep = diam with their divergence budgets
+    def test_dp_bound_is_the_routine(self):
+        # bit for bit: the closed form is the two-point routine at
+        # sep = diam with the KL budget eps * tanh(eps/2)
         for eps in (0.1, 0.45, 1.0, 2.9, 7.5):
             for n in (1, 2, 5, 18):
                 for diam in (0.5, 1.0, 2.0):
                     assert dp_lecam_bound(eps, n, diam, 1e-5) == \
                         two_point_bound(diam, kl_bound(eps), n, 1e-5)
-                    for alpha in (1.5, 2.0, 8.0):
-                        assert renyi_dp_lecam_bound(eps, alpha, n, diam) == \
-                            two_point_bound(diam, renyi_bound(eps, alpha), n)
 
     def test_metric_bound_is_the_routine(self):
         # bit for bit: the routine at sep = diam, capped at sqrt(2/n)/eps,
@@ -70,26 +66,6 @@ class TestDpLecam:
     def test_needs_finite_diam(self):
         with pytest.raises(ValueError):
             dp_lecam_bound(1.0, 1, math.nan)
-
-
-class TestRenyiLecam:
-    def test_eps_zero(self):
-        assert renyi_dp_lecam_bound(0.0, 2.0, 1, 1.0) == pytest.approx(1 / 16)
-
-    def test_quadratic_branch(self):
-        val = renyi_dp_lecam_bound(0.1, 2.0, 1, 1.0)
-        assert val == pytest.approx(math.exp(-0.03) / 16.0, rel=1e-12)
-        assert val == pytest.approx(0.0606529, abs=1e-6)
-
-    def test_linear_branch(self):
-        val = renyi_dp_lecam_bound(2.0, 2.0, 3, 1.0)
-        assert val == pytest.approx(math.exp(-3 * 2.0) / 16.0, rel=1e-12)
-
-    def test_alpha_required(self):
-        # a Renyi order above 1; NaN is none
-        for alpha in (1.0, 0.5, math.nan):
-            with pytest.raises(ValueError):
-                renyi_dp_lecam_bound(1.0, alpha, 1, 1.0)
 
 
 def dense_two_point_sup(eps, n, diam, points=20001):

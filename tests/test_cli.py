@@ -127,6 +127,27 @@ class TestBounds:
                         "--out", str(out_path)]) == 0
         assert "1e+100,mdp_fano,0.015625,VALID" in out_path.read_text()
 
+    def test_rows_per_epsilon(self, tmp_path):
+        # dp_lecam and mdp_lecam at every eps; the prior unbiased and the
+        # Fano rows only where their flags are given
+        out_path = tmp_path / "bounds.csv"
+        base = ["bounds", "--eps-grid", "0.5,3", "--diam", "2.0", "--out", str(out_path)]
+        for extra, names in (([], ["dp_lecam", "mdp_lecam"]),
+                             (["--coord-diam-sq-sum", "784", "--d-eff", "11.09"],
+                              ["dp_lecam", "mdp_lecam", "rdp_unbiased", "mdp_fano"])):
+            assert run_cli(base + extra) == 0
+            rows = [line.split(",")[:2] for line in out_path.read_text().splitlines()[1:]]
+            assert rows == [[eps, name] for eps in ("0.5", "3.0") for name in names]
+
+    def test_alpha_is_no_flag(self, tmp_path, capsys):
+        out_path = tmp_path / "bounds.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bounds", "--eps-grid", "1", "--diam", "1", "--alpha", "2",
+                     "--out", str(out_path)])
+        assert exc.value.code == 2
+        assert "--alpha" in capsys.readouterr().err
+        assert not out_path.exists()
+
 
 class TestOracleCommand:
     def test_two_point(self, capsys):
@@ -191,21 +212,48 @@ class TestSweepCommand:
         labels.write_bytes(b"\x00\x00\x08\x01\x00\x00\x00\x00")
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("eps_grid = 1\nmechanism_kind = OUTPUT_PERTURB_DP\nseed = 1\n"
-                       f"dataset_source = IDX_FILES\nidx_images = {images}\n"
-                       f"idx_labels = {labels}\n")
+                       f"idx_images = {images}\nidx_labels = {labels}\n")
         assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
         assert "i/o error" in capsys.readouterr().err
 
     def test_bad_lam_refused_before_idx_files_are_read(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("eps_grid = 1\nmechanism_kind = OUTPUT_PERTURB_DP\nseed = 1\n"
-                       f"dataset_source = IDX_FILES\nidx_images = {tmp_path / 'missing.idx'}\n"
+                       f"idx_images = {tmp_path / 'missing.idx'}\n"
                        f"idx_labels = {tmp_path / 'missing.idx'}\nlam = nan\n")
         assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config error: lam must be positive and finite" in capsys.readouterr().err
 
-    def test_flags_required_without_config(self):
+    @pytest.mark.parametrize("lines,flags", [
+        ("trials = 2\n", ["--seed", "3"]),  # the file lacks a required key
+        ("seed = 3\ntrials = 0\n", ["--trials", "2"])])  # the file alone is refused
+    def test_flags_complete_and_override_the_file(self, tmp_path, lines, flags):
+        base = ("eps_grid = 1,2\nmechanism_kind = OUTPUT_PERTURB_DP\n"
+                "lam = 1.0\ntrain_size = 50\ndim = 3\n")
+        part, whole = tmp_path / "part.cfg", tmp_path / "whole.cfg"
+        part.write_text(base + lines)
+        whole.write_text(base + "seed = 3\ntrials = 2\n")
+        assert run_cli(["sweep", "--config", str(part), "--out", str(tmp_path / "a"), *flags]) == 0
+        assert run_cli(["sweep", "--config", str(whole), "--out", str(tmp_path / "b")]) == 0
+        name = "sweep_output_perturb_dp.csv"
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("key", ["idx_images", "idx_labels"])
+    def test_one_idx_path_exit_2(self, tmp_path, capsys, key):
+        path = tmp_path / "data.idx"
+        path.write_bytes(b"\x00\x00\x08\x01\x00\x00\x00\x00")
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("eps_grid = 1\nmechanism_kind = OUTPUT_PERTURB_DP\nseed = 1\n"
+                       f"trials = 1\ntrain_size = 40\ndim = 2\n{key} = {path}\n")
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "idx_images" in err and "idx_labels" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_flags_required_without_config(self, capsys):
         assert run_cli(["sweep", "--trials", "2"]) == 2
+        assert ("config error: missing required keys: ['eps_grid', 'mechanism_kind', 'seed']"
+                in capsys.readouterr().err)
 
     def test_flags_only_run(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -309,7 +357,6 @@ class TestBadInput:
     @pytest.mark.parametrize("flag,value", [
         ("--n", "0"), ("--diam", "-1"), ("--coord-diam-sq-sum", "-1"),
         ("--d-eff", "0.5"), ("--d-eff", "inf"), ("--coord-diam-sq-sum", "inf"),
-        ("--alpha", "nan"), ("--alpha", "1"), ("--alpha", "0.5"),
         ("--delta", "1"), ("--delta", "-0.1"), ("--delta", "nan"),
         ("--eps-grid", "-1")])
     def test_bad_bound_input_exit_2(self, tmp_path, capsys, flag, value):
@@ -449,3 +496,31 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "config error" in err and "delta" in err
         assert "Traceback" not in err
+
+    def test_pnsgd_dp_zero_delta_refused_before_any_dataset(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("dataset read before the config check")
+        monkeypatch.setattr(harness, "generate_synthetic", no_dataset)
+        monkeypatch.setattr(harness, "load_idx", no_dataset)
+        missing = tmp_path / "missing.idx"
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("eps_grid = 2\nmechanism_kind = PNSGD_DP\nseed = 1\ndelta = 0\n"
+                       f"idx_images = {missing}\nidx_labels = {missing}\n")
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: delta " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["OUTPUT_PERTURB_MDP", "PNSGD_MDP"])
+    def test_metric_kind_at_dim_1_refused_before_any_work(self, tmp_path, capsys,
+                                                          monkeypatch, kind):
+        # the metric bounds need d_eff = dim*ln 2 above ln 2
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("dataset built before the config check")
+        monkeypatch.setattr(harness, "generate_synthetic", no_dataset)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"eps_grid = 1\nmechanism_kind = {kind}\nseed = 1\n"
+                       "trials = 1\ntrain_size = 40\ndim = 1\n")
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: dim " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -7,8 +7,7 @@ from reconbound.divergence import (GAUSSIAN, LAPLACE, AnalyticPair, QuadratureEr
                                    analytic_kl, analytic_renyi, bh_tv_bound,
                                    gaussian_logpdf, integrate, kl_bound,
                                    laplace_logpdf, numeric_kl, numeric_kl_pair,
-                                   numeric_tv, pair_logpdfs, pair_support,
-                                   renyi_bound)
+                                   numeric_tv, pair_logpdfs, pair_support)
 
 
 class TestKLBound:
@@ -28,29 +27,6 @@ class TestKLBound:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             kl_bound(-0.1)
-
-
-class TestRenyiBound:
-    def test_zero(self):
-        assert renyi_bound(0.0, alpha=2.0) == 0.0
-
-    def test_linear_branch(self):
-        assert renyi_bound(1.0, alpha=2.0) == pytest.approx(1.0)
-
-    def test_quadratic_branch(self):
-        assert renyi_bound(0.1, alpha=2.0) == pytest.approx(0.03)
-
-    def test_alpha_must_exceed_one(self):
-        # NaN compares false with everything, so it must not slip past
-        for alpha in (1.0, 0.5, math.nan):
-            with pytest.raises(ValueError):
-                renyi_bound(1.0, alpha=alpha)
-
-    def test_monotone_in_all_args(self):
-        grid = np.linspace(0.01, 3.0, 25)
-        for eps_lo, eps_hi in zip(grid, grid[1:]):
-            assert renyi_bound(eps_hi, alpha=2.0) >= renyi_bound(eps_lo, alpha=2.0)
-            assert renyi_bound(0.5, alpha=eps_hi + 1) >= renyi_bound(0.5, alpha=eps_lo + 1)
 
 
 class TestAnalyticForms:

@@ -104,6 +104,19 @@ class TestIdxLoader:
         assert prob.dim == 784
         assert prob.n == 4
 
+    def test_equals_whole_array_expression(self, tmp_path):
+        # rows scaled by the row-block helper the synthetic loader shares;
+        # 601 kept rows is not a multiple of the block
+        rng = np.random.default_rng(3)
+        imgs = rng.integers(0, 256, size=(900, 28, 28), dtype=np.uint8)
+        labels = np.repeat([0, 1, 5], 300)
+        labels[-1] = 0
+        img_path, lab_path = write_idx_pair(tmp_path, imgs, labels)
+        prob = load_idx(img_path, lab_path, digits=(0, 1))
+        x = imgs[labels < 2].reshape(-1, 784).astype(float) / 255.0
+        x /= np.maximum(np.sqrt(np.sum(x * x, axis=1)), 1.0)[:, None]
+        assert prob.n == 601 and np.array_equal(prob.features, x)
+
     def test_digit_absent(self, tmp_path):
         imgs = np.zeros((3, 2, 2), dtype=np.uint8)
         img_path, lab_path = write_idx_pair(tmp_path, imgs, [0, 0, 1])
@@ -151,9 +164,10 @@ class TestConfigParsing:
         assert cfg.noiseless is True
 
     def test_unknown_key(self):
-        # workers was a key until trials ran batched, and alpha and
-        # constraint_radius until they became PNSGD's constants; all are unknown now
-        for key in ("bogus", "workers", "alpha", "constraint_radius"):
+        # workers was a key until trials ran batched, alpha and
+        # constraint_radius until they became PNSGD's constants, and
+        # dataset_source until the IDX paths chose the dataset; all are unknown now
+        for key in ("bogus", "workers", "alpha", "constraint_radius", "dataset_source"):
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config_text("eps_grid = 1\ntrials = 1\nmechanism_kind = PNSGD_DP\n"
                                   f"seed = 1\n{key} = 2\n")
@@ -173,6 +187,47 @@ class TestConfigParsing:
     def test_missing_required(self):
         with pytest.raises(ConfigError):
             parse_config_text("trials = 3\n")
+
+    def test_flags_complete_and_override_the_lines(self):
+        # merged before the required-key check and before the fields are checked
+        cfg = parse_config_text("eps_grid = 1\nmechanism_kind = PNSGD_DP\ntrials = 0\n",
+                                seed=4, trials=2)
+        assert (cfg.seed, cfg.trials) == (4, 2)
+        assert parse_config_text("", eps_grid=(1.0,), mechanism_kind="PNSGD_DP",
+                                 seed=4) == SweepConfig((1.0,), "PNSGD_DP", 4)
+        with pytest.raises(ConfigError, match=r"missing required keys: \['seed'\]"):
+            parse_config_text("eps_grid = 1\n", mechanism_kind="PNSGD_DP")
+
+    def test_idx_paths_set_together(self, tmp_path):
+        for key in ("idx_images", "idx_labels"):
+            with pytest.raises(ConfigError, match="idx_images and idx_labels"):
+                tiny_config(**{key: str(tmp_path / "data.idx")})
+
+    def test_dataset_follows_the_idx_paths(self, tmp_path):
+        img_path, lab_path = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1])
+        assert harness._load_problem(tiny_config()).dim == 3
+        idx = tiny_config(idx_images=str(img_path), idx_labels=str(lab_path))
+        assert harness._load_problem(idx).dim == 4
+
+    def test_refused_before_any_work(self, tmp_path):
+        # a PNSGD_DP pass needs delta > 0 for its Renyi slope, and the
+        # metric bounds need d_eff = dim*ln 2 above ln 2; each is read
+        # from the kind's flags, and the message names the key
+        for kind, flags in MECHANISM_KINDS.items():
+            slope = flags.pnsgd and not flags.metric
+            if slope:
+                with pytest.raises(ConfigError, match="^delta must be > 0"):
+                    tiny_config(mechanism_kind=kind, delta=0.0)
+            else:
+                assert tiny_config(mechanism_kind=kind, delta=0.0).delta == 0.0
+            if flags.metric:
+                with pytest.raises(ConfigError, match="^dim must be >= 2"):
+                    tiny_config(mechanism_kind=kind, dim=1)
+                # an IDX dataset's dimension is its images', not dim's
+                paths = {"idx_images": str(tmp_path / "i"), "idx_labels": str(tmp_path / "l")}
+                assert tiny_config(mechanism_kind=kind, dim=1, **paths).dim == 1
+            else:
+                assert tiny_config(mechanism_kind=kind, dim=1).dim == 1
 
     def test_noiseless_values(self):
         base = "eps_grid = 1\nmechanism_kind = PNSGD_DP\nseed = 1\nnoiseless = "

@@ -29,13 +29,13 @@ class QuadratureError(RuntimeError):
     """Adaptive refinement exceeded the depth cap without converging."""
 
 
-def kl_bound(eps: float, rho: float = 1.0) -> float:
-    """KL budget t * tanh(t/2), t = eps * rho, between output laws of an
-    eps-per-unit-distance private learner at dataset distance rho
-    (rho = 1 recovers plain DP)."""
-    if eps < 0 or rho < 0:
-        raise ValueError("eps and rho must be nonnegative")
-    t = eps * rho
+def kl_bound(eps: float, dist: float = 1.0) -> float:
+    """KL budget t * tanh(t/2), t = eps * dist, between output laws of an
+    eps-per-unit-distance private learner at dataset distance dist
+    (dist = 1 recovers plain DP)."""
+    if eps < 0 or dist < 0:
+        raise ValueError("eps and dist must be nonnegative")
+    t = eps * dist
     return t * math.tanh(t / 2.0)
 
 

@@ -21,9 +21,9 @@ them.  The dataset is the IDX pair if one is named, else synthetic; one
 reader checks both IDX files and one helper scales rows into the unit
 ball.  PNSGD's radius and metric Renyi order are constants.
 
-`MECHANISM_KINDS` maps each kind to flags, read in two places: the
-release path, and `_guarantee`, which turns them and the config into
-each cell's `Guarantee`.  The noise and every bound read that one value.
+`MECHANISM_KINDS` maps each kind to flags.  `_guarantee` turns them and
+the config into each cell's `Guarantee`, which every bound reads, and
+`_noise` turns that into the one scale its release draws at.
 
 Draws whose inversion has no solution are dropped and counted; a grid
 cell where every trial failed reports an infinite mean error, meaning
@@ -198,7 +198,7 @@ def parse_eps_grid(text: str) -> tuple:
     a, b, step = values
     if step <= 0 or b <= a:
         raise ConfigError(f"bad grid spec {text!r}")
-    if math.ceil((b - a) / step) > GRID_POINTS_CAP:
+    if (b - a) / step > GRID_POINTS_CAP:  # as ceil(x) > cap for an integer cap; inf too
         raise ConfigError(f"grid spec {text!r} has more than {GRID_POINTS_CAP} points")
     out = []
     while (v := a + len(out) * step) < b - 1e-12:
@@ -252,7 +252,11 @@ def parse_config_text(text: str, **flags) -> SweepConfig:
     missing = REQUIRED_CONFIG_KEYS - values.keys()
     if missing:
         raise ConfigError(f"missing required keys: {sorted(missing)}")
-    return SweepConfig(**values)
+    config = SweepConfig(**values)
+    for key in ("train_size", "dim"):
+        if config.idx_images and key in values:
+            raise ConfigError(f"{key} cannot be set with idx_images: the IDX pair fixes it")
+    return config
 
 
 def parse_config(path, **flags) -> SweepConfig:
@@ -313,16 +317,12 @@ def load_idx(images_path, labels_path, digits: tuple = (0, 1),
     if n_img != len(labels):
         raise IdxFormatError(f"image count {n_img} != label count {len(labels)}")
     images = images.reshape(n_img, rows * cols)
-    lo, hi = digits
-    mask_lo = labels == lo
-    mask_hi = labels == hi
-    if not mask_lo.any():
-        raise DigitAbsentError(f"digit {lo} absent from {labels_path}")
-    if not mask_hi.any():
-        raise DigitAbsentError(f"digit {hi} absent from {labels_path}")
-    keep = mask_lo | mask_hi
+    for digit in digits:
+        if not (labels == digit).any():
+            raise DigitAbsentError(f"digit {digit} absent from {labels_path}")
+    keep = np.isin(labels, digits)
     x = images[keep].astype(float) / 255.0
-    y = np.where(labels[keep] == hi, 1.0, -1.0)
+    y = np.where(labels[keep] == digits[1], 1.0, -1.0)
     return LogRegProblem(features=_into_unit_ball(x), labels=y, lam=lam)
 
 
@@ -339,9 +339,15 @@ def _guarantee(kind: MechanismKind, config: SweepConfig, eps: float) -> Guarante
     return Guarantee(eps, kind.metric, None, config.delta if kind.pnsgd else 0.0)
 
 
-def _pnsgd_sigma(g: Guarantee, config: SweepConfig) -> float:
+def _noise(kind: MechanismKind, g: Guarantee, config: SweepConfig, n: int) -> float:
+    """The scale a cell's release draws at, for n training rows: 0 for a
+    noiseless sweep (the eps -> infinity limit), inf for infinite noise."""
     if config.noiseless:
         return 0.0
+    if not kind.pnsgd:
+        # the optimum's sensitivity 2/(N*lam) (Chaudhuri, Monteleoni & Sarwate 2011)
+        product = n * g.eps * config.lam
+        return 2.0 / product if product else math.inf
     if g.rho is None:
         lip = 1.0 + PNSGD_RADIUS / 4.0  # the gradients' input Lipschitz constant
         return math.sqrt(pnsgd_mod.noise_for_renyi_mdp(PNSGD_MDP_ORDER, g.eps, lip, UNIT_BALL_DIAM))
@@ -350,31 +356,28 @@ def _pnsgd_sigma(g: Guarantee, config: SweepConfig) -> float:
     return g_bound * math.sqrt(2.0 / g.rho) if g.rho else math.inf
 
 
-def _pnsgd_releases(guarantees: list, config: SweepConfig, problem: LogRegProblem,
+def _pnsgd_releases(scales: list, config: SweepConfig, problem: LogRegProblem,
                     rngs: list) -> np.ndarray:
     """Every cell's releases, (cells, trials, n_samples, d).  One chain per
-    (cell, trial) at the cell's noise level; all chains run in one
+    (cell, trial) at the cell's noise scale; all chains run in one
     lockstep pass per sample, each pass continuing the cells' generators."""
-    sigmas = [_pnsgd_sigma(g, config) for g in guarantees]
     signed = problem.labels[:, None] * problem.features
-    passes = [pnsgd_mod.pnsgd_run(sigmas, signed, config.lam, PNSGD_RADIUS, rngs, config.trials)
+    passes = [pnsgd_mod.pnsgd_run(scales, signed, config.lam, PNSGD_RADIUS, rngs, config.trials)
               for _ in range(config.n_samples)]
     return np.stack(passes, axis=2)
 
 
-def _output_perturb_releases(guarantees: list, config: SweepConfig,
+def _output_perturb_releases(scales: list, config: SweepConfig,
                              problem: LogRegProblem, rngs: list) -> Iterator[np.ndarray]:
     """Each cell's releases in turn, (trials, n_samples, d), drawn in one
-    call from the cell's generator.  A noiseless sweep stands for the
-    eps -> infinity limit: every release is the optimum itself, and
-    nothing is drawn."""
+    call from its generator; at infinite scale, NaN drawn from nothing."""
     theta_hat = train_logreg_exact(problem)
-    for g, rng in zip(guarantees, rngs):
-        if config.noiseless:
-            yield np.tile(theta_hat, (config.trials, config.n_samples, 1))
-            continue
-        draw = output_perturb_mdp_euclidean if g.metric else output_perturb_dp
-        yield draw((config.trials, config.n_samples), theta_hat, g.eps, problem.n, config.lam, rng)
+    draw = (output_perturb_mdp_euclidean if MECHANISM_KINDS[config.mechanism_kind].metric
+            else output_perturb_dp)
+    size = (config.trials, config.n_samples)
+    for scale, rng in zip(scales, rngs):
+        yield (draw(size, theta_hat, scale, rng) if scale < math.inf
+               else np.full((*size, problem.dim), math.nan))
 
 
 def evaluate_bounds(guarantee: Guarantee, n: int, dim: int) -> dict:
@@ -417,11 +420,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     kind = MECHANISM_KINDS[config.mechanism_kind]
     release = _pnsgd_releases if kind.pnsgd else _output_perturb_releases
     guarantees = [_guarantee(kind, config, eps) for eps in config.eps_grid]
+    scales = [_noise(kind, g, config, problem.n) for g in guarantees]
 
     def spawn(*key):  # (0, cell) for the cell's releases, (1, cell) for its bootstrap
         return np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=key))
 
-    cells = release(guarantees, config, problem, [spawn(0, c) for c in range(len(guarantees))])
+    cells = release(scales, config, problem, [spawn(0, c) for c in range(len(scales))])
     rows = []
     for eps_idx, (g, releases) in enumerate(zip(guarantees, cells)):
         mse, failures = attack_average(model, releases)

@@ -8,12 +8,11 @@ products that read the features twice and never form the d x d
 Hessian; one margin product y * (X @ theta) per candidate gives its
 objective and gradient.
 
-Every sampler takes eps, a budget per unit of distance between inputs
-(standard DP is the case of neighbouring datasets at distance 1), an
-explicit numpy Generator, so runs are deterministic per stream and safe
-to execute concurrently, and leads with a ``size``: it returns a
-(*size, d) stack of released vectors drawn in one call, each all the
-adversary sees of a release.
+Each sampler is a noise law alone, drawn at a finite scale >= 0 that
+its caller calibrates (at scale 0 every release is theta itself), from
+an explicit numpy Generator, so runs are deterministic per stream.  It
+leads with a ``size``: it returns a (*size, d) stack of released
+vectors drawn in one call, each all the adversary sees of a release.
 """
 
 from __future__ import annotations
@@ -180,37 +179,30 @@ def train_logreg_exact(problem: LogRegProblem) -> np.ndarray:
                            f"tolerance after {NEWTON_CAP} Newton steps")
 
 
-def output_perturb_dp(size: tuple, theta: np.ndarray, eps: float, n_train: int,
-                      lam: float, rng: np.random.Generator) -> np.ndarray:
-    """A (*size, d) stack of releases of theta + iid Laplace noise with
-    scale 2 / (N * eps * lam), drawn in one call."""
+def output_perturb_dp(size: tuple, theta: np.ndarray, scale: float,
+                      rng: np.random.Generator) -> np.ndarray:
+    """A (*size, d) stack of releases of theta + iid Laplace noise at
+    ``scale``, drawn in one call."""
+    if not 0 <= scale < np.inf:  # NaN included
+        raise ValueError(f"noise scale must be finite and >= 0, got {scale}")
     theta = np.asarray(theta, dtype=float)
-    if eps <= 0:
-        raise ValueError("eps must be positive (infinite noise otherwise)")
-    if n_train < 1 or lam <= 0:
-        raise ValueError("need n_train >= 1 and lam > 0")
-    b = 2.0 / (n_train * eps * lam)
-    return theta + rng.laplace(0.0, b, size=(*size, theta.size))
+    return theta + rng.laplace(0.0, scale, size=(*size, theta.size))
 
 
-def output_perturb_mdp_euclidean(size: tuple, theta: np.ndarray, eps: float, n_train: int,
-                                 lam: float, rng: np.random.Generator) -> np.ndarray:
+def output_perturb_mdp_euclidean(size: tuple, theta: np.ndarray, scale: float,
+                                 rng: np.random.Generator) -> np.ndarray:
     """A (*size, d) stack of Euclidean metric-privacy releases of theta.
 
     Noise is radial-Laplace: direction uniform on the sphere, radius
-    Gamma(d, rate) with rate N * eps * lam / 2, so the density is
-    proportional to exp(-rate * ||noise||_2) and the log-density ratio is
-    exactly rate-Lipschitz in the L2 distance between centers: eps is a
-    budget per unit of that distance.
+    Gamma(d, scale), so the density is proportional to
+    exp(-||noise||_2 / scale) and the log-density ratio is exactly
+    (1/scale)-Lipschitz in the L2 distance between centers.
     """
+    if not 0 <= scale < np.inf:  # NaN included
+        raise ValueError(f"noise scale must be finite and >= 0, got {scale}")
     theta = np.asarray(theta, dtype=float)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if n_train < 1 or lam <= 0:
-        raise ValueError("need n_train >= 1 and lam > 0")
     d = theta.size
-    rate = n_train * eps * lam / 2.0
-    radius = rng.gamma(shape=d, scale=1.0 / rate, size=size)
+    radius = rng.gamma(shape=d, scale=scale, size=size)
     direction = rng.normal(size=(*size, d))
     direction /= np.sqrt(np.einsum("...i,...i->...", direction, direction))[..., None]
     return theta + radius[..., None] * direction

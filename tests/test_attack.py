@@ -20,8 +20,9 @@ def trained_instance(seed, n=60, d=4, lam=1.0):
 
 
 def draw_releases(theta, prob, eps, trials, n, rng):
-    """(trials, n, d) output-perturbation draws from one generator."""
-    return output_perturb_dp((trials, n), theta, eps, prob.n, prob.lam, rng)
+    """(trials, n, d) output-perturbation draws from one generator, at the
+    sweep's scale 2 / (N * eps * lam)."""
+    return output_perturb_dp((trials, n), theta, 2.0 / (prob.n * eps * prob.lam), rng)
 
 
 def scan_and_bisect(target, bracket=100.0, tol=1e-12, points=8001):

@@ -524,3 +524,46 @@ class TestBadInput:
         assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config error: dim " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+# a sweep file at eps = 1e-300 and lam = 1e-30, where N*eps*lam underflows to 0
+UNDERFLOW_SWEEP = "eps_grid = 1e-300\nseed = 1\nlam = 1e-30\ntrain_size = 50\ndim = 3\ntrials = 2\n"
+OVERFLOW_GRID = ["--eps-grid", "0:1e308:1e-308"]
+
+
+class TestExtremeInputs:
+    # valid or refusable inputs at the ends of the float range, each
+    # (argv, the kind of its underflowing sweep file or None, exit code):
+    # each ends in its exit code with no traceback, warnings raised as
+    # errors.  The underflowing sweeps ask for infinite noise, so every
+    # draw fails
+    CASES = {
+        "op-dp-underflow": (["sweep"], "OUTPUT_PERTURB_DP", 0),
+        "op-mdp-underflow": (["sweep"], "OUTPUT_PERTURB_MDP", 0),
+        "pnsgd-dp-underflow": (["sweep"], "PNSGD_DP", 0),
+        "sweep-grid-overflow": (["sweep", "--mechanism", "OUTPUT_PERTURB_DP", "--seed", "1",
+                                 *OVERFLOW_GRID], None, 2),
+        "bounds-grid-overflow": (["bounds", "--diam", "1", *OVERFLOW_GRID], None, 2),
+        "oracle-grid-overflow": (["oracle", *OVERFLOW_GRID], None, 2),
+        "oracle-huge-eps": (["oracle", "--eps-grid", "1e308", "--n", "2"], None, 0),
+        "bounds-huge-eps-and-n": (["bounds", "--diam", "1", "--eps-grid", "1e308",
+                                   "--n", "1000000000"], None, 0),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_exit_without_traceback(self, tmp_path, capsys, name):
+        argv, kind, code = self.CASES[name]
+        if argv[0] != "oracle":
+            argv = [*argv, "--out", str(tmp_path / "o")]
+        if kind:
+            cfg = tmp_path / "sweep.cfg"
+            cfg.write_text(f"mechanism_kind = {kind}\n{UNDERFLOW_SWEEP}")
+            argv = [*argv, "--config", str(cfg)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(argv) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert ("config error" in captured.err) == (code == 2)
+        if kind:
+            assert "failures=2" in captured.out

@@ -8,7 +8,7 @@ import pytest
 
 import reconbound.pnsgd as pnsgd_mod
 from reconbound import bounds, harness
-from reconbound.divergence import kl_bound
+from reconbound.divergence import GAUSSIAN, AnalyticPair, analytic_renyi, kl_bound
 from reconbound.harness import (AUDITED_BOUNDS, MECHANISM_KINDS, PNSGD_RADIUS, ConfigError,
                                 DigitAbsentError, DominanceError, IdxFormatError, SweepConfig,
                                 SweepResult, SweepRow, audit_dominance, emit_bounds_csv,
@@ -204,10 +204,17 @@ class TestConfigParsing:
                 tiny_config(**{key: str(tmp_path / "data.idx")})
 
     def test_dataset_follows_the_idx_paths(self, tmp_path):
-        img_path, lab_path = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1])
-        assert harness._load_problem(tiny_config()).dim == 3
-        idx = tiny_config(idx_images=str(img_path), idx_labels=str(lab_path))
-        assert harness._load_problem(idx).dim == 4
+        # the IDX pair fixes the dataset's size and dimension, so a config
+        # that names it may set neither train_size nor dim
+        img_path, lab_path = write_idx_pair(tmp_path, np.zeros((3, 2, 2)), [0, 1, 0])
+        base = "eps_grid = 1\nmechanism_kind = OUTPUT_PERTURB_DP\nseed = 1\n"
+        assert harness._load_problem(parse_config_text(base + "dim = 3\n")).dim == 3
+        idx = base + f"idx_images = {img_path}\nidx_labels = {lab_path}\n"
+        problem = harness._load_problem(parse_config_text(idx))
+        assert (problem.n, problem.dim) == (3, 4)
+        for key in ("train_size", "dim"):
+            with pytest.raises(ConfigError, match=f"^{key} cannot be set with idx_images"):
+                parse_config_text(idx + f"{key} = 3\n")
 
     def test_refused_before_any_work(self, tmp_path):
         # a PNSGD_DP pass needs delta > 0 for its Renyi slope, and the
@@ -253,6 +260,9 @@ class TestConfigParsing:
         # refused from its spec alone: building its 1e9 points would fill memory
         with pytest.raises(ConfigError, match="points"):
             parse_eps_grid("0:1:1e-9")
+        # (b - a) / step overflows to inf, which is refused the same way
+        with pytest.raises(ConfigError, match="points"):
+            parse_eps_grid("0:1e308:1e-308")
         assert parse_eps_grid("0.1:5:0.35") == tuple(0.1 + i * 0.35 for i in range(14))
 
     def test_non_finite_grid_rejected(self):
@@ -321,17 +331,46 @@ class TestConfigParsing:
 
 class TestRunSweep:
     def test_noiseless_zero_error(self, monkeypatch):
-        # a noiseless sweep releases the optimum itself: no sampler is called
-        def no_draw(*args, **kwargs):
-            raise AssertionError("a noiseless sweep drew a release")
-        monkeypatch.setattr(harness, "output_perturb_dp", no_draw)
-        monkeypatch.setattr(harness, "output_perturb_mdp_euclidean", no_draw)
+        # a noiseless sweep draws each cell at scale 0, and every release
+        # is the optimum itself
+        scales = []
+        for name in ("output_perturb_dp", "output_perturb_mdp_euclidean"):
+            def recording(size, theta, scale, rng, draw=getattr(harness, name)):
+                scales.append(scale)
+                out = draw(size, theta, scale, rng)
+                assert np.array_equal(out, np.broadcast_to(theta, out.shape))
+                return out
+            monkeypatch.setattr(harness, name, recording)
         for kind in ("OUTPUT_PERTURB_DP", "OUTPUT_PERTURB_MDP"):
+            scales.clear()
             res = run_sweep(tiny_config(mechanism_kind=kind, trials=2, n_samples=2,
                                         noiseless=True))
+            assert scales == [0.0, 0.0], kind
             for row in res.rows:
                 assert row.mean_mse < 1e-12, kind
                 assert row.failures == 0, kind
+
+    @pytest.mark.parametrize("kind", ["OUTPUT_PERTURB_DP", "OUTPUT_PERTURB_MDP"])
+    def test_output_perturbation_scale(self, kind, monkeypatch):
+        # each cell draws once at 2 / (N * eps * lam); where N * eps * lam
+        # underflows to 0 the scale is infinite, and the cell draws nothing
+        # and releases NaN, so its every draw fails
+        scales = []
+        name = ("output_perturb_mdp_euclidean" if MECHANISM_KINDS[kind].metric
+                else "output_perturb_dp")
+        draw = getattr(harness, name)
+
+        def recording(size, theta, scale, rng):
+            scales.append(scale)
+            return draw(size, theta, scale, rng)
+
+        monkeypatch.setattr(harness, name, recording)
+        cfg = tiny_config(mechanism_kind=kind, eps_grid=(1e-300, 0.5, 2.0), lam=1e-30,
+                          trials=2, train_size=50)
+        res = run_sweep(cfg)
+        assert scales == [2.0 / (50 * eps * 1e-30) for eps in (0.5, 2.0)]
+        assert res.rows[0].failures == cfg.trials * cfg.n_samples
+        assert res.rows[0].mean_mse == math.inf
 
     def test_two_spawned_generators_per_cell(self, monkeypatch):
         # one generator per cell for the releases, one for the bootstrap,
@@ -514,7 +553,9 @@ class TestKindDispatch:
 
     def test_pnsgd_dp_noise_and_bound_read_one_slope(self, monkeypatch):
         # the pass's noise sigma and its audited two-point bound come from
-        # the one Renyi slope rho: sigma^2 = 2*G^2/rho, and KL <= rho
+        # the one Renyi slope rho: sigma^2 = 2*G^2/rho, and KL <= rho.  The
+        # closed-form Renyi divergence of the Gaussian pair at shift 2G (two
+        # gradients of norm G apart) and scale sigma is alpha*rho
         sigmas = []
         run = pnsgd_mod.pnsgd_run
 
@@ -534,6 +575,9 @@ class TestKindDispatch:
                 rho, rel=4 * np.finfo(float).eps, abs=0)
             assert row.bound_values["dp_lecam"] == bounds.two_point_bound(2.0, rho,
                                                                            cfg.n_samples)
+            pair = AnalyticPair(GAUSSIAN, 0.0, 2.0 * g_bound, float(sigma))
+            for alpha in (1.5, 2.0, 8.0):
+                assert analytic_renyi(pair, alpha) == pytest.approx(alpha * rho, rel=1e-12)
         assert all(np.array_equal(sigmas[0], other) for other in sigmas)
 
 
@@ -560,8 +604,10 @@ class TestPnsgdConstants:
         cfg = tiny_config(mechanism_kind="PNSGD_DP", lam=lam)
         dp = harness._guarantee(MECHANISM_KINDS["PNSGD_DP"], cfg, 1.0)
         mdp = harness._guarantee(MECHANISM_KINDS["PNSGD_MDP"], cfg, 1.0)
-        g_claim = harness._pnsgd_sigma(dp, cfg) * math.sqrt(dp.rho / 2.0)
-        l_claim = harness._pnsgd_sigma(mdp, cfg) / math.sqrt(
+        sigma_dp, sigma_mdp = (harness._noise(MECHANISM_KINDS[kind], g, cfg, cfg.train_size)
+                               for kind, g in (("PNSGD_DP", dp), ("PNSGD_MDP", mdp)))
+        g_claim = sigma_dp * math.sqrt(dp.rho / 2.0)
+        l_claim = sigma_mdp / math.sqrt(
             2.0 * harness.PNSGD_MDP_ORDER * harness.UNIT_BALL_DIAM)
         return g_claim, l_claim
 

@@ -168,40 +168,38 @@ class TestReferenceTrainer:
 class TestOutputPerturbDP:
     def test_noise_scale_formula(self):
         # the stack is theta plus the generator's own sized Laplace draw
-        # at scale b = 2 / (N * eps * lam), bit for bit
+        # at the given scale, bit for bit
         theta = np.array([0.3, -0.2])
-        d = theta.size
-        n_train, eps, lam = 60000, 1.0, 1.0
-        out = output_perturb_dp((3, 2), theta, eps, n_train, lam, np.random.default_rng(0))
-        b = 2.0 / (n_train * eps * lam)
-        assert np.array_equal(out, theta + np.random.default_rng(0).laplace(0, b, size=(3, 2, d)))
+        b = 2.0 / 60000
+        out = output_perturb_dp((3, 2), theta, b, np.random.default_rng(0))
+        assert np.array_equal(out, theta + np.random.default_rng(0).laplace(0, b, size=(3, 2, 2)))
 
     def test_eps_zero_rejected(self):
-        with pytest.raises(ValueError):
-            output_perturb_dp((1,), np.zeros(1), 0.0, 10, 1.0, np.random.default_rng(0))
+        # eps = 0 asks for an infinite scale, which no draw meets; a NaN
+        # or negative scale is no noise law either
+        for scale in (np.inf, np.nan, -1.0):
+            with pytest.raises(ValueError, match="scale"):
+                output_perturb_dp((1,), np.zeros(1), scale, np.random.default_rng(0))
 
     def test_empirical_variance(self):
         rng = np.random.default_rng(5)
-        n_train, lam = 100, 0.5
-        b = 2.0 / (n_train * 1.0 * lam)
-        draws = output_perturb_dp((25_000,), np.zeros(4), 1.0, n_train, lam, rng)
+        b = 0.04
+        draws = output_perturb_dp((25_000,), np.zeros(4), b, rng)
         assert draws.var() == pytest.approx(2 * b * b, rel=0.03)
 
     def test_seeded_determinism(self):
-        a = output_perturb_dp((4, 2), np.ones(3), 0.7, 50, 0.1, np.random.default_rng(99))
-        b = output_perturb_dp((4, 2), np.ones(3), 0.7, 50, 0.1, np.random.default_rng(99))
+        a = output_perturb_dp((4, 2), np.ones(3), 0.7, np.random.default_rng(99))
+        b = output_perturb_dp((4, 2), np.ones(3), 0.7, np.random.default_rng(99))
         assert np.array_equal(a, b)
 
     def test_pointwise_ratio_at_dp_calibration(self):
         # with scale b = ||theta - theta'||_1 / eps the log-density ratio
         # obeys the eps budget pointwise; the densities are the Laplace
-        # laws at the sampler's documented scale b = 2 / (N * eps * lam)
+        # laws at the sampler's scale b
         rng = np.random.default_rng(3)
-        eps = 1.3
         theta = np.array([0.5, -0.1, 0.2])
         delta_vec = np.array([0.2, -0.3, 0.1])
-        n_train, lam = 10, 1.0
-        b = 2.0 / (n_train * eps * lam)
+        b = 2.0 / 13.0
         eps_budget = float(np.abs(delta_vec).sum()) / b
         for _ in range(200):
             h = theta + rng.normal(scale=2.0, size=3)
@@ -213,37 +211,41 @@ class TestOutputPerturbDP:
 class TestOutputPerturbMDP:
     def test_d1_reduces_to_laplace(self):
         rng = np.random.default_rng(8)
-        n_train, lam = 100, 0.5
-        b = 2.0 / (n_train * 1.0 * lam)
-        vals = output_perturb_mdp_euclidean((100_000,), np.zeros(1), 1.0, n_train, lam, rng)
+        b = 0.04
+        vals = output_perturb_mdp_euclidean((100_000,), np.zeros(1), b, rng)
         assert vals.var() == pytest.approx(2 * b * b, rel=0.03)
 
     def test_eps_metric_zero_rejected(self):
-        with pytest.raises(ValueError):
-            output_perturb_mdp_euclidean((1,), np.zeros(2), 0.0, 10, 1.0,
-                                         np.random.default_rng(0))
+        for scale in (np.inf, np.nan, -1.0):
+            with pytest.raises(ValueError, match="scale"):
+                output_perturb_mdp_euclidean((1,), np.zeros(2), scale, np.random.default_rng(0))
 
     def test_log_density_ratio_lipschitz(self):
-        # the radial-Laplace log-density is -rate * ||h - theta|| up to a
-        # constant shared by both releases, at the sampler's documented
-        # rate N * eps * lam / 2, i.e. its inverse as the scale
+        # the radial-Laplace log-density is -||h - theta|| / scale up to a
+        # constant shared by both releases, so the log-density ratio is
+        # (1/scale)-Lipschitz in the distance between centres
         rng = np.random.default_rng(17)
-        eps = 0.8
-        n_train, lam, d = 50, 0.2, 4
-        rate = n_train * eps * lam / 2.0
-        scale = 1.0 / rate
+        d, scale = 4, 0.5
         for _ in range(1000):
             theta1 = rng.normal(size=d)
             theta2 = rng.normal(size=d)
             h = rng.normal(size=d)
             gap = abs(np.linalg.norm(h - theta1) / scale
                       - np.linalg.norm(h - theta2) / scale)
-            assert gap <= rate * np.linalg.norm(theta1 - theta2) * (1 + 1e-12)
+            assert gap <= np.linalg.norm(theta1 - theta2) / scale * (1 + 1e-12)
 
     def test_mean_radius_gamma_identity(self):
         rng = np.random.default_rng(2)
-        n_train, lam, d = 100, 0.5, 3
-        rate = n_train * 1.0 * lam / 2.0
-        out = output_perturb_mdp_euclidean((100_000,), np.zeros(d), 1.0, n_train, lam, rng)
+        d, scale = 3, 0.04
+        out = output_perturb_mdp_euclidean((100_000,), np.zeros(d), scale, rng)
         radii = np.linalg.norm(out, axis=1)
-        assert radii.mean() == pytest.approx(d / rate, rel=0.02)
+        assert radii.mean() == pytest.approx(d * scale, rel=0.02)
+
+
+@pytest.mark.parametrize("draw", [output_perturb_dp, output_perturb_mdp_euclidean])
+def test_scale_zero_releases_theta(draw):
+    # a noiseless sweep draws at scale 0: numpy returns exact zeros there
+    theta = np.array([0.3, -0.2, 1e-300, 5.0])
+    out = draw((3, 2), theta, 0.0, np.random.default_rng(4))
+    assert out.shape == (3, 2, 4)
+    assert np.array_equal(out, np.broadcast_to(theta, out.shape))

@@ -96,13 +96,7 @@ class ThreatModel:
         x = self.problem.features
         if np.any(np.all(x[:-1] == x[-1], axis=1)):
             raise ValueError("challenge must not appear in the fixed dataset")
-        object.__setattr__(self, "known_sum", _known_sum(x[:-1], self.problem.labels[:-1]))
-
-
-def _known_sum(features_minus: np.ndarray, labels_minus: np.ndarray) -> np.ndarray:
-    """s = sum_i y_i * x_i over the known rows, the mean-margin
-    certificate's statistic: one pass over the features."""
-    return labels_minus @ features_minus
+        object.__setattr__(self, "known_sum", self.problem.labels[:-1] @ x[:-1])
 
 
 def _r(w):
@@ -142,13 +136,25 @@ def glm_reconstruct(releases: np.ndarray, features_minus: np.ndarray,
     release 0 on success or the code (`DEGENERATE`, `NO_ROOT`) of the
     reason it could not be inverted, in which case its row is NaN.
     ``n_total`` is the training-set size including the challenge, and
-    ``known_sum`` is `_known_sum` of the known rows.
+    ``known_sum`` is ``labels_minus @ features_minus``, the sum
+    s = sum_i y_i * x_i over the known rows.
 
-    A stack whose every release is certified to have no root (see the
-    module docstring) returns before the features are read or before
-    the gradient sum, with the rows and reasons inverting it would give.
+    A release whose squared norm is not finite has no root: its row is
+    NaN and its reason `NO_ROOT`, set before any matrix product, and the
+    rest of the stack is inverted alone.  A stack whose every release is
+    certified to have no root (see the module docstring) returns before
+    the features are read or before the gradient sum, with the rows and
+    reasons inverting it would give.
     """
     h = np.asarray(releases, dtype=float)
+    norm_sq = np.einsum("md,md->m", h, h)
+    finite = np.isfinite(norm_sq)
+    if not finite.all():
+        estimates, reasons = np.full(h.shape, np.nan), np.full(len(h), NO_ROOT)
+        if finite.any():
+            estimates[finite], reasons[finite] = glm_reconstruct(
+                h[finite], features_minus, labels_minus, y_star, lam, n_total, known_sum)
+        return estimates, reasons
     # Slack: the margin certificate sums the target as -N*lam*|h|^2 +
     # sum_i m_i*s_i, the inversion as h.g, both from the same margins m_i
     # and slopes s_i.  With rows in the unit ball, |m_i| <= |h| and the
@@ -161,8 +167,7 @@ def glm_reconstruct(releases: np.ndarray, features_minus: np.ndarray,
     # W(1/e) and of w*sigmoid(w) at its minimum.
     # A certified release is never DEGENERATE: its |h.g| exceeds the
     # slack, hence 2e-9*N|h|, so |g| > 2e-9*N, far above the threshold
-    # 1e-12.  A non-finite h makes the slack inf or NaN: never certified.
-    norm_sq = np.einsum("md,md->m", h, h)
+    # 1e-12.
     scale = n_total * lam * norm_sq
     slack = 1e-9 * (scale + 2 * n_total * np.sqrt(norm_sq) + 1)
     # The mean-margin certificate: `sigmoid` rounds to at most 1/2 below 0
@@ -201,8 +206,7 @@ def glm_reconstruct_single(h, features_minus: np.ndarray, labels_minus: np.ndarr
     """Invert one released parameter vector into challenge features: the
     batch-of-one case of `glm_reconstruct`, raising its failure reason."""
     estimates, reasons = glm_reconstruct(np.atleast_2d(h), features_minus, labels_minus,
-                                         y_star, lam, n_total,
-                                         _known_sum(features_minus, labels_minus))
+                                         y_star, lam, n_total, labels_minus @ features_minus)
     if reasons[0] == DEGENERATE:
         raise DegenerateGradientError("challenge gradient contribution is numerically zero")
     if reasons[0] == NO_ROOT:

@@ -17,6 +17,7 @@ import argparse
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -67,8 +68,8 @@ def _cmd_sweep(args) -> int:
     if "eps_grid" in flags:
         flags["eps_grid"] = harness.parse_eps_grid(flags["eps_grid"])
     # flags complete and override the file; without one they are the config
-    config = (harness.parse_config(args.config, **flags) if args.config
-              else harness.parse_config_text("", **flags))
+    text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    config = harness.parse_config_text(text, **flags)
 
     result = harness.run_sweep(config)
     os.makedirs(args.out, exist_ok=True)
@@ -183,10 +184,6 @@ def main(argv=None) -> int:
     except oracle.CertificateError as exc:
         print(f"certificate violation: {exc}", file=sys.stderr)
         return 5
-
-
-def entry() -> None:
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

@@ -259,11 +259,6 @@ def parse_config_text(text: str, **flags) -> SweepConfig:
     return config
 
 
-def parse_config(path, **flags) -> SweepConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), **flags)
-
-
 def generate_synthetic(n: int, d: int, seed: int, lam: float = 1e-2) -> LogRegProblem:
     """Two Gaussian blobs at +-0.5 * unit direction with isotropic spread
     0.3, labels -1/+1, rows rescaled into the unit L2 ball."""
@@ -465,9 +460,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))  # 'inf' and '-inf' as well
 
 
-def _write_csv(path, header: Sequence, rows: Iterable) -> None:
-    """Comma-joined lines ended by one newline, formed before the file opens."""
-    text = "".join(",".join(cells) + "\n" for cells in [header, *rows])
+def _write_lines(path, lines: Iterable[str]) -> None:
+    """ASCII lines, each ended by one newline, formed before the file opens."""
+    text = "".join(line + "\n" for line in lines)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)
 
@@ -482,15 +477,16 @@ def emit_csv(result: SweepResult, path) -> None:
               _fmt(row.ci_high), *(_fmt(row.bound_values[name]) for name in result.bound_names),
               str(row.failures)]
              for row in result.rows)
-    _write_csv(path, header, lines)
+    _write_lines(path, map(",".join, [header, *lines]))
 
 
 def emit_bounds_csv(rows: Sequence, path) -> None:
     """Bound curves: epsilon, bound_name, value, validity_flag."""
     if not rows:
         raise ValueError("refusing to emit an empty bounds table")
-    _write_csv(path, ["epsilon", "bound_name", "value", "validity_flag"],
-               ([_fmt(eps), name, _fmt(value), flag.value] for eps, name, value, flag in rows))
+    header = ["epsilon", "bound_name", "value", "validity_flag"]
+    lines = ([_fmt(eps), name, _fmt(value), flag.value] for eps, name, value, flag in rows)
+    _write_lines(path, map(",".join, [header, *lines]))
 
 
 _SVG_W, _SVG_H = 760, 480
@@ -566,5 +562,4 @@ def emit_svg(result: SweepResult, path) -> None:
     parts.append(f'<text x="{_SVG_W / 2:.0f}" y="{_SVG_H - 12}" font-size="12" '
                  f'text-anchor="middle">epsilon</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_lines(path, parts)

@@ -2,15 +2,19 @@
 package has a caller in the package itself, in the benchmark or in a
 console script, so that none is kept alive only by tests.
 
-A reference is a name or attribute load anywhere in ``src/reconbound``
-but its ``__init__.py`` (whose re-exports are not callers), a name or
-attribute load or a string constant in ``perfbench`` (whose tracer
-names the attributes it wraps), or the target of a console script in
-``pyproject.toml``.  Docstrings do not count.
+A reference is a name or attribute load anywhere in ``src/reconbound``,
+a name or attribute load or a string constant in ``perfbench`` (whose
+tracer names the attributes it wraps), or the target of a console
+script in ``pyproject.toml``.  Docstrings do not count.  The package
+itself exports its modules and nothing else, so each function has one
+public path, the one the tracer wraps.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,8 +85,7 @@ def loaded_names(tree, with_strings: bool) -> set:
 def referenced_names() -> set:
     names = set()
     for path in PACKAGE.glob("*.py"):
-        if path.name != "__init__.py":
-            names |= loaded_names(parse(path), with_strings=False)
+        names |= loaded_names(parse(path), with_strings=False)
     for path in (ROOT / "perfbench").glob("*.py"):
         names |= loaded_names(parse(path), with_strings=True)
     scripts = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
@@ -95,6 +98,16 @@ def test_every_public_name_has_a_caller():
     unused = [f"{module}.{name}" for module, name in public_definitions()
               if name.rsplit(".", 1)[-1] not in referenced and name not in ALLOWED]
     assert not unused, f"public API with no caller outside tests: {unused}"
+
+
+def test_package_exports_exactly_its_modules():
+    # read in a fresh interpreter: importing a submodule, as the CLI tests
+    # do, binds it on the package
+    listing = "import reconbound; print(*sorted(n for n in vars(reconbound) if n[0] != '_'))"
+    out = subprocess.run([sys.executable, "-c", listing], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "cli"}
+    assert out.stdout.split() == sorted(modules)
 
 
 def test_allow_list_is_current():

@@ -6,7 +6,7 @@ import pytest
 
 from reconbound import attack
 from reconbound.attack import (DEGENERATE, NO_ROOT, DegenerateGradientError, NoRootError,
-                               ThreatModel, _known_sum, _solve_scalar, attack_average,
+                               ThreatModel, _solve_scalar, attack_average,
                                glm_reconstruct, glm_reconstruct_single)
 from reconbound.harness import SweepConfig, generate_synthetic, run_sweep
 from reconbound.mechanisms import (LogRegProblem, logistic_grad_sum, output_perturb_dp,
@@ -293,7 +293,6 @@ class TestThreatModelAndShadows:
     def test_sweep_forms_the_known_sum_once(self, monkeypatch):
         # every cell's stack has a release inside the norm radius, so each
         # reaches the mean-margin bound; all share the threat model's sum
-        sums = count_calls(monkeypatch, "_known_sum")
         stacks = []
         original = attack.glm_reconstruct
 
@@ -305,7 +304,6 @@ class TestThreatModelAndShadows:
         cfg = SweepConfig(eps_grid=(0.5, 1.0, 2.0, 4.0), mechanism_kind="OUTPUT_PERTURB_DP",
                           seed=20240817, trials=3, n_samples=2, train_size=200, dim=4)
         run_sweep(cfg)
-        assert len(sums) == 1
         assert len(stacks) == len(cfg.eps_grid)
         for releases, (_, _, _, lam, _, known_sum) in stacks:
             assert (np.einsum("md,md->m", releases, releases) <= W_E / lam).any()
@@ -350,7 +348,7 @@ def adversary_args(prob):
 def invert(releases, args):
     """`glm_reconstruct` on (features, labels, y_star, lam, n_total), with
     the known sum formed from those features."""
-    return glm_reconstruct(releases, *args, _known_sum(args[0], args[1]))
+    return glm_reconstruct(releases, *args, args[1] @ args[0])
 
 
 def count_calls(monkeypatch, name) -> list:
@@ -409,17 +407,26 @@ class TestNoRootCertificates:
                             seen["mixed"] += 1
         assert min(seen.values()) >= 5, seen
 
-    def test_non_finite_releases_are_never_certified(self, monkeypatch):
+    def test_non_finite_releases_fail_before_any_product(self, monkeypatch):
         # an infinite or NaN release, or one whose squared norm overflows,
-        # takes the full inversion and fails there
+        # is NO_ROOT with a NaN row before any matrix product, so no
+        # overflow or invalid value is raised; the finite rows of a mixed
+        # stack invert as they would alone
         calls = count_calls(monkeypatch, "logistic_grad_sum")
         prob, theta = trained_instance(24, n=40, d=3, lam=1.0)
         args = adversary_args(prob)
-        with np.errstate(invalid="ignore", over="ignore"):
-            for bad in (np.inf, -np.inf, np.nan, 1e200):
-                release = theta + np.array([bad, 0.0, 0.0])
-                assert list(assert_as_it_stood(release[None], args)) == [NO_ROOT]
-        assert len(calls) == 4
+        bad = theta + np.array([[v, 0.0, 0.0] for v in (np.inf, -np.inf, np.nan, 1e200)])
+        est, reasons = invert(bad, args)
+        assert (reasons == NO_ROOT).all()
+        assert np.isnan(est).all()
+        assert len(calls) == 0
+        good = theta + np.random.default_rng(7).normal(0.0, 0.05, size=(3, 3))
+        est, reasons = invert(np.vstack([good[:1], bad, good[1:]]), args)
+        ref_est, ref_reasons = invert(good, args)
+        assert list(reasons[1:5]) == [NO_ROOT] * 4 and np.isnan(est[1:5]).all()
+        assert np.array_equal(est[[0, 5, 6]], ref_est, equal_nan=True)
+        assert np.array_equal(reasons[[0, 5, 6]], ref_reasons)
+        assert (ref_reasons == 0).any()
 
     def test_ray_across_the_boundary(self, monkeypatch):
         # bisect along a ray to releases whose targets lie within 1e-7 of
@@ -491,7 +498,7 @@ class TestNoRootCertificates:
         releases = theta + np.random.default_rng(5).laplace(0.0, 50.0, size=(4, 6))
         ref_est, ref_reasons, _ = inversion_as_it_stood(releases, *args)
         wide = np.zeros((prob.n - 1, 7))
-        est, reasons = glm_reconstruct(releases, wide, *args[1:], _known_sum(*args[:2]))
+        est, reasons = glm_reconstruct(releases, wide, *args[1:], args[1] @ args[0])
         assert np.array_equal(est, ref_est, equal_nan=True)
         assert np.array_equal(reasons, ref_reasons)
         assert (reasons == NO_ROOT).all()
@@ -502,7 +509,7 @@ class TestNoRootCertificates:
         # wide would raise
         prob, theta = trained_instance(25, n=60, d=6, lam=1.0)
         args = adversary_args(prob)
-        s = _known_sum(*args[:2])
+        s = args[1] @ args[0]
         rays = -s / np.linalg.norm(s) + 0.1 * np.random.default_rng(6).normal(size=(4, 6))
         releases = 0.9 * math.sqrt(W_E) * rays / np.linalg.norm(rays, axis=1)[:, None]
         assert (np.einsum("md,md->m", releases, releases) < W_E / prob.lam).all()
@@ -523,7 +530,7 @@ class TestNoRootCertificates:
         labels = np.where(np.arange(n_total - 1) % 2, 1.0, -1.0)
         angles = np.arange(n_total - 1) * 0.3
         features = 0.8 * np.stack([np.cos(angles), np.sin(angles), np.zeros(n_total - 1)], 1)
-        s = _known_sum(features, labels)
+        s = labels @ features
         lam = 1.0 / n_total
         for factor, reason in ((1 - 1e-6, 0), (1 + 1e-6, NO_ROOT)):
             h = np.array([[0.0, 0.0, math.sqrt(factor * W_E)]])

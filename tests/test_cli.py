@@ -526,21 +526,24 @@ class TestBadInput:
         assert not (tmp_path / "o").exists()
 
 
-# a sweep file at eps = 1e-300 and lam = 1e-30, where N*eps*lam underflows to 0
-UNDERFLOW_SWEEP = "eps_grid = 1e-300\nseed = 1\nlam = 1e-30\ntrain_size = 50\ndim = 3\ntrials = 2\n"
+# sweep files at eps = 1e-300: at lam = 1e-30, N*eps*lam underflows to 0
+# and the noise is infinite; at lam = 4e-10 the noise is finite, but
+# every release's squared norm overflows
+UNDERFLOW_LAM, OVERFLOW_LAM = 1e-30, 4e-10
 OVERFLOW_GRID = ["--eps-grid", "0:1e308:1e-308"]
 
 
 class TestExtremeInputs:
     # valid or refusable inputs at the ends of the float range, each
-    # (argv, the kind of its underflowing sweep file or None, exit code):
-    # each ends in its exit code with no traceback, warnings raised as
-    # errors.  The underflowing sweeps ask for infinite noise, so every
-    # draw fails
+    # (argv, the kind and lam of its sweep file or None, exit code): each
+    # ends in its exit code with no traceback, warnings raised as errors.
+    # The sweeps' releases are NaN or overflow, so every draw fails
     CASES = {
-        "op-dp-underflow": (["sweep"], "OUTPUT_PERTURB_DP", 0),
-        "op-mdp-underflow": (["sweep"], "OUTPUT_PERTURB_MDP", 0),
-        "pnsgd-dp-underflow": (["sweep"], "PNSGD_DP", 0),
+        "op-dp-underflow": (["sweep"], ("OUTPUT_PERTURB_DP", UNDERFLOW_LAM), 0),
+        "op-mdp-underflow": (["sweep"], ("OUTPUT_PERTURB_MDP", UNDERFLOW_LAM), 0),
+        "pnsgd-dp-underflow": (["sweep"], ("PNSGD_DP", UNDERFLOW_LAM), 0),
+        "op-dp-overflow": (["sweep"], ("OUTPUT_PERTURB_DP", OVERFLOW_LAM), 0),
+        "op-mdp-overflow": (["sweep"], ("OUTPUT_PERTURB_MDP", OVERFLOW_LAM), 0),
         "sweep-grid-overflow": (["sweep", "--mechanism", "OUTPUT_PERTURB_DP", "--seed", "1",
                                  *OVERFLOW_GRID], None, 2),
         "bounds-grid-overflow": (["bounds", "--diam", "1", *OVERFLOW_GRID], None, 2),
@@ -552,12 +555,13 @@ class TestExtremeInputs:
 
     @pytest.mark.parametrize("name", CASES)
     def test_exit_without_traceback(self, tmp_path, capsys, name):
-        argv, kind, code = self.CASES[name]
+        argv, sweep, code = self.CASES[name]
         if argv[0] != "oracle":
             argv = [*argv, "--out", str(tmp_path / "o")]
-        if kind:
+        if sweep:
             cfg = tmp_path / "sweep.cfg"
-            cfg.write_text(f"mechanism_kind = {kind}\n{UNDERFLOW_SWEEP}")
+            cfg.write_text("mechanism_kind = {}\neps_grid = 1e-300\nseed = 1\nlam = {!r}\n"
+                           "train_size = 50\ndim = 3\ntrials = 2\n".format(*sweep))
             argv = [*argv, "--config", str(cfg)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -565,5 +569,5 @@ class TestExtremeInputs:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert ("config error" in captured.err) == (code == 2)
-        if kind:
+        if sweep:
             assert "failures=2" in captured.out

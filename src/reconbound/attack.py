@@ -22,9 +22,11 @@ is the true one exactly when the margin y*h.x is at most 1 + W(1/e) =
 as then ||theta-hat|| <= 1/lam).  Noisy releases can make the equation
 unsolvable; that surfaces as `NoRootError` and averaging drops the draw.
 
-Inversion works on a stack of releases at once: the known-sample
-gradient sums come from two matrix products and the scalar equation is
-solved for every release in one vectorized bisection.
+Inversion takes the release stacks of a whole sweep in one call.  Each
+stack's known-sample margins and gradient sums come from two matrix
+products, its margins and slopes built in two work arrays that all
+stacks share, and one vectorized bisection solves the scalar equation
+of every release of every stack.
 
 Most failures are certified before the gradient sum, by three bounds
 on the target h.g = -N*lam*|h|^2 + sum_i m_i*sigmoid(-m_i), a sum over
@@ -39,9 +41,10 @@ the known margins m_i = y_i * x_i.h:
 - the margin certificate: any other release's target is read off the
   margins of the first matrix product.
 
-A stack whose every release is certified returns without reading the
-features, or without the second product; any other stack is inverted
-whole.
+A stack whose every release is certified ends without reading the
+features, or without the second product.  In any other stack both
+products run whole, and only the releases that no certificate rules out
+reach the scalar solve.
 """
 
 from __future__ import annotations
@@ -127,34 +130,33 @@ def _solve_scalar(target: np.ndarray) -> tuple:
     return 0.5 * (lo + hi), found
 
 
-def glm_reconstruct(releases: np.ndarray, features_minus: np.ndarray,
-                    labels_minus: np.ndarray, y_star: float, lam: float,
-                    n_total: int, known_sum: np.ndarray) -> tuple:
-    """Invert a (M, d) stack of released parameter vectors at once.
+class _WorkArrays:
+    """The (N-1, M) margins and slopes of one stack of M releases, held in
+    two arrays that every stack of a call reuses: allocated at the first
+    stack that needs them, and again only for a stack of more releases."""
 
-    Returns (estimates, reasons): the (M, d) challenge estimates, and per
-    release 0 on success or the code (`DEGENERATE`, `NO_ROOT`) of the
-    reason it could not be inverted, in which case its row is NaN.
-    ``n_total`` is the training-set size including the challenge, and
-    ``known_sum`` is ``labels_minus @ features_minus``, the sum
-    s = sum_i y_i * x_i over the known rows.
+    def __init__(self, rows: int):
+        self.rows, self.flat = rows, (np.empty(0), np.empty(0))
 
-    A release whose squared norm is not finite has no root: its row is
-    NaN and its reason `NO_ROOT`, set before any matrix product, and the
-    rest of the stack is inverted alone.  A stack whose every release is
-    certified to have no root (see the module docstring) returns before
-    the features are read or before the gradient sum, with the rows and
-    reasons inverting it would give.
-    """
-    h = np.asarray(releases, dtype=float)
+    def take(self, m: int) -> tuple:
+        size = self.rows * m
+        if self.flat[0].size < size:
+            self.flat = (np.empty(size), np.empty(size))
+        return tuple(a[:size].reshape(self.rows, m) for a in self.flat)
+
+
+def _uncertified(h: np.ndarray, features_minus: np.ndarray, labels_minus: np.ndarray,
+                 lam: float, n_total: int, known_sum: np.ndarray, work: _WorkArrays) -> tuple:
+    """Step 1 of `glm_reconstruct` on a (M, d) stack: (rows, g, targets,
+    degenerate) for the releases that no certificate rules out, with the
+    challenge's gradient contribution g, the target h.g and whether g is
+    numerically zero.  Every other release has no root."""
     norm_sq = np.einsum("md,md->m", h, h)
     finite = np.isfinite(norm_sq)
     if not finite.all():
-        estimates, reasons = np.full(h.shape, np.nan), np.full(len(h), NO_ROOT)
-        if finite.any():
-            estimates[finite], reasons[finite] = glm_reconstruct(
-                h[finite], features_minus, labels_minus, y_star, lam, n_total, known_sum)
-        return estimates, reasons
+        rows, *rest = _uncertified(h[finite], features_minus, labels_minus, lam, n_total,
+                                   known_sum, work)
+        return np.flatnonzero(finite)[rows], *rest
     # Slack: the margin certificate sums the target as -N*lam*|h|^2 +
     # sum_i m_i*s_i, the inversion as h.g, both from the same margins m_i
     # and slopes s_i.  With rows in the unit ball, |m_i| <= |h| and the
@@ -185,28 +187,90 @@ def glm_reconstruct(releases: np.ndarray, features_minus: np.ndarray,
     certified = ((scale > n_total * _W + slack)
                  | (0.5 * (h @ known_sum) - scale < -_W - slack))
     if not certified.all():
-        margins = labels_minus[:, None] * (features_minus @ h.T)
-        slopes = sigmoid(-margins)
+        margins, slopes = work.take(len(h))
+        np.matmul(features_minus, h.T, out=margins)
+        np.multiply(labels_minus[:, None], margins, out=margins)
+        np.negative(margins, out=slopes)
+        sigmoid(slopes, out=slopes)  # the slopes sigmoid(-margins)
         certified |= np.einsum("nm,nm->m", margins, slopes) - scale < -_W - slack
     if certified.all():
-        return np.full(h.shape, np.nan), np.full(len(h), NO_ROOT)
+        return np.empty(0, dtype=int), np.empty((0, h.shape[1])), np.empty(0), np.empty(0, bool)
+    # the products and sums run over the whole stack, as for a stack
+    # inverted alone, so the kept rows have the same bits
     g = -n_total * lam * h - logistic_grad_sum(slopes, features_minus, labels_minus).T
     degenerate = np.sqrt(np.einsum("md,md->m", g, g)) < 1e-12
+    targets = np.einsum("md,md->m", h, g)
+    keep = ~certified
+    return np.flatnonzero(keep), g[keep], targets[keep], degenerate[keep]
+
+
+def glm_reconstruct(stacks, features_minus: np.ndarray, labels_minus: np.ndarray,
+                    y_star: float, lam: float, n_total: int, known_sum: np.ndarray):
+    """Invert a sequence of stacks of released parameter vectors, each of
+    shape (..., d), in one call.
+
+    Returns an iterator that gives per stack (estimates, reasons): the
+    challenge estimates, shaped as the stack, and per release 0 on
+    success or the code (`DEGENERATE`, `NO_ROOT`) of the reason it could
+    not be inverted, in which case its row is NaN.  ``n_total`` is the
+    training-set size including the challenge, and ``known_sum`` is
+    ``labels_minus @ features_minus``, the sum s = sum_i y_i * x_i over
+    the known rows.
+
+    The call runs in three steps.  Each stack in turn goes through the
+    certificates and the two matrix products, its margins and slopes
+    built in two (N-1, M) work arrays that all stacks share, and keeps
+    only the gradient contributions and targets of the releases no
+    certificate rules out.  One bisection then solves the scalar equation
+    of every kept release of every stack.  Last, the iterator forms each
+    stack's estimates as it reaches it.
+
+    A release whose squared norm is not finite has no root: its row is
+    NaN and its reason `NO_ROOT`, set before any matrix product, and the
+    rest of its stack is inverted alone.  A stack whose every release is
+    certified to have no root (see the module docstring) ends before the
+    features are read or before the gradient sum, with the rows and
+    reasons inverting it would give.
+    """
+    work = _WorkArrays(len(features_minus))
+    kept, targets = [], []
+    for stack in stacks:
+        h = np.asarray(stack, dtype=float)
+        rows, g, target, degenerate = _uncertified(h.reshape(-1, h.shape[-1]), features_minus,
+                                                   labels_minus, lam, n_total, known_sum, work)
+        kept.append((h.shape, rows, g, degenerate))
+        targets.append(target)
     # u = h.x solves u * (-y * sigmoid(-y*u)) = h.g;  substituting w = -y*u
     # turns the left side into w * sigmoid(w) for either label.
-    w, found = _solve_scalar(np.einsum("md,md->m", h, g))
-    estimates = g / (-y_star * sigmoid(w))[:, None]
-    reasons = np.where(degenerate, DEGENERATE, np.where(found, 0, NO_ROOT))
-    estimates[reasons != 0] = np.nan
+    w = found = np.empty(0)
+    if any(t.size for t in targets):  # when every release is certified, nothing is solved
+        w, found = _solve_scalar(np.concatenate(targets))
+    splits = np.cumsum([t.size for t in targets])[:-1]
+    return (_estimates(*k, w_k, found_k, y_star)
+            for k, w_k, found_k in zip(kept, np.split(w, splits), np.split(found, splits)))
+
+
+def _estimates(shape: tuple, rows: np.ndarray, g: np.ndarray, degenerate: np.ndarray,
+               w: np.ndarray, found: np.ndarray, y_star: float) -> tuple:
+    """Step 3 of `glm_reconstruct`: one stack's estimates and reasons,
+    from its kept rows and their roots."""
+    estimates = np.full(shape, np.nan)
+    reasons = np.full(shape[:-1], NO_ROOT)
+    if rows.size:
+        inverted = g / (-y_star * sigmoid(w))[:, None]
+        codes = np.where(degenerate, DEGENERATE, np.where(found, 0, NO_ROOT))
+        inverted[codes != 0] = np.nan
+        estimates.reshape(-1, shape[-1])[rows] = inverted
+        reasons.reshape(-1)[rows] = codes
     return estimates, reasons
 
 
 def glm_reconstruct_single(h, features_minus: np.ndarray, labels_minus: np.ndarray,
                            y_star: float, lam: float, n_total: int) -> np.ndarray:
     """Invert one released parameter vector into challenge features: the
-    batch-of-one case of `glm_reconstruct`, raising its failure reason."""
-    estimates, reasons = glm_reconstruct(np.atleast_2d(h), features_minus, labels_minus,
-                                         y_star, lam, n_total, labels_minus @ features_minus)
+    one-release case of `glm_reconstruct`, raising its failure reason."""
+    (estimates, reasons), = glm_reconstruct([np.atleast_2d(h)], features_minus, labels_minus,
+                                            y_star, lam, n_total, labels_minus @ features_minus)
     if reasons[0] == DEGENERATE:
         raise DegenerateGradientError("challenge gradient contribution is numerically zero")
     if reasons[0] == NO_ROOT:
@@ -215,27 +279,30 @@ def glm_reconstruct_single(h, features_minus: np.ndarray, labels_minus: np.ndarr
     return estimates[0]
 
 
-def attack_average(model: ThreatModel, releases: np.ndarray) -> tuple:
-    """Run the attack for T independent trials in one batch.
+def attack_average(model: ThreatModel, cells) -> list:
+    """Run the attack on every cell of a sweep in one call.
 
-    ``releases`` is (T, n, d): trial t's n draws, n being the adversary's
-    query budget.  All T*n are inverted at once and each trial averages
-    the estimates of its draws that inverted.  Returns (mse, failures):
-    per trial the squared Euclidean error of the average, NaN when every
-    draw failed, and the count of draws that failed.
+    ``cells`` gives each cell's (T, n, d) releases in turn: trial t's n
+    draws, n being the adversary's query budget.  Every draw of every
+    cell is inverted by one `glm_reconstruct` call, and each trial
+    averages the estimates of its draws that inverted.  Returns per cell
+    (mse, failures): per trial the squared Euclidean error of the
+    average, NaN when every draw failed, and the count of draws that
+    failed.  A cell's results are those of the call on that cell alone.
     """
-    trials, n, d = releases.shape
     p = model.problem
-    estimates, reasons = glm_reconstruct(releases.reshape(trials * n, d), p.features[:-1],
-                                         p.labels[:-1], float(p.labels[-1]), p.lam, p.n,
-                                         model.known_sum)
-    ok = (reasons == 0).reshape(trials, n)
-    counts = ok.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        z_hat = (np.where(ok[:, :, None], estimates.reshape(trials, n, d), 0.0).sum(axis=1)
-                 / counts[:, None])
-    diff = p.features[-1] - z_hat
-    # squaring the norm, rather than summing squares, fixes the rounding
-    # of the emitted errors: sweep CSVs are compared byte for byte
-    dist = np.sqrt(np.einsum("td,td->t", diff, diff))
-    return dist * dist, n - counts
+    results = []
+    for estimates, reasons in glm_reconstruct(cells, p.features[:-1], p.labels[:-1],
+                                              float(p.labels[-1]), p.lam, p.n,
+                                              model.known_sum):
+        n = reasons.shape[1]
+        ok = reasons == 0
+        counts = ok.sum(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            z_hat = np.where(ok[:, :, None], estimates, 0.0).sum(axis=1) / counts[:, None]
+        diff = p.features[-1] - z_hat
+        # squaring the norm, rather than summing squares, fixes the rounding
+        # of the emitted errors: sweep CSVs are compared byte for byte
+        dist = np.sqrt(np.einsum("td,td->t", diff, diff))
+        results.append((dist * dist, n - counts))
+    return results

@@ -11,9 +11,9 @@ another, spawn key (1, cell), so a cell's draws depend only on the seed,
 the cell index, trials, n_samples and d, and not on the other cells.
 
 Trials run in batches: each grid cell draws its (trials, n_samples, d)
-releases in one vectorized call and attacks them in one `attack_average`
-call, and PNSGD runs the chains of every cell and trial in one lockstep
-pass.
+releases in one vectorized call, one `attack_average` call attacks the
+cells of the whole sweep as they are drawn, and PNSGD runs the chains of
+every cell and trial in one lockstep pass.
 
 Each input is read once: a config file's keys are the `SweepConfig`
 fields, each parsed by its annotation, and flags complete and override
@@ -365,14 +365,15 @@ def _pnsgd_releases(scales: list, config: SweepConfig, problem: LogRegProblem,
 def _output_perturb_releases(scales: list, config: SweepConfig,
                              problem: LogRegProblem, rngs: list) -> Iterator[np.ndarray]:
     """Each cell's releases in turn, (trials, n_samples, d), drawn in one
-    call from its generator; at infinite scale, NaN drawn from nothing."""
+    call from its generator as they are read, from the optimum trained
+    here; at infinite scale, NaN drawn from nothing."""
     theta_hat = train_logreg_exact(problem)
     draw = (output_perturb_mdp_euclidean if MECHANISM_KINDS[config.mechanism_kind].metric
             else output_perturb_dp)
     size = (config.trials, config.n_samples)
-    for scale, rng in zip(scales, rngs):
-        yield (draw(size, theta_hat, scale, rng) if scale < math.inf
-               else np.full((*size, problem.dim), math.nan))
+    return (draw(size, theta_hat, scale, rng) if scale < math.inf
+            else np.full((*size, problem.dim), math.nan)
+            for scale, rng in zip(scales, rngs))
 
 
 def evaluate_bounds(guarantee: Guarantee, n: int, dim: int) -> dict:
@@ -397,7 +398,7 @@ def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator) -> tuple:
     if values.size == 1:  # errors are nonnegative; one draw bounds nothing more
         return 0.0, math.inf
     idx = rng.integers(0, values.size, size=(BOOTSTRAP_RESAMPLES, values.size))
-    means = values[idx].mean(axis=1)
+    means = values.take(idx).mean(axis=1)
     lo, hi = np.percentile(means, [2.5, 97.5])
     return float(lo), float(hi)
 
@@ -422,8 +423,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     cells = release(scales, config, problem, [spawn(0, c) for c in range(len(scales))])
     rows = []
-    for eps_idx, (g, releases) in enumerate(zip(guarantees, cells)):
-        mse, failures = attack_average(model, releases)
+    for eps_idx, (g, (mse, failures)) in enumerate(zip(guarantees, attack_average(model, cells))):
         mses = mse[~np.isnan(mse)]
         mean_mse = float(mses.mean()) if mses.size else math.inf
         ci_low, ci_high = _bootstrap_ci(mses, spawn(1, eps_idx))

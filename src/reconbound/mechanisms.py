@@ -80,12 +80,18 @@ class LogRegProblem:
         return self.features.shape[1]
 
 
-def sigmoid(t):
+def sigmoid(t, out=None):
     """Logistic function: 1 / (1 + e) for t >= 0 and e / (1 + e) below,
-    with e = exp(-|t|), so exp never overflows."""
+    with e = exp(-|t|), so exp never overflows.  Built in ``out`` if
+    given, which may be ``t`` itself; a scalar gives a 0-d array."""
     t = np.asarray(t, dtype=float)
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+    nonneg = t >= 0
+    e = np.abs(t, out=np.empty_like(t) if out is None else out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = 1.0 + e
+    np.copyto(e, 1.0, where=nonneg)
+    return np.divide(e, den, out=e)
 
 
 def logistic_grad_sum(slopes: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ tolerance and runtime budget, printing one PASS/FAIL line per criterion
 (run with ``pytest tests/test_acceptance.py -v -s``).
 """
 
+import hashlib
 import math
 import time
 from contextlib import contextmanager
@@ -24,6 +25,13 @@ from reconbound.pnsgd import noise_for_renyi_mdp
 
 SWEEP_GRID = tuple(0.1 + 0.35 * k for k in range(14))  # [0.1, 5) step 0.35
 SWEEP_SEED = 20240817
+
+# full sha256 of the desk sweeps' CSVs, the bytes `reconbound sweep` writes
+# for these configs and perfbench's desk-op prints as its digests
+DESK_CSV_SHA256 = {
+    "OUTPUT_PERTURB_DP": "9487a364d7508d97904a9f2d49ff1739118a6041040b4e1c3d0f933bb200ba1c",
+    "OUTPUT_PERTURB_MDP": "9d68865b3bfc5578239a9ea00791070d73dcec52f4a9b49f5769bc028bfdb464",
+}
 
 
 @contextmanager
@@ -159,6 +167,16 @@ def test_c6_desk_scale_sweep_dominance(dp_sweep, mdp_sweep):
         for row in capped:
             assert row.bound_values["mdp_fano"] >= ratio * row.bound_values["mdp_lecam"], row
         assert dp_elapsed + mdp_elapsed < 180.0, (dp_elapsed, mdp_elapsed)
+
+
+def test_c6_desk_scale_csv_digests(dp_sweep, mdp_sweep, tmp_path):
+    with criterion(6, "desk-scale sweep CSVs keep their pinned sha256"):
+        for result, _ in (dp_sweep, mdp_sweep):
+            kind = result.config.mechanism_kind
+            path = tmp_path / f"{kind}.csv"
+            emit_csv(result, path)
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == DESK_CSV_SHA256[kind], f"{kind} CSV bytes changed: sha256 {digest}"
 
 
 def test_c7_pnsgd_metric_privacy_certificate():

@@ -10,7 +10,7 @@ from reconbound.attack import (DEGENERATE, NO_ROOT, DegenerateGradientError, NoR
                                glm_reconstruct, glm_reconstruct_single)
 from reconbound.harness import SweepConfig, generate_synthetic, run_sweep
 from reconbound.mechanisms import (LogRegProblem, logistic_grad_sum, output_perturb_dp,
-                                   sigmoid, train_logreg_exact)
+                                   output_perturb_mdp_euclidean, sigmoid, train_logreg_exact)
 
 
 def trained_instance(seed, n=60, d=4, lam=1.0):
@@ -25,29 +25,48 @@ def draw_releases(theta, prob, eps, trials, n, rng):
     return output_perturb_dp((trials, n), theta, 2.0 / (prob.n * eps * prob.lam), rng)
 
 
-def scan_and_bisect(target, bracket=100.0, tol=1e-12, points=8001):
+def scan_and_bisect(targets, bracket=100.0, tol=1e-12, points=8001):
     """Reference root finder: the scan for sign changes over grid points
     0.025 apart, then a bisection of each, that the vectorized solver
-    replaced.  Returns the root of smallest magnitude, or None."""
+    replaced.  The brackets of all targets bisect in lockstep, each
+    stopping as the scalar loop did: once ``hi - lo <= tol`` or at an
+    exact zero.  Returns per target the root of smallest magnitude, NaN
+    where there is none."""
     r = lambda w: w * sigmoid(w)
     grid = np.linspace(-bracket, bracket, points)
-    vals = r(grid) - target
-    roots = [float(grid[i]) for i in np.flatnonzero(vals == 0.0)]
-    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        flo = r(lo) - target
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            fmid = r(mid) - target
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if (flo < 0) != (fmid < 0):
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        roots.append(0.5 * (lo + hi))
-    return min(roots, key=abs) if roots else None
+    r_grid = r(grid)
+    targets = np.asarray(targets, dtype=float)
+    zeros, brackets = [], []  # per target: its exact grid zeros, its brackets' indices
+    lo, hi, owner = [], [], []
+    for target in targets:
+        vals = r_grid - target
+        zeros.append(grid[vals == 0.0])
+        changes = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+        brackets.append(np.arange(len(lo), len(lo) + len(changes)))
+        lo.extend(grid[changes])
+        hi.extend(grid[changes + 1])
+        owner.extend([target] * len(changes))
+    lo, hi, owner = np.array(lo), np.array(hi), np.array(owner)
+    flo = r(lo) - owner
+    active = hi - lo > tol
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        fmid = r(mid) - owner
+        zero = active & (fmid == 0.0)
+        lo[zero] = hi[zero] = mid[zero]
+        step = active & ~zero
+        left = step & ((flo < 0) != (fmid < 0))
+        right = step & ~left
+        hi[left] = mid[left]
+        lo[right], flo[right] = mid[right], fmid[right]
+        active = step & (hi - lo > tol)
+    bisected = 0.5 * (lo + hi)
+    out = np.full(len(targets), np.nan)
+    for k, (zero, bracket_rows) in enumerate(zip(zeros, brackets)):
+        candidates = np.concatenate([zero, bisected[bracket_rows]])
+        if candidates.size:
+            out[k] = candidates[np.argmin(np.abs(candidates))]
+    return out
 
 
 def inversion_as_it_stood(releases, features_minus, labels_minus, y_star, lam, n_total):
@@ -78,11 +97,10 @@ class TestScalarSolver:
                                   np.linspace(49.9, 50.1, 201),
                                   [0.0, r50, np.nextafter(r50, np.inf)]])
         roots, found = _solve_scalar(targets)
-        for target, root, ok in zip(targets, roots, found):
-            expected = scan_and_bisect(target)
-            assert ok == (expected is not None), target
-            if ok:
-                assert root == pytest.approx(expected, rel=0, abs=1e-12), target
+        expected = scan_and_bisect(targets)
+        assert np.array_equal(found, ~np.isnan(expected)), targets[found == np.isnan(expected)]
+        off = np.abs(roots[found] - expected[found]) > 1e-12
+        assert not off.any(), targets[found][off]
         assert found[targets >= 0].all()
         assert found[(targets < 0) & (targets > -0.2784)].all()
 
@@ -100,7 +118,7 @@ class TestScalarSolver:
         # of the retired solver, which saw no sign change; the closed-form
         # bracket still finds the smaller-magnitude root
         target = -0.2784645427610738 + 1e-7
-        assert scan_and_bisect(target) is None
+        assert np.isnan(scan_and_bisect([target])).all()
         (root,), (ok,) = _solve_scalar(np.array([target]))
         assert ok
         assert float(root * sigmoid(root)) == pytest.approx(target, abs=1e-15)
@@ -184,7 +202,7 @@ class TestAveraging:
     def test_n1_equals_single(self):
         prob, theta = trained_instance(4)
         releases = draw_releases(theta, prob, 3.0, 1, 1, np.random.default_rng(11))
-        mse, failures = attack_average(ThreatModel(prob), releases)
+        (mse, failures), = attack_average(ThreatModel(prob), [releases])
         single = glm_reconstruct_single(releases[0, 0], prob.features[:-1], prob.labels[:-1],
                                         float(prob.labels[-1]), prob.lam, prob.n)
         diff = (prob.features[-1] - single)[None]
@@ -193,14 +211,14 @@ class TestAveraging:
 
     def test_noiseless_zero_error(self):
         prob, theta = trained_instance(6)
-        mse, failures = attack_average(ThreatModel(prob), np.tile(theta, (1, 5, 1)))
+        (mse, failures), = attack_average(ThreatModel(prob), [np.tile(theta, (1, 5, 1))])
         assert mse[0] < 1e-12
         assert failures[0] == 0
 
     def test_mean_of_estimates(self):
         prob, theta = trained_instance(7)
         releases = draw_releases(theta, prob, 5.0, 1, 4, np.random.default_rng(1))
-        mse, failures = attack_average(ThreatModel(prob), releases)
+        (mse, failures), = attack_average(ThreatModel(prob), [releases])
         estimates, reasons = invert(releases[0], adversary_args(prob))
         ok = reasons == 0
         assert failures[0] == np.count_nonzero(~ok)
@@ -212,7 +230,8 @@ class TestAveraging:
         means = []
         for n in (1, 4, 16):
             rng = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(n,)))
-            mse, _ = attack_average(ThreatModel(prob), draw_releases(theta, prob, 4.0, 200, n, rng))
+            (mse, _), = attack_average(ThreatModel(prob),
+                                       [draw_releases(theta, prob, 4.0, 200, n, rng)])
             means.append(float(np.mean(mse[~np.isnan(mse)])))
         assert means[0] >= means[1] >= means[2], means
 
@@ -223,7 +242,8 @@ class TestAveraging:
         medians = []
         for eps in (0.1, 0.5, 1.0, 2.0, 5.0):
             rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(int(eps * 10),)))
-            mse, _ = attack_average(ThreatModel(prob), draw_releases(theta, prob, eps, 50, 1, rng))
+            (mse, _), = attack_average(ThreatModel(prob),
+                                       [draw_releases(theta, prob, eps, 50, 1, rng)])
             mses = mse[~np.isnan(mse)]
             medians.append(float(np.median(mses)) if mses.size else math.inf)
         inversions = sum(1 for a, b in zip(medians, medians[1:]) if b > a * (1 + 1e-9))
@@ -233,7 +253,7 @@ class TestAveraging:
         # a trial none of whose draws inverts has no error to report
         prob, theta = trained_instance(2)
         wild = theta + 50.0 * np.ones_like(theta)
-        mse, failures = attack_average(ThreatModel(prob), np.tile(wild, (1, 3, 1)))
+        (mse, failures), = attack_average(ThreatModel(prob), [np.tile(wild, (1, 3, 1))])
         assert np.isnan(mse[0])
         assert failures[0] == 3
 
@@ -254,9 +274,9 @@ class TestBatchInversion:
             assert list(reasons) == [int(r[0]) for _, r in alone]
             for row, (one, _) in zip(est, alone):
                 np.testing.assert_allclose(row, one[0], rtol=1e-12, atol=0)
-            mse, failures = attack_average(model, releases)
+            (mse, failures), = attack_average(model, [releases])
             for t in range(8):
-                mse_t, failures_t = attack_average(model, releases[t:t + 1])
+                (mse_t, failures_t), = attack_average(model, [releases[t:t + 1]])
                 assert failures[t] == failures_t[0]
                 np.testing.assert_allclose(mse[t], mse_t[0], rtol=1e-12, atol=0)
             assert failures.sum() == np.count_nonzero(reasons == NO_ROOT)
@@ -275,6 +295,84 @@ class TestBatchInversion:
         assert np.isnan(est[1]).all()
 
 
+def desk_instance():
+    """The desk sweep's problem, N = 2000 and d = 16, and its optimum."""
+    prob = generate_synthetic(2000, 16, seed=20240817)
+    return prob, train_logreg_exact(prob)
+
+
+class TestSweepInOneCall:
+    def test_each_cell_as_if_alone(self):
+        # a desk sweep's cells, DP and metric draws at every eps of its
+        # grid, then a cell released at infinite scale and one with
+        # non-finite rows among finite ones: inverted in one call, each
+        # cell's errors and failure counts are those of the call on that
+        # cell alone, bit for bit
+        prob, theta = desk_instance()
+        model = ThreatModel(prob)
+        rng = np.random.default_rng(7)
+        cells = []
+        for eps in 0.1 + 0.35 * np.arange(14):
+            scale = 2.0 / (prob.n * eps * prob.lam)
+            cells.append(output_perturb_dp((50, 1), theta, scale, rng))
+            cells.append(output_perturb_mdp_euclidean((50, 1), theta, scale, rng))
+        cells.append(np.full((50, 1, prob.dim), np.nan))
+        mixed = output_perturb_dp((10, 3), theta, 2.0 / (prob.n * 4.0 * prob.lam), rng)
+        mixed[::3, 1, 0] = np.inf
+        cells.append(mixed)
+        together = attack_average(model, iter(cells))  # read once, as a sweep's generator is
+        assert len(together) == len(cells)
+        for cell, (mse, failures) in zip(cells, together):
+            (mse_alone, failures_alone), = attack_average(model, [cell])
+            assert np.array_equal(mse.view(np.int64), mse_alone.view(np.int64))
+            assert np.array_equal(failures, failures_alone)
+        draws = [cell.shape[0] * cell.shape[1] for cell in cells]
+        failed = [int(failures.sum()) for _, failures in together]
+        assert any(0 < f < n for f, n in zip(failed, draws))
+        assert any(f == n for f, n in zip(failed, draws[:-2]))
+        assert failed[-2] == draws[-2]
+
+    def test_peak_does_not_grow_with_the_cells(self):
+        # the margins and slopes live in two (N-1, M) work arrays shared by
+        # all cells; what a cell keeps for the joint solve is a few rows
+        prob, theta = desk_instance()
+        model = ThreatModel(prob)
+        rng = np.random.default_rng(3)
+        scale = 2.0 / (prob.n * 1.5 * prob.lam)
+        cells = [output_perturb_dp((50, 1), theta, scale, rng) for _ in range(12)]
+        attack_average(model, cells[:1])
+        work = 2 * (prob.n - 1) * 50 * 8
+        peaks = []
+        for count in (2, 12):
+            tracemalloc.start()
+            try:
+                results = attack_average(model, cells[:count])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert all(0 < failures.sum() < 50 for _, failures in results)
+        assert work <= peaks[0] <= 2 * work
+        assert peaks[1] <= peaks[0] + 0.1 * work, peaks
+
+    def test_no_feature_sized_array_at_image_width(self, monkeypatch):
+        # at d = 784 the known features are 12.5 MB, and every cell here
+        # reaches both products; the attack holds (N-1, M) arrays and
+        # (M, d) ones, never an (N-1, d) one such as a y * x copy of them
+        calls = count_calls(monkeypatch, "logistic_grad_sum")
+        prob = generate_synthetic(2000, 784, seed=20240817)
+        model = ThreatModel(prob)
+        rng = np.random.default_rng(4)
+        cells = [rng.normal(0.0, 1e-3, size=(10, 5, 784)) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            attack_average(model, cells)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == len(cells)
+        assert peak < 0.5 * prob.features.nbytes, peak
+
+
 class TestThreatModelAndShadows:
     def test_holds_the_problem_without_copying(self):
         # at image width the features are 12.5 MB; the threat model adds a
@@ -291,23 +389,33 @@ class TestThreatModelAndShadows:
         assert peak <= 0.25 * prob.features.nbytes
 
     def test_sweep_forms_the_known_sum_once(self, monkeypatch):
-        # every cell's stack has a release inside the norm radius, so each
-        # reaches the mean-margin bound; all share the threat model's sum
-        stacks = []
-        original = attack.glm_reconstruct
+        # one inversion call per sweep takes every cell's stack, so all
+        # share the threat model's one sum; each stack has a release inside
+        # the norm radius, so each reaches the mean-margin bound that reads it
+        calls, models = [], []
+        original, original_model = attack.glm_reconstruct, attack.ThreatModel.__post_init__
 
-        def recorded(releases, *args):
-            stacks.append((releases, args))
-            return original(releases, *args)
+        def recorded(stacks, *args):
+            stacks = list(stacks)
+            calls.append((stacks, args))
+            return original(stacks, *args)
+
+        def recorded_model(model):
+            models.append(model)
+            original_model(model)
 
         monkeypatch.setattr(attack, "glm_reconstruct", recorded)
+        monkeypatch.setattr(attack.ThreatModel, "__post_init__", recorded_model)
         cfg = SweepConfig(eps_grid=(0.5, 1.0, 2.0, 4.0), mechanism_kind="OUTPUT_PERTURB_DP",
                           seed=20240817, trials=3, n_samples=2, train_size=200, dim=4)
         run_sweep(cfg)
+        (stacks, (_, _, _, lam, _, known_sum)), = calls
+        (model,) = models
+        assert known_sum is model.known_sum
         assert len(stacks) == len(cfg.eps_grid)
-        for releases, (_, _, _, lam, _, known_sum) in stacks:
-            assert (np.einsum("md,md->m", releases, releases) <= W_E / lam).any()
-            assert known_sum is stacks[0][1][-1]
+        for releases in stacks:
+            flat = releases.reshape(-1, cfg.dim)
+            assert (np.einsum("md,md->m", flat, flat) <= W_E / lam).any()
 
     def test_challenge_not_in_fixed_dataset(self):
         prob, _ = trained_instance(0)
@@ -346,9 +454,10 @@ def adversary_args(prob):
 
 
 def invert(releases, args):
-    """`glm_reconstruct` on (features, labels, y_star, lam, n_total), with
-    the known sum formed from those features."""
-    return glm_reconstruct(releases, *args, args[1] @ args[0])
+    """`glm_reconstruct` of one stack on (features, labels, y_star, lam,
+    n_total), with the known sum formed from those features."""
+    (estimates, reasons), = glm_reconstruct([releases], *args, args[1] @ args[0])
+    return estimates, reasons
 
 
 def count_calls(monkeypatch, name) -> list:
@@ -356,9 +465,9 @@ def count_calls(monkeypatch, name) -> list:
     calls = []
     original = getattr(attack, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(attack, name, counted)
     return calls
@@ -498,7 +607,7 @@ class TestNoRootCertificates:
         releases = theta + np.random.default_rng(5).laplace(0.0, 50.0, size=(4, 6))
         ref_est, ref_reasons, _ = inversion_as_it_stood(releases, *args)
         wide = np.zeros((prob.n - 1, 7))
-        est, reasons = glm_reconstruct(releases, wide, *args[1:], args[1] @ args[0])
+        (est, reasons), = glm_reconstruct([releases], wide, *args[1:], args[1] @ args[0])
         assert np.array_equal(est, ref_est, equal_nan=True)
         assert np.array_equal(reasons, ref_reasons)
         assert (reasons == NO_ROOT).all()
@@ -515,7 +624,7 @@ class TestNoRootCertificates:
         assert (np.einsum("md,md->m", releases, releases) < W_E / prob.lam).all()
         ref_est, ref_reasons, _ = inversion_as_it_stood(releases, *args)
         wide = np.zeros((prob.n - 1, 7))
-        est, reasons = glm_reconstruct(releases, wide, *args[1:], s)
+        (est, reasons), = glm_reconstruct([releases], wide, *args[1:], s)
         assert np.array_equal(est, ref_est, equal_nan=True)
         assert np.array_equal(reasons, ref_reasons)
         assert (reasons == NO_ROOT).all()
@@ -540,7 +649,7 @@ class TestNoRootCertificates:
                                            rel=1e-15)
             assert target == pytest.approx(-factor * W_E, rel=1e-15)
             before = len(sigmoids)
-            _, reasons = glm_reconstruct(h, *args, s)
+            (_, reasons), = glm_reconstruct([h], *args, s)
             assert list(reasons) == [reason]
             assert (len(sigmoids) == before) == (reason == NO_ROOT)
             assert list(assert_as_it_stood(h, args)) == [reason]

@@ -404,8 +404,7 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "LogRegProblem",
                             lambda **kw: built.append(kw["features"]) or real_problem(**kw))
         monkeypatch.setattr(harness, "attack_average",
-                            lambda model, releases: (models.append(model)
-                                                     or real_attack(model, releases)))
+                            lambda model, cells: models.append(model) or real_attack(model, cells))
         run_sweep(tiny_config(trials=2, lam=1e-2, train_size=2000, dim=16))
         assert np.shares_memory(models[0].problem.features, built[0])
 
@@ -458,10 +457,11 @@ class TestRunSweep:
         survivors = []
         real_attack = harness.attack_average
 
-        def recording(model, releases):
-            mse, failures = real_attack(model, releases)
+        def recording(model, cells):
+            results = real_attack(model, cells)
+            (mse, _), = results
             survivors.append(mse[~np.isnan(mse)])
-            return mse, failures
+            return results
 
         monkeypatch.setattr(harness, "attack_average", recording)
         for seed in (5, 6, 7):

@@ -65,6 +65,48 @@ class TestValidation:
         assert LogRegProblem(features=frozen, labels=labels, lam=1.0).features is frozen
 
 
+def sigmoid_as_it_stood(t):
+    """Reference: `sigmoid` in the allocating form it had before it could
+    build its result in place, on whose bits the golden CSVs were pinned."""
+    t = np.asarray(t, dtype=float)
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestSigmoid:
+    # signed zeros, infinities and NaNs, where exp(-|t|) underflows (745)
+    # or is subnormal (709 to 745), and subnormal and tiny normal inputs
+    SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 746.0, -746.0,
+               709.0, -709.0, 720.0, -720.0, 5e-324, -5e-324, 1e-310, -1e-310,
+               2.2250738585072014e-308, -2.2250738585072014e-308, 1e-17, -1e-17)
+
+    def test_in_place_slopes_match_bit_for_bit(self):
+        # the attack builds the slopes sigmoid(-m) of a (1999, 50) margin
+        # stack in its own work array: negated there, then the logistic
+        # function in place; every form gives the allocating form's bits
+        stacks = (np.array(self.SPECIAL),
+                  3.0 * np.random.default_rng(20240817).normal(size=(1999, 50)))
+        for margins in stacks:
+            expected = sigmoid_as_it_stood(-margins)
+            assert_same_bits(sigmoid(-margins), expected)
+            slopes = np.empty_like(margins)
+            np.negative(margins, out=slopes)
+            assert sigmoid(slopes, out=slopes) is slopes
+            assert_same_bits(slopes, expected)
+            separate = np.empty_like(margins)
+            assert sigmoid(-margins, out=separate) is separate
+            assert_same_bits(separate, expected)
+        for t in self.SPECIAL:
+            assert_same_bits(sigmoid(t), sigmoid_as_it_stood(t))
+
+
 class TestTrainer:
     def test_symmetric_instance_stationary(self):
         u = np.array([0.6, 0.0])

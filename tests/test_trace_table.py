@@ -26,19 +26,19 @@ def test_every_traced_attribute_exists():
 
 def test_sweep_layers_are_traced():
     # the sweep must call the release, training, attack and bound
-    # functions through the attributes the tracer swaps, the release and
-    # the attack once per cell; a kind table holding the function objects
-    # themselves would bypass it and count nothing
+    # functions through the attributes the tracer swaps, the release once
+    # per cell and the attack once per sweep; a kind table holding the
+    # function objects themselves would bypass it and count nothing
     spans = load_spans()
     cells, trials, n_samples, train_size = 2, 3, 2, 40
     output_perturb = {"mechanisms.release": cells, "mechanisms.train": 1,
-                      "bounds.evaluate": cells, "pnsgd.pass": 0, "attack.average": cells}
+                      "bounds.evaluate": cells, "pnsgd.pass": 0, "attack.average": 1}
     expected = {
         "OUTPUT_PERTURB_DP": output_perturb,
         "OUTPUT_PERTURB_MDP": output_perturb,
         "PNSGD_MDP": {"mechanisms.release": 0, "mechanisms.train": 0,
                       "bounds.evaluate": cells, "pnsgd.pass": n_samples,
-                      "attack.average": cells},
+                      "attack.average": 1},
     }
     for kind, counts in expected.items():
         config = reconbound.harness.SweepConfig(

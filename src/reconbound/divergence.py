@@ -1,6 +1,7 @@
 """Divergence machinery: the KL budget implied by a likelihood-ratio
 privacy budget, closed forms for Laplace/Gaussian pairs, and a
-deterministic quadrature oracle used to verify the closed forms.
+deterministic quadrature oracle used to verify the closed forms.  The
+oracle's 15-point Gauss-Legendre rule is built on its first use.
 
 The KL budget ``t * tanh(t/2)`` is computed here and nowhere else; it
 feeds `bounds.two_point_bound` and `bounds.fano_bound` as their KL
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -90,13 +92,17 @@ def analytic_renyi(pair: AnalyticPair, alpha: float) -> float:
     return alpha * pair.delta ** 2 / (2.0 * pair.scale ** 2)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    # built on first use, so importing the package never loads numpy.polynomial
+    return np.polynomial.legendre.leggauss(15)
 
 
 def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+    nodes, weights = _gauss_legendre()
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return float(half * np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
+    return float(half * np.dot(weights, f(mid + half * nodes)))
 
 
 def _adaptive(f, a: float, b: float, tol: float, depth: int, whole: float) -> float:

@@ -82,6 +82,30 @@ class TestCovering:
         assert code == 2
         assert "recursion depth 200" in capsys.readouterr().err
 
+    def test_large_scale_line(self, tmp_path, capsys):
+        # six points on a line at scale 1e8, where float rounding exceeds
+        # an absolute triangle slack of 1e-9: the space is accepted and
+        # answers at eta * 1e8 as the unit-scale line does at eta
+        x = np.sort(np.random.default_rng(0).uniform(size=6))
+        unit, large = tmp_path / "unit.txt", tmp_path / "large.txt"
+        write_matrix(unit, x[:, None])
+        write_matrix(large, 1e8 * x[:, None])
+        gaps = np.unique(pairwise_distances(x[:, None]))
+        for eta in 0.5 * (gaps[1:-1] + gaps[2:]):
+            answers = []
+            for path, scale in ((unit, 1.0), (large, 1e8)):
+                assert run_cli(["covering", "--matrix", str(path),
+                                "--eta", repr(float(scale * eta))]) == 0
+                answers.append(capsys.readouterr().out.split()[2:])
+            assert answers[0] == answers[1]
+
+    def test_triangle_violation_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("3\n0 1 2.5\n1 0 1\n2.5 1 0\n", encoding="ascii")
+        assert run_cli(["covering", "--matrix", str(path), "--eta", "1.0"]) == 2
+        err = capsys.readouterr().err
+        assert "triangle inequality violated" in err and "Traceback" not in err
+
 
 class TestBounds:
     def test_unit_ball_flags(self, tmp_path, capsys):

@@ -256,6 +256,142 @@ class TestValidation:
             norm_ball_covering_bounds_log(0, 0.5)
 
 
+def retired_validation(dist, n):
+    """The constructor's checks as they ran before the triangle inequality
+    was checked for a block of middle points per pass: one middle point j
+    per pass and np.allclose for symmetry, with the relative slack.  The
+    stored matrix, or the message of the first check that fails."""
+    d = np.array(dist, dtype=float)
+    if n == 0:
+        return "a metric space needs at least one point"
+    if d.shape != (n, n):
+        return f"distance matrix shape {d.shape} != ({n}, {n})"
+    if not np.all(np.isfinite(d)):
+        return "distance matrix has non-finite entries"
+    if np.any(d < 0):
+        return "distances must be nonnegative"
+    if np.any(np.abs(np.diagonal(d)) > 1e-12):
+        return "diagonal of a distance matrix must be zero"
+    if not np.allclose(d, d.T, rtol=0, atol=1e-12):
+        return "distance matrix must be symmetric"
+    d = 0.5 * (d + d.T)
+    np.fill_diagonal(d, 0.0)
+    slack = 1e-9 * max(1.0, d.max())
+    for j in range(n):
+        if np.any(d > d[:, j, None] + d[None, j, :] + slack):
+            return "triangle inequality violated"
+    return d
+
+
+def validation(dist, n):
+    """What the constructor stores, or the message it raises."""
+    try:
+        return FiniteMetricSpace(points=tuple(range(n)), dist=dist).dist
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_same_validation(dist, n=None):
+    n = len(dist) if n is None else n
+    got, want = validation(dist, n), retired_validation(dist, n)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+    return got
+
+
+def near_equilateral(rng, n):
+    """A metric on n points with every distance in [1, 1.1]: any two
+    distances sum to more than a third."""
+    d = np.triu(rng.uniform(1.0, 1.1, size=(n, n)), 1)
+    return d + d.T
+
+
+class TestValidationMatchesPerPointLoop:
+    # n = 100 puts 6 middle points in a block, so blocks split j
+    SIZES = (2, 3, 20, 100)
+
+    def test_valid_spaces(self):
+        rng = np.random.default_rng(12)
+        for n in self.SIZES:
+            for scale in (1e-3, 1.0, 1e8):
+                sp = assert_same_validation(pairwise_distances(
+                    scale * rng.normal(size=(n, 3))))
+                assert isinstance(sp, np.ndarray)
+            p = rng.normal(size=(n, 2))
+            l1 = np.abs(p[:, None, :] - p[None, :, :]).sum(-1)
+            for d in (l1, near_equilateral(rng, n)):
+                assert isinstance(assert_same_validation(d), np.ndarray)
+
+    def test_planted_violations(self):
+        # legs 0.5 + 0.5 under a side of 1.1: only middle point j breaks
+        # the inequality, so every block must be reached
+        rng = np.random.default_rng(13)
+        for n in self.SIZES[1:]:
+            for j in range(n):
+                i, k = rng.choice([v for v in range(n) if v != j], size=2, replace=False)
+                d = near_equilateral(rng, n)
+                d[i, j] = d[j, i] = d[j, k] = d[k, j] = 0.5
+                d[i, k] = d[k, i] = 1.1
+                assert assert_same_validation(d) == "triangle inequality violated"
+
+    def test_violations_at_the_slack(self):
+        # a side just above or below the legs' sum plus the slack: both
+        # checks round every sum the same way and agree at the boundary
+        rng = np.random.default_rng(14)
+        for n in self.SIZES[1:]:
+            for c in (0.25, 0.9, 1.1, 4.0):
+                i, j, k = rng.choice(n, size=3, replace=False)
+                d = near_equilateral(rng, n)
+                d[i, j] = d[j, i] = d[j, k] = d[k, j] = 0.55
+                d[i, k] = d[k, i] = 1.1 + c * 1e-9 * 1.1
+                got = assert_same_validation(d)
+                assert isinstance(got, str) == (c > 1)
+
+    def test_asymmetry_at_the_tolerance(self):
+        d = np.array([[0.0, 0.0], [1e-12, 0.0]])
+        kept = assert_same_validation(d)
+        assert np.array_equal(kept, [[0.0, 5e-13], [5e-13, 0.0]])
+        d[1, 0] = np.nextafter(1e-12, 1.0)
+        assert assert_same_validation(d) == "distance matrix must be symmetric"
+
+    def test_checks_in_order(self):
+        # each matrix fails its own check and at least one later one
+        tri = np.array([[0, 1, 5.0], [1, 0, 1], [5.0, 1, 0]])
+        cases = [
+            (np.zeros((2, 3)), 2, "shape"),
+            (np.where(np.eye(3) > 0, np.inf, -tri), 3, "non-finite"),
+            (np.where(np.eye(3) > 0, 0.5, -tri), 3, "nonnegative"),
+            (tri + np.triu(tri) + 0.5 * np.eye(3), 3, "diagonal"),
+            (tri + np.triu(tri), 3, "symmetric"),
+            (tri, 3, "triangle"),
+            (np.zeros((0, 0)), 0, "at least one point"),
+        ]
+        for dist, n, message in cases:
+            assert message in assert_same_validation(dist, n)
+
+
+class TestLargeScale:
+    def cloud(self):
+        # six collinear points at scale 1e8, sorted: float rounding alone
+        # breaks an absolute slack of 1e-9 on this cloud
+        x = np.sort(np.random.default_rng(0).uniform(size=6)) * 1e8
+        return pairwise_distances(x[:, None])
+
+    def test_collinear_cloud_accepted(self):
+        d = self.cloud()
+        assert any(np.any(d > d[:, j, None] + d[None, j, :] + 1e-9) for j in range(6))
+        sp = FiniteMetricSpace(points=tuple(range(6)), dist=d)
+        assert sp.dist.tobytes() == d.tobytes()
+
+    def test_relative_violation_rejected(self):
+        d = self.cloud()
+        d[0, 2] = d[2, 0] = d[0, 2] * (1 + 1e-6)
+        with pytest.raises(ValueError, match="triangle inequality violated"):
+            FiniteMetricSpace(points=tuple(range(6)), dist=d)
+
+
 class TestFileFormat:
     def test_round_trip(self, tmp_path):
         # repr writes each distance with every digit it needs to read back

@@ -6,9 +6,10 @@ Subcommands:
   oracle    exact finite-channel certificates for randomized response
   covering  covering/packing numbers of a distance-matrix file
 
-Exit codes: 0 success, 2 configuration error, 3 dominance violation
-(audit failure), 4 I/O error (including a malformed IDX file), 5
-certificate violation (an exact oracle fell below a bound it certifies).
+Exit codes: 0 success, 2 configuration error (including arrays too large
+to allocate), 3 dominance violation (audit failure), 4 I/O error (a
+missing or unreadable file), 5 certificate violation (an exact oracle
+fell below a bound it certifies).
 """
 
 from __future__ import annotations
@@ -172,10 +173,12 @@ def main(argv=None) -> int:
                 "oracle": _cmd_oracle, "covering": _cmd_covering}
     try:
         return handlers[args.command](args)
-    except (OSError, harness.IdxFormatError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:  # ConfigError and bad flag values alike
+    # ConfigError and bad flag values alike; numpy refuses an array too
+    # large to allocate before touching any memory
+    except (ValueError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except harness.DominanceError as exc:

@@ -17,9 +17,8 @@ every cell and trial in one lockstep pass.
 
 Each input is read once: a config file's keys are the `SweepConfig`
 fields, each parsed by its annotation, and flags complete and override
-them.  The dataset is the IDX pair if one is named, else synthetic; one
-reader checks both IDX files and one helper scales rows into the unit
-ball.  PNSGD's radius and metric Renyi order are constants.
+them.  The dataset is the synthetic blobs, their rows scaled into the
+unit ball.  PNSGD's radius and metric Renyi order are constants.
 
 `MECHANISM_KINDS` maps each kind to flags.  `_guarantee` turns them and
 the config into each cell's `Guarantee`, which every bound reads, and
@@ -33,7 +32,6 @@ the attack produced no evidence against any bound at that privacy level.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
@@ -99,14 +97,6 @@ class DominanceError(RuntimeError):
     """The empirical attack error dipped below an applicable lower bound."""
 
 
-class IdxFormatError(ValueError):
-    """IDX file violates the magic/shape/length contract."""
-
-
-class DigitAbsentError(ValueError):
-    """A requested digit does not occur in the label file."""
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     eps_grid: tuple
@@ -119,13 +109,10 @@ class SweepConfig:
     train_size: int = 2000
     dim: int = 16
     noiseless: bool = False
-    idx_images: str = ""
-    idx_labels: str = ""
-    digit_pair: tuple = (0, 1)
 
     def __post_init__(self):
         # SeedSequence rejects a negative seed too, but only once the
-        # sweep runs, after the IDX files have been read
+        # sweep runs, after the dataset has been built
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         grid = tuple(float(e) for e in self.eps_grid)
@@ -143,22 +130,16 @@ class SweepConfig:
             raise ConfigError(f"unknown mechanism_kind {self.mechanism_kind!r}")
         if not 0 <= self.delta < 1:
             raise ConfigError("delta must lie in [0, 1)")
-        if bool(self.idx_images) != bool(self.idx_labels):
-            raise ConfigError("idx_images and idx_labels must be set together")
         # refused before any work: a PNSGD_DP pass spends delta in its Renyi
         # slope, and the metric bounds' d_eff = dim*ln 2 must exceed ln 2
         kind = MECHANISM_KINDS[self.mechanism_kind]
         if kind.pnsgd and not kind.metric and self.delta == 0:
             raise ConfigError(f"delta must be > 0 for {self.mechanism_kind}")
-        if kind.metric and not self.idx_images and self.dim < 2:
-            raise ConfigError(f"dim must be >= 2 for {self.mechanism_kind} on synthetic data")
-        # LogRegProblem refuses it too, but only once the dataset is read
+        if kind.metric and self.dim < 2:
+            raise ConfigError(f"dim must be >= 2 for {self.mechanism_kind}")
+        # LogRegProblem refuses it too, but only once the dataset is built
         if not 0 < self.lam < math.inf:
             raise ConfigError("lam must be positive and finite")
-        digits = tuple(int(d) for d in self.digit_pair)
-        if len(digits) != 2 or digits[0] == digits[1]:
-            raise ConfigError(f"digit_pair must be two distinct labels, got {digits}")
-        object.__setattr__(self, "digit_pair", digits)
 
 
 # the keys a config must set: the fields without a default
@@ -218,14 +199,12 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, got {text!r}") from None
 
 
-_TYPE_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
-_TUPLE_PARSERS = {"eps_grid": parse_eps_grid,
-                  "digit_pair": lambda s: tuple(int(x) for x in s.split(","))}
+_TYPE_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+                 "tuple": parse_eps_grid}
 
 # the keys a config may set are the SweepConfig fields, each parsed by its
-# annotation; a tuple field names its own parser
-_CONFIG_PARSERS = {f.name: _TUPLE_PARSERS[f.name] if f.type == "tuple" else _TYPE_PARSERS[f.type]
-                   for f in fields(SweepConfig)}
+# annotation; eps_grid is the one tuple
+_CONFIG_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(SweepConfig)}
 
 
 def parse_config_text(text: str, **flags) -> SweepConfig:
@@ -252,11 +231,7 @@ def parse_config_text(text: str, **flags) -> SweepConfig:
     missing = REQUIRED_CONFIG_KEYS - values.keys()
     if missing:
         raise ConfigError(f"missing required keys: {sorted(missing)}")
-    config = SweepConfig(**values)
-    for key in ("train_size", "dim"):
-        if config.idx_images and key in values:
-            raise ConfigError(f"{key} cannot be set with idx_images: the IDX pair fixes it")
-    return config
+    return SweepConfig(**values)
 
 
 def generate_synthetic(n: int, d: int, seed: int, lam: float = 1e-2) -> LogRegProblem:
@@ -282,50 +257,6 @@ def _into_unit_ball(x: np.ndarray) -> np.ndarray:
     x /= np.maximum(np.sqrt(norms), 1.0)[:, None]
     x.setflags(write=False)
     return x
-
-
-def _read_idx(path, ndim: int) -> np.ndarray:
-    """The unsigned bytes of a big-endian IDX file of ndim dimensions:
-    magic 0x0800 + ndim, the ndim sizes, then their product in bytes."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    header = 4 + 4 * ndim
-    if len(raw) < header:
-        raise IdxFormatError(f"{path}: truncated header")
-    magic, *sizes = struct.unpack(f">{1 + ndim}I", raw[:header])
-    if magic != 0x0800 + ndim:
-        raise IdxFormatError(f"{path}: magic 0x{magic:08x} != 0x{0x0800 + ndim:08x}")
-    need = header + math.prod(sizes)
-    if len(raw) < need:
-        raise IdxFormatError(f"{path}: expected {need} bytes, found {len(raw)}")
-    return np.frombuffer(raw, dtype=np.uint8, count=need - header, offset=header).reshape(sizes)
-
-
-def load_idx(images_path, labels_path, digits: tuple = (0, 1),
-             lam: float = 1e-2) -> LogRegProblem:
-    """Load a big-endian IDX image/label pair, filter to two digits, map
-    labels to -1/+1, scale pixels to [0,1], and normalize rows to the
-    unit L2 ball."""
-    images = _read_idx(images_path, 3)
-    labels = _read_idx(labels_path, 1)
-    n_img, rows, cols = images.shape
-    if n_img != len(labels):
-        raise IdxFormatError(f"image count {n_img} != label count {len(labels)}")
-    images = images.reshape(n_img, rows * cols)
-    for digit in digits:
-        if not (labels == digit).any():
-            raise DigitAbsentError(f"digit {digit} absent from {labels_path}")
-    keep = np.isin(labels, digits)
-    x = images[keep].astype(float) / 255.0
-    y = np.where(labels[keep] == digits[1], 1.0, -1.0)
-    return LogRegProblem(features=_into_unit_ball(x), labels=y, lam=lam)
-
-
-def _load_problem(config: SweepConfig) -> LogRegProblem:
-    if config.idx_images:
-        return load_idx(config.idx_images, config.idx_labels,
-                        digits=config.digit_pair, lam=config.lam)
-    return generate_synthetic(config.train_size, config.dim, config.seed, lam=config.lam)
 
 
 def _guarantee(kind: MechanismKind, config: SweepConfig, eps: float) -> Guarantee:
@@ -411,7 +342,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     mechanism only adds fresh noise); for PNSGD the pass itself is the
     mechanism, so every draw is a chain of its own.
     """
-    problem = _load_problem(config)
+    problem = generate_synthetic(config.train_size, config.dim, config.seed, lam=config.lam)
     model = ThreatModel(problem)
     kind = MECHANISM_KINDS[config.mechanism_kind]
     release = _pnsgd_releases if kind.pnsgd else _output_perturb_releases

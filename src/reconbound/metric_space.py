@@ -99,6 +99,8 @@ class FiniteMetricSpace:
         if not tokens:
             raise ValueError(f"{path}: empty distance-matrix file")
         n = int(tokens[0])
+        if n < 1:
+            raise ValueError(f"{path}: point count {n} must be >= 1")
         _check_size(n, cap)
         vals = tokens[1:]
         if len(vals) != n * n:

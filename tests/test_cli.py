@@ -99,6 +99,18 @@ class TestCovering:
                 answers.append(capsys.readouterr().out.split()[2:])
             assert answers[0] == answers[1]
 
+    def test_count_below_one_refused_by_name(self, tmp_path, capsys):
+        # named with the file before the cap check, whatever the cap
+        for count in ("-1", "0"):
+            path = tmp_path / f"m{count}.txt"
+            path.write_text(f"{count}\n0\n", encoding="ascii")
+            for cap in ("20", "-5"):
+                assert run_cli(["covering", "--matrix", str(path), "--eta", "1.0",
+                                "--cap", cap]) == 2
+                err = capsys.readouterr().err
+                assert f"config error: {path}: point count {count} must be >= 1" in err
+                assert "Traceback" not in err
+
     def test_triangle_violation_exit_2(self, tmp_path, capsys):
         path = tmp_path / "m.txt"
         path.write_text("3\n0 1 2.5\n1 0 1\n2.5 1 0\n", encoding="ascii")
@@ -230,23 +242,26 @@ class TestSweepCommand:
         cfg.write_text("eps_grid = 1\nbogus = 1\n")
         assert run_cli(["sweep", "--config", str(cfg)]) == 2
 
-    def test_malformed_idx_is_io_error(self, tmp_path, capsys):
-        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
-        images.write_bytes(b"\x00\x00\x99\x99" + b"\x00" * 12)
-        labels.write_bytes(b"\x00\x00\x08\x01\x00\x00\x00\x00")
+    def test_bad_lam_refused_before_any_dataset(self, tmp_path, capsys, monkeypatch):
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("dataset built before the config check")
+        monkeypatch.setattr(harness, "generate_synthetic", no_dataset)
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("eps_grid = 1\nmechanism_kind = OUTPUT_PERTURB_DP\nseed = 1\n"
-                       f"idx_images = {images}\nidx_labels = {labels}\n")
-        assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
-        assert "i/o error" in capsys.readouterr().err
-
-    def test_bad_lam_refused_before_idx_files_are_read(self, tmp_path, capsys):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("eps_grid = 1\nmechanism_kind = OUTPUT_PERTURB_DP\nseed = 1\n"
-                       f"idx_images = {tmp_path / 'missing.idx'}\n"
-                       f"idx_labels = {tmp_path / 'missing.idx'}\nlam = nan\n")
+        cfg.write_text("eps_grid = 1\nmechanism_kind = OUTPUT_PERTURB_DP\nseed = 1\nlam = nan\n")
         assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config error: lam must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_old_idx_key_exit_2(self, tmp_path, capsys):
+        # an old config that names an IDX path is refused by the key,
+        # before any work
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("eps_grid = 1\nmechanism_kind = OUTPUT_PERTURB_DP\nseed = 1\n"
+                       "idx_images = train-images.idx\n")
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: line 4: unknown key 'idx_images'" in err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("lines,flags", [
         ("trials = 2\n", ["--seed", "3"]),  # the file lacks a required key
@@ -261,18 +276,6 @@ class TestSweepCommand:
         assert run_cli(["sweep", "--config", str(whole), "--out", str(tmp_path / "b")]) == 0
         name = "sweep_output_perturb_dp.csv"
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-    @pytest.mark.parametrize("key", ["idx_images", "idx_labels"])
-    def test_one_idx_path_exit_2(self, tmp_path, capsys, key):
-        path = tmp_path / "data.idx"
-        path.write_bytes(b"\x00\x00\x08\x01\x00\x00\x00\x00")
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("eps_grid = 1\nmechanism_kind = OUTPUT_PERTURB_DP\nseed = 1\n"
-                       f"trials = 1\ntrain_size = 40\ndim = 2\n{key} = {path}\n")
-        assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "idx_images" in err and "idx_labels" in err
-        assert not (tmp_path / "o").exists()
 
     def test_flags_required_without_config(self, capsys):
         assert run_cli(["sweep", "--trials", "2"]) == 2
@@ -524,13 +527,10 @@ class TestBadInput:
     def test_pnsgd_dp_zero_delta_refused_before_any_dataset(self, tmp_path, capsys,
                                                             monkeypatch):
         def no_dataset(*args, **kwargs):
-            raise AssertionError("dataset read before the config check")
+            raise AssertionError("dataset built before the config check")
         monkeypatch.setattr(harness, "generate_synthetic", no_dataset)
-        monkeypatch.setattr(harness, "load_idx", no_dataset)
-        missing = tmp_path / "missing.idx"
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("eps_grid = 2\nmechanism_kind = PNSGD_DP\nseed = 1\ndelta = 0\n"
-                       f"idx_images = {missing}\nidx_labels = {missing}\n")
+        cfg.write_text("eps_grid = 2\nmechanism_kind = PNSGD_DP\nseed = 1\ndelta = 0\n")
         assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "config error: delta " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -557,17 +557,27 @@ UNDERFLOW_LAM, OVERFLOW_LAM = 1e-30, 4e-10
 OVERFLOW_GRID = ["--eps-grid", "0:1e308:1e-308"]
 
 
+# a count whose arrays numpy refuses to allocate at once (over a PiB)
+HUGE = 10 ** 15
+
+
 class TestExtremeInputs:
     # valid or refusable inputs at the ends of the float range, each
-    # (argv, the kind and lam of its sweep file or None, exit code): each
-    # ends in its exit code with no traceback, warnings raised as errors.
-    # The sweeps' releases are NaN or overflow, so every draw fails
+    # (argv, the kind, lam and dim of its sweep file or None, exit code):
+    # each ends in its exit code with no traceback, warnings raised as
+    # errors.  The sweeps that finish release NaN or overflow, so every
+    # draw fails; the oversized ones are refused before touching memory
     CASES = {
-        "op-dp-underflow": (["sweep"], ("OUTPUT_PERTURB_DP", UNDERFLOW_LAM), 0),
-        "op-mdp-underflow": (["sweep"], ("OUTPUT_PERTURB_MDP", UNDERFLOW_LAM), 0),
-        "pnsgd-dp-underflow": (["sweep"], ("PNSGD_DP", UNDERFLOW_LAM), 0),
-        "op-dp-overflow": (["sweep"], ("OUTPUT_PERTURB_DP", OVERFLOW_LAM), 0),
-        "op-mdp-overflow": (["sweep"], ("OUTPUT_PERTURB_MDP", OVERFLOW_LAM), 0),
+        "op-dp-underflow": (["sweep"], ("OUTPUT_PERTURB_DP", UNDERFLOW_LAM, 3), 0),
+        "op-mdp-underflow": (["sweep"], ("OUTPUT_PERTURB_MDP", UNDERFLOW_LAM, 3), 0),
+        "pnsgd-dp-underflow": (["sweep"], ("PNSGD_DP", UNDERFLOW_LAM, 3), 0),
+        "op-dp-overflow": (["sweep"], ("OUTPUT_PERTURB_DP", OVERFLOW_LAM, 3), 0),
+        "op-mdp-overflow": (["sweep"], ("OUTPUT_PERTURB_MDP", OVERFLOW_LAM, 3), 0),
+        "op-dp-huge-trials": (["sweep", "--mechanism", "OUTPUT_PERTURB_DP", "--seed", "1",
+                               "--eps-grid", "1", "--trials", str(HUGE)], None, 2),
+        "pnsgd-mdp-huge-trials": (["sweep", "--mechanism", "PNSGD_MDP", "--seed", "1",
+                                   "--eps-grid", "1", "--trials", str(HUGE)], None, 2),
+        "op-dp-huge-dim": (["sweep"], ("OUTPUT_PERTURB_DP", 1e-2, HUGE), 2),
         "sweep-grid-overflow": (["sweep", "--mechanism", "OUTPUT_PERTURB_DP", "--seed", "1",
                                  *OVERFLOW_GRID], None, 2),
         "bounds-grid-overflow": (["bounds", "--diam", "1", *OVERFLOW_GRID], None, 2),
@@ -585,7 +595,7 @@ class TestExtremeInputs:
         if sweep:
             cfg = tmp_path / "sweep.cfg"
             cfg.write_text("mechanism_kind = {}\neps_grid = 1e-300\nseed = 1\nlam = {!r}\n"
-                           "train_size = 50\ndim = 3\ntrials = 2\n".format(*sweep))
+                           "train_size = 50\ndim = {}\ntrials = 2\n".format(*sweep))
             argv = [*argv, "--config", str(cfg)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -593,5 +603,5 @@ class TestExtremeInputs:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert ("config error" in captured.err) == (code == 2)
-        if sweep:
+        if sweep and code == 0:
             assert "failures=2" in captured.out

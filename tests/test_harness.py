@@ -1,5 +1,4 @@
 import math
-import struct
 import tracemalloc
 from dataclasses import MISSING, fields
 
@@ -10,24 +9,12 @@ import reconbound.pnsgd as pnsgd_mod
 from reconbound import bounds, harness
 from reconbound.divergence import GAUSSIAN, AnalyticPair, analytic_renyi, kl_bound
 from reconbound.harness import (AUDITED_BOUNDS, MECHANISM_KINDS, PNSGD_RADIUS, ConfigError,
-                                DigitAbsentError, DominanceError, IdxFormatError, SweepConfig,
-                                SweepResult, SweepRow, audit_dominance, emit_bounds_csv,
-                                emit_csv, emit_svg, evaluate_bounds, generate_synthetic,
-                                load_idx, parse_config_text, parse_eps_grid, run_sweep)
+                                DominanceError, SweepConfig, SweepResult, SweepRow,
+                                audit_dominance, emit_bounds_csv, emit_csv, emit_svg,
+                                evaluate_bounds, generate_synthetic, parse_config_text,
+                                parse_eps_grid, run_sweep)
 from reconbound.bounds import Validity
 from reconbound.mechanisms import sigmoid
-
-
-def write_idx_pair(tmp_path, images, labels):
-    """images: uint8 array (n, rows, cols); labels: uint8 array (n,)."""
-    images = np.asarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
-    n, rows, cols = images.shape
-    img_path = tmp_path / "images.idx"
-    lab_path = tmp_path / "labels.idx"
-    img_path.write_bytes(struct.pack(">IIII", 0x803, n, rows, cols) + images.tobytes())
-    lab_path.write_bytes(struct.pack(">II", 0x801, n) + labels.tobytes())
-    return img_path, lab_path
 
 
 def tiny_config(**kw):
@@ -85,69 +72,6 @@ class TestSynthetic:
         assert peak <= 2.5 * prob.features.nbytes
 
 
-class TestIdxLoader:
-    def test_exact_pixels_recovered(self, tmp_path):
-        imgs = np.array([[[25, 50], [75, 100]],
-                         [[0, 10], [20, 30]]], dtype=np.uint8)
-        img_path, lab_path = write_idx_pair(tmp_path, imgs, [0, 1])
-        prob = load_idx(img_path, lab_path, digits=(0, 1))
-        # rows stay inside the unit ball so normalization is a no-op
-        assert np.array_equal(prob.features[0], imgs[0].reshape(-1) / 255.0)
-        assert np.array_equal(prob.features[1], imgs[1].reshape(-1) / 255.0)
-        assert list(prob.labels) == [-1.0, 1.0]
-
-    def test_filtering_and_dim(self, tmp_path):
-        rng = np.random.default_rng(0)
-        imgs = rng.integers(0, 40, size=(6, 28, 28), dtype=np.uint8)
-        img_path, lab_path = write_idx_pair(tmp_path, imgs, [0, 1, 7, 0, 1, 3])
-        prob = load_idx(img_path, lab_path, digits=(0, 1))
-        assert prob.dim == 784
-        assert prob.n == 4
-
-    def test_equals_whole_array_expression(self, tmp_path):
-        # rows scaled by the row-block helper the synthetic loader shares;
-        # 601 kept rows is not a multiple of the block
-        rng = np.random.default_rng(3)
-        imgs = rng.integers(0, 256, size=(900, 28, 28), dtype=np.uint8)
-        labels = np.repeat([0, 1, 5], 300)
-        labels[-1] = 0
-        img_path, lab_path = write_idx_pair(tmp_path, imgs, labels)
-        prob = load_idx(img_path, lab_path, digits=(0, 1))
-        x = imgs[labels < 2].reshape(-1, 784).astype(float) / 255.0
-        x /= np.maximum(np.sqrt(np.sum(x * x, axis=1)), 1.0)[:, None]
-        assert prob.n == 601 and np.array_equal(prob.features, x)
-
-    def test_digit_absent(self, tmp_path):
-        imgs = np.zeros((3, 2, 2), dtype=np.uint8)
-        img_path, lab_path = write_idx_pair(tmp_path, imgs, [0, 0, 1])
-        with pytest.raises(DigitAbsentError):
-            load_idx(img_path, lab_path, digits=(2, 7))
-
-    def test_magic_mismatch(self, tmp_path):
-        img_path = tmp_path / "bad.idx"
-        img_path.write_bytes(struct.pack(">IIII", 0x9999, 1, 2, 2) + b"\x00" * 4)
-        lab_path = tmp_path / "lab.idx"
-        lab_path.write_bytes(struct.pack(">II", 0x801, 1) + b"\x00")
-        with pytest.raises(IdxFormatError):
-            load_idx(img_path, lab_path)
-
-    def test_truncated(self, tmp_path):
-        img_path = tmp_path / "short.idx"
-        img_path.write_bytes(struct.pack(">IIII", 0x803, 2, 2, 2) + b"\x00" * 3)
-        lab_path = tmp_path / "lab.idx"
-        lab_path.write_bytes(struct.pack(">II", 0x801, 2) + b"\x00\x01")
-        with pytest.raises(IdxFormatError):
-            load_idx(img_path, lab_path)
-
-    def test_count_mismatch(self, tmp_path):
-        imgs = np.zeros((2, 2, 2), dtype=np.uint8)
-        img_path, _ = write_idx_pair(tmp_path, imgs, [0, 1])
-        lab_path = tmp_path / "lab3.idx"
-        lab_path.write_bytes(struct.pack(">II", 0x801, 3) + b"\x00\x01\x00")
-        with pytest.raises(IdxFormatError):
-            load_idx(img_path, lab_path)
-
-
 class TestConfigParsing:
     def test_happy_path_with_comments(self):
         cfg = parse_config_text("""
@@ -165,9 +89,12 @@ class TestConfigParsing:
 
     def test_unknown_key(self):
         # workers was a key until trials ran batched, alpha and
-        # constraint_radius until they became PNSGD's constants, and
-        # dataset_source until the IDX paths chose the dataset; all are unknown now
-        for key in ("bogus", "workers", "alpha", "constraint_radius", "dataset_source"):
+        # constraint_radius until they became PNSGD's constants,
+        # dataset_source until the IDX paths chose the dataset, and those
+        # paths and digit_pair until the synthetic blobs became the one
+        # dataset; all are unknown now
+        for key in ("bogus", "workers", "alpha", "constraint_radius", "dataset_source",
+                    "idx_images", "idx_labels", "digit_pair"):
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config_text("eps_grid = 1\ntrials = 1\nmechanism_kind = PNSGD_DP\n"
                                   f"seed = 1\n{key} = 2\n")
@@ -198,25 +125,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"missing required keys: \['seed'\]"):
             parse_config_text("eps_grid = 1\n", mechanism_kind="PNSGD_DP")
 
-    def test_idx_paths_set_together(self, tmp_path):
-        for key in ("idx_images", "idx_labels"):
-            with pytest.raises(ConfigError, match="idx_images and idx_labels"):
-                tiny_config(**{key: str(tmp_path / "data.idx")})
-
-    def test_dataset_follows_the_idx_paths(self, tmp_path):
-        # the IDX pair fixes the dataset's size and dimension, so a config
-        # that names it may set neither train_size nor dim
-        img_path, lab_path = write_idx_pair(tmp_path, np.zeros((3, 2, 2)), [0, 1, 0])
-        base = "eps_grid = 1\nmechanism_kind = OUTPUT_PERTURB_DP\nseed = 1\n"
-        assert harness._load_problem(parse_config_text(base + "dim = 3\n")).dim == 3
-        idx = base + f"idx_images = {img_path}\nidx_labels = {lab_path}\n"
-        problem = harness._load_problem(parse_config_text(idx))
-        assert (problem.n, problem.dim) == (3, 4)
-        for key in ("train_size", "dim"):
-            with pytest.raises(ConfigError, match=f"^{key} cannot be set with idx_images"):
-                parse_config_text(idx + f"{key} = 3\n")
-
-    def test_refused_before_any_work(self, tmp_path):
+    def test_refused_before_any_work(self):
         # a PNSGD_DP pass needs delta > 0 for its Renyi slope, and the
         # metric bounds need d_eff = dim*ln 2 above ln 2; each is read
         # from the kind's flags, and the message names the key
@@ -230,9 +139,6 @@ class TestConfigParsing:
             if flags.metric:
                 with pytest.raises(ConfigError, match="^dim must be >= 2"):
                     tiny_config(mechanism_kind=kind, dim=1)
-                # an IDX dataset's dimension is its images', not dim's
-                paths = {"idx_images": str(tmp_path / "i"), "idx_labels": str(tmp_path / "l")}
-                assert tiny_config(mechanism_kind=kind, dim=1, **paths).dim == 1
             else:
                 assert tiny_config(mechanism_kind=kind, dim=1).dim == 1
 
@@ -286,7 +192,7 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match="^lam must be positive and finite"):
                 tiny_config(lam=lam)
 
-    def test_samples_and_digit_pair_range(self):
+    def test_samples_and_dataset_size_range(self):
         # n_samples is the adversary's query budget: at least one release;
         # the synthetic dataset needs a row and a coordinate, and the
         # message names the key, from a file or from the constructor
@@ -296,16 +202,6 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match=f"^{key} must be >= 1"):
                 parse_config_text("eps_grid = 1\nmechanism_kind = OUTPUT_PERTURB_DP\n"
                                   f"seed = 1\n{key} = -1\n")
-        # a pair of equal labels would make every row one class, and more
-        # than two labels no binary problem
-        for pair in ((1, 1), (0, 1, 2), (3,)):
-            with pytest.raises(ConfigError, match="digit_pair"):
-                tiny_config(digit_pair=pair)
-        for text in ("1,1", "0,1,2"):
-            with pytest.raises(ConfigError, match="digit_pair"):
-                parse_config_text("eps_grid = 1\nmechanism_kind = OUTPUT_PERTURB_DP\n"
-                                  f"seed = 1\ndigit_pair = {text}\n")
-        assert tiny_config(digit_pair=("7", 2)).digit_pair == (7, 2)
 
     def test_seed_range(self):
         # the config refuses a negative seed before any dataset is read

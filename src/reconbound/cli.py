@@ -58,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cov = sub.add_parser("covering", help="covering/packing of a matrix file")
     p_cov.add_argument("--matrix", required=True)
     p_cov.add_argument("--eta", type=float, required=True)
-    p_cov.add_argument("--cap", type=int, default=20)
     return parser
 
 
@@ -94,6 +93,9 @@ def _grid_and_n(args) -> tuple:
         raise harness.ConfigError(f"--eps-grid {args.eps_grid!r} has a negative value")
     if args.n < 1:
         raise harness.ConfigError(f"--n {args.n} must be >= 1")
+    if args.n > sys.float_info.max:  # the bounds multiply n by a float
+        raise harness.ConfigError(f"--n must not exceed the float range, "
+                                  f"{sys.float_info.max:g}")
     return grid
 
 
@@ -160,9 +162,9 @@ def _uniform_space(k: int, separation: float) -> FiniteMetricSpace:
 
 
 def _cmd_covering(args) -> int:
-    space = FiniteMetricSpace.from_file(args.matrix, cap=args.cap)
-    cov = covering_number(space, args.eta, cap=args.cap)
-    pack = packing_number(space, args.eta, cap=args.cap)
+    space = FiniteMetricSpace.from_file(args.matrix)
+    cov = covering_number(space, args.eta)
+    pack = packing_number(space, args.eta)
     print(f"points={len(space)} eta={args.eta:g} covering={cov} packing={pack}")
     return 0
 

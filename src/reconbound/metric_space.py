@@ -10,23 +10,23 @@ Covering and packing numbers are computed over the space's own points
 (internal covers), exactly, by branch-and-bound over bitmasks of points.
 An external cover with arbitrary centers can be smaller, but only by at
 most a factor-two change of radius, and internal covers keep the search
-exact.  Spaces larger than the search cap, or than the searches'
-recursion can reach, are rejected outright rather than approximated.
+exact.  Spaces larger than the search cap are rejected outright rather
+than approximated.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 # Largest space the exact searches accept.  Both branch-and-bounds are
 # exponential in the number of points in the worst case; on planar
-# clouds of 20-25 points they take milliseconds.
-DEFAULT_SEARCH_CAP = 20
+# clouds of 20-25 points they take milliseconds.  Each recurses once per
+# point, about 21 frames at 20 points, far inside the recursion limit.
+SEARCH_CAP = 20
 
 # Boundary slack for distance comparisons, relative to eta or to the
 # largest distance.  Grid coordinates carry float rounding of order 1e-16,
@@ -90,22 +90,32 @@ class FiniteMetricSpace:
         return len(self.points)
 
     @classmethod
-    def from_file(cls, path, cap: int = DEFAULT_SEARCH_CAP) -> "FiniteMetricSpace":
-        """Load from plain text: first line n, then n rows of n distances.
-        A count the exact searches refuse at ``cap`` (see `_check_size`)
-        is refused before the distances are parsed or validated."""
-        with open(path, "r", encoding="ascii") as fh:
-            tokens = fh.read().split()
-        if not tokens:
-            raise ValueError(f"{path}: empty distance-matrix file")
-        n = int(tokens[0])
-        if n < 1:
-            raise ValueError(f"{path}: point count {n} must be >= 1")
-        _check_size(n, cap)
-        vals = tokens[1:]
+    def from_file(cls, path) -> "FiniteMetricSpace":
+        """Load from plain text: whitespace-separated tokens, the point
+        count n first, then the n*n distances row by row.  The count is
+        read alone, so a count the exact searches refuse (see
+        `_check_size`) ends the read before any distance is read."""
+        # non-ASCII bytes decode to lone surrogates, which no number holds
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+            count = ""
+            while (ch := fh.read(1)) and not (count and ch.isspace()):
+                count += ch.strip()     # leading whitespace adds nothing
+            if not count:
+                raise ValueError(f"{path}: empty distance-matrix file")
+            try:
+                n = int(count)
+            except ValueError:
+                raise ValueError(f"{path}: point count {count!r} is not an integer") from None
+            if n < 1:
+                raise ValueError(f"{path}: point count {n} must be >= 1")
+            _check_size(n)
+            vals = fh.read().split()
         if len(vals) != n * n:
             raise ValueError(f"{path}: expected {n * n} entries, found {len(vals)}")
-        d = np.array(vals, dtype=float).reshape(n, n)
+        try:
+            d = np.array(vals, dtype=float).reshape(n, n)
+        except ValueError as exc:
+            raise ValueError(f"{path}: a distance entry is not a number ({exc})") from None
         return cls(points=tuple(range(n)), dist=d)
 
 
@@ -114,42 +124,32 @@ def two_point_space(separation: float) -> FiniteMetricSpace:
     return FiniteMetricSpace(points=(0, 1), dist=d)
 
 
-def _cover_masks(space: FiniteMetricSpace, eta: float) -> list[int]:
-    slack = _SLACK * max(1.0, eta)
-    within = space.dist <= eta + slack
-    return [int(sum(1 << j for j in range(len(space)) if within[i, j]))
-            for i in range(len(space))]
+def _check_size(n: int) -> None:
+    """Refuse a space of n points above the search cap."""
+    if n > SEARCH_CAP:
+        raise SizeCapError(f"{n} points exceeds exhaustive-search cap {SEARCH_CAP}")
 
 
-def _check_size(n: int, cap: int) -> None:
-    """Refuse a space of n points above the cap or above half the
-    recursion limit: both searches recurse once per point, and the other
-    half is left to their callers."""
-    if n > cap:
-        raise SizeCapError(f"{n} points exceeds exhaustive-search cap {cap}")
-    depth = sys.getrecursionlimit() // 2
-    if n > depth:
-        raise SizeCapError(f"{n} points exceeds the searches' recursion depth {depth}")
-
-
-def _check_search(space: FiniteMetricSpace, eta: float, cap: int) -> int:
-    """Number of points in ``space``, after refusing an eta that is not
-    positive and a size `_check_size` refuses."""
+def _point_masks(space: FiniteMetricSpace, eta: float, near: bool) -> list[int]:
+    """Per point, the bitmask of the points within eta of it, itself
+    included (near), or at least eta from it, itself excluded (not near),
+    up to a slack relative to eta; after refusing a bad eta or size."""
     if not eta > 0:
         raise ValueError(f"eta={eta} must be positive")
-    n = len(space)
-    _check_size(n, cap)
-    return n
+    _check_size(len(space))
+    slack = _SLACK * max(1.0, eta)
+    related = space.dist <= eta + slack if near else space.dist >= eta - slack
+    np.fill_diagonal(related, near)
+    return [sum(1 << j for j, hit in enumerate(row) if hit) for row in related.tolist()]
 
 
-def covering_number(space: FiniteMetricSpace, eta: float,
-                    cap: int = DEFAULT_SEARCH_CAP) -> int:
+def covering_number(space: FiniteMetricSpace, eta: float) -> int:
     """Minimum number of centers (from the point set) covering every point
     within eta.  Exact, by branch-and-bound over cover bitmasks: some
     chosen center must cover the lowest uncovered point, so the search
     branches over the centers that do."""
-    n = _check_search(space, eta, cap)
-    masks = _cover_masks(space, eta)
+    masks = _point_masks(space, eta, near=True)
+    n = len(masks)
     full = (1 << n) - 1
     best = n
 
@@ -172,15 +172,10 @@ def covering_number(space: FiniteMetricSpace, eta: float,
     return best
 
 
-def packing_number(space: FiniteMetricSpace, eta: float,
-                   cap: int = DEFAULT_SEARCH_CAP) -> int:
+def packing_number(space: FiniteMetricSpace, eta: float) -> int:
     """Maximum number of points with pairwise distances >= eta.  Exact,
     by branch-and-bound over compatibility bitmasks."""
-    n = _check_search(space, eta, cap)
-    slack = _SLACK * max(1.0, eta)
-    apart = space.dist >= eta - slack
-    compat = [int(sum(1 << j for j in range(n) if j != i and apart[i, j]))
-              for i in range(n)]
+    compat = _point_masks(space, eta, near=False)
     best = 0
 
     def expand(cand: int, size: int) -> None:
@@ -194,7 +189,7 @@ def packing_number(space: FiniteMetricSpace, eta: float,
             cand &= cand - 1
             expand(cand & compat[v], size + 1)
 
-    expand((1 << n) - 1, 0)
+    expand((1 << len(compat)) - 1, 0)
     return best
 
 

@@ -207,7 +207,7 @@ def test_c8_covering_sandwich_on_grid_balls():
             ball = discretize_unit_ball(d, 0.5)
             for eta in (0.5, 1.0):
                 lo, hi = map(math.exp, norm_ball_covering_bounds_log(d, eta))
-                cov = covering_number(ball, eta, cap=25)
+                cov = covering_number(ball, eta)
                 assert lo <= cov <= hi, (d, eta, cov, lo, hi)
         assert time.perf_counter() - start < 20.0
 

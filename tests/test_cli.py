@@ -1,6 +1,8 @@
-import sys
+import argparse
+import re
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,9 @@ import pytest
 from reconbound import cli, harness, oracle
 from reconbound.harness import SweepConfig, SweepResult, SweepRow
 from reconbound.metric_space import FiniteMetricSpace, pairwise_distances
+
+# an --n that no float holds
+BEYOND_FLOAT = str(10 ** 309)
 
 
 def run_cli(argv):
@@ -40,47 +45,28 @@ class TestCovering:
         for eta in ("-1", "nan"):
             assert run_cli(["covering", "--matrix", str(path), "--eta", eta]) == 2
 
-    def test_space_beyond_recursion_depth_exit_2(self, tmp_path, capsys):
-        # both searches recurse once per point: at a tiny eta on a line, a
-        # space as large as the recursion limit would overflow the stack
-        limit = 400
-        path = tmp_path / "m.txt"
-        write_matrix(path, np.arange(float(limit))[:, None])
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(limit)
-        try:
-            code = run_cli(["covering", "--matrix", str(path), "--eta", "0.001",
-                            "--cap", str(2 * limit)])
-        finally:
-            sys.setrecursionlimit(old)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "recursion" in err
-
-
     def test_large_space_refused_before_validation(self, tmp_path, monkeypatch, capsys):
-        # the file's point count is checked against --cap and the
-        # recursion depth before the distances are parsed, so the
-        # all-triples validation of the space never runs
-        small, large = tmp_path / "small.txt", tmp_path / "large.txt"
-        write_matrix(small, np.arange(30.0)[:, None])
-        write_matrix(large, np.arange(250.0)[:, None])
+        # the file's point count is checked against the search cap before
+        # the distances are parsed, so the all-triples validation of the
+        # space never runs
+        path = tmp_path / "m.txt"
+        write_matrix(path, np.arange(30.0)[:, None])
 
         def unreachable(self):
             raise AssertionError("validated a space the searches refuse")
 
         monkeypatch.setattr(FiniteMetricSpace, "__post_init__", unreachable)
-        assert run_cli(["covering", "--matrix", str(small), "--eta", "1.0"]) == 2
+        assert run_cli(["covering", "--matrix", str(path), "--eta", "1.0"]) == 2
         assert "30 points exceeds exhaustive-search cap 20" in capsys.readouterr().err
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(400)
-        try:
-            code = run_cli(["covering", "--matrix", str(large), "--eta", "1.0",
-                            "--cap", "1000"])
-        finally:
-            sys.setrecursionlimit(old)
-        assert code == 2
-        assert "recursion depth 200" in capsys.readouterr().err
+
+    def test_large_space_refused_before_decoding(self, tmp_path, capsys):
+        # the bytes after a refused count are never read, so they need
+        # not even be ASCII
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"21\n" + bytes(range(128, 256)) * 4)
+        assert run_cli(["covering", "--matrix", str(path), "--eta", "1.0"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: 21 points exceeds exhaustive-search cap 20" in err
 
     def test_large_scale_line(self, tmp_path, capsys):
         # six points on a line at scale 1e8, where float rounding exceeds
@@ -100,16 +86,25 @@ class TestCovering:
             assert answers[0] == answers[1]
 
     def test_count_below_one_refused_by_name(self, tmp_path, capsys):
-        # named with the file before the cap check, whatever the cap
+        # named with the file before the cap check
         for count in ("-1", "0"):
             path = tmp_path / f"m{count}.txt"
             path.write_text(f"{count}\n0\n", encoding="ascii")
-            for cap in ("20", "-5"):
-                assert run_cli(["covering", "--matrix", str(path), "--eta", "1.0",
-                                "--cap", cap]) == 2
-                err = capsys.readouterr().err
-                assert f"config error: {path}: point count {count} must be >= 1" in err
-                assert "Traceback" not in err
+            assert run_cli(["covering", "--matrix", str(path), "--eta", "1.0"]) == 2
+            err = capsys.readouterr().err
+            assert f"config error: {path}: point count {count} must be >= 1" in err
+            assert "Traceback" not in err
+
+    def test_unreadable_count_and_entry_refused_by_name(self, tmp_path, capsys):
+        # the message names the file and whether the count or an entry failed
+        cases = (("2.5\n0 1\n1 0\n", "point count '2.5' is not an integer"),
+                 ("2\n0 x\n1 0\n", "a distance entry is not a number"))
+        for text, reason in cases:
+            path = tmp_path / "m.txt"
+            path.write_text(text, encoding="ascii")
+            assert run_cli(["covering", "--matrix", str(path), "--eta", "1.0"]) == 2
+            err = capsys.readouterr().err
+            assert f"config error: {path}: {reason}" in err and "Traceback" not in err
 
     def test_triangle_violation_exit_2(self, tmp_path, capsys):
         path = tmp_path / "m.txt"
@@ -430,7 +425,10 @@ class TestBadInput:
         (["bounds", "--eps-grid", "1", "--diam", "1", "--coord-diam-sq-sum=inf"],
          "--coord-diam-sq-sum inf"),
         (["bounds", "--eps-grid", "1", "--diam", "1", "--d-eff=0.5"], "--d-eff 0.5"),
-        (["bounds", "--eps-grid", "1", "--diam", "1", "--d-eff=nan"], "--d-eff nan")])
+        (["bounds", "--eps-grid", "1", "--diam", "1", "--d-eff=nan"], "--d-eff nan"),
+        (["oracle", "--eps-grid", "1", "--n", BEYOND_FLOAT], "--n must not exceed"),
+        (["bounds", "--eps-grid", "1", "--diam", "1", "--n", BEYOND_FLOAT],
+         "--n must not exceed")])
     def test_message_names_the_flag(self, tmp_path, capsys, argv, flag):
         out_path = tmp_path / "b.csv"
         extra = ["--out", str(out_path)] if argv[0] == "bounds" else []
@@ -585,6 +583,9 @@ class TestExtremeInputs:
         "oracle-huge-eps": (["oracle", "--eps-grid", "1e308", "--n", "2"], None, 0),
         "bounds-huge-eps-and-n": (["bounds", "--diam", "1", "--eps-grid", "1e308",
                                    "--n", "1000000000"], None, 0),
+        "bounds-n-beyond-float": (["bounds", "--diam", "1", "--eps-grid", "1",
+                                   "--n", BEYOND_FLOAT], None, 2),
+        "oracle-n-beyond-float": (["oracle", "--eps-grid", "1", "--n", BEYOND_FLOAT], None, 2),
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -605,3 +606,14 @@ class TestExtremeInputs:
         assert ("config error" in captured.err) == (code == 2)
         if sweep and code == 0:
             assert "failures=2" in captured.out
+
+
+def test_readme_lists_the_cli_flags():
+    # the README names every flag of every subcommand, and no other
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    documented = set(re.findall(r"--[a-z][a-z-]*", readme))
+    sub = next(action for action in cli._build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    flags = {flag for parser in sub.choices.values() for action in parser._actions
+             for flag in action.option_strings if flag.startswith("--")}
+    assert documented == flags - {"--help"}

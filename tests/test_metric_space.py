@@ -1,10 +1,10 @@
 import itertools
 import math
-import sys
 
 import numpy as np
 import pytest
 
+from reconbound import metric_space
 from reconbound.metric_space import (FiniteMetricSpace, SizeCapError,
                                      covering_number, discretize_unit_ball,
                                      norm_ball_covering_bounds_log, packing_number,
@@ -111,30 +111,19 @@ class TestCovering:
         sp = unit_square_corners()
         assert covering_number(sp, sp.dist.max() + 0.1) == 1
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         rng = np.random.default_rng(1)
         sp = euclidean(rng.normal(size=(25, 2)))
         with pytest.raises(SizeCapError):
             covering_number(sp, 0.5)
-        assert covering_number(sp, 0.5, cap=25) >= 1
+        monkeypatch.setattr(metric_space, "SEARCH_CAP", 25)
+        assert covering_number(sp, 0.5) >= 1
 
     def test_bad_eta(self):
         for search in (covering_number, packing_number):
             for eta in (0.0, math.nan):
                 with pytest.raises(ValueError):
                     search(two_point_space(1.0), eta)
-
-    def test_recursion_depth_caps_the_search(self):
-        # one recursion level per point: past half the interpreter's limit
-        # the space is refused, however large the cap
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(200)
-        try:
-            for search in (covering_number, packing_number):
-                with pytest.raises(SizeCapError, match="recursion"):
-                    search(collinear(range(101)), 1e-3, cap=1000)
-        finally:
-            sys.setrecursionlimit(old)
 
 
 class TestCoveringMatchesSubsetEnumeration:
@@ -227,7 +216,7 @@ class TestNormBallBounds:
             sp = discretize_unit_ball(d, spacing)
             for eta in (0.5, 1.0):
                 lo, hi = exp_covering_bounds(d, eta)
-                cov = covering_number(sp, eta, cap=25)
+                cov = covering_number(sp, eta)
                 assert lo <= cov <= hi, (d, eta, cov, lo, hi)
 
 
@@ -404,14 +393,23 @@ class TestFileFormat:
         assert back.points == tuple(range(5))
         assert np.allclose(back.dist, dist, rtol=0, atol=0)
 
-    def test_cap_refuses_before_parsing(self, tmp_path):
+    def test_cap_refuses_before_parsing(self, tmp_path, monkeypatch):
         # the header alone decides: the distances are never read
         path = tmp_path / "big.txt"
         path.write_text("21\n" + "x " * 441)
         with pytest.raises(SizeCapError, match="cap 20"):
-            FiniteMetricSpace.from_file(path, cap=20)
+            FiniteMetricSpace.from_file(path)
+        monkeypatch.setattr(metric_space, "SEARCH_CAP", 21)
         with pytest.raises(ValueError, match="could not convert"):
-            FiniteMetricSpace.from_file(path, cap=21)
+            FiniteMetricSpace.from_file(path)
+
+    def test_token_layout(self, tmp_path):
+        # leading blank lines, and a count on the same line as distances
+        path = tmp_path / "space.txt"
+        for text in ("\n\n  2\n0 1\n1 0\n", "2 0 1\n1 0", "\t2\t0\r\n1 1 0"):
+            path.write_text(text, encoding="ascii")
+            back = FiniteMetricSpace.from_file(path)
+            assert back.dist.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_bad_count(self, tmp_path):
         path = tmp_path / "bad.txt"

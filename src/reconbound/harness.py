@@ -140,6 +140,10 @@ class SweepConfig:
         # LogRegProblem refuses it too, but only once the dataset is built
         if not 0 < self.lam < math.inf:
             raise ConfigError("lam must be positive and finite")
+        # N*lam weighs theta in the stationarity equation the attack reads
+        if not math.isfinite(self.train_size * self.lam):
+            raise ConfigError(f"train_size * lam must be finite, got "
+                              f"{self.train_size} * {self.lam!r}")
 
 
 # the keys a config must set: the fields without a default

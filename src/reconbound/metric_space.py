@@ -73,16 +73,17 @@ class FiniteMetricSpace:
             raise ValueError("diagonal of a distance matrix must be zero")
         if np.any(np.abs(d - d.T) > 1e-12):
             raise ValueError("distance matrix must be symmetric")
-        d = 0.5 * (d + d.T)
+        d = 0.5 * d + 0.5 * d.T     # halved first, so no two distances sum past the float range
         np.fill_diagonal(d, 0.0)
-        # triangle inequality d[i,k] <= d[i,j] + d[j,k], over blocks of j
-        # whose (n, block, n) sums stay near 2^16 entries
+        # d[i,k] <= d[i,j] + d[j,k], over blocks of j whose (n, block, n) sums
+        # stay near 2^16 entries; an overflowed sum is +inf, above every distance
         slack = _SLACK * max(1.0, d.max())
         step = max(1, 2 ** 16 // (n * n))
         for j in range(0, n, step):
             J = slice(j, j + step)
-            if np.any(d[:, None, :] > d[:, J, None] + d[None, J, :] + slack):
-                raise ValueError("triangle inequality violated")
+            with np.errstate(over="ignore"):
+                if np.any(d[:, None, :] > d[:, J, None] + d[None, J, :] + slack):
+                    raise ValueError("triangle inequality violated")
         d.setflags(write=False)
         object.__setattr__(self, "dist", d)
 
@@ -109,9 +110,16 @@ class FiniteMetricSpace:
             if n < 1:
                 raise ValueError(f"{path}: point count {n} must be >= 1")
             _check_size(n)
-            vals = fh.read().split()
+            # chunks until n*n + 1 tokens are in; a token cut at a chunk's end is
+            # carried over, and reading at least its length keeps joining linear
+            vals, head = [], ""
+            while len(vals) <= n * n and (chunk := fh.read(max(1 << 12, len(head)))):
+                vals += (head + chunk).split(maxsplit=n * n + 1 - len(vals))
+                head = "" if chunk[-1].isspace() else vals.pop()
+            vals += head.split()
         if len(vals) != n * n:
-            raise ValueError(f"{path}: expected {n * n} entries, found {len(vals)}")
+            found = len(vals) if len(vals) < n * n else "more"
+            raise ValueError(f"{path}: expected {n * n} entries, found {found}")
         try:
             d = np.array(vals, dtype=float).reshape(n, n)
         except ValueError as exc:

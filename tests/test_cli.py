@@ -1,6 +1,7 @@
 import argparse
 import re
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -106,6 +107,20 @@ class TestCovering:
             err = capsys.readouterr().err
             assert f"config error: {path}: {reason}" in err and "Traceback" not in err
 
+    def test_long_file_read_one_token_past_the_matrix(self, tmp_path, capsys):
+        # a count of 2 on a 4 MB line of a million distances: the read
+        # stops at the fifth token
+        path = tmp_path / "m.txt"
+        path.write_text("2\n" + "1.5 " * 1_000_000, encoding="ascii")
+        tracemalloc.start()
+        try:
+            code = run_cli(["covering", "--matrix", str(path), "--eta", "1.0"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 1 << 20
+        assert f"config error: {path}: expected 4 entries, found more" in capsys.readouterr().err
+
     def test_triangle_violation_exit_2(self, tmp_path, capsys):
         path = tmp_path / "m.txt"
         path.write_text("3\n0 1 2.5\n1 0 1\n2.5 1 0\n", encoding="ascii")
@@ -116,11 +131,12 @@ class TestCovering:
 
 class TestBounds:
     def test_unit_ball_flags(self, tmp_path, capsys):
-        # the unit ball has diameter 2 and trivial risk 1, which the prior
-        # bound crosses at its threshold ln(1 + 784/4) = 5.28
+        # the unit ball at d = 784 (coordinate sum 784, d_eff = 784 ln 2)
+        # has diameter 2 and trivial risk 1, which the prior bound crosses
+        # at its threshold ln(1 + 784/4) = 5.28
         out_path = tmp_path / "bounds.csv"
         code = run_cli(["bounds", "--eps-grid", "1,3,5.5", "--diam", "2.0",
-                        "--coord-diam-sq-sum", "784", "--d-eff", "11.09",
+                        "--coord-diam-sq-sum", "784", "--d-eff", "543.43",
                         "--out", str(out_path)])
         assert code == 0
         lines = out_path.read_text().splitlines()
@@ -550,9 +566,16 @@ class TestBadInput:
 
 # sweep files at eps = 1e-300: at lam = 1e-30, N*eps*lam underflows to 0
 # and the noise is infinite; at lam = 4e-10 the noise is finite, but
-# every release's squared norm overflows
-UNDERFLOW_LAM, OVERFLOW_LAM = 1e-30, 4e-10
+# every release's squared norm overflows.  At eps = 1 and lam = 1e308,
+# N*lam is past the float range while the release underflows to 0
+UNDERFLOW_LAM, OVERFLOW_LAM, HUGE_LAM = 1e-30, 4e-10, 1e308
 OVERFLOW_GRID = ["--eps-grid", "0:1e308:1e-308"]
+
+
+def sweep_file(kind, lam, dim, eps_grid=1e-300):
+    """A two-trial sweep config of 50 training rows, as a --config input."""
+    return ("--config", f"mechanism_kind = {kind}\neps_grid = {eps_grid!r}\nseed = 1\n"
+                        f"lam = {lam!r}\ntrain_size = 50\ndim = {dim}\ntrials = 2\n")
 
 
 # a count whose arrays numpy refuses to allocate at once (over a PiB)
@@ -561,21 +584,21 @@ HUGE = 10 ** 15
 
 class TestExtremeInputs:
     # valid or refusable inputs at the ends of the float range, each
-    # (argv, the kind, lam and dim of its sweep file or None, exit code):
-    # each ends in its exit code with no traceback, warnings raised as
+    # (argv, its input file as (flag, text) or None, exit code): each
+    # ends in its exit code with no traceback, warnings raised as
     # errors.  The sweeps that finish release NaN or overflow, so every
     # draw fails; the oversized ones are refused before touching memory
     CASES = {
-        "op-dp-underflow": (["sweep"], ("OUTPUT_PERTURB_DP", UNDERFLOW_LAM, 3), 0),
-        "op-mdp-underflow": (["sweep"], ("OUTPUT_PERTURB_MDP", UNDERFLOW_LAM, 3), 0),
-        "pnsgd-dp-underflow": (["sweep"], ("PNSGD_DP", UNDERFLOW_LAM, 3), 0),
-        "op-dp-overflow": (["sweep"], ("OUTPUT_PERTURB_DP", OVERFLOW_LAM, 3), 0),
-        "op-mdp-overflow": (["sweep"], ("OUTPUT_PERTURB_MDP", OVERFLOW_LAM, 3), 0),
+        "op-dp-underflow": (["sweep"], sweep_file("OUTPUT_PERTURB_DP", UNDERFLOW_LAM, 3), 0),
+        "op-mdp-underflow": (["sweep"], sweep_file("OUTPUT_PERTURB_MDP", UNDERFLOW_LAM, 3), 0),
+        "pnsgd-dp-underflow": (["sweep"], sweep_file("PNSGD_DP", UNDERFLOW_LAM, 3), 0),
+        "op-dp-overflow": (["sweep"], sweep_file("OUTPUT_PERTURB_DP", OVERFLOW_LAM, 3), 0),
+        "op-mdp-overflow": (["sweep"], sweep_file("OUTPUT_PERTURB_MDP", OVERFLOW_LAM, 3), 0),
         "op-dp-huge-trials": (["sweep", "--mechanism", "OUTPUT_PERTURB_DP", "--seed", "1",
                                "--eps-grid", "1", "--trials", str(HUGE)], None, 2),
         "pnsgd-mdp-huge-trials": (["sweep", "--mechanism", "PNSGD_MDP", "--seed", "1",
                                    "--eps-grid", "1", "--trials", str(HUGE)], None, 2),
-        "op-dp-huge-dim": (["sweep"], ("OUTPUT_PERTURB_DP", 1e-2, HUGE), 2),
+        "op-dp-huge-dim": (["sweep"], sweep_file("OUTPUT_PERTURB_DP", 1e-2, HUGE), 2),
         "sweep-grid-overflow": (["sweep", "--mechanism", "OUTPUT_PERTURB_DP", "--seed", "1",
                                  *OVERFLOW_GRID], None, 2),
         "bounds-grid-overflow": (["bounds", "--diam", "1", *OVERFLOW_GRID], None, 2),
@@ -586,25 +609,31 @@ class TestExtremeInputs:
         "bounds-n-beyond-float": (["bounds", "--diam", "1", "--eps-grid", "1",
                                    "--n", BEYOND_FLOAT], None, 2),
         "oracle-n-beyond-float": (["oracle", "--eps-grid", "1", "--n", BEYOND_FLOAT], None, 2),
+        "op-dp-huge-lam": (["sweep"], sweep_file("OUTPUT_PERTURB_DP", HUGE_LAM, 3, 1.0), 2),
+        "op-mdp-huge-lam": (["sweep"], sweep_file("OUTPUT_PERTURB_MDP", HUGE_LAM, 3, 1.0), 2),
+        "pnsgd-mdp-huge-lam": (["sweep"], sweep_file("PNSGD_MDP", HUGE_LAM, 3, 1.0), 2),
+        # the two distances sum past the float range
+        "covering-huge-distances": (["covering", "--eta", "1"],
+                                    ("--matrix", "2\n0 9e307\n9e307 0\n"), 0),
     }
 
     @pytest.mark.parametrize("name", CASES)
     def test_exit_without_traceback(self, tmp_path, capsys, name):
-        argv, sweep, code = self.CASES[name]
-        if argv[0] != "oracle":
+        argv, infile, code = self.CASES[name]
+        if argv[0] in ("sweep", "bounds"):
             argv = [*argv, "--out", str(tmp_path / "o")]
-        if sweep:
-            cfg = tmp_path / "sweep.cfg"
-            cfg.write_text("mechanism_kind = {}\neps_grid = 1e-300\nseed = 1\nlam = {!r}\n"
-                           "train_size = 50\ndim = {}\ntrials = 2\n".format(*sweep))
-            argv = [*argv, "--config", str(cfg)]
+        if infile:
+            flag, text = infile
+            path = tmp_path / "input.txt"
+            path.write_text(text)
+            argv = [*argv, flag, str(path)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cli(argv) == code
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert ("config error" in captured.err) == (code == 2)
-        if sweep and code == 0:
+        if argv[0] == "sweep" and code == 0:
             assert "failures=2" in captured.out
 
 

@@ -191,6 +191,11 @@ class TestConfigParsing:
         for lam in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ConfigError, match="^lam must be positive and finite"):
                 tiny_config(lam=lam)
+        # N*lam weighs theta in the stationarity equation the attack reads:
+        # at N = 2000 it leaves the float range between 8e304 and 1e305
+        assert tiny_config(train_size=2000, lam=8e304).lam == 8e304
+        with pytest.raises(ConfigError, match=r"^train_size \* lam must be finite"):
+            tiny_config(train_size=2000, lam=1e305)
 
     def test_samples_and_dataset_size_range(self):
         # n_samples is the adversary's query budget: at least one release;

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from reconbound.divergence import laplace_logpdf
+from reconbound import mechanisms
 from reconbound.harness import generate_synthetic
 from reconbound.mechanisms import (GRAD_TOL, LogRegProblem, logistic_grad_sum,
                                    output_perturb_dp, output_perturb_mdp_euclidean,
@@ -145,6 +148,32 @@ class TestTrainer:
         theta = train_logreg_exact(prob)
         assert np.linalg.norm(reference_gradient(prob, theta)) <= GRAD_TOL
 
+    def test_backtracks_until_the_gradient_norm_shrinks(self, monkeypatch):
+        # unit rows, random labels, fewer samples than features and a
+        # vanishing regularizer: some unit Newton step grows the gradient
+        # norm and must be halved
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(30, 40))
+        x /= np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+        prob = LogRegProblem(features=x, labels=rng.choice([-1.0, 1.0], 30), lam=1e-8)
+        calls = {"gradient": 0, "direction": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(mechanisms, "logistic_grad_sum",
+                            counted("gradient", logistic_grad_sum))
+        monkeypatch.setattr(mechanisms, "_newton_direction",
+                            counted("direction", mechanisms._newton_direction))
+        theta = train_logreg_exact(prob)
+        assert np.linalg.norm(reference_gradient(prob, theta)) <= GRAD_TOL
+        # one gradient at the start and one per accepted step; every
+        # other one belonged to a rejected candidate
+        assert calls["gradient"] - calls["direction"] - 1 >= 1
+
 
 def reference_gradient(problem, theta):
     """The gradient of the regularized mean loss, coded apart from the
@@ -192,6 +221,14 @@ def two_product_trainer(problem):
     raise AssertionError("reference trainer did not converge")
 
 
+# sha256 of the trained theta's bytes, pinned for the problems the
+# desk and wide-op sweeps train
+THETA_SHA256 = {
+    (2000, 784, 20240817, 1e-2): "4aa960679f4284c2dbbe2b1dad227e5b06e6d0729d26dcef78d52a0c8a7b9a53",
+    (2000, 16, 20240817, 1e-2): "e1b76dc399a2a90e322cf7eb5534156bc125a87f06944ea414b18184d36f207f",
+}
+
+
 class TestReferenceTrainer:
     @pytest.mark.parametrize("n,d,seed,lam", [(2000, 784, 20240817, 1e-2),
                                               (2000, 16, 20240817, 1e-2),
@@ -203,6 +240,8 @@ class TestReferenceTrainer:
         prob = generate_synthetic(n, d, seed=seed, lam=lam)
         theta = train_logreg_exact(prob)
         assert np.linalg.norm(reference_gradient(prob, theta)) <= GRAD_TOL
+        if (n, d, seed, lam) in THETA_SHA256:
+            assert hashlib.sha256(theta.tobytes()).hexdigest() == THETA_SHA256[n, d, seed, lam]
         gap = np.linalg.norm(theta - two_product_trainer(prob))
         assert gap <= 2.0 * GRAD_TOL / lam
 

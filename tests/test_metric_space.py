@@ -404,9 +404,12 @@ class TestFileFormat:
             FiniteMetricSpace.from_file(path)
 
     def test_token_layout(self, tmp_path):
-        # leading blank lines, and a count on the same line as distances
+        # leading blank lines, a count on the same line as distances, a
+        # distance cut by the 4096-character read after the count, and
+        # one of 10 001 characters read over three chunks
         path = tmp_path / "space.txt"
-        for text in ("\n\n  2\n0 1\n1 0\n", "2 0 1\n1 0", "\t2\t0\r\n1 1 0"):
+        for text in ("\n\n  2\n0 1\n1 0\n", "2 0 1\n1 0", "\t2\t0\r\n1 1 0",
+                     "2 " + " " * 4092 + "0 1.0 1 0", "2\n0 " + "0" * 10_000 + "1 1 0"):
             path.write_text(text, encoding="ascii")
             back = FiniteMetricSpace.from_file(path)
             assert back.dist.tolist() == [[0.0, 1.0], [1.0, 0.0]]

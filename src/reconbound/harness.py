@@ -40,7 +40,6 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import pnsgd as pnsgd_mod
 from .attack import ThreatModel, attack_average
-from .divergence import kl_bound
 from .mechanisms import (LogRegProblem, output_perturb_dp,
                          output_perturb_mdp_euclidean, train_logreg_exact)
 from .metric_space import norm_ball_covering_bounds_log
@@ -322,7 +321,7 @@ def evaluate_bounds(guarantee: Guarantee, n: int, dim: int) -> dict:
         d_eff = norm_ball_covering_bounds_log(dim, 0.5)[0]
         return {"mdp_lecam": bounds_mod.mdp_lecam_bound(eps, n, UNIT_BALL_DIAM, delta),
                 "mdp_fano": bounds_mod.mdp_fano_bound(eps, n, UNIT_BALL_DIAM, d_eff, delta)}
-    kl = kl_bound(eps) if guarantee.rho is None else guarantee.rho
+    kl = bounds_mod.kl_bound(eps) if guarantee.rho is None else guarantee.rho
     return {"dp_lecam": bounds_mod.two_point_bound(UNIT_BALL_DIAM, kl, n, delta),
             "rdp_unbiased": bounds_mod.unbiased_rdp_bound(eps, float(dim))}
 

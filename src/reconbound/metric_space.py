@@ -16,7 +16,6 @@ than approximated.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -210,14 +209,3 @@ def norm_ball_covering_bounds_log(dim: int, eta: float) -> tuple[float, float]:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     return dim * math.log(1.0 / eta), dim * math.log(1.0 + 2.0 / eta)
-
-
-def discretize_unit_ball(dim: int, spacing: float) -> FiniteMetricSpace:
-    """Axis-aligned grid restricted to the unit L2 ball."""
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
-    k = int(math.floor(1.0 / spacing + 1e-9))
-    axis = spacing * np.arange(-k, k + 1)
-    pts = [p for p in itertools.product(axis, repeat=dim)
-           if np.sqrt(np.sum(np.square(p))) <= 1.0 + 1e-9]
-    return FiniteMetricSpace(points=tuple(map(tuple, pts)), dist=pairwise_distances(pts))

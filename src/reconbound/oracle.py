@@ -195,10 +195,6 @@ def channel_kl(mech: FiniteMechanism, i: int, j: int) -> float:
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
 
 
-def channel_tv(mech: FiniteMechanism, i: int, j: int) -> float:
-    return float(0.5 * np.sum(np.abs(mech.channel[i] - mech.channel[j])))
-
-
 def product_tv(mech: FiniteMechanism, n: int) -> tuple[float, float]:
     """Exact total variation between the n-fold products of a two-input
     channel's rows, and their overlap sum(min(p, q)) = 1 - TV, summed

@@ -1,22 +1,23 @@
-"""Divergence machinery: the KL budget implied by a likelihood-ratio
-privacy budget, closed forms for Laplace/Gaussian pairs, and a
-deterministic quadrature oracle used to verify the closed forms.  The
-oracle's 15-point Gauss-Legendre rule is built on its first use.
+"""Independent verification oracles the tests check the package against:
+closed forms for Laplace/Gaussian pairs, a deterministic adaptive
+quadrature that verifies them and the KL budget `bounds.kl_bound`, the
+total variation of a finite channel's rows, and a grid discretization of
+the unit L2 ball.
 
-The KL budget ``t * tanh(t/2)`` is computed here and nowhere else; it
-feeds `bounds.two_point_bound` and `bounds.fano_bound` as their KL
-argument, so the bounds the sweep audits use the very function the
-quadrature oracles verify.
+They import nothing of the package but `metric_space`, whose space the
+discretized ball is, so no oracle can come to call the code it checks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable
 
 import numpy as np
+
+from reconbound.metric_space import FiniteMetricSpace, pairwise_distances
 
 LAPLACE = "laplace"
 GAUSSIAN = "gaussian"
@@ -25,20 +26,11 @@ _QUAD_DEPTH_CAP = 40
 _INITIAL_PANELS = 32
 # tail mass of laplace/gaussian beyond 40 scale units is < 1e-15
 _SUPPORT_SCALES = 40.0
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
 class QuadratureError(RuntimeError):
     """Adaptive refinement exceeded the depth cap without converging."""
-
-
-def kl_bound(eps: float, dist: float = 1.0) -> float:
-    """KL budget t * tanh(t/2), t = eps * dist, between output laws of an
-    eps-per-unit-distance private learner at dataset distance dist
-    (dist = 1 recovers plain DP)."""
-    if eps < 0 or dist < 0:
-        raise ValueError("eps and dist must be nonnegative")
-    t = eps * dist
-    return t * math.tanh(t / 2.0)
 
 
 @dataclass(frozen=True)
@@ -92,17 +84,10 @@ def analytic_renyi(pair: AnalyticPair, alpha: float) -> float:
     return alpha * pair.delta ** 2 / (2.0 * pair.scale ** 2)
 
 
-@cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    # built on first use, so importing the package never loads numpy.polynomial
-    return np.polynomial.legendre.leggauss(15)
-
-
 def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
-    nodes, weights = _gauss_legendre()
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return float(half * np.dot(weights, f(mid + half * nodes)))
+    return float(half * np.dot(_WEIGHTS, f(mid + half * _NODES)))
 
 
 def _adaptive(f, a: float, b: float, tol: float, depth: int, whole: float) -> float:
@@ -185,3 +170,19 @@ def bh_tv_bound(kl: float) -> float:
     if kl < 0:
         raise ValueError("kl must be nonnegative")
     return 1.0 - 0.5 * math.exp(-kl)
+
+
+def channel_tv(mech, i: int, j: int) -> float:
+    """Total variation between rows i and j of an `oracle.FiniteMechanism`."""
+    return float(0.5 * np.sum(np.abs(mech.channel[i] - mech.channel[j])))
+
+
+def discretize_unit_ball(dim: int, spacing: float) -> FiniteMetricSpace:
+    """Axis-aligned grid restricted to the unit L2 ball."""
+    if spacing <= 0:
+        raise ValueError("spacing must be positive")
+    k = int(math.floor(1.0 / spacing + 1e-9))
+    axis = spacing * np.arange(-k, k + 1)
+    pts = [p for p in itertools.product(axis, repeat=dim)
+           if np.sqrt(np.sum(np.square(p))) <= 1.0 + 1e-9]
+    return FiniteMetricSpace(points=tuple(map(tuple, pts)), dist=pairwise_distances(pts))

@@ -13,15 +13,17 @@ import pytest
 
 from reconbound import pnsgd as pnsgd_mod
 from reconbound.attack import glm_reconstruct_single
-from reconbound.bounds import Validity, dp_lecam_bound, unbiased_rdp_bound, validity_check
-from reconbound.divergence import (GAUSSIAN, LAPLACE, AnalyticPair, analytic_kl,
-                                   kl_bound, numeric_kl_pair)
+from reconbound.bounds import (Validity, dp_lecam_bound, kl_bound, unbiased_rdp_bound,
+                               validity_check)
 from reconbound.harness import SweepConfig, emit_csv, generate_synthetic, run_sweep
 from reconbound.mechanisms import train_logreg_exact
-from reconbound.metric_space import (covering_number, discretize_unit_ball,
-                                     norm_ball_covering_bounds_log, two_point_space)
+from reconbound.metric_space import (covering_number, norm_ball_covering_bounds_log,
+                                     two_point_space)
 from reconbound.oracle import exact_bayes_risk, randomized_response
 from reconbound.pnsgd import noise_for_renyi_mdp
+
+from reference import (GAUSSIAN, LAPLACE, AnalyticPair, analytic_kl, discretize_unit_ball,
+                       numeric_kl_pair)
 
 SWEEP_GRID = tuple(0.1 + 0.35 * k for k in range(14))  # [0.1, 5) step 0.35
 SWEEP_SEED = 20240817

@@ -7,7 +7,8 @@ a name or attribute load or a string constant in ``perfbench`` (whose
 tracer names the attributes it wraps), or the target of a console
 script in ``pyproject.toml``.  Docstrings do not count.  The package
 itself exports its modules and nothing else, so each function has one
-public path, the one the tracer wraps.
+public path, the one the tracer wraps.  The independent verification
+oracles the tests check the package against live in ``tests/reference.py``.
 """
 
 import ast
@@ -19,19 +20,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "reconbound"
-
-# kept without a caller, one reason per group
-ALLOWED = {
-    # independent verification oracles: tests check the bounds against them
-    "analytic_kl": "verification oracle",
-    "analytic_renyi": "verification oracle",
-    "numeric_kl_pair": "verification oracle",
-    "numeric_tv": "verification oracle",
-    "bh_tv_bound": "verification oracle",
-    "channel_tv": "verification oracle",
-    # the discretized unit ball whose covering numbers acceptance c8 checks
-    "discretize_unit_ball": "read by acceptance c8",
-}
 
 
 def parse(path):
@@ -96,32 +84,28 @@ def referenced_names() -> set:
 def test_every_public_name_has_a_caller():
     referenced = referenced_names()
     unused = [f"{module}.{name}" for module, name in public_definitions()
-              if name.rsplit(".", 1)[-1] not in referenced and name not in ALLOWED]
+              if name.rsplit(".", 1)[-1] not in referenced]
     assert not unused, f"public API with no caller outside tests: {unused}"
 
 
 def test_package_exports_exactly_its_modules():
     # read in a fresh interpreter: importing a submodule, as the CLI tests
-    # do, binds it on the package
-    listing = "import reconbound; print(*sorted(n for n in vars(reconbound) if n[0] != '_'))"
+    # do, binds it on the package, and the test process has loaded
+    # numpy.polynomial, which no import of the package may load, as it
+    # would slow every cold start
+    listing = ("import sys, reconbound; "
+               "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial loaded'; "
+               "print(*sorted(n for n in vars(reconbound) if n[0] != '_'))")
     out = subprocess.run([sys.executable, "-c", listing], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "cli"}
     assert out.stdout.split() == sorted(modules)
 
 
-def test_allow_list_is_current():
-    # an allowed name that is gone, or has gained a caller, leaves the list
-    defined = {name for _, name in public_definitions()}
-    referenced = referenced_names()
-    stale = [name for name in ALLOWED if name not in defined or name in referenced]
-    assert not stale, stale
-
-
-# the bounds and their verification oracles: they import one another and
-# nothing of the training, attack or sweep code, so a bound reads no
-# parameter object of a mechanism
-MATH_LAYER = {"bounds", "divergence", "oracle", "metric_space"}
+# the bounds and the exact oracles: they import one another and nothing
+# of the training, attack or sweep code, so a bound reads no parameter
+# object of a mechanism
+MATH_LAYER = {"bounds", "oracle", "metric_space"}
 
 
 def package_imports(tree) -> set:
@@ -143,3 +127,10 @@ def test_math_layer_imports_only_itself():
     for module in sorted(MATH_LAYER):
         outside = package_imports(parse(PACKAGE / f"{module}.py")) - MATH_LAYER
         assert not outside, f"{module} imports {sorted(outside)}"
+
+
+def test_reference_oracles_import_only_metric_space():
+    # the oracles verify the bounds, so they may not call them; the
+    # discretized unit ball is a metric_space space
+    imported = package_imports(parse(ROOT / "tests" / "reference.py"))
+    assert imported == {"metric_space"}, sorted(imported)

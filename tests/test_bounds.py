@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from reconbound.bounds import (DegenerateDimensionError, Validity, dp_lecam_bound,
-                               fano_bound, mdp_fano_bound, mdp_lecam_bound,
+                               fano_bound, kl_bound, mdp_fano_bound, mdp_lecam_bound,
                                two_point_bound, unbiased_rdp_bound, validity_check)
-from reconbound.divergence import kl_bound
 
 
 class TestTwoPoint:

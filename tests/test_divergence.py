@@ -1,17 +1,18 @@
+"""The reference oracles of `reference` (closed forms, quadrature, the
+total-variation cap) checked against one another, and the package's KL
+budget `bounds.kl_bound` checked against them."""
+
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reconbound.divergence import (GAUSSIAN, LAPLACE, AnalyticPair, QuadratureError,
-                                   analytic_kl, analytic_renyi, bh_tv_bound,
-                                   gaussian_logpdf, integrate, kl_bound,
-                                   laplace_logpdf, numeric_kl, numeric_kl_pair,
-                                   numeric_tv, pair_logpdfs, pair_support)
+from reconbound.bounds import kl_bound
+
+from reference import (GAUSSIAN, LAPLACE, AnalyticPair, QuadratureError, analytic_kl,
+                       analytic_renyi, bh_tv_bound, gaussian_logpdf, integrate,
+                       laplace_logpdf, numeric_kl, numeric_kl_pair, numeric_tv,
+                       pair_logpdfs, pair_support)
 
 
 class TestKLBound:
@@ -167,38 +168,3 @@ class TestMechanismCalibration:
         assert integrate(lambda x: np.exp(laplace_logpdf(x, -0.2, 1.7)),
                          (-80.0, 80.0)) == pytest.approx(1.0, abs=1e-8)
 
-
-# run in a fresh interpreter: the test process has loaded numpy.polynomial
-RULE_ON_FIRST_USE = """
-import sys
-import reconbound, reconbound.cli
-from reconbound import divergence
-assert "numpy.polynomial" not in sys.modules, "import loaded numpy.polynomial"
-f = lambda x: x ** 5 - 3.0 * x ** 2 + 1.0
-got = divergence.integrate(f, (-1.5, 2.25))
-
-import numpy as np
-nodes, weights = np.polynomial.legendre.leggauss(15)
-
-def panel(a, b):
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return float(half * np.dot(weights, f(mid + half * nodes)))
-
-want = 0
-edges = np.linspace(-1.5, 2.25, 33)
-for lo, hi in zip(edges[:-1], edges[1:]):
-    left, right = panel(lo, 0.5 * (lo + hi)), panel(0.5 * (lo + hi), hi)
-    assert abs(left + right - panel(lo, hi)) <= 1e-8 / 32  # no panel is refined
-    want += left + right
-print(got.hex(), want.hex())
-"""
-
-
-def test_rule_built_on_first_use():
-    # importing the package leaves numpy.polynomial unloaded, and the
-    # rule built later gives the bits of leggauss(15) used directly
-    src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run([sys.executable, "-c", RULE_ON_FIRST_USE], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    got, want = out.stdout.split()
-    assert got == want

@@ -7,14 +7,15 @@ import pytest
 
 import reconbound.pnsgd as pnsgd_mod
 from reconbound import bounds, harness
-from reconbound.divergence import GAUSSIAN, AnalyticPair, analytic_renyi, kl_bound
 from reconbound.harness import (AUDITED_BOUNDS, MECHANISM_KINDS, PNSGD_RADIUS, ConfigError,
                                 DominanceError, SweepConfig, SweepResult, SweepRow,
                                 audit_dominance, emit_bounds_csv, emit_csv, emit_svg,
                                 evaluate_bounds, generate_synthetic, parse_config_text,
                                 parse_eps_grid, run_sweep)
-from reconbound.bounds import Validity
+from reconbound.bounds import Validity, kl_bound
 from reconbound.mechanisms import sigmoid
+
+from reference import GAUSSIAN, AnalyticPair, analytic_renyi
 
 
 def tiny_config(**kw):

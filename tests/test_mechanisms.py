@@ -3,12 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from reconbound.divergence import laplace_logpdf
 from reconbound import mechanisms
 from reconbound.harness import generate_synthetic
 from reconbound.mechanisms import (GRAD_TOL, LogRegProblem, logistic_grad_sum,
                                    output_perturb_dp, output_perturb_mdp_euclidean,
                                    sigmoid, train_logreg_exact)
+
+from reference import laplace_logpdf
 
 
 def small_problem(lam=1.0, seed=0, n=40, d=3):

@@ -6,9 +6,10 @@ import pytest
 
 from reconbound import metric_space
 from reconbound.metric_space import (FiniteMetricSpace, SizeCapError,
-                                     covering_number, discretize_unit_ball,
-                                     norm_ball_covering_bounds_log, packing_number,
-                                     pairwise_distances, two_point_space)
+                                     covering_number, norm_ball_covering_bounds_log,
+                                     packing_number, pairwise_distances, two_point_space)
+
+from reference import discretize_unit_ball
 
 
 def euclidean(vectors):

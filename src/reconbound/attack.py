@@ -20,7 +20,9 @@ classified correctly; the root of smaller magnitude is returned, which
 is the true one exactly when the margin y*h.x is at most 1 + W(1/e) =
 1.2785 (guaranteed at the optimum when lam > 0.782 on unit-norm rows,
 as then ||theta-hat|| <= 1/lam).  Noisy releases can make the equation
-unsolvable; that surfaces as `NoRootError` and averaging drops the draw.
+unsolvable: `glm_reconstruct` then gives the draw the reason code
+`NO_ROOT`, and averaging leaves it out and counts it in the cell's
+failures.  Only the one-release `glm_reconstruct_single` raises.
 
 Inversion takes the release stacks of a whole sweep in one call.  Each
 stack's known-sample margins and gradient sums come from two matrix

@@ -63,6 +63,8 @@ GRID_POINTS_CAP = 10_000
 # resamples per bootstrap confidence interval; the CSV bytes depend on it
 BOOTSTRAP_RESAMPLES = 10_000
 
+_INDEX_MAX = int(np.iinfo(np.intp).max)
+
 
 @dataclass(frozen=True)
 class MechanismKind:
@@ -122,9 +124,13 @@ class SweepConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("eps_grid must be strictly increasing")
         object.__setattr__(self, "eps_grid", grid)
+        # numpy sizes arrays by C index: past its range a count ends in an
+        # OverflowError, or in an error that names no key
         for key in ("trials", "n_samples", "train_size", "dim"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
+            if getattr(self, key) > _INDEX_MAX:
+                raise ConfigError(f"{key} must be at most {_INDEX_MAX}, numpy's largest index")
         if self.mechanism_kind not in MECHANISM_KINDS:
             raise ConfigError(f"unknown mechanism_kind {self.mechanism_kind!r}")
         if not 0 <= self.delta < 1:

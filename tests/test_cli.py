@@ -572,10 +572,10 @@ UNDERFLOW_LAM, OVERFLOW_LAM, HUGE_LAM = 1e-30, 4e-10, 1e308
 OVERFLOW_GRID = ["--eps-grid", "0:1e308:1e-308"]
 
 
-def sweep_file(kind, lam, dim, eps_grid=1e-300):
-    """A two-trial sweep config of 50 training rows, as a --config input."""
+def sweep_file(kind, lam, dim, eps_grid=1e-300, train_size=50):
+    """A two-trial sweep config, of 50 training rows by default, as a --config input."""
     return ("--config", f"mechanism_kind = {kind}\neps_grid = {eps_grid!r}\nseed = 1\n"
-                        f"lam = {lam!r}\ntrain_size = 50\ndim = {dim}\ntrials = 2\n")
+                        f"lam = {lam!r}\ntrain_size = {train_size}\ndim = {dim}\ntrials = 2\n")
 
 
 # a count whose arrays numpy refuses to allocate at once (over a PiB)
@@ -584,9 +584,9 @@ HUGE = 10 ** 15
 
 class TestExtremeInputs:
     # valid or refusable inputs at the ends of the float range, each
-    # (argv, its input file as (flag, text) or None, exit code): each
-    # ends in its exit code with no traceback, warnings raised as
-    # errors.  The sweeps that finish release NaN or overflow, so every
+    # (argv, its input file as (flag, text) or None, exit code, and
+    # optionally a text its stderr names): each ends in its exit code
+    # with no traceback, warnings raised as errors.  The sweeps that finish release NaN or overflow, so every
     # draw fails; the oversized ones are refused before touching memory
     CASES = {
         "op-dp-underflow": (["sweep"], sweep_file("OUTPUT_PERTURB_DP", UNDERFLOW_LAM, 3), 0),
@@ -612,6 +612,15 @@ class TestExtremeInputs:
         "op-dp-huge-lam": (["sweep"], sweep_file("OUTPUT_PERTURB_DP", HUGE_LAM, 3, 1.0), 2),
         "op-mdp-huge-lam": (["sweep"], sweep_file("OUTPUT_PERTURB_MDP", HUGE_LAM, 3, 1.0), 2),
         "pnsgd-mdp-huge-lam": (["sweep"], sweep_file("PNSGD_MDP", HUGE_LAM, 3, 1.0), 2),
+        # counts past numpy's index range, refused by name before any array
+        "op-dp-train-size-beyond-index": (["sweep"], sweep_file("OUTPUT_PERTURB_DP", 1e-2, 3,
+                                                                 train_size=10 ** 20),
+                                          2, "train_size must"),
+        "op-dp-train-size-beyond-float": (["sweep"], sweep_file("OUTPUT_PERTURB_DP", 1e-2, 3,
+                                                                 train_size=10 ** 400),
+                                          2, "train_size must"),
+        "op-dp-dim-beyond-index": (["sweep"], sweep_file("OUTPUT_PERTURB_DP", 1e-2, 10 ** 20),
+                                   2, "dim must"),
         # the two distances sum past the float range
         "covering-huge-distances": (["covering", "--eta", "1"],
                                     ("--matrix", "2\n0 9e307\n9e307 0\n"), 0),
@@ -619,7 +628,7 @@ class TestExtremeInputs:
 
     @pytest.mark.parametrize("name", CASES)
     def test_exit_without_traceback(self, tmp_path, capsys, name):
-        argv, infile, code = self.CASES[name]
+        argv, infile, code, *named = self.CASES[name]
         if argv[0] in ("sweep", "bounds"):
             argv = [*argv, "--out", str(tmp_path / "o")]
         if infile:
@@ -633,6 +642,7 @@ class TestExtremeInputs:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert ("config error" in captured.err) == (code == 2)
+        assert all(text in captured.err for text in named)
         if argv[0] == "sweep" and code == 0:
             assert "failures=2" in captured.out
 

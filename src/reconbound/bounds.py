@@ -1,9 +1,10 @@
 """Lower bounds on the reconstruction error achievable by any adversary
 that draws n samples from a private learner's output distribution.
 
-Each bound takes the privacy numbers it reads as plain floats (eps
-first, delta last), n and only the geometry its hypotheses read: a
-diameter, and for the metric Fano form an effective dimension too.
+Each bound takes the privacy numbers it reads as plain floats (eps or a
+KL slope first, delta last), n and only the geometry its hypotheses
+read: a diameter, and for the metric Fano forms an effective dimension
+too.
 Callers check eps, delta and n >= 1 where they enter the program
 (`harness.SweepConfig`, the `bounds` command).
 
@@ -12,6 +13,8 @@ each one routine at a closed-form separation, with KL budgets from
 `kl_bound`: `two_point_bound` (Le Cam, `LECAM_CONSTANT` = 1/16) at
 sep = diam for DP and at a sep <= diam for metric privacy,
 and `fano_bound` at a quarter of diameters <= diam for metric privacy.
+A metric learner whose KL at inputs r apart is kappa * r^2, as a
+Gaussian pass's is, has its two-point and Fano bounds at that KL.
 
 The prior unbiased bound yields +inf at eps = 0, meaning perfect
 privacy forbids consistent unbiased reconstruction; CSV emitters
@@ -107,6 +110,25 @@ def mdp_fano_bound(eps: float, n: int, diam: float, d_eff: float,
     gap = _fano_gap(d_eff)
     sizes = (_capped(eps, diam, math.sqrt(gap / n)), _capped(eps, diam, 2.0 * gap / (3.0 * n)))
     return max(fano_bound(D / 4.0, kl_bound(eps, D), n, d_eff, delta) for D in sizes)
+
+
+def gaussian_mdp_lecam_bound(kappa: float, n: int, diam: float) -> float:
+    """Two-point bound for learners whose output laws at inputs r apart
+    are within KL kappa * r^2 per draw, as a Gaussian pass's are, on a
+    domain of diameter diam.  At sep = diam capped at 1/sqrt(n*kappa),
+    the maximizer of sep^2 * exp(-n*kappa*sep^2); kappa = 0 keeps diam."""
+    sep = _capped(math.sqrt(kappa), diam, math.sqrt(1.0 / n))
+    return two_point_bound(sep, kappa * sep * sep, n)
+
+
+def gaussian_mdp_fano_bound(kappa: float, n: int, diam: float, d_eff: float) -> float:
+    """Fano bound for learners within KL kappa * r^2 per draw at inputs r
+    apart, on a domain of diameter diam whose unit ball has log covering
+    number d_eff at 1/2: a D/4-packing of e^d_eff points within KL
+    kappa * D^2, at D = diam capped at sqrt(gap/(2n*kappa)), gap =
+    d_eff - ln 2, the maximizer of D^2 * (gap - n*kappa*D^2)."""
+    size = _capped(math.sqrt(kappa), diam, math.sqrt(_fano_gap(d_eff) / (2.0 * n)))
+    return fano_bound(size / 4.0, kappa * size * size, n, d_eff)
 
 
 def unbiased_rdp_bound(eps: float, coord_diam_sq_sum: float) -> float:

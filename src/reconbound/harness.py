@@ -51,8 +51,9 @@ AUDITED_BOUNDS = ("dp_lecam", "mdp_lecam", "mdp_fano")
 # rows are normalised into the unit L2 ball, so the domain has diameter 2
 UNIT_BALL_DIAM = 2.0
 
-# how PNSGD meets a guarantee, which no bound reads: the radius of the
-# ball it projects onto, and the Renyi order of its metric noise rule
+# how PNSGD meets a guarantee: the radius of the ball it projects onto,
+# which no bound reads, and the Renyi order of its metric noise rule,
+# which sets the KL slope kappa that PNSGD_MDP's bounds read
 PNSGD_RADIUS = 10.0
 PNSGD_MDP_ORDER = 2.0
 
@@ -86,8 +87,10 @@ class Guarantee:
     """What one grid cell's release meets."""
     eps: float  # per unit of distance if metric
     metric: bool
-    rho: float | None  # a PNSGD_DP pass's Renyi slope; None where eps sets the KL
-    delta: float  # what the bounds discount: 0 if pure or already spent in rho
+    # a PNSGD pass's Gaussian KL slope: per draw for PNSGD_DP (its Renyi
+    # slope rho, which has spent delta), per squared unit of distance for
+    # PNSGD_MDP (kappa); None where eps sets the KL
+    slope: float | None
 
 
 class ConfigError(ValueError):
@@ -269,9 +272,12 @@ def _into_unit_ball(x: np.ndarray) -> np.ndarray:
 
 
 def _guarantee(kind: MechanismKind, config: SweepConfig, eps: float) -> Guarantee:
-    if kind.pnsgd and not kind.metric:
-        return Guarantee(eps, False, pnsgd_mod.renyi_slope_for_dp(eps, config.delta), 0.0)
-    return Guarantee(eps, kind.metric, None, config.delta if kind.pnsgd else 0.0)
+    if not kind.pnsgd:
+        return Guarantee(eps, kind.metric, None)
+    if kind.metric:
+        # kappa = L^2/(2*sigma^2) at the metric rule's sigma^2 = 2*order*L^2*diam/eps
+        return Guarantee(eps, True, eps / (4.0 * PNSGD_MDP_ORDER * UNIT_BALL_DIAM))
+    return Guarantee(eps, False, pnsgd_mod.renyi_slope_for_dp(eps, config.delta))
 
 
 def _noise(kind: MechanismKind, g: Guarantee, config: SweepConfig, n: int) -> float:
@@ -283,12 +289,12 @@ def _noise(kind: MechanismKind, g: Guarantee, config: SweepConfig, n: int) -> fl
         # the optimum's sensitivity 2/(N*lam) (Chaudhuri, Monteleoni & Sarwate 2011)
         product = n * g.eps * config.lam
         return 2.0 / product if product else math.inf
-    if g.rho is None:
+    if kind.metric:
         lip = 1.0 + PNSGD_RADIUS / 4.0  # the gradients' input Lipschitz constant
         return math.sqrt(pnsgd_mod.noise_for_renyi_mdp(PNSGD_MDP_ORDER, g.eps, lip, UNIT_BALL_DIAM))
     g_bound = 1.0 + config.lam * PNSGD_RADIUS  # the gradients' norm bound
     # rho = 2*G^2/sigma^2; a slope that underflowed to 0 asks for infinite noise
-    return g_bound * math.sqrt(2.0 / g.rho) if g.rho else math.inf
+    return g_bound * math.sqrt(2.0 / g.slope) if g.slope else math.inf
 
 
 def _pnsgd_releases(scales: list, config: SweepConfig, problem: LogRegProblem,
@@ -320,15 +326,20 @@ def evaluate_bounds(guarantee: Guarantee, n: int, dim: int) -> dict:
     """All bounds applicable to a guarantee at n draws on the unit ball in
     dimension dim: diameter 2 (also Fano's packing ball), effective dimension
     dim*ln2 (the log of the ball's lower covering bound at radius 1/2) and
-    coordinate sum dim (the prior unbiased bound's convention).  The DP
-    two-point KL is the Renyi slope rho if there is one, else eps*tanh(eps/2)."""
-    eps, delta = guarantee.eps, guarantee.delta
+    coordinate sum dim (the prior unbiased bound's convention).  A PNSGD
+    pass's bounds read its KL slope: the DP two-point KL is rho, and the
+    metric bounds take KL kappa * r^2 at inputs r apart; without a slope
+    the KL is eps*tanh(eps/2), per unit of distance if metric."""
+    eps, slope = guarantee.eps, guarantee.slope
     if guarantee.metric:
         d_eff = norm_ball_covering_bounds_log(dim, 0.5)[0]
-        return {"mdp_lecam": bounds_mod.mdp_lecam_bound(eps, n, UNIT_BALL_DIAM, delta),
-                "mdp_fano": bounds_mod.mdp_fano_bound(eps, n, UNIT_BALL_DIAM, d_eff, delta)}
-    kl = bounds_mod.kl_bound(eps) if guarantee.rho is None else guarantee.rho
-    return {"dp_lecam": bounds_mod.two_point_bound(UNIT_BALL_DIAM, kl, n, delta),
+        if slope is None:
+            return {"mdp_lecam": bounds_mod.mdp_lecam_bound(eps, n, UNIT_BALL_DIAM),
+                    "mdp_fano": bounds_mod.mdp_fano_bound(eps, n, UNIT_BALL_DIAM, d_eff)}
+        return {"mdp_lecam": bounds_mod.gaussian_mdp_lecam_bound(slope, n, UNIT_BALL_DIAM),
+                "mdp_fano": bounds_mod.gaussian_mdp_fano_bound(slope, n, UNIT_BALL_DIAM, d_eff)}
+    kl = bounds_mod.kl_bound(eps) if slope is None else slope
+    return {"dp_lecam": bounds_mod.two_point_bound(UNIT_BALL_DIAM, kl, n),
             "rdp_unbiased": bounds_mod.unbiased_rdp_bound(eps, float(dim))}
 
 

@@ -14,8 +14,11 @@ The standard calibration is driven by a global gradient bound G: at
 variance sigma^2 the pass's Renyi levels are alpha*rho at every order
 alpha, with slope rho = 2*G^2/sigma^2 (Mironov 2017), so one number meets
 an (eps, delta) target and bounds the pass's KL.  The metric-privacy one
-is driven by the gradients' input Lipschitz constant and the diameter of
-the data domain.
+is driven by the gradients' input Lipschitz constant L and the diameter
+of the data domain: a last sample moved by r moves the last gradient by
+at most L*r, so at variance sigma^2 the pass's KL is kappa * r^2 with
+kappa = L^2/(2*sigma^2), which is eps/(4*alpha*diam) at the rule's
+sigma^2 = 2*alpha*L^2*diam/eps.
 """
 
 from __future__ import annotations

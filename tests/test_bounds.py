@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from reconbound.bounds import (DegenerateDimensionError, Validity, dp_lecam_bound,
-                               fano_bound, kl_bound, mdp_fano_bound, mdp_lecam_bound,
-                               two_point_bound, unbiased_rdp_bound, validity_check)
+                               fano_bound, gaussian_mdp_fano_bound, gaussian_mdp_lecam_bound,
+                               kl_bound, mdp_fano_bound, mdp_lecam_bound, two_point_bound,
+                               unbiased_rdp_bound, validity_check)
 
 
 class TestTwoPoint:
@@ -304,6 +305,48 @@ class TestMdpFano:
                 assert fano <= dense_two_point_sup(eps, n, 10.0) / 8.0 * (1 + 1e-9)
                 assert fano >= lecam_capped_ratio(n, d_eff) * mdp_lecam_bound(eps, n, 10.0) \
                     * (1 - 1e-12)
+
+
+class TestGaussianMdp:
+    # KL kappa * r^2 at inputs r apart, as PNSGD_MDP's noise gives with
+    # kappa = eps/16 on the unit ball: the closed-form separation and
+    # packing diameter maximize the two forms over (0, diam]
+    KAPPAS = (0.0, 5e-324, 1e-3, 0.1 / 16, 1.5 / 16, 4.65 / 16, 10.0)
+
+    def test_direct(self):
+        # n = 1, d = 16 on the unit ball at eps = 0.1, 1.5, 4.65
+        d_eff = 16 * math.log(2.0)
+        for eps, lecam, fano in ((0.1, 0.2438, 0.05845), (1.5, 0.1718, 0.05648),
+                                 (4.65, 0.07911, 0.05204)):
+            assert gaussian_mdp_lecam_bound(eps / 16, 1, 2.0) == pytest.approx(lecam, rel=1e-3)
+            assert gaussian_mdp_fano_bound(eps / 16, 1, 2.0, d_eff) == pytest.approx(fano,
+                                                                                 rel=1e-3)
+
+    def test_zero_slope_keeps_the_diameter(self):
+        d_eff = 4 * math.log(2.0)
+        for diam in (1.0, 2.0, 3.0):
+            assert gaussian_mdp_lecam_bound(0.0, 5, diam) == diam * diam / 16.0
+            assert gaussian_mdp_fano_bound(0.0, 5, diam, d_eff) == fano_bound(
+                diam / 4.0, 0.0, 5, d_eff)
+
+    def test_lecam_is_the_supremum_over_sep(self):
+        sep = np.linspace(0.0, 2.0, 20001)[1:]
+        for kappa in self.KAPPAS:
+            for n in (1, 2, 5):
+                sup = float(np.max(sep * sep / 16.0 * np.exp(-n * kappa * sep * sep)))
+                val = gaussian_mdp_lecam_bound(kappa, n, 2.0)
+                assert sup * (1 - 1e-12) <= val <= sup * (1 + 1e-6), (kappa, n)
+
+    def test_fano_is_the_supremum_over_diameters(self):
+        size = np.linspace(0.0, 2.0, 20001)[1:]
+        for d_eff in (2.0, 16 * math.log(2.0)):
+            gap = d_eff - math.log(2.0)
+            for kappa in self.KAPPAS:
+                for n in (1, 2, 5):
+                    sup = float(np.max((size / 8.0) ** 2 * (gap - n * kappa * size * size)
+                                       / d_eff))
+                    val = gaussian_mdp_fano_bound(kappa, n, 2.0, d_eff)
+                    assert sup * (1 - 1e-12) <= val <= sup * (1 + 1e-6), (kappa, n)
 
 
 class TestUnbiasedRdp:

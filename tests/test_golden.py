@@ -24,7 +24,7 @@ GOLDEN = {
     ("PNSGD_DP", False):
         "297bf2e676fbc86f8949daffe66103584a6e3cae44d02c7d1e85b4e99511f3c3",
     ("PNSGD_MDP", False):
-        "987f8db0b38d41e695bf3d1cfd3b9ae3bae2f507697a28ea0e4cc7403cb76136",
+        "96b4834716ce2d091ce54ec8674852fbf67fc750308b5afda8e6a8cf763345c4",
     ("OUTPUT_PERTURB_DP", True):
         "b1e1d352aebc1e8e8400caf97a5d6458f652d278471d3366c983c40da63c6826",
     ("OUTPUT_PERTURB_MDP", True):

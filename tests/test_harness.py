@@ -15,7 +15,7 @@ from reconbound.harness import (AUDITED_BOUNDS, MECHANISM_KINDS, PNSGD_RADIUS, C
 from reconbound.bounds import Validity, kl_bound
 from reconbound.mechanisms import sigmoid
 
-from reference import GAUSSIAN, AnalyticPair, analytic_renyi
+from reference import GAUSSIAN, AnalyticPair, analytic_renyi, gaussian_logpdf, integrate
 
 
 def tiny_config(**kw):
@@ -395,9 +395,10 @@ class TestRunSweep:
 
 class TestKindDispatch:
     # per kind: metric privacy, and whether it is a PNSGD pass.  A cell's
-    # guarantee carries a PNSGD_DP pass's Renyi slope rho, which has spent
-    # delta, and PNSGD_MDP's delta for its bounds; the DP two-point KL is
-    # rho where there is one, in place of eps*tanh(eps/2)
+    # guarantee carries a PNSGD pass's KL slope: PNSGD_DP's Renyi slope rho,
+    # which has spent delta, and PNSGD_MDP's kappa = eps/16 per squared
+    # unit of distance.  The bounds read it in place of eps*tanh(eps/2),
+    # and no bound discounts delta
     KINDS = {"OUTPUT_PERTURB_DP": (False, False), "OUTPUT_PERTURB_MDP": (True, False),
              "PNSGD_DP": (False, True), "PNSGD_MDP": (True, True)}
 
@@ -406,7 +407,7 @@ class TestKindDispatch:
 
     @pytest.mark.parametrize("name", sorted(KINDS))
     def test_bounds_follow_the_kind(self, name, monkeypatch):
-        metric, pnsgd = self.KINDS[name]
+        metric, _ = self.KINDS[name]
         eps = 1.5
         cfg = tiny_config(mechanism_kind=name, eps_grid=(eps,), trials=1, train_size=40,
                           delta=1e-3, n_samples=2)
@@ -419,16 +420,18 @@ class TestKindDispatch:
         monkeypatch.setattr(harness, "evaluate_bounds", recording)
         result = run_sweep(cfg)
         (guarantee,) = seen
-        rho = pnsgd_mod.renyi_slope_for_dp(eps, cfg.delta) if pnsgd and not metric else None
-        delta = cfg.delta if metric and pnsgd else 0.0
-        assert (guarantee.eps, guarantee.metric, guarantee.rho, guarantee.delta) == (
-            eps, metric, rho, delta)
-        if metric:
-            want = {"mdp_lecam": bounds.mdp_lecam_bound(eps, 2, 2.0, delta),
-                    "mdp_fano": bounds.mdp_fano_bound(eps, 2, 2.0, cfg.dim * math.log(2.0),
-                                                      delta)}
+        slope = {"PNSGD_DP": pnsgd_mod.renyi_slope_for_dp(eps, cfg.delta),
+                 "PNSGD_MDP": eps / 16.0}.get(name)
+        assert (guarantee.eps, guarantee.metric, guarantee.slope) == (eps, metric, slope)
+        d_eff = cfg.dim * math.log(2.0)
+        if metric and slope is None:
+            want = {"mdp_lecam": bounds.mdp_lecam_bound(eps, 2, 2.0),
+                    "mdp_fano": bounds.mdp_fano_bound(eps, 2, 2.0, d_eff)}
+        elif metric:
+            want = {"mdp_lecam": bounds.gaussian_mdp_lecam_bound(slope, 2, 2.0),
+                    "mdp_fano": bounds.gaussian_mdp_fano_bound(slope, 2, 2.0, d_eff)}
         else:
-            kl = kl_bound(eps) if rho is None else rho
+            kl = kl_bound(eps) if slope is None else slope
             want = {"dp_lecam": bounds.two_point_bound(2.0, kl, 2),
                     "rdp_unbiased": bounds.unbiased_rdp_bound(eps, float(cfg.dim))}
         got = evaluate_bounds(guarantee, cfg.n_samples, cfg.dim)
@@ -508,7 +511,7 @@ class TestPnsgdConstants:
         mdp = harness._guarantee(MECHANISM_KINDS["PNSGD_MDP"], cfg, 1.0)
         sigma_dp, sigma_mdp = (harness._noise(MECHANISM_KINDS[kind], g, cfg, cfg.train_size)
                                for kind, g in (("PNSGD_DP", dp), ("PNSGD_MDP", mdp)))
-        g_claim = sigma_dp * math.sqrt(dp.rho / 2.0)
+        g_claim = sigma_dp * math.sqrt(dp.slope / 2.0)
         l_claim = sigma_mdp / math.sqrt(
             2.0 * harness.PNSGD_MDP_ORDER * harness.UNIT_BALL_DIAM)
         return g_claim, l_claim
@@ -547,6 +550,35 @@ class TestPnsgdConstants:
         extreme = float(np.linalg.norm(g_plus - g_minus)) / (2.0 * h)
         assert extreme == pytest.approx(math.sqrt(0.25 + PNSGD_RADIUS ** 2 / 16.0), rel=1e-6)
         assert worst < extreme <= l_claim
+
+
+class TestGaussianPairRisk:
+    # a PNSGD_MDP pass's last step moves by at most L*r between challenges
+    # r apart, against noise sigma, so n draws are a unit Gaussian pair at
+    # shift sqrt(n)*L*r/sigma.  Under the uniform prior on the two
+    # challenges the posterior mean's risk, r^2 * integral of p*q/(2(p+q)),
+    # is the least any adversary attains; a valid lower bound at the
+    # noise's KL stays below its largest value over r in (0, diam]
+    @pytest.mark.parametrize("eps, n", [(0.01, 10_000), (0.001, 100_000)])
+    def test_mdp_lecam_within_the_pair_risk(self, eps, n):
+        kind = MECHANISM_KINDS["PNSGD_MDP"]
+        cfg = tiny_config(mechanism_kind="PNSGD_MDP", eps_grid=(eps,), n_samples=n)
+        guarantee = harness._guarantee(kind, cfg, eps)
+        sigma = harness._noise(kind, guarantee, cfg, cfg.train_size)
+        lip = 1.0 + PNSGD_RADIUS / 4.0
+
+        def pair_risk(r):
+            shift = math.sqrt(n) * lip * r / sigma
+
+            def integrand(x):  # in logs: p + q underflows in the tails
+                lp, lq = gaussian_logpdf(x, 0.0, 1.0), gaussian_logpdf(x, shift, 1.0)
+                return 0.5 * np.exp(lp + lq - np.logaddexp(lp, lq))
+
+            return r * r * integrate(integrand, (-40.0, shift + 40.0))
+
+        best = max(pair_risk(r) for r in np.linspace(0.0, 2.0, 101)[1:])
+        bound = evaluate_bounds(guarantee, n, cfg.dim)["mdp_lecam"]
+        assert bound <= best, (bound, best)
 
 
 class TestTrivialRisk:

@@ -130,9 +130,10 @@ class SweepConfig:
         # numpy sizes arrays by C index: past its range a count ends in an
         # OverflowError, or in an error that names no key
         for key in ("trials", "n_samples", "train_size", "dim"):
-            if getattr(self, key) < 1:
+            count = getattr(self, key)
+            if count < 1:
                 raise ConfigError(f"{key} must be >= 1")
-            if getattr(self, key) > _INDEX_MAX:
+            if count > _INDEX_MAX:
                 raise ConfigError(f"{key} must be at most {_INDEX_MAX}, numpy's largest index")
         if self.mechanism_kind not in MECHANISM_KINDS:
             raise ConfigError(f"unknown mechanism_kind {self.mechanism_kind!r}")
@@ -275,8 +276,8 @@ def _guarantee(kind: MechanismKind, config: SweepConfig, eps: float) -> Guarante
     if not kind.pnsgd:
         return Guarantee(eps, kind.metric, None)
     if kind.metric:
-        # kappa = L^2/(2*sigma^2) at the metric rule's sigma^2 = 2*order*L^2*diam/eps
-        return Guarantee(eps, True, eps / (4.0 * PNSGD_MDP_ORDER * UNIT_BALL_DIAM))
+        return Guarantee(eps, True, pnsgd_mod.kl_slope_for_renyi_mdp(PNSGD_MDP_ORDER, eps,
+                                                                     UNIT_BALL_DIAM))
     return Guarantee(eps, False, pnsgd_mod.renyi_slope_for_dp(eps, config.delta))
 
 

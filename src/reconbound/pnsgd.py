@@ -96,6 +96,13 @@ def noise_for_renyi_mdp(alpha: float, eps_metric: float, L_input: float,
     return 2.0 * alpha * L_input * L_input * domain_diam / eps_metric
 
 
+def kl_slope_for_renyi_mdp(alpha: float, eps_metric: float, domain_diam: float) -> float:
+    """KL slope kappa = L_input^2/(2*sigma^2) = eps_metric/(4*alpha*diam) per
+    squared unit of input distance of a pass at `noise_for_renyi_mdp`'s
+    variance, whatever L_input."""
+    return eps_metric / (4.0 * alpha * domain_diam)
+
+
 def renyi_slope_for_dp(eps: float, delta: float) -> float:
     """Largest slope rho whose Renyi levels alpha*rho meet (eps, delta)-DP
     by the standard conversion alpha*rho + L/(alpha - 1), L = ln(1/delta).

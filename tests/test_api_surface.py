@@ -90,9 +90,9 @@ def test_every_public_name_has_a_caller():
 
 def test_package_exports_exactly_its_modules():
     # read in a fresh interpreter: importing a submodule, as the CLI tests
-    # do, binds it on the package, and the test process has loaded
-    # numpy.polynomial, which no import of the package may load, as it
-    # would slow every cold start
+    # do, binds it on the package.  Nor may the import load
+    # numpy.polynomial, which only the tests' quadrature needs and which
+    # would slow every cold start; the test process has loaded it
     listing = ("import sys, reconbound; "
                "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial loaded'; "
                "print(*sorted(n for n in vars(reconbound) if n[0] != '_'))")

@@ -586,8 +586,9 @@ class TestExtremeInputs:
     # valid or refusable inputs at the ends of the float range, each
     # (argv, its input file as (flag, text) or None, exit code, and
     # optionally a text its stderr names): each ends in its exit code
-    # with no traceback, warnings raised as errors.  The sweeps that finish release NaN or overflow, so every
-    # draw fails; the oversized ones are refused before touching memory
+    # with no traceback, warnings raised as errors.  The sweeps that
+    # finish release NaN or overflow, so every draw fails; the oversized
+    # ones are refused before touching memory
     CASES = {
         "op-dp-underflow": (["sweep"], sweep_file("OUTPUT_PERTURB_DP", UNDERFLOW_LAM, 3), 0),
         "op-mdp-underflow": (["sweep"], sweep_file("OUTPUT_PERTURB_MDP", UNDERFLOW_LAM, 3), 0),

@@ -58,6 +58,12 @@ class TestChannelBasics:
         with pytest.raises(ValueError, match="channel"):
             FiniteMechanism(channel=np.array(channel, dtype=float))
 
+    def test_channel_cannot_be_made_writable(self):
+        # the sums memoize the last likelihood matrix per mechanism object
+        mech = randomized_response(1.0)
+        with pytest.raises(ValueError):
+            mech.channel.setflags(write=True)
+
     def test_rr_nan_eps_rejected(self):
         # randomized_response(nan) used to build an all-NaN channel, which
         # fano_certificate turned into an all-NaN report
@@ -135,6 +141,17 @@ class TestExactBayesRisk:
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationCapError):
             exact_bayes_risk(randomized_response(1.0), two_point_space(1.0), 21)
+
+    def test_space_smaller_than_channel_refused(self):
+        # input i stands for point i, so every input needs a point
+        one_point = FiniteMetricSpace(points=(0,), dist=np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="space has 2 points, fewer than the channel's 3 inputs"):
+            exact_bayes_risk(randomized_response(1.0, k=3), two_point_space(1.0), 1)
+        with pytest.raises(ValueError, match="space has 1 point, fewer than the channel's 2 inputs"):
+            exact_bayes_risk(randomized_response(1.0), one_point, 1)
+        # a larger space stays allowed: estimates are restricted to its points
+        assert exact_bayes_risk(randomized_response(1.0), uniform_space(3), 1) == \
+            pytest.approx(1.0 / (1.0 + math.e), rel=1e-12)
 
     def test_squared_distance_overflow_rejected(self):
         # an infinite risk would dominate every bound and certify nothing
@@ -225,6 +242,16 @@ class TestLeCamCertificate:
         with pytest.raises(ValueError):
             lecam_certificate(randomized_response(1.0, k=3), uniform_space(3), 1)
 
+    def test_space_smaller_than_channel_refused(self):
+        # the arity check comes first, and the space check precedes any enumeration
+        with pytest.raises(ValueError, match="exactly two inputs"):
+            lecam_certificate(randomized_response(1.0, k=3), two_point_space(1.0), 1)
+        mech = randomized_response(1.0)
+        info = oracle._type_classes.cache_info()
+        with pytest.raises(ValueError, match="space has 1 point, fewer than the channel's 2 inputs"):
+            lecam_certificate(mech, FiniteMetricSpace(points=(0,), dist=np.zeros((1, 1))), 1)
+        assert oracle._type_classes.cache_info() == info
+
     def test_bound_exact_where_tv_near_one(self):
         # at n=18, eps=4.75 TV_n is within 1.1e-14 of 1, so 1 - TV_n
         # keeps about two digits; the bound is (1/8) sum_k C(n,k)
@@ -263,6 +290,12 @@ class TestFanoCertificate:
     def test_needs_three_inputs(self):
         with pytest.raises(ValueError):
             fano_certificate(randomized_response(1.0), two_point_space(1.0), 1)
+
+    def test_space_smaller_than_channel_refused(self):
+        info = oracle._type_classes.cache_info()
+        with pytest.raises(ValueError, match="space has 3 points, fewer than the channel's 4 inputs"):
+            fano_certificate(randomized_response(1.0, k=4), uniform_space(3), 1)
+        assert oracle._type_classes.cache_info() == info
 
 
 class TestFiniteChannelDivergences:
@@ -339,13 +372,57 @@ class TestTypeClassesMatchTupleEnumeration:
                 self.check(FiniteMechanism(channel=c), n, rng)
 
     def test_second_call_hits_the_cache(self):
-        # the same sums again from the cached class index of (3, 5)
+        # the same sums again from the cached class index of (3, 5); each
+        # mechanism's four sums share one enumeration, so the index is
+        # consulted once per mechanism
         rng = np.random.default_rng(41)
         oracle._type_classes.cache_clear()
         for _ in range(2):
             self.check(random_channel(rng, 2, 3), 5, rng)
         info = oracle._type_classes.cache_info()
-        assert (info.misses, info.hits) == (1, 7)
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_memo_serves_only_its_own_channel(self):
+        # m1 and m2 share the class index of (3, 2); every sum, read through
+        # whatever the call before it left in the memo, has the bits of the
+        # same sum from a cleared memo
+        rng = np.random.default_rng(43)
+        m1, m2 = random_channel(rng, 2, 3), random_channel(rng, 2, 3)
+        space = two_point_space(1.5)
+        calls = (lambda mech, n: exact_bayes_risk(mech, space, n),
+                 exact_identification_error, mutual_information, product_tv)
+        for mech, n in ((m1, 2), (m2, 2), (m1, 3), (m1, 2)):
+            got = [call(mech, n) for call in calls]
+            fresh = []
+            for call in calls:
+                oracle._last_likelihoods = None
+                fresh.append(call(mech, n))
+            assert np.hstack(got).tobytes() == np.hstack(fresh).tobytes()
+            self.check(mech, n, rng)
+
+    def test_memo_matrix_is_read_only(self):
+        mech = random_channel(np.random.default_rng(47), 3, 3)
+        mutual_information(mech, 3)
+        like, mult = oracle._type_likelihoods(mech, 3)
+        assert like is oracle._last_likelihoods[2]
+        for array in (like, mult):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_each_certificate_enumerates_once(self):
+        # a certificate's second sum reads the matrix its first sum built,
+        # and no hit carries over to the next round over the same mechanisms
+        def lookups():
+            info = oracle._type_classes.cache_info()
+            return info.hits + info.misses
+        tasks = ((lecam_certificate, randomized_response(1.3), two_point_space(1.0)),
+                 (fano_certificate, randomized_response(1.3, k=4), uniform_space(4)))
+        for _ in range(2):
+            for certify, mech, space in tasks:
+                before = lookups()
+                certify(mech, space, 3)
+                assert lookups() == before + 1
 
     def test_cached_index_is_read_only(self):
         # position-major: one row per draw position, one nondecreasing
@@ -361,9 +438,11 @@ class TestTypeClassesMatchTupleEnumeration:
                 array[0] = 0
 
     def test_cap_applies_after_caching(self, monkeypatch):
-        # (3, 4) is cached, yet a lowered cap refuses it before the lookup
+        # (3, 4) is cached and mech's matrix memoized, yet a lowered cap
+        # refuses the same mech before either lookup
         mech = randomized_response(1.0, k=3)
         exact_identification_error(mech, 4)
+        assert oracle._last_likelihoods[0] is mech
         info = oracle._type_classes.cache_info()
         monkeypatch.setattr(oracle, "ENUMERATION_CAP", 3 ** 4 - 1)
         with pytest.raises(EnumerationCapError):

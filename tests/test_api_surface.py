@@ -88,18 +88,46 @@ def test_every_public_name_has_a_caller():
     assert not unused, f"public API with no caller outside tests: {unused}"
 
 
+def fresh(code):
+    """Run ``code`` in a fresh interpreter, where the test process's
+    imports have bound no submodule on the package; its stdout."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def loaded_after(code):
+    """The package modules loaded after ``code`` in a fresh interpreter."""
+    return set(fresh(f"import sys; {code}; print(*(n.split('.')[1] for n in sys.modules "
+                     "if n.startswith('reconbound.')))").split())
+
+
 def test_package_exports_exactly_its_modules():
-    # read in a fresh interpreter: importing a submodule, as the CLI tests
-    # do, binds it on the package.  Nor may the import load
-    # numpy.polynomial, which only the tests' quadrature needs and which
-    # would slow every cold start; the test process has loaded it
-    listing = ("import sys, reconbound; "
-               "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial loaded'; "
-               "print(*sorted(n for n in vars(reconbound) if n[0] != '_'))")
-    out = subprocess.run([sys.executable, "-c", listing], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    # each module loads on first use: the import loads none, and reading
+    # a name returns the module in sys.modules.  Reading all of them must not
+    # load numpy.polynomial, which only the tests' quadrature needs and
+    # which would slow every cold start; the test process has loaded it
     modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "cli"}
-    assert out.stdout.split() == sorted(modules)
+    listing = ("import sys, reconbound; "
+               "assert not [n for n in sys.modules if n.startswith('reconbound.')]; "
+               "names = sorted(n for n in dir(reconbound) if n[0] != '_'); "
+               "assert all(getattr(reconbound, n) is sys.modules['reconbound.' + n] "
+               "for n in names); "
+               "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial loaded'; "
+               "print(*names)")
+    assert fresh(listing).split() == sorted(modules)
+    for name in ("cli", "run_sweep"):
+        refused = ("import reconbound\n"
+                   f"try: reconbound.{name}\n"
+                   "except AttributeError as exc: print(exc)")
+        assert fresh(refused).strip() == f"module 'reconbound' has no attribute '{name}'"
+
+
+def test_a_sweep_never_loads_the_exact_oracles():
+    # the gain of loading on first use: the sweep path compiles no oracle
+    assert "oracle" not in loaded_after("import reconbound; reconbound.harness")
+    assert loaded_after("import reconbound; reconbound.oracle") == MATH_LAYER
 
 
 # the bounds and the exact oracles: they import one another and nothing

@@ -1,5 +1,8 @@
 import argparse
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -222,6 +225,22 @@ class TestOracleCommand:
         monkeypatch.setattr(oracle, "exact_bayes_risk", lambda *a, **k: 0.0)
         assert run_cli(["oracle", "--eps-grid", "1"]) == 5
         assert "certificate violation" in capsys.readouterr().err
+
+    def test_only_the_oracle_command_loads_oracle(self, tmp_path):
+        # read in a fresh interpreter: this process has loaded oracle
+        matrix = tmp_path / "m.txt"
+        write_matrix(matrix, [[0.0], [1.0], [2.0]])
+        commands = [["covering", "--matrix", str(matrix), "--eta", "0.5"],
+                    ["bounds", "--eps-grid", "1", "--diam", "1",
+                     "--out", str(tmp_path / "b.csv")]]
+        for argv in commands:
+            code = ("import sys; from reconbound import cli; "
+                    f"assert cli.main({argv!r}) == 0; "
+                    "print('reconbound.oracle' in sys.modules)")
+            env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                 text=True, check=True, env=env)
+            assert out.stdout.split()[-1] == "False", argv
 
 
 class TestSweepCommand:

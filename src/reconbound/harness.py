@@ -4,8 +4,9 @@ CSV/SVG emission.
 A sweep trains a private learner, releases it at each epsilon on the
 grid, runs the reconstruction attack per trial, and compares the mean
 attack error against every applicable theoretical lower bound on the
-same grid.  Everything is deterministic given (config, seed): each grid
-cell draws all its releases from one generator,
+same grid.  Everything is deterministic given (config, seed) and the
+BLAS thread count, whose matrix products may round differently at
+another count: each grid cell draws all its releases from one generator,
 `SeedSequence(seed, spawn_key=(0, cell))`, and its bootstrap from
 another, spawn key (1, cell), so a cell's draws depend only on the seed,
 the cell index, trials, n_samples and d, and not on the other cells.

@@ -13,15 +13,25 @@ Instances whose ordered tuple count n_outcomes^n exceeds the cap are
 refused rather than sampled.
 
 The type-class index (the classes' outcomes, position-major, and their
-sizes) depends only on (n_outcomes, n), not on the channel.  It is built
-once per key and kept in a bounded module-level LRU cache of
-`_TYPE_CLASS_CACHE_SIZE` entries, as read-only arrays, so a certificate
-and every point of an eps grid share it.  A channel's likelihoods are
-one `np.prod` over the channel gathered at that index, and the last such
-matrix is kept, read-only, for the next sum of the same mechanism object
-and n, so each certificate enumerates once: one n_inputs x classes matrix
-(110 kB at 8 inputs and n = 6, 8 MB at 1000 inputs and n = 1).  The cap
-is checked, at its current value, before either is consulted.
+sizes) depends only on (n_outcomes, n), not on the channel, and so does
+the plan that multiplies it out.  Classes come in lexicographic order,
+so they share prefixes: the plan takes one `np.prod` over the first j0
+positions of each distinct j0-prefix, then one level per further
+position, taking each distinct prefix's product to its children times
+the channel entry of each child's new outcome.  Every class's entries
+are still multiplied left to right in draw order, so the bits are those
+of one product per class.  A level is used only where it at least
+doubles the prefix count, which holds for every level when n < n_outcomes
+and for none otherwise (j0 = n: one product per class).  Index, sizes
+and plan are built once per key and kept in a bounded module-level LRU
+cache of `_TYPE_CLASS_CACHE_SIZE` entries, as read-only arrays, so a
+certificate and every point of an eps grid share them.  The products are
+built class-major and handed out transposed, as a column-major
+n_inputs x classes matrix, and the last such matrix is kept, read-only,
+for the next sum of the same mechanism object and n, so each certificate
+enumerates once (110 kB at 8 inputs and n = 6, 8 MB at 1000 inputs and
+n = 1).  The cap is checked, at its current value, before either is
+consulted.
 
 Why the certificates are sound: the closed-form bounds are proved by
 reducing estimation to testing under the uniform prior on the channel
@@ -49,7 +59,10 @@ from .metric_space import FiniteMetricSpace
 
 ENUMERATION_CAP = 1_000_000
 # keys (n_outcomes, n) kept by `_type_classes`; an entry holds at most
-# (n + 1) * ENUMERATION_CAP numbers, and a run uses one or two keys
+# (n + 6) * ENUMERATION_CAP numbers: n + 1 per class for the index and
+# sizes, fewer than 4 per class for the plan's levels, as each at least
+# doubles the prefix count, and at most 1 for a head other than the index;
+# a run uses one or two keys
 _TYPE_CLASS_CACHE_SIZE = 8
 # (mech, n, likelihoods, class sizes) of the last `_type_likelihoods` call
 _last_likelihoods = None
@@ -120,12 +133,15 @@ def dp_epsilon_of(mech: FiniteMechanism) -> float:
 
 
 @lru_cache(maxsize=_TYPE_CLASS_CACHE_SIZE)
-def _type_classes(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _type_classes(k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """The channel-independent index of the type classes of n draws from
-    k outcomes: an (n, classes) array, one row per draw position and one
-    nondecreasing outcome sequence per column, and the number of ordered
-    tuples in each class.  Both arrays are read-only, because every
-    caller with the same (k, n) shares them."""
+    k outcomes, with its multiplication plan: an (n, classes) array, one
+    row per draw position and one nondecreasing outcome sequence per
+    column; the number of ordered tuples in each class; the head, the
+    outcomes of each distinct j0-prefix, position-major; and the levels,
+    one (parent, outcome) pair per further position, naming each distinct
+    prefix's parent prefix and new outcome.  Every array is read-only,
+    because every caller with the same (k, n) shares them."""
     # a class's size is the multinomial n!/prod(c_o!), built over
     # prefixes: growing a prefix to length j + 1 with an outcome it then
     # holds r times multiplies the prefix's multinomial by (j + 1)/r.
@@ -136,19 +152,34 @@ def _type_classes(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     for j in range(1, n):
         run = np.where(index[j] == index[j - 1], run + 1.0, 1.0)
         mult = mult * (j + 1) / run
-    index.setflags(write=False)
-    mult.setflags(write=False)
-    return index, mult
+    # growing prefixes from j - 1 to j positions multiplies their count by
+    # (j + k - 1)/j, which falls with j and is at least 2 while j < k
+    j0 = 1 if n < k else n
+    # the position at which each class first differs from the one before:
+    # the classes differing before position j start the distinct j-prefixes
+    first = np.zeros(index.shape[1], dtype=np.intp)
+    first[1:] = np.argmax(index[:, 1:] != index[:, :-1], axis=0)
+    starts = np.flatnonzero(first < j0)
+    head = index if j0 == n else index[:j0, starts]
+    levels = []
+    for j in range(j0, n):
+        child = np.flatnonzero(first <= j)
+        levels.append((np.searchsorted(starts, child, side="right") - 1, index[j, child]))
+        starts = child
+    for array in (index, mult, head, *(a for level in levels for a in level)):
+        array.setflags(write=False)
+    return index, mult, head, tuple(levels)
 
 
 def _type_likelihoods(mech: FiniteMechanism, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Product likelihoods of the outcome type classes of n draws, each
-    class's entries multiplied in draw order: the (n_inputs, n_types)
-    matrix, read-only, and the number of ordered tuples in each class.  The
-    cap applies to the ordered tuple count, checked on every call before
-    the memo or the cached index is looked up; past the cap's bit length
-    2^n alone exceeds it, so k^n is formed only for n below that.  The last
-    result is kept, with its mechanism, as the module docstring says."""
+    class's entries multiplied in draw order along the cached plan: the
+    (n_inputs, n_types) matrix, column-major and read-only, and the number
+    of ordered tuples in each class.  The cap applies to the ordered tuple
+    count, checked on every call before the memo or the cached index is
+    looked up; past the cap's bit length 2^n alone exceeds it, so k^n is
+    formed only for n below that.  The last result is kept, with its
+    mechanism, as the module docstring says."""
     if n < 1:
         raise ValueError("n must be >= 1")
     k, cap = mech.n_outcomes, ENUMERATION_CAP
@@ -158,9 +189,16 @@ def _type_likelihoods(mech: FiniteMechanism, n: int) -> tuple[np.ndarray, np.nda
     last = _last_likelihoods
     if last is not None and last[0] is mech and last[1] == n:
         return last[2], last[3]
-    index, mult = _type_classes(k, n)
-    like = np.prod(mech.channel[:, index], axis=1)
+    _, mult, head, levels = _type_classes(k, n)
+    # class-major rows, handed out transposed: the sums over inputs read
+    # this column-major layout, and their bits depend on it
+    rows = mech.channel.T
+    like = np.prod(rows.take(head, axis=0), axis=0)
+    for parent, outcome in levels:
+        like = like.take(parent, axis=0)
+        like *= rows.take(outcome, axis=0)
     like.setflags(write=False)
+    like = like.T
     _last_likelihoods = (mech, n, like, mult)
     return like, mult
 

@@ -426,16 +426,48 @@ class TestTypeClassesMatchTupleEnumeration:
 
     def test_cached_index_is_read_only(self):
         # position-major: one row per draw position, one nondecreasing
-        # outcome sequence per column, C(4 + 3 - 1, 4) = 15 classes
-        index, mult = oracle._type_classes(3, 4)
-        assert index is oracle._type_classes(3, 4)[0]
-        assert index.shape == (4, 15) and mult.shape == (15,)
-        assert np.all(np.diff(index, axis=0) >= 0)
-        assert len({tuple(col) for col in index.T}) == 15
-        for array in (index, mult):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0
+        # outcome sequence per column, C(4 + 3 - 1, 4) = 15 classes; the
+        # plan's arrays are shared through the same cache entry
+        for k, n, classes in ((3, 4, 15), (4, 3, 20)):
+            index, mult, head, levels = oracle._type_classes(k, n)
+            assert index is oracle._type_classes(k, n)[0]
+            assert index.shape == (n, classes) and mult.shape == (classes,)
+            assert np.all(np.diff(index, axis=0) >= 0)
+            assert len({tuple(col) for col in index.T}) == classes
+            for array in (index, mult, head, *(a for level in levels for a in level)):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+    def test_plan_keeps_the_one_shot_bits_and_layout(self):
+        # the plan's matrix against one product per class over the gathered
+        # channel, in bytes and in its column-major layout, with zero entries
+        rng = np.random.default_rng(53)
+        for k in range(1, 9):
+            for n in range(1, 21):
+                if k ** n > ENUMERATION_CAP:
+                    break
+                index = oracle._type_classes(k, n)[0]
+                for m in range(1, 6):
+                    c = rng.random((m, k)) * (rng.random((m, k)) > 0.25)
+                    c[c.sum(axis=1) == 0, 0] = 1.0
+                    mech = FiniteMechanism(channel=c / c.sum(axis=1, keepdims=True))
+                    want = np.prod(mech.channel[:, index], axis=1)
+                    got = oracle._type_likelihoods(mech, n)[0]
+                    assert got.shape == want.shape and got.flags.f_contiguous, (k, n, m)
+                    assert want.flags.f_contiguous
+                    assert got.tobytes("A") == want.tobytes("A"), (k, n, m)
+
+    def test_plan_levels_only_where_they_double_the_prefixes(self):
+        # Le Cam's (2, 18) keeps one product per class; Fano's (8, 6) grows
+        # from the first position through n - 1 levels
+        _, _, head, levels = oracle._type_classes(2, 18)
+        assert head is oracle._type_classes(2, 18)[0] and levels == ()
+        _, _, head, levels = oracle._type_classes(8, 6)
+        assert head.shape == (1, 8) and len(levels) == 5
+        counts = [head.shape[1]] + [len(parent) for parent, _ in levels]
+        assert counts == [math.comb(j + 7, j) for j in range(1, 7)]
+        assert all(b >= 2 * a for a, b in zip(counts, counts[1:]))
 
     def test_cap_applies_after_caching(self, monkeypatch):
         # (3, 4) is cached and mech's matrix memoized, yet a lowered cap

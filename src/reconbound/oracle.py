@@ -21,8 +21,10 @@ position, taking each distinct prefix's product to its children times
 the channel entry of each child's new outcome.  Every class's entries
 are still multiplied left to right in draw order, so the bits are those
 of one product per class.  A level is used only where it at least
-doubles the prefix count, which holds for every level when n < n_outcomes
-and for none otherwise (j0 = n: one product per class).  Index, sizes
+doubles the prefix count.  Growing prefixes from j - 1 to j positions
+multiplies their count by (j + n_outcomes - 1)/j, which falls with j, so
+every level pays when n < n_outcomes (j0 = 1); otherwise the last one
+does not, and each class is one product (j0 = n).  Index, sizes
 and plan are built once per key and kept in a bounded module-level LRU
 cache of `_TYPE_CLASS_CACHE_SIZE` entries, as read-only arrays, so a
 certificate and every point of an eps grid share them.  The products are
@@ -30,8 +32,8 @@ built class-major and handed out transposed, as a column-major
 n_inputs x classes matrix, and the last such matrix is kept, read-only,
 for the next sum of the same mechanism object and n, so each certificate
 enumerates once (110 kB at 8 inputs and n = 6, 8 MB at 1000 inputs and
-n = 1).  The cap is checked, at its current value, before either is
-consulted.
+n = 1).  The cap is checked, at its current value, before the cache or
+the memo is consulted.
 
 Why the certificates are sound: the closed-form bounds are proved by
 reducing estimation to testing under the uniform prior on the channel
@@ -152,8 +154,8 @@ def _type_classes(k: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, t
     for j in range(1, n):
         run = np.where(index[j] == index[j - 1], run + 1.0, 1.0)
         mult = mult * (j + 1) / run
-    # growing prefixes from j - 1 to j positions multiplies their count by
-    # (j + k - 1)/j, which falls with j and is at least 2 while j < k
+    # levels run from j0 to n and each must at least double the prefix
+    # count, which the step to j positions multiplies by (j + k - 1)/j
     j0 = 1 if n < k else n
     # the position at which each class first differs from the one before:
     # the classes differing before position j start the distinct j-prefixes

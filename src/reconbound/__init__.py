@@ -2,7 +2,8 @@
 lower-bound calculators, private training mechanisms, an informed
 reconstruction attack, exact finite-instance oracles, and a sweep
 harness that checks the attack never beats a valid bound.  Each module
-loads on first use, so a sweep never loads ``oracle``.
+loads on first use: a sweep loads neither ``oracle`` nor
+``metric_space``, and an output-perturbation sweep not ``pnsgd``.
 """
 
 from importlib import import_module as _import_module

@@ -4,7 +4,8 @@ that draws n samples from a private learner's output distribution.
 Each bound takes the privacy numbers it reads as plain floats (eps or a
 KL slope first, delta last), n and only the geometry its hypotheses
 read: a diameter, and for the metric Fano forms an effective dimension
-too.
+too, such as the unit ball's log covering number at radius 1/2, whose
+bounds `norm_ball_covering_bounds_log` gives.
 Callers check eps, delta and n >= 1 where they enter the program
 (`harness.SweepConfig`, the `bounds` command).
 
@@ -76,6 +77,17 @@ def _fano_gap(d_eff: float) -> float:
     if not math.log(2.0) < d_eff < math.inf:
         raise DegenerateDimensionError(f"d_eff={d_eff} must be finite and exceed ln 2")
     return d_eff - math.log(2.0)
+
+
+def norm_ball_covering_bounds_log(dim: int, eta: float) -> tuple[float, float]:
+    """Logs of the lower and upper bounds (1/eta)^d and (1+2/eta)^d on the
+    covering number of a unit norm ball: (d ln(1/eta), d ln(1 + 2/eta)).
+    The bounds themselves overflow a float for large dim."""
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    return dim * math.log(1.0 / eta), dim * math.log(1.0 + 2.0 / eta)
 
 
 def _capped(eps: float, diam: float, reach: float) -> float:

@@ -10,7 +10,7 @@ Exit codes: 0 success, 2 configuration error (including arrays too large
 to allocate), 3 dominance violation (audit failure), 4 I/O error (a
 missing or unreadable file), 5 certificate violation (an exact oracle
 fell below a bound it certifies).  Only the ``oracle`` subcommand loads
-the exact oracles.
+the exact oracles, and only it and ``covering`` load ``metric_space``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import harness
-from .metric_space import FiniteMetricSpace, covering_number, packing_number
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,13 +160,15 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _uniform_space(k: int, separation: float) -> FiniteMetricSpace:
+def _uniform_space(k: int, separation: float):
+    from .metric_space import FiniteMetricSpace
     dist = np.full((k, k), separation, dtype=float)
     np.fill_diagonal(dist, 0.0)
     return FiniteMetricSpace(points=tuple(range(k)), dist=dist)
 
 
 def _cmd_covering(args) -> int:
+    from .metric_space import FiniteMetricSpace, covering_number, packing_number
     space = FiniteMetricSpace.from_file(args.matrix)
     cov = covering_number(space, args.eta)
     pack = packing_number(space, args.eta)

@@ -34,16 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import pnsgd as pnsgd_mod
 from .attack import ThreatModel, attack_average
 from .mechanisms import (LogRegProblem, output_perturb_dp,
                          output_perturb_mdp_euclidean, train_logreg_exact)
-from .metric_space import norm_ball_covering_bounds_log
 
 # bounds the audit enforces; the unbiased prior bound is emitted for
 # plotting but assumes an unbiased attack, which this one is not
@@ -68,8 +66,7 @@ BOOTSTRAP_RESAMPLES = 10_000
 _INDEX_MAX = int(np.iinfo(np.intp).max)
 
 
-@dataclass(frozen=True)
-class MechanismKind:
+class MechanismKind(NamedTuple):
     metric: bool  # epsilon is per unit of distance (metric privacy)
     pnsgd: bool  # the release is a PNSGD pass
 
@@ -83,8 +80,7 @@ MECHANISM_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class Guarantee:
+class Guarantee(NamedTuple):
     """What one grid cell's release meets."""
     eps: float  # per unit of distance if metric
     metric: bool
@@ -160,8 +156,7 @@ class SweepConfig:
 REQUIRED_CONFIG_KEYS = frozenset(f.name for f in fields(SweepConfig) if f.default is MISSING)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     epsilon: float
     mechanism: str
     mean_mse: float
@@ -171,8 +166,7 @@ class SweepRow:
     failures: int
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     config: SweepConfig
     bound_names: tuple
     rows: tuple
@@ -276,6 +270,7 @@ def _into_unit_ball(x: np.ndarray) -> np.ndarray:
 def _guarantee(kind: MechanismKind, config: SweepConfig, eps: float) -> Guarantee:
     if not kind.pnsgd:
         return Guarantee(eps, kind.metric, None)
+    from . import pnsgd as pnsgd_mod
     if kind.metric:
         return Guarantee(eps, True, pnsgd_mod.kl_slope_for_renyi_mdp(PNSGD_MDP_ORDER, eps,
                                                                      UNIT_BALL_DIAM))
@@ -291,6 +286,7 @@ def _noise(kind: MechanismKind, g: Guarantee, config: SweepConfig, n: int) -> fl
         # the optimum's sensitivity 2/(N*lam) (Chaudhuri, Monteleoni & Sarwate 2011)
         product = n * g.eps * config.lam
         return 2.0 / product if product else math.inf
+    from . import pnsgd as pnsgd_mod
     if kind.metric:
         lip = 1.0 + PNSGD_RADIUS / 4.0  # the gradients' input Lipschitz constant
         return math.sqrt(pnsgd_mod.noise_for_renyi_mdp(PNSGD_MDP_ORDER, g.eps, lip, UNIT_BALL_DIAM))
@@ -304,6 +300,7 @@ def _pnsgd_releases(scales: list, config: SweepConfig, problem: LogRegProblem,
     """Every cell's releases, (cells, trials, n_samples, d).  One chain per
     (cell, trial) at the cell's noise scale; all chains run in one
     lockstep pass per sample, each pass continuing the cells' generators."""
+    from . import pnsgd as pnsgd_mod
     signed = problem.labels[:, None] * problem.features
     passes = [pnsgd_mod.pnsgd_run(scales, signed, config.lam, PNSGD_RADIUS, rngs, config.trials)
               for _ in range(config.n_samples)]
@@ -334,7 +331,7 @@ def evaluate_bounds(guarantee: Guarantee, n: int, dim: int) -> dict:
     the KL is eps*tanh(eps/2), per unit of distance if metric."""
     eps, slope = guarantee.eps, guarantee.slope
     if guarantee.metric:
-        d_eff = norm_ball_covering_bounds_log(dim, 0.5)[0]
+        d_eff = bounds_mod.norm_ball_covering_bounds_log(dim, 0.5)[0]
         if slope is None:
             return {"mdp_lecam": bounds_mod.mdp_lecam_bound(eps, n, UNIT_BALL_DIAM),
                     "mdp_fano": bounds_mod.mdp_fano_bound(eps, n, UNIT_BALL_DIAM, d_eff)}

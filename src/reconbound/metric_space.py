@@ -1,5 +1,5 @@
-"""Data domains for the audit: finite metric spaces, covering bounds for
-unit balls, and exact covering/packing search.
+"""Data domains for the audit: finite metric spaces and exact
+covering/packing search.
 
 Spaces built from vectors are Euclidean, as are the sweeps' unit-ball
 domain and the metric-privacy guarantees; a distance-matrix file may
@@ -16,7 +16,6 @@ than approximated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,13 +198,3 @@ def packing_number(space: FiniteMetricSpace, eta: float) -> int:
     expand((1 << len(compat)) - 1, 0)
     return best
 
-
-def norm_ball_covering_bounds_log(dim: int, eta: float) -> tuple[float, float]:
-    """Logs of the lower and upper bounds (1/eta)^d and (1+2/eta)^d on the
-    covering number of a unit norm ball: (d ln(1/eta), d ln(1 + 2/eta)).
-    The bounds themselves overflow a float for large dim."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return dim * math.log(1.0 / eta), dim * math.log(1.0 + 2.0 / eta)

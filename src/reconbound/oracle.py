@@ -53,6 +53,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 
@@ -269,8 +270,7 @@ def product_tv(mech: FiniteMechanism, n: int) -> tuple[float, float]:
             float(np.minimum(like[0], like[1]) @ mult))
 
 
-@dataclass(frozen=True)
-class LeCamReport:
+class LeCamReport(NamedTuple):
     separation: float
     n: int
     epsilon: float
@@ -315,8 +315,7 @@ def lecam_certificate(mech: FiniteMechanism, space: FiniteMetricSpace,
                        dp_bound=dp_bound, exact_risk=exact)
 
 
-@dataclass(frozen=True)
-class FanoReport:
+class FanoReport(NamedTuple):
     n_inputs: int
     n: int
     mutual_info: float

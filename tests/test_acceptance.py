@@ -17,12 +17,12 @@ import pytest
 
 from reconbound import pnsgd as pnsgd_mod
 from reconbound.attack import glm_reconstruct_single
-from reconbound.bounds import (Validity, dp_lecam_bound, kl_bound, unbiased_rdp_bound,
+from reconbound.bounds import (Validity, dp_lecam_bound, kl_bound,
+                               norm_ball_covering_bounds_log, unbiased_rdp_bound,
                                validity_check)
 from reconbound.harness import SweepConfig, emit_csv, generate_synthetic, run_sweep
 from reconbound.mechanisms import train_logreg_exact
-from reconbound.metric_space import (covering_number, norm_ball_covering_bounds_log,
-                                     two_point_space)
+from reconbound.metric_space import covering_number, two_point_space
 from reconbound.oracle import exact_bayes_risk, randomized_response
 from reconbound.pnsgd import noise_for_renyi_mdp
 

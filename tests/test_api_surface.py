@@ -124,9 +124,19 @@ def test_package_exports_exactly_its_modules():
         assert fresh(refused).strip() == f"module 'reconbound' has no attribute '{name}'"
 
 
+# the modules the sweep harness loads, and so every sweep compiles
+SWEEP_PATH = {"harness", "attack", "mechanisms", "bounds"}
+
+
 def test_a_sweep_never_loads_the_exact_oracles():
     # the gain of loading on first use: the sweep path compiles no oracle
-    assert "oracle" not in loaded_after("import reconbound; reconbound.harness")
+    # and no metric space, and a PNSGD pass only for a sweep that runs one
+    assert loaded_after("import reconbound; reconbound.harness") == SWEEP_PATH
+    for kind, extra in (("OUTPUT_PERTURB_DP", set()), ("PNSGD_MDP", {"pnsgd"})):
+        sweep = ("from reconbound.harness import SweepConfig, run_sweep; "
+                 f"run_sweep(SweepConfig(eps_grid=(0.5, 2.0), mechanism_kind={kind!r}, "
+                 "seed=20240817, trials=3, n_samples=2, train_size=200, dim=4))")
+        assert loaded_after(sweep) == SWEEP_PATH | extra, kind
     assert loaded_after("import reconbound; reconbound.oracle") == MATH_LAYER
 
 

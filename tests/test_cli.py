@@ -227,20 +227,27 @@ class TestOracleCommand:
         assert "certificate violation" in capsys.readouterr().err
 
     def test_only_the_oracle_command_loads_oracle(self, tmp_path):
-        # read in a fresh interpreter: this process has loaded oracle
+        # read in a fresh interpreter: this process has loaded oracle;
+        # only covering and oracle load metric_space, and an output
+        # perturbation sweep loads no PNSGD pass
         matrix = tmp_path / "m.txt"
         write_matrix(matrix, [[0.0], [1.0], [2.0]])
-        commands = [["covering", "--matrix", str(matrix), "--eta", "0.5"],
-                    ["bounds", "--eps-grid", "1", "--diam", "1",
-                     "--out", str(tmp_path / "b.csv")]]
-        for argv in commands:
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("eps_grid = 1,2\ntrials = 2\nmechanism_kind = OUTPUT_PERTURB_DP\n"
+                       "seed = 3\nlam = 1.0\ntrain_size = 50\ndim = 3\n")
+        commands = {("covering", "--matrix", str(matrix), "--eta", "0.5"): {"metric_space"},
+                    ("bounds", "--eps-grid", "1", "--diam", "1",
+                     "--out", str(tmp_path / "b.csv")): set(),
+                    ("sweep", "--config", str(cfg), "--out", str(tmp_path / "o")): set()}
+        for argv, expected in commands.items():
             code = ("import sys; from reconbound import cli; "
-                    f"assert cli.main({argv!r}) == 0; "
-                    "print('reconbound.oracle' in sys.modules)")
+                    f"assert cli.main({list(argv)!r}) == 0; "
+                    "print(*(n for n in ('metric_space', 'pnsgd', 'oracle') "
+                    "if 'reconbound.' + n in sys.modules))")
             env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
             out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                  text=True, check=True, env=env)
-            assert out.stdout.split()[-1] == "False", argv
+            assert set(out.stdout.splitlines()[-1].split()) == expected, argv
 
 
 class TestSweepCommand:

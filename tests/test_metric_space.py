@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from reconbound import metric_space
-from reconbound.metric_space import (FiniteMetricSpace, SizeCapError,
-                                     covering_number, norm_ball_covering_bounds_log,
+from reconbound.bounds import norm_ball_covering_bounds_log
+from reconbound.metric_space import (FiniteMetricSpace, SizeCapError, covering_number,
                                      packing_number, pairwise_distances, two_point_space)
 
 from reference import discretize_unit_ball
